@@ -20,8 +20,10 @@ from .graphs import (
     MarkedGraph,
     disjoint_union_with_maps,
     empty_graph,
+    equivalence_classes,
     is_forest,
     is_stable,
+    next_id,
 )
 from .monoid import LinearForm, MonoidElement, MonoidHom, enumerate_pair_decompositions
 from .morphisms import CombinatorialMorphism, validate_combinatorial
@@ -36,10 +38,6 @@ from .isogeny import (
     validate_extended,
 )
 from .stabilize import absolute_stabilization
-
-
-def trivial_hom_for(g: MarkedGraph) -> MonoidHom:
-    return MonoidHom.to_trivial(g.rank)
 
 
 def is_stabilization_identification(b: CombinatorialMorphism) -> bool:
@@ -152,7 +150,7 @@ def _pullback_contraction(
     v0 = contr.vertexmap[v1]
     w0 = b.vertexmap[v0]
     inv_flag = {pre: t for t, pre in contr.flagmap.items()}  # tau flag -> sigma flag
-    zero_hom = trivial_hom_for(sigma_prime)
+    zero_hom = MonoidHom.to_trivial(sigma_prime.rank)
 
     def outer_flag(x: int) -> int:
         return b.flagmap[inv_flag[x]]
@@ -165,7 +163,7 @@ def _pullback_contraction(
         # loop case: one lift, hanging a loop at w0 and dropping its genus
         if sigma_prime.genus[w0] < 1:
             raise ValidationError([Violation("cartesian-loop-genus", "loop pullback needs genus >= 1 at the target vertex")])
-        l1 = (max(sigma_prime.flags) + 1) if sigma_prime.flags else 0
+        l1 = next_id(sigma_prime.flags)
         l2 = l1 + 1
         tau0 = _graph_with(
             sigma_prime,
@@ -192,9 +190,9 @@ def _pullback_contraction(
             x for x in at_w0 if tau.boundary[contr.flagmap[b_inv[x]]] == v2
         ]
         for beta1, beta2 in splits:
-            e1 = (max(sigma_prime.flags) + 1) if sigma_prime.flags else 0
+            e1 = next_id(sigma_prime.flags)
             e2 = e1 + 1
-            wsecond = (max(sigma_prime.vertices) + 1) if sigma_prime.vertices else 0
+            wsecond = next_id(sigma_prime.vertices)
             taui = _graph_with(
                 sigma_prime,
                 add_flags={e1: w0, e2: wsecond},
@@ -229,8 +227,8 @@ def _pullback_forget(
     res = phi.step_results[0][1]
     t = res.forgotten
     v = tau.boundary[t]
-    zero_hom = trivial_hom_for(sigma_prime)
-    fresh = (max(sigma_prime.flags) + 1) if sigma_prime.flags else 0
+    zero_hom = MonoidHom.to_trivial(sigma_prime.rank)
+    fresh = next_id(sigma_prime.flags)
 
     def base_map(extra_flags: dict[int, int], extra_vertices: dict[int, int], tau0: MarkedGraph) -> CombinatorialMorphism:
         return CombinatorialMorphism(
@@ -253,7 +251,7 @@ def _pullback_forget(
         pflag = next(x for x in at_v if tau.involution[x] != x)
         q = tau.involution[pflag]
         r = b.flagmap[q]
-        u = (max(sigma_prime.vertices) + 1) if sigma_prime.vertices else 0
+        u = next_id(sigma_prime.vertices)
         t0, s0, p0 = fresh, fresh + 1, fresh + 2
         if sigma_prime.involution[r] == r:
             tau0 = _graph_with(
@@ -279,7 +277,7 @@ def _pullback_forget(
         q1 = tau.involution[p1]
         r = b.flagmap[q1]
         c = sigma_prime.involution[r]
-        u = (max(sigma_prime.vertices) + 1) if sigma_prime.vertices else 0
+        u = next_id(sigma_prime.vertices)
         t0, p10, p20 = fresh, fresh + 1, fresh + 2
         tau0 = _graph_with(
             sigma_prime,
@@ -320,7 +318,7 @@ def _pullback_glue(
         target=tau0,
         flagmap=dict(b.flagmap),
         vertexmap=dict(b.vertexmap),
-        hom=trivial_hom_for(sigma_prime),
+        hom=MonoidHom.to_trivial(sigma_prime.rank),
     )
     lift = elementary_glue_isogeny(tau0, (y, ybar))
     if lift.target != sigma_prime:
@@ -555,7 +553,7 @@ def otimes(x: CartesianObject, y: CartesianObject) -> CartesianObject:
                 vertexmap[yv[v]] = myv[ay.vertexmap[v]]
             a = CombinatorialMorphism(
                 source=base, target=member, flagmap=flagmap, vertexmap=vertexmap,
-                hom=trivial_hom_for(member),
+                hom=MonoidHom.to_trivial(member.rank),
             )
             family.append((a, member))
     return CartesianObject(base=base, family=tuple(family))
@@ -610,19 +608,7 @@ def _connected_multigraphs(nv: int, ne: int):
     """Multisets of vertex pairs (loops allowed) forming connected graphs."""
     pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
     for combo in combinations_with_replacement(pairs, ne):
-        parent = list(range(nv))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in combo:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        if len({find(v) for v in range(nv)}) == 1:
+        if len(equivalence_classes(range(nv), combo)) == 1:
             yield combo
 
 

@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", dest="outfile", default=None, help="output file (default: stdout)")
     parser.add_argument("--profile", default=None, help="P1|P2|P3|point or a profile JSON file")
     parser.add_argument("--max-flags", type=int, default=DEFAULT_MAX_FLAGS, help="size cap on graphs")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites (reserved)")
     return parser
 
 
@@ -321,12 +320,13 @@ def main(argv: list[str] | None = None) -> int:
             args.outfile,
         )
         return EXIT_DOMAIN
-    except (KeyError, TypeError, IndexError) as exc:
-        _emit({"error": {"type": "schema", "message": f"malformed document: {exc!r}"}}, args.outfile)
-        return EXIT_SCHEMA
     except StableGraphsError as exc:
+        # before the ValueError clause: RankMismatchError is also a ValueError
         _emit({"error": {"type": "domain", "message": str(exc)}}, args.outfile)
         return EXIT_DOMAIN
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        _emit({"error": {"type": "schema", "message": f"malformed document: {exc!r}"}}, args.outfile)
+        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

@@ -69,9 +69,6 @@ class MarkedGraph:
 
     # -- basic accessors -------------------------------------------------
 
-    def partner(self, f: int) -> int:
-        return self.involution[f]
-
     def is_tail(self, f: int) -> bool:
         return self.involution[f] == f
 
@@ -79,12 +76,6 @@ class MarkedGraph:
         if v not in self.genus:
             raise KeyError(f"unknown vertex id {v}")
         return tuple(f for f in self.flags if self.boundary[f] == v)
-
-    def num_flags(self) -> int:
-        return len(self.flags)
-
-    def class_of(self, v: int) -> MonoidElement:
-        return self.classes[v]
 
 
 def marked_graph(
@@ -168,9 +159,13 @@ def valence(g: MarkedGraph, v: int) -> int:
     return len(g.flags_at(v))
 
 
-def connected_components(g: MarkedGraph) -> tuple[frozenset[int], ...]:
-    """Partition of the vertex set by edge paths, sorted by smallest member."""
-    parent = {v: v for v in g.vertices}
+def equivalence_classes(items: Iterable[int], pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Classes of the equivalence relation on ``items`` generated by ``pairs``.
+
+    Members keep the order of ``items``, and classes come in order of their
+    first member.  Every id in ``pairs`` must be one of the items.
+    """
+    parent = {x: x for x in items}
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -178,14 +173,25 @@ def connected_components(g: MarkedGraph) -> tuple[frozenset[int], ...]:
             x = parent[x]
         return x
 
-    for f1, f2 in edges(g):
-        a, b = find(g.boundary[f1]), find(g.boundary[f2])
-        if a != b:
-            parent[a] = b
-    groups: dict[int, set[int]] = {}
-    for v in g.vertices:
-        groups.setdefault(find(v), set()).add(v)
-    return tuple(sorted((frozenset(s) for s in groups.values()), key=min))
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    classes: dict[int, list[int]] = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
+def next_id(ids: tuple[int, ...]) -> int:
+    """The smallest id above a sorted id tuple, such as ``MarkedGraph.flags``."""
+    return ids[-1] + 1 if ids else 0
+
+
+def connected_components(g: MarkedGraph) -> tuple[frozenset[int], ...]:
+    """Partition of the vertex set by edge paths, sorted by smallest member."""
+    pairs = ((g.boundary[f1], g.boundary[f2]) for f1, f2 in edges(g))
+    return tuple(frozenset(c) for c in equivalence_classes(g.vertices, pairs))
 
 
 def betti1(g: MarkedGraph) -> int:
@@ -225,10 +231,6 @@ def is_stable(g: MarkedGraph) -> bool:
     return all(is_stable_vertex(g, v) for v in g.vertices)
 
 
-def unstable_vertices(g: MarkedGraph) -> tuple[int, ...]:
-    return tuple(v for v in g.vertices if not is_stable_vertex(g, v))
-
-
 def is_forest(g: MarkedGraph) -> bool:
     """No cycles and no higher-genus vertices (tree level)."""
     return betti1(g) == 0 and all(gv == 0 for gv in g.genus.values())
@@ -260,30 +262,12 @@ def is_free_vertex(g: MarkedGraph, v: int) -> bool:
 def flag_partition(g: MarkedGraph) -> FlagPartition:
     """Finest partition joining involution orbits and, at every genus-zero
     class-zero vertex, all flags attached there."""
-    parent = {f: f for f in g.flags}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for f in g.flags:
-        union(f, g.involution[f])
+    pairs = [(f, g.involution[f]) for f in g.flags]
     for v in g.vertices:
         if is_free_vertex(g, v):
             at_v = g.flags_at(v)
-            for f in at_v[1:]:
-                union(at_v[0], f)
-    groups: dict[int, list[int]] = {}
-    for f in g.flags:
-        groups.setdefault(find(f), []).append(f)
-    return FlagPartition(tuple(sorted(tuple(sorted(b)) for b in groups.values())))
+            pairs += [(at_v[0], f) for f in at_v[1:]]
+    return FlagPartition(tuple(tuple(b) for b in equivalence_classes(g.flags, pairs)))
 
 
 # -- constructions -------------------------------------------------------
@@ -315,8 +299,8 @@ def disjoint_union_with_maps(
     """
     if a.rank != b.rank:
         raise RankMismatchError(f"cannot union graphs of rank {a.rank} and {b.rank}")
-    foff = (max(a.flags) + 1) if a.flags else 0
-    voff = (max(a.vertices) + 1) if a.vertices else 0
+    foff = next_id(a.flags)
+    voff = next_id(a.vertices)
     bshift = min(b.flags) if b.flags else 0
     vshift = min(b.vertices) if b.vertices else 0
     a_f = {f: f for f in a.flags}
@@ -337,16 +321,6 @@ def disjoint_union_with_maps(
 
 def disjoint_union(a: MarkedGraph, b: MarkedGraph) -> MarkedGraph:
     return disjoint_union_with_maps(a, b)[0]
-
-
-def fresh_flag_ids(g: MarkedGraph, count: int) -> list[int]:
-    start = (max(g.flags) + 1) if g.flags else 0
-    return list(range(start, start + count))
-
-
-def fresh_vertex_ids(g: MarkedGraph, count: int) -> list[int]:
-    start = (max(g.vertices) + 1) if g.vertices else 0
-    return list(range(start, start + count))
 
 
 def induced_subgraph(g: MarkedGraph, vertex_set: Iterable[int]) -> MarkedGraph:

@@ -41,8 +41,6 @@ from .morphisms import (
 )
 from .stabilize import stabilize_with_trace
 
-TailMap = dict  # target tail id -> source tail id bookkeeping
-
 
 @dataclass(frozen=True)
 class StableForget:

@@ -44,10 +44,6 @@ class MonoidElement:
         return not self.is_zero()
 
 
-def add(a: MonoidElement, b: MonoidElement) -> MonoidElement:
-    return a + b
-
-
 def element(*coords: int) -> MonoidElement:
     """Shorthand constructor: element(1, 2) is (1,2) in N^2."""
     return MonoidElement(tuple(coords))

@@ -14,6 +14,7 @@ a component are the basic examples.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,6 +24,7 @@ from .graphs import (
     MonoidElement,
     betti1,
     edges,
+    equivalence_classes,
     flag_partition,
     relabel_classes,
 )
@@ -92,26 +94,11 @@ def validate_contraction(c: Contraction) -> list[Violation]:
         return out
 
     # fibers must be exactly the connectivity classes of the contracted edges
-    gone = set(c.contracted_flags())
-    parent = {v: v for v in src.vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in gone:
-        a, b = find(src.boundary[f]), find(src.boundary[src.involution[f]])
-        if a != b:
-            parent[a] = b
-    fibers: dict[int, set[int]] = {}
+    joined = ((src.boundary[f], src.boundary[src.involution[f]]) for f in c.contracted_flags())
+    fibers: dict[int, list[int]] = {}
     for v in src.vertices:
-        fibers.setdefault(c.vertexmap[v], set()).add(v)
-    classes: dict[int, set[int]] = {}
-    for v in src.vertices:
-        classes.setdefault(find(v), set()).add(v)
-    if sorted(fibers.values(), key=min) != sorted(classes.values(), key=min):
+        fibers.setdefault(c.vertexmap[v], []).append(v)
+    if sorted(fibers.values()) != equivalence_classes(src.vertices, joined):
         out.append(Violation("contraction-5-fibers", "vertex fibers differ from contracted-edge connectivity classes"))
         return out
 
@@ -160,42 +147,18 @@ def contract_edges(g: MarkedGraph, edge_set: Iterable[tuple[int, int]]) -> Contr
         if e not in all_edges:
             raise ValidationError([Violation("contraction-edge-unknown", f"{e} is not an edge")])
     gone = {f for e in chosen for f in e}
-    parent = {v: v for v in g.vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f1, f2 in chosen:
-        a, b = find(g.boundary[f1]), find(g.boundary[f2])
-        if a != b:
-            parent[a] = b
-    fibers: dict[int, list[int]] = {}
-    for v in g.vertices:
-        fibers.setdefault(find(v), []).append(v)
-    rep = {v: min(fiber) for fiber in fibers.values() for v in fiber}
+    # fibers list their vertices in ascending order, so fiber[0] is the survivor
+    fibers = equivalence_classes(g.vertices, ((g.boundary[f1], g.boundary[f2]) for f1, f2 in chosen))
+    rep = {v: fiber[0] for fiber in fibers for v in fiber}
+    edges_in = Counter(rep[g.boundary[f1]] for f1, _ in chosen)
 
     kept = [f for f in g.flags if f not in gone]
-    sub_by_rep: dict[int, list[int]] = {}
-    for v in g.vertices:
-        sub_by_rep.setdefault(rep[v], []).append(v)
-
     tgt_genus: dict[int, int] = {}
     tgt_classes: dict[int, MonoidElement] = {}
-    for r, fiber in sub_by_rep.items():
-        fiber_flags = [f for f in gone if g.boundary[f] in set(fiber)]
-        piece = MarkedGraph(
-            flags=tuple(fiber_flags),
-            vertices=tuple(fiber),
-            boundary={f: g.boundary[f] for f in fiber_flags},
-            involution={f: g.involution[f] for f in fiber_flags},
-            genus={v: g.genus[v] for v in fiber},
-            classes={v: g.classes[v] for v in fiber},
-            rank=g.rank,
-        )
-        tgt_genus[r] = sum(g.genus[v] for v in fiber) + betti1(piece)
+    for fiber in fibers:
+        r = fiber[0]
+        # the contracted edges connect the fiber, so its cycle rank is #E - #V + 1
+        tgt_genus[r] = sum(g.genus[v] for v in fiber) + edges_in[r] - len(fiber) + 1
         total = MonoidElement.zero(g.rank)
         for v in fiber:
             total = total + g.classes[v]
@@ -203,7 +166,7 @@ def contract_edges(g: MarkedGraph, edge_set: Iterable[tuple[int, int]]) -> Contr
 
     target = MarkedGraph(
         flags=tuple(kept),
-        vertices=tuple(sorted(sub_by_rep)),
+        vertices=tuple(tgt_genus),
         boundary={f: rep[g.boundary[f]] for f in kept},
         involution={f: g.involution[f] for f in kept},
         genus=tgt_genus,
@@ -435,25 +398,6 @@ def glue_tails(g: MarkedGraph, f: int, fbar: int) -> tuple[MarkedGraph, Combinat
     )
     ensure_valid(validate_combinatorial(c), "glue_tails morphism invalid")
     return glued, c
-
-
-def add_tail(g: MarkedGraph, v: int, flag_id: int | None = None) -> tuple[MarkedGraph, int]:
-    """Attach a fresh tail at vertex v; returns (bigger graph, new flag id)."""
-    if v not in g.genus:
-        raise KeyError(f"unknown vertex id {v}")
-    new = flag_id if flag_id is not None else ((max(g.flags) + 1) if g.flags else 0)
-    if new in g.boundary:
-        raise ValueError(f"flag id {new} already in use")
-    bigger = MarkedGraph(
-        flags=g.flags + (new,),
-        vertices=g.vertices,
-        boundary={**g.boundary, new: v},
-        involution={**g.involution, new: new},
-        genus=g.genus,
-        classes=g.classes,
-        rank=g.rank,
-    )
-    return bigger, new
 
 
 def component_inclusion(g: MarkedGraph, component: MarkedGraph) -> CombinatorialMorphism:

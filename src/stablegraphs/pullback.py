@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError, Violation, ensure_valid
-from .graphs import MarkedGraph, is_stable, relabel_classes
+from .graphs import MarkedGraph, is_stable, next_id, relabel_classes
 from .monoid import MonoidHom
 from .morphisms import (
     CombinatorialMorphism,
@@ -122,10 +122,10 @@ def _elementary_pullback(
         involution = dict(rho.involution)
         genus = dict(rho.genus)
         b_flagmap = {x: phi.flagmap[a.flagmap[x]] for x in rho.flags}
-        next_id = (max(rho.flags) + 1) if rho.flags else 0
+        next_flag = next_id(rho.flags)
         for w in sorted(over):
-            l1, l2 = next_id, next_id + 1
-            next_id += 2
+            l1, l2 = next_flag, next_flag + 1
+            next_flag += 2
             flags += [l1, l2]
             boundary[l1] = boundary[l2] = w
             involution[l1] = l2
@@ -162,8 +162,8 @@ def _elementary_pullback(
             if w not in set(over):
                 b_vertexmap[w] = inv_vertexmap[a.vertexmap[w]]
                 psi_vertexmap[w] = w
-        next_flag = (max(rho.flags) + 1) if rho.flags else 0
-        next_vertex = (max(rho.vertices) + 1) if rho.vertices else 0
+        next_flag = next_id(rho.flags)
+        next_vertex = next_id(rho.vertices)
         contracted: list[tuple[int, int]] = []
         for w in sorted(over):
             side1 = [x for x in rho.flags if rho.boundary[x] == w and sigma.boundary[_route_flag(phi, a, x)] == v1]

@@ -26,6 +26,7 @@ from .monoid import MonoidHom
 from .morphisms import (
     CombinatorialMorphism,
     compose_combinatorial,
+    identity_contraction,
     validate_combinatorial,
 )
 
@@ -166,16 +167,10 @@ def pushforward(hom: MonoidHom, g: MarkedGraph) -> tuple[MarkedGraph, "pullback.
             source=stable, target=g, flagmap=dict(a.flagmap), vertexmap=dict(a.vertexmap), hom=hom
         ),
         mid=stable,
-        contr=_identity_contraction(stable),
+        contr=identity_contraction(stable),
     )
     pullback.check_marked(morphism)
     return stable, morphism
-
-
-def _identity_contraction(g: MarkedGraph):
-    from .morphisms import identity_contraction
-
-    return identity_contraction(g)
 
 
 def absolute_stabilization(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMorphism]:

@@ -89,10 +89,24 @@ def test_malformed_json_is_schema_error(tmp_path, capsys):
     assert payload["error"]["type"] == "schema"
 
 
+def _tripod_with_vertex(**fields):
+    doc = json.loads((GOLDEN / "in" / "invariants_tripod.json").read_text())
+    doc["vertices"][0].update(fields)
+    return doc
+
+
 def test_missing_key_is_schema_error(tmp_path, capsys):
     doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps({"flags": [0]}))
-    assert main(["invariants", "--in", str(doc)]) == 2
+    for bad in ({"flags": [0]}, _tripod_with_vertex(**{"class": [-1]}), _tripod_with_vertex(id="v0")):
+        doc.write_text(json.dumps(bad))
+        assert main(["invariants", "--in", str(doc)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+
+
+def test_rank_mismatch_stays_domain_error(capsys):
+    tripod = GOLDEN / "in" / "invariants_tripod.json"
+    assert main(["deg", "--profile", "P2", "--in", str(tripod)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "domain"
 
 
 def test_size_cap_exit(tmp_path, capsys):

@@ -7,7 +7,6 @@ from stablegraphs.monoid import (
     LinearForm,
     MonoidElement,
     MonoidHom,
-    add,
     apply_hom,
     element,
     enumerate_pair_decompositions,
@@ -30,17 +29,17 @@ def paired(strategy):
 
 
 def test_add_coordinatewise():
-    assert add(element(1, 2), element(0, 3)) == element(1, 5)
+    assert element(1, 2) + element(0, 3) == element(1, 5)
 
 
 def test_add_zero_identity():
-    assert add(element(0, 0), element(0, 0)) == element(0, 0)
-    assert add(element(2, 1), MonoidElement.zero(2)) == element(2, 1)
+    assert element(0, 0) + element(0, 0) == element(0, 0)
+    assert element(2, 1) + MonoidElement.zero(2) == element(2, 1)
 
 
 def test_add_rank_mismatch():
     with pytest.raises(RankMismatchError):
-        add(element(1), element(1, 2))
+        element(1) + element(1, 2)
 
 
 def test_negative_coordinates_rejected():

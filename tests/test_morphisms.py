@@ -23,7 +23,7 @@ from stablegraphs.morphisms import (
 )
 from stablegraphs.graphs import component_of, connected_components, is_stable
 
-from oracles import chain_condition_holds
+from oracles import betti1_gf2, chain_condition_holds
 from strategies import rand_contraction, rand_graph
 
 
@@ -128,6 +128,19 @@ def test_decompose_recompose_random():
         assert canonical_key(composite.target) == canonical_key(c.target)
         assert composite.target == c.target
         assert composite.flagmap == c.flagmap and composite.vertexmap == c.vertexmap
+
+
+def test_contraction_genus_matches_gf2_oracle():
+    rng = random.Random(47)
+    cycles = 0
+    for _ in range(40):
+        c = rand_contraction(rng, num_edges=(1, 3), rank=1, max_flags=10)
+        for v in c.target.vertices:
+            fiber = [w for w in c.source.vertices if c.vertexmap[w] == v]
+            gain = betti1_gf2(contracted_piece(c, v))
+            cycles += gain
+            assert c.target.genus[v] == sum(c.source.genus[w] for w in fiber) + gain
+    assert cycles > 0  # some draws contract a loop or a multiple edge
 
 
 def test_decompose_order_invariance_of_composite():
