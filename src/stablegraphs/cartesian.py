@@ -18,12 +18,15 @@ from .canonical import canonical_form, canonical_key
 from .errors import SizeCapError, ValidationError, Violation, ensure_valid
 from .graphs import (
     MarkedGraph,
+    add_loop,
     disjoint_union_with_maps,
+    edit_graph,
     empty_graph,
     equivalence_classes,
     is_forest,
     is_stable,
     next_id,
+    split_vertex,
 )
 from .monoid import LinearForm, MonoidElement, MonoidHom, enumerate_pair_decompositions
 from .morphisms import CombinatorialMorphism, validate_combinatorial
@@ -75,47 +78,6 @@ def is_stabilization_identification(b: CombinatorialMorphism) -> bool:
     return True
 
 
-def _graph_with(
-    g: MarkedGraph,
-    *,
-    add_flags: dict[int, int] | None = None,  # new flag -> vertex
-    pair: dict[int, int] | None = None,  # involution overrides (both directions given)
-    drop_flags: tuple[int, ...] = (),
-    add_vertices: dict[int, tuple[int, MonoidElement]] | None = None,
-    set_genus: dict[int, int] | None = None,
-    set_class: dict[int, MonoidElement] | None = None,
-    move_flags: dict[int, int] | None = None,  # flag -> new vertex
-) -> MarkedGraph:
-    """Small surgery helper; returns a fresh graph with the edits applied."""
-    flags = [f for f in g.flags if f not in set(drop_flags)]
-    boundary = {f: g.boundary[f] for f in flags}
-    involution = {f: g.involution[f] for f in flags}
-    genus = dict(g.genus)
-    classes = dict(g.classes)
-    for f, v in (add_flags or {}).items():
-        flags.append(f)
-        boundary[f] = v
-        involution[f] = f
-    for v, (gen, cls) in (add_vertices or {}).items():
-        genus[v] = gen
-        classes[v] = cls
-    for f, v in (move_flags or {}).items():
-        boundary[f] = v
-    for a, bb in (pair or {}).items():
-        involution[a] = bb
-    genus.update(set_genus or {})
-    classes.update(set_class or {})
-    return MarkedGraph(
-        flags=tuple(flags),
-        vertices=tuple(genus),
-        boundary=boundary,
-        involution=involution,
-        genus=genus,
-        classes=classes,
-        rank=g.rank,
-    )
-
-
 @dataclass(frozen=True)
 class FamilyMember:
     """One lift in a cartesian family: (a_i, tau_i, Phi_i)."""
@@ -143,7 +105,7 @@ def _check_member(p: VarietyProfile, base: MarkedGraph, member: FamilyMember, si
 def _pullback_contraction(
     p: VarietyProfile, phi: ExtendedIsogeny, b: CombinatorialMorphism
 ) -> list[FamilyMember]:
-    tau, sigma, sigma_prime = phi.source, phi.target, b.target
+    tau, sigma_prime = phi.source, b.target
     contr = phi.step_results[0][1]
     ((f, fbar),) = [contr.contracted_edges()[0]]
     v1, v2 = tau.boundary[f], tau.boundary[fbar]
@@ -163,14 +125,7 @@ def _pullback_contraction(
         # loop case: one lift, hanging a loop at w0 and dropping its genus
         if sigma_prime.genus[w0] < 1:
             raise ValidationError([Violation("cartesian-loop-genus", "loop pullback needs genus >= 1 at the target vertex")])
-        l1 = next_id(sigma_prime.flags)
-        l2 = l1 + 1
-        tau0 = _graph_with(
-            sigma_prime,
-            add_flags={l1: w0, l2: w0},
-            pair={l1: l2, l2: l1},
-            set_genus={w0: sigma_prime.genus[w0] - 1},
-        )
+        tau0, (l1, l2) = add_loop(sigma_prime, w0)
         a0 = CombinatorialMorphism(
             source=tau,
             target=tau0,
@@ -190,17 +145,8 @@ def _pullback_contraction(
             x for x in at_w0 if tau.boundary[contr.flagmap[b_inv[x]]] == v2
         ]
         for beta1, beta2 in splits:
-            e1 = next_id(sigma_prime.flags)
-            e2 = e1 + 1
-            wsecond = next_id(sigma_prime.vertices)
-            taui = _graph_with(
-                sigma_prime,
-                add_flags={e1: w0, e2: wsecond},
-                pair={e1: e2, e2: e1},
-                add_vertices={wsecond: (tau.genus[v2], beta2)},
-                set_genus={w0: tau.genus[v1]},
-                set_class={w0: beta1},
-                move_flags={x: wsecond for x in side2_flags},
+            taui, (e1, e2), wsecond = split_vertex(
+                sigma_prime, w0, side2_flags, (tau.genus[v1], beta1), (tau.genus[v2], beta2)
             )
             if not is_stable(taui):
                 raise AssertionError("class split destabilized an already stable vertex")
@@ -229,6 +175,9 @@ def _pullback_forget(
     v = tau.boundary[t]
     zero_hom = MonoidHom.to_trivial(sigma_prime.rank)
     fresh = next_id(sigma_prime.flags)
+    # types II and III lift to a new genus-zero, class-zero vertex u
+    u = next_id(sigma_prime.vertices)
+    new_vertex = {u: (0, MonoidElement.zero(sigma_prime.rank))}
 
     def base_map(extra_flags: dict[int, int], extra_vertices: dict[int, int], tau0: MarkedGraph) -> CombinatorialMorphism:
         return CombinatorialMorphism(
@@ -241,7 +190,7 @@ def _pullback_forget(
 
     if res.kind == "I":
         t0 = fresh
-        tau0 = _graph_with(sigma_prime, add_flags={t0: b.vertexmap[v]})
+        tau0 = edit_graph(sigma_prime, attach={t0: b.vertexmap[v]})
         a0 = base_map({t: t0}, {}, tau0)
         expect_kind = "I"
     elif res.kind == "II":
@@ -251,25 +200,14 @@ def _pullback_forget(
         pflag = next(x for x in at_v if tau.involution[x] != x)
         q = tau.involution[pflag]
         r = b.flagmap[q]
-        u = next_id(sigma_prime.vertices)
         t0, s0, p0 = fresh, fresh + 1, fresh + 2
-        if sigma_prime.involution[r] == r:
-            tau0 = _graph_with(
-                sigma_prime,
-                add_flags={t0: u, s0: u, p0: u},
-                add_vertices={u: (0, MonoidElement.zero(sigma_prime.rank))},
-                pair={p0: r, r: p0},
-            )
-            expect_kind = "II"
-        else:
+        pair = {p0: r, r: p0}
+        expect_kind = "II"
+        if sigma_prime.involution[r] != r:
             c = sigma_prime.involution[r]
-            tau0 = _graph_with(
-                sigma_prime,
-                add_flags={t0: u, s0: u, p0: u},
-                add_vertices={u: (0, MonoidElement.zero(sigma_prime.rank))},
-                pair={p0: r, r: p0, s0: c, c: s0},
-            )
+            pair.update({s0: c, c: s0})
             expect_kind = "III"
+        tau0 = edit_graph(sigma_prime, attach={t0: u, s0: u, p0: u}, vertices=new_vertex, pair=pair)
         a0 = base_map({t: t0, s: s0, pflag: p0}, {v: u}, tau0)
     elif res.kind == "III":
         at_v = tau.flags_at(v)
@@ -277,13 +215,9 @@ def _pullback_forget(
         q1 = tau.involution[p1]
         r = b.flagmap[q1]
         c = sigma_prime.involution[r]
-        u = next_id(sigma_prime.vertices)
         t0, p10, p20 = fresh, fresh + 1, fresh + 2
-        tau0 = _graph_with(
-            sigma_prime,
-            add_flags={t0: u, p10: u, p20: u},
-            add_vertices={u: (0, MonoidElement.zero(sigma_prime.rank))},
-            pair={p10: r, r: p10, p20: c, c: p20},
+        tau0 = edit_graph(
+            sigma_prime, attach={t0: u, p10: u, p20: u}, vertices=new_vertex, pair={p10: r, r: p10, p20: c, c: p20}
         )
         a0 = base_map({t: t0, p1: p10, p2: p20}, {v: u}, tau0)
         expect_kind = "III"
@@ -312,7 +246,7 @@ def _pullback_glue(
                 )
             ]
         )
-    tau0 = _graph_with(sigma_prime, pair={y: y, ybar: ybar})
+    tau0 = edit_graph(sigma_prime, pair={y: y, ybar: ybar})
     a0 = CombinatorialMorphism(
         source=tau,
         target=tau0,
@@ -657,6 +591,12 @@ def enumerate_stable_graphs(
     """
     if genus_total < 0 or num_tails < 0 or ample_bound < 0 or max_vertices < 1:
         raise ValidationError([Violation("enumerate-bounds", "bounds must be non-negative (and at least one vertex)")])
+    # Summed over the vertices, 2*g_v - 2 + val_v equals 2g - 2 + n.  With two
+    # or more vertices every vertex has an edge, so a stable class-zero vertex
+    # adds at least 1 and a vertex with a nonzero class (ample degree >= 1, so
+    # at most ample_bound of them) adds at least -1.  No stable graph has more
+    # vertices than this clamp.
+    max_vertices = min(max_vertices, max(1, 2 * genus_total - 2 + num_tails + 2 * ample_bound))
     class_pool = _classes_up_to(p, ample_bound)
     seen: dict[tuple, MarkedGraph] = {}
     candidates = 0

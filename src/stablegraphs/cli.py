@@ -324,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         # before the ValueError clause: RankMismatchError is also a ValueError
         _emit({"error": {"type": "domain", "message": str(exc)}}, args.outfile)
         return EXIT_DOMAIN
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
         _emit({"error": {"type": "schema", "message": f"malformed document: {exc!r}"}}, args.outfile)
         return EXIT_SCHEMA
 

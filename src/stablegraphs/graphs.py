@@ -247,9 +247,6 @@ class FlagPartition:
         idx = {f: i for i, block in enumerate(self.blocks) for f in block}
         object.__setattr__(self, "_index", idx)
 
-    def block_of(self, f: int) -> tuple[int, ...]:
-        return self.blocks[self._index[f]]
-
     def same_block(self, f1: int, f2: int) -> bool:
         return self._index[f1] == self._index[f2]
 
@@ -271,6 +268,72 @@ def flag_partition(g: MarkedGraph) -> FlagPartition:
 
 
 # -- constructions -------------------------------------------------------
+
+
+def edit_graph(
+    g: MarkedGraph,
+    *,
+    attach: Mapping[int, int] | None = None,
+    pair: Mapping[int, int] | None = None,
+    vertices: Mapping[int, tuple[int, MonoidElement]] | None = None,
+    drop_flags: Iterable[int] = (),
+    drop_vertices: Iterable[int] = (),
+) -> MarkedGraph:
+    """A fresh graph with local edits applied to g, in this order.
+
+    ``drop_flags`` and ``drop_vertices`` remove ids.  ``attach`` maps a flag
+    to the vertex it now sits at; a new flag starts as a tail.  ``vertices``
+    maps a vertex, new or old, to its ``(genus, class)``.  ``pair`` overrides
+    the involution and must list both directions of every change.
+    """
+    gone_flags, gone_vertices = set(drop_flags), set(drop_vertices)
+    boundary = {f: v for f, v in g.boundary.items() if f not in gone_flags}
+    involution = {f: g.involution[f] for f in boundary}
+    genus = {v: gv for v, gv in g.genus.items() if v not in gone_vertices}
+    classes = {v: c for v, c in g.classes.items() if v not in gone_vertices}
+    for f, v in (attach or {}).items():
+        boundary[f] = v
+        involution.setdefault(f, f)
+    for v, (gv, c) in (vertices or {}).items():
+        genus[v], classes[v] = gv, c
+    involution.update(pair or {})
+    return MarkedGraph(tuple(boundary), tuple(genus), boundary, involution, genus, classes, g.rank)
+
+
+def add_loop(g: MarkedGraph, v: int) -> tuple[MarkedGraph, tuple[int, int]]:
+    """Hang a new loop at v and lower its genus by one.
+
+    Contracting the returned loop gives g back.
+    """
+    l1 = next_id(g.flags)
+    l2 = l1 + 1
+    loop = edit_graph(
+        g, attach={l1: v, l2: v}, pair={l1: l2, l2: l1}, vertices={v: (g.genus[v] - 1, g.classes[v])}
+    )
+    return loop, (l1, l2)
+
+
+def split_vertex(
+    g: MarkedGraph,
+    v: int,
+    moved: Iterable[int],
+    kept_data: tuple[int, MonoidElement],
+    new_data: tuple[int, MonoidElement],
+) -> tuple[MarkedGraph, tuple[int, int], int]:
+    """Move the flags in ``moved`` from v to a new vertex w, joined to v by a
+    new edge (e1 at v, e2 at w).
+
+    v takes ``kept_data`` and w takes ``new_data``, each a ``(genus, class)``.
+    Returns (graph, (e1, e2), w).  Contracting the new edge gives g back when
+    the genera and the classes add up to v's.
+    """
+    e1 = next_id(g.flags)
+    e2 = e1 + 1
+    w = next_id(g.vertices)
+    attach = {e1: v, e2: w}
+    attach.update((x, w) for x in moved)
+    split = edit_graph(g, attach=attach, pair={e1: e2, e2: e1}, vertices={v: kept_data, w: new_data})
+    return split, (e1, e2), w
 
 
 def relabel_classes(g: MarkedGraph, hom: MonoidHom) -> MarkedGraph:

@@ -24,6 +24,7 @@ from .graphs import (
     MonoidElement,
     betti1,
     edges,
+    edit_graph,
     equivalence_classes,
     flag_partition,
     relabel_classes,
@@ -350,10 +351,7 @@ def cut_edge(g: MarkedGraph, edge: tuple[int, int]) -> tuple[MarkedGraph, Combin
     f1, f2 = edge
     if g.involution.get(f1) != f2 or f1 == f2:
         raise ValidationError([Violation("cut-not-edge", f"({f1},{f2}) is not an edge")])
-    involution = dict(g.involution)
-    involution[f1] = f1
-    involution[f2] = f2
-    cut = MarkedGraph(g.flags, g.vertices, g.boundary, involution, g.genus, g.classes, g.rank)
+    cut = edit_graph(g, pair={f1: f1, f2: f2})
     a = CombinatorialMorphism(
         source=cut, target=g, flagmap={f: f for f in g.flags}, vertexmap={v: v for v in g.vertices}
     )
@@ -368,18 +366,9 @@ def forget_tail(g: MarkedGraph, f: int) -> tuple[MarkedGraph, CombinatorialMorph
     """
     if f not in g.boundary or g.involution[f] != f:
         raise ValidationError([Violation("forget-not-tail", f"{f} is not a tail")])
-    kept = tuple(x for x in g.flags if x != f)
-    smaller = MarkedGraph(
-        flags=kept,
-        vertices=g.vertices,
-        boundary={x: g.boundary[x] for x in kept},
-        involution={x: g.involution[x] for x in kept},
-        genus=g.genus,
-        classes=g.classes,
-        rank=g.rank,
-    )
+    smaller = edit_graph(g, drop_flags=(f,))
     a = CombinatorialMorphism(
-        source=smaller, target=g, flagmap={x: x for x in kept}, vertexmap={v: v for v in g.vertices}
+        source=smaller, target=g, flagmap={x: x for x in smaller.flags}, vertexmap={v: v for v in g.vertices}
     )
     ensure_valid(validate_combinatorial(a), "forget_tail morphism invalid")
     return smaller, a
@@ -389,10 +378,7 @@ def glue_tails(g: MarkedGraph, f: int, fbar: int) -> tuple[MarkedGraph, Combinat
     """Join two tails into an edge; returns (glued graph, morphism g -> glued)."""
     if f == fbar or g.involution.get(f) != f or g.involution.get(fbar) != fbar:
         raise ValidationError([Violation("glue-not-tails", f"{f} and {fbar} must be distinct tails")])
-    involution = dict(g.involution)
-    involution[f] = fbar
-    involution[fbar] = f
-    glued = MarkedGraph(g.flags, g.vertices, g.boundary, involution, g.genus, g.classes, g.rank)
+    glued = edit_graph(g, pair={f: fbar, fbar: f})
     c = CombinatorialMorphism(
         source=g, target=glued, flagmap={x: x for x in g.flags}, vertexmap={v: v for v in g.vertices}
     )

@@ -16,10 +16,10 @@ stable pullback construction, one elementary contraction at a time:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ValidationError, Violation, ensure_valid
-from .graphs import MarkedGraph, is_stable, next_id, relabel_classes
+from .graphs import MarkedGraph, add_loop, is_stable, relabel_classes, split_vertex
 from .monoid import MonoidHom
 from .morphisms import (
     CombinatorialMorphism,
@@ -73,21 +73,12 @@ def check_marked(m: MarkedMorphism) -> None:
 def identity_marked(g: MarkedGraph) -> MarkedMorphism:
     if not is_stable(g):
         raise ValidationError([Violation("marked-unstable", "identity morphism needs a stable graph")])
-    ident = identity_combinatorial(g)
     return MarkedMorphism(
         hom=MonoidHom.identity(g.rank),
-        comb=CombinatorialMorphism(
-            source=g, target=g, flagmap=dict(ident.flagmap), vertexmap=dict(ident.vertexmap),
-            hom=MonoidHom.identity(g.rank),
-        ),
+        comb=replace(identity_combinatorial(g), hom=MonoidHom.identity(g.rank)),
         mid=g,
         contr=identity_contraction(g),
     )
-
-
-def _route_flag(phi: Contraction, a: CombinatorialMorphism, f: int) -> int:
-    """Where a rho-flag lands in the contraction source: phi^F after a."""
-    return phi.flagmap[a.flagmap[f]]
 
 
 def _elementary_pullback(
@@ -98,121 +89,60 @@ def _elementary_pullback(
     phi: sigma -> tau contracts a single edge; a: rho -> tau covers xi with
     rho stable.  Returns (pi, psi: pi -> rho, b: pi -> sigma covering xi).
     """
-    sigma, tau, rho = phi.source, phi.target, a.source
+    sigma, rho = phi.source, a.source
     if not phi.is_elementary():
         raise ValidationError([Violation("pullback-not-elementary", "internal step expects one contracted edge")])
     f, fbar = phi.contracted_edges()[0]
     v1, v2 = sigma.boundary[f], sigma.boundary[fbar]
     (v0,) = {phi.vertexmap[v1], phi.vertexmap[v2]}
-    over = [w for w in rho.vertices if a.vertexmap[w] == v0]
 
     inv_vertexmap = {}
     for v in sigma.vertices:
         inv_vertexmap.setdefault(phi.vertexmap[v], v)
-
-    if v1 == v2:
-        # loop contraction: hang a loop off every vertex over v0, dropping genus
-        for w in over:
+    # a vertex over v0 that is not split maps to inv_vertexmap[v0], which is v1 for a loop
+    b_flagmap = {x: phi.flagmap[a.flagmap[x]] for x in rho.flags}
+    b_vertexmap = {w: inv_vertexmap[a.vertexmap[w]] for w in rho.vertices}
+    psi_vertexmap = {w: w for w in rho.vertices}
+    marked_sigma = relabel_classes(sigma, xi)
+    pi = rho
+    for w in rho.vertices:
+        if a.vertexmap[w] != v0:
+            continue
+        if v1 == v2:
+            # loop contraction: hang a loop off every vertex over v0, dropping genus
             if rho.genus[w] < 1:
                 raise ValidationError(
                     [Violation("pullback-loop-genus", f"vertex {w} over a contracted loop must have genus >= 1")]
                 )
-        flags = list(rho.flags)
-        boundary = dict(rho.boundary)
-        involution = dict(rho.involution)
-        genus = dict(rho.genus)
-        b_flagmap = {x: phi.flagmap[a.flagmap[x]] for x in rho.flags}
-        next_flag = next_id(rho.flags)
-        for w in sorted(over):
-            l1, l2 = next_flag, next_flag + 1
-            next_flag += 2
-            flags += [l1, l2]
-            boundary[l1] = boundary[l2] = w
-            involution[l1] = l2
-            involution[l2] = l1
-            genus[w] -= 1
-            b_flagmap[l1] = f
-            b_flagmap[l2] = fbar
-        pi = MarkedGraph(
-            flags=tuple(flags),
-            vertices=rho.vertices,
-            boundary=boundary,
-            involution=involution,
-            genus=genus,
-            classes=rho.classes,
-            rank=rho.rank,
-        )
-        psi = Contraction(
-            source=pi, target=rho, flagmap={x: x for x in rho.flags}, vertexmap={v: v for v in pi.vertices}
-        )
-        b_vertexmap = {w: (v1 if w in set(over) else inv_vertexmap[a.vertexmap[w]]) for w in pi.vertices}
-        b = CombinatorialMorphism(source=pi, target=sigma, flagmap=b_flagmap, vertexmap=b_vertexmap, hom=xi)
-    else:
+            pi, (l1, l2) = add_loop(pi, w)
+            b_flagmap[l1], b_flagmap[l2] = f, fbar
+            continue
         # non-loop contraction: split each vertex over v0, re-merge unstable splits
-        marked_sigma = relabel_classes(sigma, xi)
-        flags = list(rho.flags)
-        boundary = dict(rho.boundary)
-        involution = dict(rho.involution)
-        genus = dict(rho.genus)
-        classes = dict(rho.classes)
-        b_flagmap = {x: phi.flagmap[a.flagmap[x]] for x in rho.flags}
-        b_vertexmap: dict[int, int] = {}
-        psi_vertexmap: dict[int, int] = {}
-        for w in rho.vertices:
-            if w not in set(over):
-                b_vertexmap[w] = inv_vertexmap[a.vertexmap[w]]
-                psi_vertexmap[w] = w
-        next_flag = next_id(rho.flags)
-        next_vertex = next_id(rho.vertices)
-        contracted: list[tuple[int, int]] = []
-        for w in sorted(over):
-            side1 = [x for x in rho.flags if rho.boundary[x] == w and sigma.boundary[_route_flag(phi, a, x)] == v1]
-            side2 = [x for x in rho.flags if rho.boundary[x] == w and sigma.boundary[_route_flag(phi, a, x)] == v2]
-            g1, g2 = sigma.genus[v1], sigma.genus[v2]
-            c1, c2 = marked_sigma.classes[v1], marked_sigma.classes[v2]
-            stable1 = bool(c1) or 2 * g1 + len(side1) + 1 >= 3
-            stable2 = bool(c2) or 2 * g2 + len(side2) + 1 >= 3
-            if stable1 and stable2:
-                wprime, wsecond = w, next_vertex
-                next_vertex += 1
-                e1, e2 = next_flag, next_flag + 1
-                next_flag += 2
-                flags += [e1, e2]
-                boundary[e1], boundary[e2] = wprime, wsecond
-                involution[e1], involution[e2] = e2, e1
-                for x in side2:
-                    boundary[x] = wsecond
-                genus[wprime], genus[wsecond] = g1, g2
-                classes[wprime], classes[wsecond] = c1, c2
-                b_flagmap[e1], b_flagmap[e2] = f, fbar
-                b_vertexmap[wprime], b_vertexmap[wsecond] = v1, v2
-                psi_vertexmap[wprime] = psi_vertexmap[wsecond] = w
-                contracted.append((e1, e2))
-            else:
-                # re-contract: keep w whole and map it to the stable side;
-                # both sides unstable would contradict rho being stable
-                assert stable1 or stable2, "both split halves unstable contradicts stability of the source"
-                psi_vertexmap[w] = w
-                if stable1:
-                    b_vertexmap[w] = v1
-                    for x in side2:
-                        b_flagmap[x] = f
-                else:
-                    b_vertexmap[w] = v2
-                    for x in side1:
-                        b_flagmap[x] = fbar
-        pi = MarkedGraph(
-            flags=tuple(flags),
-            vertices=tuple(psi_vertexmap),
-            boundary=boundary,
-            involution=involution,
-            genus=genus,
-            classes=classes,
-            rank=rho.rank,
-        )
-        psi = Contraction(source=pi, target=rho, flagmap={x: x for x in rho.flags}, vertexmap=psi_vertexmap)
-        b = CombinatorialMorphism(source=pi, target=sigma, flagmap=b_flagmap, vertexmap=b_vertexmap, hom=xi)
-
+        at_w = rho.flags_at(w)
+        side1 = [x for x in at_w if sigma.boundary[b_flagmap[x]] == v1]
+        side2 = [x for x in at_w if sigma.boundary[b_flagmap[x]] == v2]
+        g1, g2 = sigma.genus[v1], sigma.genus[v2]
+        c1, c2 = marked_sigma.classes[v1], marked_sigma.classes[v2]
+        stable1 = bool(c1) or 2 * g1 + len(side1) + 1 >= 3
+        stable2 = bool(c2) or 2 * g2 + len(side2) + 1 >= 3
+        if stable1 and stable2:
+            pi, (e1, e2), wsecond = split_vertex(pi, w, side2, (g1, c1), (g2, c2))
+            b_flagmap[e1], b_flagmap[e2] = f, fbar
+            b_vertexmap[w], b_vertexmap[wsecond] = v1, v2
+            psi_vertexmap[wsecond] = w
+        elif stable1:
+            # re-contract: keep w whole and map it to the stable side
+            b_vertexmap[w] = v1
+            for x in side2:
+                b_flagmap[x] = f
+        else:
+            # both sides unstable would contradict rho being stable
+            assert stable2, "both split halves unstable contradicts stability of the source"
+            b_vertexmap[w] = v2
+            for x in side1:
+                b_flagmap[x] = fbar
+    psi = Contraction(source=pi, target=rho, flagmap={x: x for x in rho.flags}, vertexmap=psi_vertexmap)
+    b = CombinatorialMorphism(source=pi, target=sigma, flagmap=b_flagmap, vertexmap=b_vertexmap, hom=xi)
     ensure_valid(validate_contraction(psi), "pullback contraction invalid")
     ensure_valid(validate_combinatorial(b), "pullback combinatorial morphism invalid")
     if not is_stable(pi):
@@ -335,14 +265,9 @@ def lift_contraction(phi: Contraction) -> MarkedMorphism:
         raise ValidationError([Violation("lift-unstable", "lifting requires stable endpoints")])
     ensure_valid(validate_contraction(phi), "cannot lift an invalid contraction")
     rank = phi.source.rank
-    ident = identity_combinatorial(phi.source)
     return MarkedMorphism(
         hom=MonoidHom.identity(rank),
-        comb=CombinatorialMorphism(
-            source=phi.source, target=phi.source,
-            flagmap=dict(ident.flagmap), vertexmap=dict(ident.vertexmap),
-            hom=MonoidHom.identity(rank),
-        ),
+        comb=replace(identity_combinatorial(phi.source), hom=MonoidHom.identity(rank)),
         mid=phi.source,
         contr=phi,
     )
@@ -359,11 +284,7 @@ def lift_combinatorial(a: CombinatorialMorphism) -> MarkedMorphism:
     rank = a.source.rank
     return MarkedMorphism(
         hom=MonoidHom.identity(rank),
-        comb=CombinatorialMorphism(
-            source=a.source, target=a.target,
-            flagmap=dict(a.flagmap), vertexmap=dict(a.vertexmap),
-            hom=MonoidHom.identity(rank),
-        ),
+        comb=replace(a, hom=MonoidHom.identity(rank)),
         mid=a.source,
         contr=identity_contraction(a.source),
     )

@@ -66,11 +66,13 @@ def graph_from_json(doc: dict) -> MarkedGraph:
     vertices = _need(doc, "vertices", list)
     boundary = _int_key_map(_need(doc, "boundary"), "boundary")
     involution = _int_key_map(_need(doc, "involution"), "involution")
+    ids: list[int] = []
     genus: dict[int, int] = {}
     classes: dict[int, MonoidElement] = {}
     rank = doc.get("rank")
     for entry in vertices:
         vid = int(_need(entry, "id"))
+        ids.append(vid)
         genus[vid] = int(_need(entry, "genus"))
         coords = entry.get("class", [])
         if not isinstance(coords, list):
@@ -82,7 +84,7 @@ def graph_from_json(doc: dict) -> MarkedGraph:
         rank = 0
     return MarkedGraph(
         flags=tuple(int(f) for f in flags),
-        vertices=tuple(genus),
+        vertices=tuple(ids),  # as listed, so a repeated id fails as vertex-duplicate
         boundary=boundary,
         involution=involution,
         genus=genus,
@@ -110,10 +112,6 @@ def profile_from_json(doc: dict) -> VarietyProfile:
         canonical=LinearForm(tuple(int(c) for c in _need(doc, "canonical", list))),
         ample=LinearForm(tuple(int(c) for c in _need(doc, "ample", list))),
     )
-
-
-def profile_to_json(p: VarietyProfile) -> dict:
-    return {"name": p.name, "dim": p.dimension, "canonical": list(p.canonical.coeffs), "ample": list(p.ample.coeffs)}
 
 
 def resolve_profile(spec: str | dict | None) -> VarietyProfile:
@@ -179,15 +177,6 @@ def combinatorial_from_json(doc: dict) -> CombinatorialMorphism:
         vertexmap=_int_key_map(_need(doc, "vertexmap"), "vertexmap"),
         hom=hom_from_json(doc["hom"]) if "hom" in doc else None,
     )
-
-
-def morphism_from_json(doc: dict) -> Contraction | CombinatorialMorphism:
-    kind = _need(doc, "kind")
-    if kind == "contraction":
-        return contraction_from_json(doc)
-    if kind == "combinatorial":
-        return combinatorial_from_json(doc)
-    raise SchemaError(f"unknown morphism kind {kind!r}")
 
 
 def marked_to_json(m: MarkedMorphism) -> dict:

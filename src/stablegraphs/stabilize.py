@@ -16,12 +16,12 @@ which every combinatorial morphism from a stable graph factors uniquely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations, product
 from typing import Callable, Iterable
 
 from .errors import SizeCapError, ValidationError, Violation, ensure_valid
-from .graphs import MarkedGraph, is_stable, is_stable_vertex, relabel_classes, valence
+from .graphs import MarkedGraph, edit_graph, is_stable, is_stable_vertex, relabel_classes, valence
 from .monoid import MonoidHom
 from .morphisms import (
     CombinatorialMorphism,
@@ -84,22 +84,10 @@ def _apply_reduction(g: MarkedGraph, v: int, case: str) -> tuple[MarkedGraph, Re
         removed = tuple(sorted(at_v))
         new_tails = ()
         glued = None
-    kept = tuple(f for f in g.flags if f not in set(removed))
-    involution = {f: g.involution[f] for f in kept}
-    for t in new_tails:
-        involution[t] = t
+    pair = {t: t for t in new_tails}
     if glued:
-        involution[glued[0]] = glued[1]
-        involution[glued[1]] = glued[0]
-    smaller = MarkedGraph(
-        flags=kept,
-        vertices=tuple(w for w in g.vertices if w != v),
-        boundary={f: g.boundary[f] for f in kept},
-        involution=involution,
-        genus={w: gv for w, gv in g.genus.items() if w != v},
-        classes={w: c for w, c in g.classes.items() if w != v},
-        rank=g.rank,
-    )
+        pair.update({glued[0]: glued[1], glued[1]: glued[0]})
+    smaller = edit_graph(g, drop_flags=removed, drop_vertices=(v,), pair=pair)
     return smaller, ReductionStep(case, v, removed, new_tails, glued)
 
 
@@ -163,9 +151,7 @@ def pushforward(hom: MonoidHom, g: MarkedGraph) -> tuple[MarkedGraph, "pullback.
     stable, a = stabilize(relabeled)
     morphism = pullback.MarkedMorphism(
         hom=hom,
-        comb=CombinatorialMorphism(
-            source=stable, target=g, flagmap=dict(a.flagmap), vertexmap=dict(a.vertexmap), hom=hom
-        ),
+        comb=replace(a, target=g, hom=hom),
         mid=stable,
         contr=identity_contraction(stable),
     )

@@ -389,3 +389,10 @@ def test_enumerate_with_genus():
     assert all(total_class(g).is_zero() for g in graphs)
     shapes = {(len(g.vertices), len(edges(g)), sum(g.genus.values())) for g in graphs}
     assert shapes == {(1, 0, 1), (1, 1, 0)}
+
+
+def test_max_vertices_clamped_to_stability_bound():
+    point = BUILTIN_PROFILES["point"]
+    assert enumerate_stable_graphs(point, 0, 3, 0, 10**6) == enumerate_stable_graphs(point, 0, 3, 0, 1)
+    # the bound is attained: two genus-zero vertices of class 1 joined by one edge
+    assert max(len(g.vertices) for g in enumerate_stable_graphs(P1, 0, 0, 2, 10**6)) == 2

@@ -103,6 +103,29 @@ def test_missing_key_is_schema_error(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
 
 
+NON_OBJECT_CASES = [
+    (verb, doc) for verb in ("compose", "cartesian", "boundary", "dim", "deg") for doc in ([], 1, "x", None)
+] + [("compose", {"first": 1, "second": 2}), ("cartesian", {"phi": 1, "b": 2})]
+
+
+@pytest.mark.parametrize("verb,bad", NON_OBJECT_CASES)
+def test_non_object_document_is_schema_error(verb, bad, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(bad))
+    assert main([verb, "--profile", "point", "--in", str(doc)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+
+
+def test_duplicate_vertex_id_is_domain_error(tmp_path, capsys):
+    bad = json.loads((GOLDEN / "in" / "invariants_tripod.json").read_text())
+    bad["vertices"].append({"id": 0, "genus": 1, "class": []})
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(bad))
+    for verb in ("validate", "invariants"):
+        assert main([verb, "--in", str(doc)]) == 3
+        assert "vertex-duplicate" in json.loads(capsys.readouterr().out)["error"]["conditions"]
+
+
 def test_rank_mismatch_stays_domain_error(capsys):
     tripod = GOLDEN / "in" / "invariants_tripod.json"
     assert main(["deg", "--profile", "P2", "--in", str(tripod)]) == 3

@@ -5,6 +5,7 @@ import pytest
 from stablegraphs.errors import ValidationError
 from stablegraphs.graphs import (
     MarkedGraph,
+    add_loop,
     betti1,
     connected_components,
     disjoint_union,
@@ -18,11 +19,13 @@ from stablegraphs.graphs import (
     is_stable_vertex,
     marked_graph,
     modular_graph,
+    split_vertex,
     tails,
     total_class,
     valence,
 )
-from stablegraphs.monoid import element
+from stablegraphs.monoid import element, enumerate_pair_decompositions
+from stablegraphs.morphisms import contract_edges
 
 from oracles import betti1_gf2
 from strategies import rand_graph
@@ -204,3 +207,34 @@ def test_flag_count_identities():
         g = rand_graph(rng, rank=1, max_flags=12)
         assert sum(valence(g, v) for v in g.vertices) == len(g.flags)
         assert len(g.flags) == len(tails(g)) + 2 * len(edges(g))
+
+
+def test_split_vertex_inverts_contraction():
+    rng = random.Random(17)
+    for _ in range(80):
+        g = rand_graph(rng, rank=2, max_flags=10)
+        v = rng.choice(g.vertices)
+        moved = [f for f in g.flags_at(v) if rng.random() < 0.5]
+        g1 = rng.randint(0, g.genus[v])
+        c1, c2 = rng.choice(enumerate_pair_decompositions(g.classes[v]))
+        split, (e1, e2), w = split_vertex(g, v, moved, (g1, c1), (g.genus[v] - g1, c2))
+        assert w not in g.vertices and not {e1, e2} & set(g.flags)
+        assert split.boundary[e1] == v and split.boundary[e2] == w
+        assert split.flags_at(w) == tuple(sorted(moved)) + (e2,)
+        assert contract_edges(split, [(e1, e2)]).target == g
+
+
+def test_add_loop_inverts_contraction():
+    rng = random.Random(19)
+    checked = 0
+    for _ in range(80):
+        g = rand_graph(rng, rank=2, max_flags=10)
+        for v in g.vertices:
+            if g.genus[v] < 1:
+                continue
+            looped, (l1, l2) = add_loop(g, v)
+            assert looped.genus[v] == g.genus[v] - 1
+            assert looped.involution[l1] == l2 and looped.boundary[l1] == looped.boundary[l2] == v
+            assert contract_edges(looped, [(l1, l2)]).target == g
+            checked += 1
+    assert checked > 40
