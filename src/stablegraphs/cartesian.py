@@ -12,9 +12,9 @@ axiom.  Degrees are preserved along every pullback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import combinations
 
-from .canonical import canonical_form, canonical_key
+from .canonical import DEFAULT_MAX_FLAGS, canonical_form, canonical_key
 from .errors import SizeCapError, ValidationError, Violation, ensure_valid
 from .graphs import (
     MarkedGraph,
@@ -22,9 +22,9 @@ from .graphs import (
     disjoint_union_with_maps,
     edit_graph,
     empty_graph,
-    equivalence_classes,
     is_forest,
     is_stable,
+    marked_graph,
     next_id,
     split_vertex,
 )
@@ -538,24 +538,6 @@ def is_admissible_member(g: MarkedGraph, criterion) -> bool:
     return bool(criterion.accepts(g))
 
 
-def _connected_multigraphs(nv: int, ne: int):
-    """Multisets of vertex pairs (loops allowed) forming connected graphs."""
-    pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
-    for combo in combinations_with_replacement(pairs, ne):
-        if len(equivalence_classes(range(nv), combo)) == 1:
-            yield combo
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _classes_up_to(p: VarietyProfile, bound: int) -> list[MonoidElement]:
     """All classes whose ample degree is at most the bound."""
     if p.rank == 0:
@@ -575,6 +557,41 @@ def _classes_up_to(p: VarietyProfile, bound: int) -> list[MonoidElement]:
     return out
 
 
+def _splittings(g: MarkedGraph, max_vertices: int):
+    """The stable graphs one elementary splitting away from the stable graph
+    g, with at most max_vertices vertices; each isomorphism class among them
+    comes at least once.
+
+    A splitting at v hangs a loop (v loses one genus) or splits v's flags,
+    genus and class between v and a new vertex.  Tails at v can be swapped by
+    an automorphism, so only how many of them move matters, and the first k
+    move.  A split and its mirror (the complementary flags move, the two
+    halves swap their data) give isomorphic graphs, so the first edge half
+    at v stays, or, with no edge half at v, at most half of the tails move.
+    """
+    for v in g.vertices:
+        gv, cv = g.genus[v], g.classes[v]
+        if gv >= 1:
+            # 2 * genus + valence does not change, so v stays stable
+            yield add_loop(g, v)[0]
+        if len(g.vertices) >= max_vertices:
+            continue
+        at_v = g.flags_at(v)
+        tails_at_v = [f for f in at_v if g.involution[f] == f]
+        halves = [f for f in at_v if g.involution[f] != f]
+        counts = range(len(tails_at_v) + 1 if halves else len(tails_at_v) // 2 + 1)
+        half_sets = [s for k in range(len(halves)) for s in combinations(halves[1:], k)] or [()]
+        pairs = enumerate_pair_decompositions(cv)
+        data = [(g1, c1, gv - g1, c2) for g1 in range(gv + 1) for c1, c2 in pairs]
+        for k in counts:
+            for half_set in half_sets:
+                moved = tails_at_v[:k] + list(half_set)
+                kept_valence, new_valence = len(at_v) - len(moved) + 1, len(moved) + 1
+                for g1, c1, g2, c2 in data:
+                    if (c1 or 2 * g1 + kept_valence >= 3) and (c2 or 2 * g2 + new_valence >= 3):
+                        yield split_vertex(g, v, moved, (g1, c1), (g2, c2))[0]
+
+
 def enumerate_stable_graphs(
     p: VarietyProfile,
     genus_total: int,
@@ -588,65 +605,40 @@ def enumerate_stable_graphs(
     Bounds: total graph genus (vertex genera plus cycle rank), tail count,
     ample degree of the total class, and vertex count.  Output graphs are in
     canonical form, sorted by canonical key, each appearing once.
+
+    Contracting an edge keeps a graph stable and never adds a vertex, so
+    every output arises from a stable one-vertex graph by elementary
+    splittings (hang a loop, or split a vertex) through stable graphs within
+    the vertex bound.  The graphs are generated level by level, one edge per
+    level, from one representative of each isomorphism class found.  ``cap``
+    bounds the number of child graphs built and keyed.
     """
     if genus_total < 0 or num_tails < 0 or ample_bound < 0 or max_vertices < 1:
         raise ValidationError([Violation("enumerate-bounds", "bounds must be non-negative (and at least one vertex)")])
+    if num_tails + 2 * genus_total > DEFAULT_MAX_FLAGS:
+        # the rose (all genus as loops at one vertex, class zero) is stable
+        # and is output here, and canonical labelling refuses it
+        raise SizeCapError(f"graph has {num_tails + 2 * genus_total} flags, cap is {DEFAULT_MAX_FLAGS}")
     # Summed over the vertices, 2*g_v - 2 + val_v equals 2g - 2 + n.  With two
     # or more vertices every vertex has an edge, so a stable class-zero vertex
     # adds at least 1 and a vertex with a nonzero class (ample degree >= 1, so
     # at most ample_bound of them) adds at least -1.  No stable graph has more
     # vertices than this clamp.
     max_vertices = min(max_vertices, max(1, 2 * genus_total - 2 + num_tails + 2 * ample_bound))
-    class_pool = _classes_up_to(p, ample_bound)
-    seen: dict[tuple, MarkedGraph] = {}
-    candidates = 0
-    for nv in range(1, max_vertices + 1):
-        for genus_sum in range(genus_total + 1):
-            for genera in _compositions(genus_sum, nv):
-                cycle_rank = genus_total - genus_sum
-                ne = cycle_rank + nv - 1
-                if ne < 0:
-                    continue
-                for edge_combo in _connected_multigraphs(nv, ne):
-                    for tail_split in _compositions(num_tails, nv):
-                        for classes in product(class_pool, repeat=nv):
-                            total = MonoidElement.zero(p.rank)
-                            for c in classes:
-                                total = total + c
-                            if p.ample(total) > ample_bound:
-                                continue
-                            candidates += 1
-                            if candidates > cap:
-                                raise SizeCapError(f"enumeration exceeded {cap} candidates")
-                            g = _assemble(p.rank, genera, classes, tail_split, edge_combo)
-                            if not is_stable(g):
-                                continue
-                            key = canonical_key(g)
-                            if key not in seen:
-                                seen[key] = canonical_form(g)
-    return [seen[k] for k in sorted(seen)]
-
-
-def _assemble(rank, genera, classes, tail_split, edge_combo) -> MarkedGraph:
-    nv = len(genera)
-    boundary: dict[int, int] = {}
-    involution: dict[int, int] = {}
-    nxt = 0
-    for v in range(nv):
-        for _ in range(tail_split[v]):
-            boundary[nxt] = v
-            involution[nxt] = nxt
-            nxt += 1
-    for i, j in edge_combo:
-        boundary[nxt], boundary[nxt + 1] = i, j
-        involution[nxt], involution[nxt + 1] = nxt + 1, nxt
-        nxt += 2
-    return MarkedGraph(
-        flags=tuple(range(nxt)),
-        vertices=tuple(range(nv)),
-        boundary=boundary,
-        involution=involution,
-        genus={v: genera[v] for v in range(nv)},
-        classes={v: classes[v] for v in range(nv)},
-        rank=rank,
-    )
+    tails = {f: 0 for f in range(num_tails)}
+    starts = (marked_graph(p.rank, {0: (genus_total, beta)}, tails=tails) for beta in _classes_up_to(p, ample_bound))
+    level = {canonical_key(g): g for g in starts if is_stable(g)}
+    seen = dict(level)
+    built = 0
+    while level:
+        found: dict[tuple, MarkedGraph] = {}
+        for g in level.values():
+            for child in _splittings(g, max_vertices):
+                built += 1
+                if built > cap:
+                    raise SizeCapError(f"enumeration exceeded {cap} candidates")
+                key = canonical_key(child)
+                if key not in seen:
+                    seen[key] = found[key] = child
+        level = found
+    return [canonical_form(seen[k]) for k in sorted(seen)]

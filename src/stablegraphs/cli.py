@@ -43,6 +43,7 @@ from .serialize import (
     graph_from_json,
     graph_to_json,
     hom_from_json,
+    int_value,
     isogeny_from_json,
     isogeny_to_json,
     marked_from_json,
@@ -126,7 +127,7 @@ def _run_contract(doc, args):
     g = graph_from_json(doc["graph"]) if "graph" in doc else None
     if g is None or "edges" not in doc:
         raise SchemaError("contract needs 'graph' and 'edges'")
-    edge_set = [(int(e[0]), int(e[1])) for e in doc["edges"]]
+    edge_set = [(int_value(e[0], "edge flag"), int_value(e[1], "edge flag")) for e in doc["edges"]]
     return contraction_to_json(contract_edges(g, edge_set))
 
 
@@ -135,7 +136,7 @@ def _run_cut(doc, args):
     if g is None or "edge" not in doc:
         raise SchemaError("cut needs 'graph' and 'edge'")
     e = doc["edge"]
-    cut, morphism = cut_edge(g, (int(e[0]), int(e[1])))
+    cut, morphism = cut_edge(g, (int_value(e[0], "edge flag"), int_value(e[1], "edge flag")))
     return {"graph": graph_to_json(cut), "morphism": combinatorial_to_json(morphism)}
 
 
@@ -144,7 +145,7 @@ def _run_glue(doc, args):
     if g is None or "tails" not in doc:
         raise SchemaError("glue needs 'graph' and 'tails'")
     t = doc["tails"]
-    glued, morphism = glue_tails(g, int(t[0]), int(t[1]))
+    glued, morphism = glue_tails(g, int_value(t[0], "tail"), int_value(t[1], "tail"))
     return {"graph": graph_to_json(glued), "morphism": combinatorial_to_json(morphism)}
 
 
@@ -152,7 +153,7 @@ def _run_forget(doc, args):
     g = graph_from_json(doc["graph"]) if "graph" in doc else None
     if g is None or "tail" not in doc:
         raise SchemaError("forget needs 'graph' and 'tail'")
-    result = stably_forget_tail(g, int(doc["tail"]))
+    result = stably_forget_tail(g, int_value(doc["tail"], "tail"))
     return {
         "graph": graph_to_json(result.graph),
         "morphism": combinatorial_to_json(result.morphism),
@@ -218,10 +219,10 @@ def _run_boundary(doc, args):
     profile = resolve_profile(doc.get("profile", args.profile))
     graphs = enumerate_stable_graphs(
         profile,
-        genus_total=int(doc.get("genus", 0)),
-        num_tails=int(doc.get("tails", 0)),
-        ample_bound=int(doc.get("ample_bound", 0)),
-        max_vertices=int(doc.get("max_vertices", 1)),
+        genus_total=int_value(doc.get("genus", 0), "genus"),
+        num_tails=int_value(doc.get("tails", 0), "tails"),
+        ample_bound=int_value(doc.get("ample_bound", 0), "ample_bound"),
+        max_vertices=int_value(doc.get("max_vertices", 1), "max_vertices"),
     )
     return {"count": len(graphs), "graphs": [graph_to_json(g) for g in graphs]}
 

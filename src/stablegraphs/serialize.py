@@ -37,11 +37,18 @@ def _need(doc: dict, key: str, kind=None):
     return value
 
 
+def int_value(value: Any, what: str) -> int:
+    """A document value that must be an integer: no bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
 def _int_key_map(doc: Any, what: str) -> dict[int, int]:
     if not isinstance(doc, dict):
         raise SchemaError(f"{what} must be an object")
     try:
-        return {int(k): int(v) for k, v in doc.items()}
+        return {int(k): int_value(v, what) for k, v in doc.items()}
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what} must map integers to integers") from exc
 
@@ -71,25 +78,23 @@ def graph_from_json(doc: dict) -> MarkedGraph:
     classes: dict[int, MonoidElement] = {}
     rank = doc.get("rank")
     for entry in vertices:
-        vid = int(_need(entry, "id"))
+        vid = int_value(_need(entry, "id"), "vertex id")
         ids.append(vid)
-        genus[vid] = int(_need(entry, "genus"))
+        genus[vid] = int_value(_need(entry, "genus"), "vertex genus")
         coords = entry.get("class", [])
         if not isinstance(coords, list):
             raise SchemaError("vertex class must be an array of integers")
-        classes[vid] = MonoidElement(tuple(int(c) for c in coords))
+        classes[vid] = MonoidElement(tuple(int_value(c, "class coordinate") for c in coords))
         if rank is None:
             rank = len(coords)
-    if rank is None:
-        rank = 0
     return MarkedGraph(
-        flags=tuple(int(f) for f in flags),
+        flags=tuple(int_value(f, "flag id") for f in flags),
         vertices=tuple(ids),  # as listed, so a repeated id fails as vertex-duplicate
         boundary=boundary,
         involution=involution,
         genus=genus,
         classes=classes,
-        rank=int(rank),
+        rank=int_value(0 if rank is None else rank, "rank"),
     )
 
 
@@ -101,16 +106,16 @@ def hom_to_json(h: MonoidHom) -> dict:
 
 
 def hom_from_json(doc: dict) -> MonoidHom:
-    rows = _need(doc, "rows", list)
-    return MonoidHom(tuple(tuple(int(x) for x in row) for row in rows), int(_need(doc, "source_rank")))
+    rows = tuple(tuple(int_value(x, "hom entry") for x in row) for row in _need(doc, "rows", list))
+    return MonoidHom(rows, int_value(_need(doc, "source_rank"), "source_rank"))
 
 
 def profile_from_json(doc: dict) -> VarietyProfile:
     return VarietyProfile(
         name=str(doc.get("name", "custom")),
-        dimension=int(_need(doc, "dim")),
-        canonical=LinearForm(tuple(int(c) for c in _need(doc, "canonical", list))),
-        ample=LinearForm(tuple(int(c) for c in _need(doc, "ample", list))),
+        dimension=int_value(_need(doc, "dim"), "dim"),
+        canonical=LinearForm(tuple(int_value(c, "canonical coefficient") for c in _need(doc, "canonical", list))),
+        ample=LinearForm(tuple(int_value(c, "ample coefficient") for c in _need(doc, "ample", list))),
     )
 
 
@@ -220,15 +225,15 @@ def isogeny_from_json(doc: dict) -> ExtendedIsogeny:
     if doc.get("kind") != "extended-isogeny":
         raise SchemaError("expected kind 'extended-isogeny'")
     source = graph_from_json(_need(doc, "source", dict))
-    glues = [(int(p[0]), int(p[1])) for p in doc.get("glues", [])]
+    glues = [(int_value(p[0], "glued tail"), int_value(p[1], "glued tail")) for p in doc.get("glues", [])]
     steps = []
     for s in doc.get("steps", []):
         op = _need(s, "op")
         if op == "forget":
-            steps.append(ForgetStep(int(_need(s, "tail"))))
+            steps.append(ForgetStep(int_value(_need(s, "tail"), "tail")))
         elif op == "contract":
             e = _need(s, "edge", list)
-            steps.append(ContractStep((int(e[0]), int(e[1]))))
+            steps.append(ContractStep((int_value(e[0], "edge flag"), int_value(e[1], "edge flag"))))
         else:
             raise SchemaError(f"unknown isogeny step {op!r}")
     return extended_isogeny(source, glues, steps)

@@ -8,11 +8,13 @@ graph listings.  None of them call the code paths they certify.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
-from stablegraphs.graphs import MarkedGraph, edges
+from stablegraphs.canonical import canonical_form, canonical_key
+from stablegraphs.graphs import MarkedGraph, edges, equivalence_classes, is_stable
 from stablegraphs.monoid import MonoidElement
 from stablegraphs.morphisms import CombinatorialMorphism
+from stablegraphs.profiles import VarietyProfile
 
 
 def betti1_gf2(g: MarkedGraph) -> int:
@@ -183,3 +185,84 @@ def brute_force_boundary_rank1(max_class_total: int) -> list:
                     )
                 )
     return [found[k] for k in sorted(found)]
+
+
+def enumerate_by_shapes(
+    p: VarietyProfile, genus_total: int, num_tails: int, ample_bound: int, max_vertices: int
+) -> list:
+    """Reference listing of connected stable profile-graphs within the bounds.
+
+    Takes the raw product of vertex counts, genus compositions, connected
+    multigraph shapes, tail compositions and class tuples, keeps the stable
+    candidates and deduplicates them by canonical key.  Same output contract
+    as ``enumerate_stable_graphs``, reached by the opposite route: no
+    splitting, and no clamp on the vertex count.
+    """
+    class_pool = [
+        MonoidElement(c)
+        for c in product(*(range(ample_bound // a + 1) for a in p.ample.coeffs))
+        if p.ample(MonoidElement(c)) <= ample_bound
+    ]
+    seen: dict[tuple, MarkedGraph] = {}
+    for nv in range(1, max_vertices + 1):
+        for genus_sum in range(genus_total + 1):
+            for genera in _compositions(genus_sum, nv):
+                ne = genus_total - genus_sum + nv - 1
+                for edge_combo in _connected_multigraphs(nv, ne):
+                    for tail_split in _compositions(num_tails, nv):
+                        for classes in product(class_pool, repeat=nv):
+                            total = MonoidElement.zero(p.rank)
+                            for c in classes:
+                                total = total + c
+                            if p.ample(total) > ample_bound:
+                                continue
+                            g = _assemble(p.rank, genera, classes, tail_split, edge_combo)
+                            if not is_stable(g):
+                                continue
+                            key = canonical_key(g)
+                            if key not in seen:
+                                seen[key] = canonical_form(g)
+    return [seen[k] for k in sorted(seen)]
+
+
+def _connected_multigraphs(nv: int, ne: int):
+    """Multisets of vertex pairs (loops allowed) forming connected graphs."""
+    pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
+    for combo in combinations_with_replacement(pairs, ne):
+        if len(equivalence_classes(range(nv), combo)) == 1:
+            yield combo
+
+
+def _compositions(total: int, parts: int):
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _assemble(rank, genera, classes, tail_split, edge_combo) -> MarkedGraph:
+    nv = len(genera)
+    boundary: dict[int, int] = {}
+    involution: dict[int, int] = {}
+    nxt = 0
+    for v in range(nv):
+        for _ in range(tail_split[v]):
+            boundary[nxt] = v
+            involution[nxt] = nxt
+            nxt += 1
+    for i, j in edge_combo:
+        boundary[nxt], boundary[nxt + 1] = i, j
+        involution[nxt], involution[nxt + 1] = nxt + 1, nxt
+        nxt += 2
+    return MarkedGraph(
+        flags=tuple(range(nxt)),
+        vertices=tuple(range(nv)),
+        boundary=boundary,
+        involution=involution,
+        genus={v: genera[v] for v in range(nv)},
+        classes={v: classes[v] for v in range(nv)},
+        rank=rank,
+    )

@@ -21,8 +21,9 @@ from stablegraphs.cartesian import (
     validate_cartesian_object,
     validate_elementary_cartesian,
 )
-from stablegraphs.errors import ValidationError
+from stablegraphs.errors import SizeCapError, ValidationError
 from stablegraphs.graphs import (
+    MarkedGraph,
     edges,
     is_stable,
     marked_graph,
@@ -39,6 +40,8 @@ from stablegraphs.isogeny import (
 from stablegraphs.monoid import LinearForm, MonoidHom, element
 from stablegraphs.morphisms import CombinatorialMorphism
 from stablegraphs.profiles import BUILTIN_PROFILES, VarietyProfile, deg_graph
+
+from oracles import enumerate_by_shapes
 
 P1 = BUILTIN_PROFILES["P1"]
 P2 = BUILTIN_PROFILES["P2"]
@@ -396,3 +399,36 @@ def test_max_vertices_clamped_to_stability_bound():
     assert enumerate_stable_graphs(point, 0, 3, 0, 10**6) == enumerate_stable_graphs(point, 0, 3, 0, 1)
     # the bound is attained: two genus-zero vertices of class 1 joined by one edge
     assert max(len(g.vertices) for g in enumerate_stable_graphs(P1, 0, 0, 2, 10**6)) == 2
+
+
+ORACLE_PROFILES = {**BUILTIN_PROFILES, "quadric": SURFACE}
+ORACLE_GRID = [
+    (profile, genus, tails, bound)
+    for profile in ("point", "P1", "P2")
+    for genus in range(3)
+    for tails in range(6 - 2 * genus)
+    for bound in ((0,) if profile == "point" else (0, 1))
+] + [("quadric", 0, 4, 1), ("quadric", 1, 1, 1)]  # rank 2: classes split coordinate-wise
+
+
+@pytest.mark.parametrize("profile,genus,tails,bound", ORACLE_GRID)
+def test_enumerate_matches_product_oracle(profile, genus, tails, bound):
+    p = ORACLE_PROFILES[profile]
+    assert enumerate_stable_graphs(p, genus, tails, bound, 3) == enumerate_by_shapes(p, genus, tails, bound, 3)
+
+
+@pytest.mark.parametrize("genus,count", [(2, 7), (3, 42)])
+def test_enumerate_published_counts(genus, count):
+    # stable graphs of genus 2 and 3 without tails (Maggiolo and Pagani,
+    # "Generating stable modular graphs", J. Symb. Comput. 46, 2011)
+    assert len(enumerate_stable_graphs(BUILTIN_PROFILES["point"], genus, 0, 0, 10)) == count
+
+
+@pytest.mark.parametrize("genus,tails", [(40, 0), (0, 10**8)])
+def test_enumerate_refuses_the_rose_over_the_flag_cap(genus, tails, monkeypatch):
+    def no_graph(self):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
+    with pytest.raises(SizeCapError, match=f"^graph has {tails + 2 * genus} flags, cap is 16$"):
+        enumerate_stable_graphs(BUILTIN_PROFILES["point"], genus, tails, 0, 2 if genus else 1)

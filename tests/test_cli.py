@@ -103,6 +103,27 @@ def test_missing_key_is_schema_error(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
 
 
+NON_INTEGER_CASES = [
+    (verb, doc)
+    for value in (1.9, True, "1")
+    for verb, doc in (
+        ("invariants", _tripod_with_vertex(genus=value)),
+        ("boundary", {"genus": value}),
+        ("boundary", {"genus": 0, "tails": value}),
+    )
+]
+
+
+@pytest.mark.parametrize("verb,bad", NON_INTEGER_CASES)
+def test_non_integer_value_is_schema_error(verb, bad, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(bad))
+    assert main([verb, "--profile", "point", "--in", str(doc)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "schema"
+    assert "must be an integer" in payload["error"]["message"]
+
+
 NON_OBJECT_CASES = [
     (verb, doc) for verb in ("compose", "cartesian", "boundary", "dim", "deg") for doc in ([], 1, "x", None)
 ] + [("compose", {"first": 1, "second": 2}), ("cartesian", {"phi": 1, "b": 2})]
