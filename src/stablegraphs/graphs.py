@@ -9,11 +9,20 @@ vertex; rank 0 recovers plain modular graphs (genus labels only).
 Flag ids and vertex ids are opaque small integers in two independent
 namespaces.  All values are immutable after construction; every operation
 returns fresh graphs.
+
+Derived structure (flags per vertex, tails, edges, connected components and
+the flag partition) is computed on first use and kept on the instance, so a
+graph validated against many times pays for it once.  The cached values are
+not dataclass fields: ``==``, ``repr`` and ``dataclasses.replace`` ignore
+them.  This is sound only because the dict fields (``boundary``,
+``involution``, ``genus``, ``classes``) are never mutated after construction;
+code must build a new graph instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import RankMismatchError, Violation, ensure_valid
@@ -75,7 +84,39 @@ class MarkedGraph:
     def flags_at(self, v: int) -> tuple[int, ...]:
         if v not in self.genus:
             raise KeyError(f"unknown vertex id {v}")
-        return tuple(f for f in self.flags if self.boundary[f] == v)
+        return self._flags_at.get(v, ())
+
+    # -- derived structure, computed once per instance --------------------
+
+    @cached_property
+    def _flags_at(self) -> dict[int, tuple[int, ...]]:
+        at: dict[int, list[int]] = {}
+        for f in self.flags:
+            at.setdefault(self.boundary[f], []).append(f)
+        return {v: tuple(fs) for v, fs in at.items()}
+
+    @cached_property
+    def _tails(self) -> tuple[int, ...]:
+        return tuple(f for f in self.flags if self.involution[f] == f)
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
+        # flags are sorted, so the pairs come out sorted by their smaller flag
+        return tuple((f, p) for f in self.flags if (p := self.involution[f]) > f)
+
+    @cached_property
+    def _connected_components(self) -> tuple[frozenset[int], ...]:
+        pairs = ((self.boundary[f1], self.boundary[f2]) for f1, f2 in self._edges)
+        return tuple(frozenset(c) for c in equivalence_classes(self.vertices, pairs))
+
+    @cached_property
+    def _flag_partition(self) -> FlagPartition:
+        pairs = [(f, self.involution[f]) for f in self.flags]
+        for v in self.vertices:
+            if is_free_vertex(self, v):
+                at_v = self.flags_at(v)
+                pairs += [(at_v[0], f) for f in at_v[1:]]
+        return FlagPartition(tuple(tuple(b) for b in equivalence_classes(self.flags, pairs)))
 
 
 def marked_graph(
@@ -142,17 +183,12 @@ def empty_graph(rank: int = 0) -> MarkedGraph:
 
 
 def tails(g: MarkedGraph) -> tuple[int, ...]:
-    return tuple(f for f in g.flags if g.involution[f] == f)
+    return g._tails
 
 
 def edges(g: MarkedGraph) -> tuple[tuple[int, int], ...]:
     """Two-element involution orbits as sorted (min, max) pairs, sorted."""
-    out = set()
-    for f in g.flags:
-        p = g.involution[f]
-        if p != f:
-            out.add((min(f, p), max(f, p)))
-    return tuple(sorted(out))
+    return g._edges
 
 
 def valence(g: MarkedGraph, v: int) -> int:
@@ -190,8 +226,7 @@ def next_id(ids: tuple[int, ...]) -> int:
 
 def connected_components(g: MarkedGraph) -> tuple[frozenset[int], ...]:
     """Partition of the vertex set by edge paths, sorted by smallest member."""
-    pairs = ((g.boundary[f1], g.boundary[f2]) for f1, f2 in edges(g))
-    return tuple(frozenset(c) for c in equivalence_classes(g.vertices, pairs))
+    return g._connected_components
 
 
 def betti1(g: MarkedGraph) -> int:
@@ -259,12 +294,7 @@ def is_free_vertex(g: MarkedGraph, v: int) -> bool:
 def flag_partition(g: MarkedGraph) -> FlagPartition:
     """Finest partition joining involution orbits and, at every genus-zero
     class-zero vertex, all flags attached there."""
-    pairs = [(f, g.involution[f]) for f in g.flags]
-    for v in g.vertices:
-        if is_free_vertex(g, v):
-            at_v = g.flags_at(v)
-            pairs += [(at_v[0], f) for f in at_v[1:]]
-    return FlagPartition(tuple(tuple(b) for b in equivalence_classes(g.flags, pairs)))
+    return g._flag_partition
 
 
 # -- constructions -------------------------------------------------------

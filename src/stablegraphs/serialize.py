@@ -48,9 +48,13 @@ def _int_key_map(doc: Any, what: str) -> dict[int, int]:
     if not isinstance(doc, dict):
         raise SchemaError(f"{what} must be an object")
     try:
-        return {int(k): int_value(v, what) for k, v in doc.items()}
+        out = {int(k): int_value(v, what) for k, v in doc.items()}
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{what} must map integers to integers") from exc
+    # int() also reads " 10", "+2", "1_0" and "01", and keys that read alike would merge
+    if [str(k) for k in out] != list(doc):
+        raise SchemaError(f"{what} keys must be integers in decimal form, such as \"10\" or \"-1\"")
+    return out
 
 
 # -- graphs ---------------------------------------------------------------

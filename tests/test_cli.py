@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +105,39 @@ def test_missing_key_is_schema_error(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
 
 
+NON_DECIMAL_KEY_CASES = [
+    ("boundary", {"0": 0, "+1": 0, "2": 0}),
+    ("boundary", {"0": 0, " 1": 0, "2": 0}),
+    ("boundary", {"0": 0, "01": 0, "2": 0}),
+    ("boundary", {"0": 0, "1": 0, "01": 0, "2": 0}),
+    ("involution", {"-0": 0, "1": 1, "2": 2}),
+    ("involution", {"0": 0, "1": 1, "0_2": 2}),
+]
+
+
+@pytest.mark.parametrize("field,keyed", NON_DECIMAL_KEY_CASES)
+def test_non_decimal_object_key_is_schema_error(field, keyed, tmp_path, capsys):
+    bad = json.loads((GOLDEN / "in" / "invariants_tripod.json").read_text())
+    bad[field] = keyed
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(bad))
+    assert main(["invariants", "--in", str(doc)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "schema"
+    assert "decimal form" in payload["error"]["message"]
+
+
+def test_negative_object_key_is_accepted(tmp_path, capsys):
+    good = json.loads((GOLDEN / "in" / "invariants_tripod.json").read_text())
+    good["flags"] = [-1, 1, 2]
+    good["boundary"] = {"-1": 0, "1": 0, "2": 0}
+    good["involution"] = {"-1": -1, "1": 1, "2": 2}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(good))
+    assert main(["invariants", "--in", str(doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["tails"] == 3
+
+
 NON_INTEGER_CASES = [
     (verb, doc)
     for value in (1.9, True, "1")
@@ -168,6 +203,60 @@ def test_size_cap_exit(tmp_path, capsys):
     assert payload["error"]["type"] == "size-cap"
     # a raised cap admits the same document
     assert main(["invariants", "--in", str(doc), "--max-flags", "32"]) == 0
+
+
+REPLACEMENT_VALUES = (None, -1, 1.5, True, "x", [], {})
+EXIT_TYPES = {2: {"schema"}, 3: {"validation", "domain"}, 4: {"size-cap"}}
+
+
+def _value_paths(node, path=()):
+    """Path to every value inside a document, and whether it sits in a list."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), isinstance(node, list)
+        yield from _value_paths(value, path + (key,))
+
+
+def _edits(doc):
+    """Every one-edit change: delete a key, repeat a list entry, or replace a value."""
+    for path, in_list in _value_paths(doc):
+        for change in ("repeat" if in_list else "delete",) + REPLACEMENT_VALUES:
+            yield path, change
+
+
+def _edited(doc, path, change):
+    out = copy.deepcopy(doc)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if change == "delete":
+        del parent[path[-1]]
+    elif change == "repeat":
+        parent.insert(path[-1], parent[path[-1]])
+    else:
+        parent[path[-1]] = change
+    return out
+
+
+def test_mutated_golden_inputs_keep_the_exit_contract(tmp_path, capsys):
+    """Seeded one-edit mutations of every golden input exit 0, 2, 3 or 4, never
+    with a traceback, and print one JSON object whose error type fits the exit code."""
+    doc = tmp_path / "doc.json"
+    for stem, (verb, _) in sorted(CASES.items()):
+        golden = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
+        edits = list(_edits(golden))
+        for edit in random.Random(stem).sample(edits, min(45, len(edits))):
+            doc.write_text(json.dumps(_edited(golden, *edit)))
+            code = main([verb, "--in", str(doc)])
+            out = capsys.readouterr().out
+            assert code in (0, 2, 3, 4), (stem, edit, code)
+            if code == 0 and verb == "export-dot":
+                assert out.startswith("graph "), (stem, edit)
+                continue
+            payload = json.loads(out)
+            assert isinstance(payload, dict), (stem, edit)
+            if code:
+                assert payload["error"]["type"] in EXIT_TYPES[code], (stem, edit, payload)
 
 
 def test_subprocess_entry_point():

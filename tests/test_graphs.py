@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablegraphs.errors import ValidationError
 from stablegraphs.graphs import (
@@ -238,3 +240,80 @@ def test_add_loop_inverts_contraction():
             assert contract_edges(looped, [(l1, l2)]).target == g
             checked += 1
     assert checked > 40
+
+
+def _relabelled(rng, g):
+    """g with its flag and vertex ids sent to shuffled, spread-out ids."""
+    fmap = dict(zip(g.flags, rng.sample(range(3 * len(g.flags) + 1), len(g.flags))))
+    vmap = dict(zip(g.vertices, rng.sample(range(3 * len(g.vertices) + 1), len(g.vertices))))
+    return MarkedGraph(
+        flags=tuple(fmap.values()),
+        vertices=tuple(vmap.values()),
+        boundary={fmap[f]: vmap[v] for f, v in g.boundary.items()},
+        involution={fmap[f]: fmap[p] for f, p in g.involution.items()},
+        genus={vmap[v]: x for v, x in g.genus.items()},
+        classes={vmap[v]: c for v, c in g.classes.items()},
+        rank=g.rank,
+    )
+
+
+def _components_by_search(g):
+    """Vertex sets reached by walking edges, by smallest member."""
+    seen, out = set(), []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        comp, todo = {v}, [v]
+        while todo:
+            u = todo.pop()
+            for f in g.flags:
+                w = g.boundary[g.involution[f]]
+                if g.boundary[f] == u and w not in comp:
+                    comp.add(w)
+                    todo.append(w)
+        seen |= comp
+        out.append(frozenset(comp))
+    return tuple(out)
+
+
+def _flag_blocks_by_merging(g):
+    """Involution orbits and the flag sets of free vertices, merged while two overlap."""
+    pieces = [{f, g.involution[f]} for f in g.flags]
+    pieces += [
+        {f for f in g.flags if g.boundary[f] == v}
+        for v in g.vertices
+        if g.genus[v] == 0 and g.classes[v].is_zero()
+    ]
+    merged = []
+    for piece in pieces:
+        for block in [b for b in merged if b & piece]:
+            merged.remove(block)
+            piece = piece | block
+        if piece:
+            merged.append(piece)
+    return tuple(sorted(tuple(sorted(b)) for b in merged))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=2))
+def test_cached_indices_match_recomputation(seed, rank):
+    rng = random.Random(seed)
+    g = _relabelled(rng, rand_graph(rng, rank=rank, max_flags=10))
+    cold = MarkedGraph(
+        g.flags, g.vertices, dict(g.boundary), dict(g.involution), dict(g.genus), dict(g.classes), g.rank
+    )
+    for v in g.vertices:
+        assert g.flags_at(v) == tuple(f for f in g.flags if g.boundary[f] == v)
+        assert g.flags_at(v) is g.flags_at(v)
+    with pytest.raises(KeyError):
+        g.flags_at(max(g.vertices) + 1)
+    assert tails(g) == tuple(f for f in g.flags if g.involution[f] == f)
+    pairs = {tuple(sorted((f, g.involution[f]))) for f in g.flags if g.involution[f] != f}
+    assert edges(g) == tuple(sorted(pairs))
+    components = _components_by_search(g)
+    assert connected_components(g) == components
+    assert len(pairs) - len(g.vertices) + len(components) == betti1_gf2(g)
+    assert flag_partition(g).blocks == _flag_blocks_by_merging(g)
+    for accessor in (tails, edges, connected_components, flag_partition):
+        assert accessor(g) is accessor(g)
+    assert g == cold and repr(g) == repr(cold)
