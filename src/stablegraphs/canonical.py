@@ -4,87 +4,105 @@ Graphs in this calculus are tiny (a configurable cap, 16 flags by default),
 so we canonicalise by exhaustive search over vertex orderings instead of
 anything clever.  The search space is cut down in three ways:
 
-* components are canonicalised independently and then sorted, so symmetric
-  unions of many small pieces never multiply into one big search;
+* components are canonicalised independently, in place on the graph, and
+  then sorted, so symmetric unions of many small pieces never multiply into
+  one big search;
 * vertices are first partitioned by an iterated invariant refinement
   (genus, class, valence, tail/loop counts, then neighbour signatures), and
-  only orderings respecting the partition are tried;
+  only orderings respecting the partition are tried.  Invariants are
+  compared by their ``repr``, and the classes come in order of that string,
+  which fixes which encoding is minimal;
 * for a fixed vertex ordering the flag numbering is forced by a
-  deterministic grouping rule, so no search happens at flag level.
+  deterministic grouping rule, so no search happens at flag level.  Each
+  vertex's tails, loops and edge halves are grouped and sorted once per
+  component from the graph's cached ``flags_at``; an ordering only splits
+  the edge halves into those pointing back and those pointing forward.
 
 Flags and vertices may additionally carry "colors" (arbitrary hashable
 decorations).  Colors participate in the refinement and in the final
-encoding, which lets callers compare whole diagrams, i.e. graphs together
-with maps into fixed external graphs, up to isomorphism: relabel only the
-middle graph and record the maps as colors.
+encoding, by their ``repr``, which lets callers compare whole diagrams, i.e.
+graphs together with maps into fixed external graphs, up to isomorphism:
+relabel only the middle graph and record the maps as colors.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import factorial, prod
 from typing import Hashable, Mapping
 
 from .errors import SizeCapError
-from .graphs import MarkedGraph, connected_components, induced_subgraph
+from .graphs import MarkedGraph, connected_components
 
 DEFAULT_MAX_FLAGS = 16
+_MAX_ORDERINGS = 2_000_000
 
 Encoding = tuple
 Labeling = tuple[dict[int, int], dict[int, int]]  # flag -> slot, vertex -> slot
+# per vertex: tails, loop halves, and (flag, partner, partner's vertex) for
+# the halves of edges to other vertices, each in encoding order
+_FlagGroups = tuple[list[int], list[int], list[tuple[int, int, int]]]
+
+
+def _flag_groups(g: MarkedGraph, v: int, frepr: Mapping[int, str]) -> _FlagGroups:
+    """The order-independent part of the flag numbering at v.
+
+    Tails sort by color, loops pair their halves adjacently and sort by the
+    halves' colors, and edge halves sort by their own and their partner's
+    color; ties go to the smaller flag id.
+    """
+    tails, loops, ends = [], [], []
+    for f in g.flags_at(v):
+        p = g.involution[f]
+        w = g.boundary[p]
+        if p == f:
+            tails.append(f)
+        elif w != v:
+            ends.append((f, p, w))
+        elif f < p:
+            loops.append(sorted((f, p), key=lambda x: (frepr[x], x)))
+    tails.sort(key=lambda f: (frepr[f], f))
+    loops.sort(key=lambda pair: (frepr[pair[0]], frepr[pair[1]]))
+    ends.sort(key=lambda e: (frepr[e[0]], frepr[e[1]], e[0]))
+    return tails, [x for pair in loops for x in pair], ends
 
 
 def _vertex_classes(
     g: MarkedGraph,
-    vertex_order_universe: list[int],
-    flag_colors: Mapping[int, Hashable],
-    vertex_colors: Mapping[int, Hashable],
+    comp: list[int],
+    groups: Mapping[int, _FlagGroups],
+    frepr: Mapping[int, str],
+    vrepr: Mapping[int, str],
 ) -> list[list[int]]:
-    """Partition vertices into invariant classes, refined to a fixed point."""
-
-    def base_inv(v: int):
-        at_v = [f for f in g.flags if g.boundary[f] == v]
-        ntails = sum(1 for f in at_v if g.involution[f] == f)
-        nloops = sum(1 for f in at_v if g.involution[f] != f and g.boundary[g.involution[f]] == v)
-        fcols = tuple(sorted(repr(flag_colors.get(f)) for f in at_v))
-        return (
-            g.genus[v],
-            g.classes[v].coords,
-            len(at_v),
-            ntails,
-            nloops,
-            repr(vertex_colors.get(v)),
-            fcols,
-        )
-
-    inv = {v: base_inv(v) for v in vertex_order_universe}
+    """Partition a component's vertices into invariant classes, refined to a
+    fixed point; classes come sorted by the repr of their invariant."""
+    inv = {}
+    for v in comp:
+        tails, loops, ends = groups[v]
+        at_v = tails + loops + [e[0] for e in ends]
+        fcols = tuple(sorted(frepr[f] for f in at_v))
+        inv[v] = (g.genus[v], g.classes[v].coords, len(at_v), len(tails), len(loops), vrepr[v], fcols)
+    key = {v: repr(inv[v]) for v in comp}
     while True:
-        refined = {}
-        for v in vertex_order_universe:
-            nbrs = []
-            for f in g.flags:
-                if g.boundary[f] == v and g.involution[f] != f:
-                    w = g.boundary[g.involution[f]]
-                    if w != v:
-                        nbrs.append(inv[w])
-            refined[v] = (inv[v], tuple(sorted(map(repr, nbrs))))
-        old_sizes = sorted(map(repr, inv.values()))
-        new_sizes = sorted(map(repr, refined.values()))
-        if len(set(old_sizes)) == len(set(new_sizes)):
+        refined = {v: (inv[v], tuple(sorted(key[w] for _, _, w in groups[v][2]))) for v in comp}
+        refined_key = {v: repr(refined[v]) for v in comp}
+        if len(set(key.values())) == len(set(refined_key.values())):
             break
-        inv = refined
+        inv, key = refined, refined_key
     classes: dict[str, list[int]] = {}
-    for v in vertex_order_universe:
-        classes.setdefault(repr(inv[v]), []).append(v)
+    for v in comp:
+        classes.setdefault(key[v], []).append(v)
     return [classes[k] for k in sorted(classes)]
 
 
 def _encode_with_vertex_order(
     g: MarkedGraph,
     order: list[int],
-    flag_colors: Mapping[int, Hashable],
-    vertex_colors: Mapping[int, Hashable],
+    groups: Mapping[int, _FlagGroups],
+    frepr: Mapping[int, str],
+    vrepr: Mapping[int, str],
 ) -> tuple[Encoding, Labeling]:
-    """Deterministic encoding of the graph for a fixed vertex ordering.
+    """Deterministic encoding of a component for a fixed vertex ordering.
 
     Flags are numbered vertex by vertex.  Within a vertex the groups come in
     the order: flags paired to already-numbered flags (sorted by partner
@@ -94,80 +112,37 @@ def _encode_with_vertex_order(
     """
     vpos = {v: i for i, v in enumerate(order)}
     fslot: dict[int, int] = {}
-    next_slot = 0
-    for v in order:
-        at_v = [f for f in g.flags if g.boundary[f] == v]
-        back, tails_here, loops, forward = [], [], [], []
-        for f in at_v:
-            p = g.involution[f]
-            if p == f:
-                tails_here.append(f)
-            elif p in fslot:
-                back.append(f)
-            elif g.boundary[p] == v:
-                loops.append(f)
-            else:
-                forward.append(f)
-        back.sort(key=lambda f: fslot[g.involution[f]])
-        tails_here.sort(key=lambda f: (repr(flag_colors.get(f)), f))
-        # pair the halves of each loop adjacently, loops ordered by color
-        loop_pairs = []
-        seen = set()
-        for f in loops:
-            if f in seen:
-                continue
-            p = g.involution[f]
-            seen.add(f)
-            seen.add(p)
-            h1, h2 = sorted((f, p), key=lambda x: (repr(flag_colors.get(x)), x))
-            loop_pairs.append((h1, h2))
-        loop_pairs.sort(key=lambda pr: (repr(flag_colors.get(pr[0])), repr(flag_colors.get(pr[1]))))
-        loops_flat = [x for pr in loop_pairs for x in pr]
-        forward.sort(
-            key=lambda f: (
-                vpos[g.boundary[g.involution[f]]],
-                repr(flag_colors.get(f)),
-                repr(flag_colors.get(g.involution[f])),
-                f,
-            )
-        )
-        for f in back + tails_here + loops_flat + forward:
-            fslot[f] = next_slot
-            next_slot += 1
+    for i, v in enumerate(order):
+        tails, loops, ends = groups[v]
+        back = sorted([(fslot[p], f) for f, p, w in ends if vpos[w] < i])
+        forward = sorted([e for e in ends if vpos[e[2]] > i], key=lambda e: vpos[e[2]])
+        for f in [f for _, f in back] + tails + loops + [e[0] for e in forward]:
+            fslot[f] = len(fslot)
+    seq = list(fslot)
+    # this runs once per ordering tried: list comprehensions beat generators here
     enc = (
         len(order),
-        next_slot,
-        tuple((g.genus[v], g.classes[v].coords) for v in order),
-        tuple(vpos[g.boundary[f]] for f in sorted(fslot, key=fslot.get)),
-        tuple(fslot[g.involution[f]] for f in sorted(fslot, key=fslot.get)),
-        tuple(repr(vertex_colors.get(v)) for v in order),
-        tuple(repr(flag_colors.get(f)) for f in sorted(fslot, key=fslot.get)),
+        len(seq),
+        tuple([(g.genus[v], g.classes[v].coords) for v in order]),
+        tuple([vpos[g.boundary[f]] for f in seq]),
+        tuple([fslot[g.involution[f]] for f in seq]),
+        tuple([vrepr[v] for v in order]),
+        tuple([frepr[f] for f in seq]),
     )
-    return enc, (fslot, dict(vpos))
+    return enc, (fslot, vpos)
 
 
 def _component_best(
-    g: MarkedGraph,
-    comp_vertices: list[int],
-    flag_colors: Mapping[int, Hashable],
-    vertex_colors: Mapping[int, Hashable],
-    search_cap: int,
+    g: MarkedGraph, comp: list[int], frepr: Mapping[int, str], vrepr: Mapping[int, str]
 ) -> tuple[Encoding, Labeling]:
-    classes = _vertex_classes(g, comp_vertices, flag_colors, vertex_colors)
-    total = 1
-    for c in classes:
-        for i in range(2, len(c) + 1):
-            total *= i
-        if total > search_cap:
-            raise SizeCapError(f"canonical labelling search space exceeds {search_cap} orderings")
-    best: tuple[Encoding, Labeling] | None = None
-    for perm_choice in product(*(permutations(c) for c in classes)):
-        order = [v for group in perm_choice for v in group]
-        enc, lab = _encode_with_vertex_order(g, order, flag_colors, vertex_colors)
-        if best is None or enc < best[0]:
-            best = (enc, lab)
-    assert best is not None
-    return best
+    """Minimal encoding of one connected component, first witness on ties."""
+    groups = {v: _flag_groups(g, v, frepr) for v in comp}
+    classes = _vertex_classes(g, comp, groups, frepr, vrepr)
+    if prod(factorial(len(c)) for c in classes) > _MAX_ORDERINGS:
+        raise SizeCapError(f"canonical labelling search space exceeds {_MAX_ORDERINGS} orderings")
+    orders = product(*(permutations(c) for c in classes))
+    encodings = (_encode_with_vertex_order(g, [v for c in o for v in c], groups, frepr, vrepr) for o in orders)
+    return min(encodings, key=lambda r: r[0])
 
 
 def canonical_encoding(
@@ -175,7 +150,6 @@ def canonical_encoding(
     flag_colors: Mapping[int, Hashable] | None = None,
     vertex_colors: Mapping[int, Hashable] | None = None,
     max_flags: int = DEFAULT_MAX_FLAGS,
-    search_cap: int = 2_000_000,
 ) -> tuple[Encoding, Labeling]:
     """Minimal encoding over all admissible labellings, plus one witness.
 
@@ -187,17 +161,17 @@ def canonical_encoding(
         raise SizeCapError(f"graph has {len(g.flags)} flags, cap is {max_flags}")
     fc = flag_colors or {}
     vc = vertex_colors or {}
-    pieces = []
-    for comp in connected_components(g):
-        sub = induced_subgraph(g, comp)
-        enc, (fslot, vslot) = _component_best(sub, list(sub.vertices), fc, vc, search_cap)
-        pieces.append((enc, fslot, vslot))
-    pieces.sort(key=lambda p: p[0])
+    frepr = {f: repr(fc.get(f)) for f in g.flags}
+    vrepr = {v: repr(vc.get(v)) for v in g.vertices}
+    pieces = sorted(
+        (_component_best(g, sorted(comp), frepr, vrepr) for comp in connected_components(g)),
+        key=lambda p: p[0],
+    )
     flag_lab: dict[int, int] = {}
     vertex_lab: dict[int, int] = {}
     foff = voff = 0
     shifted = []
-    for enc, fslot, vslot in pieces:
+    for enc, (fslot, vslot) in pieces:
         for f, s in fslot.items():
             flag_lab[f] = s + foff
         for v, s in vslot.items():

@@ -287,12 +287,15 @@ def _emit(payload, outfile: str | None) -> None:
         sys.stdout.write(text)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> tuple[object, int]:
+    """The verb's payload and exit code, or an error payload and its code."""
     try:
         if args.infile:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                raw = fh.read()
+            try:
+                with open(args.infile, "r", encoding="utf-8") as fh:
+                    raw = fh.read()
+            except OSError as exc:
+                raise SchemaError(f"cannot read input: {exc}") from exc
         else:
             raw = sys.stdin.read()
         try:
@@ -300,34 +303,30 @@ def main(argv: list[str] | None = None) -> int:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"input is not valid JSON: {exc}") from exc
         _check_size(doc, args.max_flags)
-        payload = VERBS[args.verb](doc, args)
-        _emit(payload, args.outfile)
-        return EXIT_OK
+        return VERBS[args.verb](doc, args), EXIT_OK
     except SchemaError as exc:
-        _emit({"error": {"type": "schema", "message": str(exc)}}, args.outfile)
-        return EXIT_SCHEMA
+        return {"error": {"type": "schema", "message": str(exc)}}, EXIT_SCHEMA
     except SizeCapError as exc:
-        _emit({"error": {"type": "size-cap", "message": str(exc)}}, args.outfile)
-        return EXIT_SIZE
+        return {"error": {"type": "size-cap", "message": str(exc)}}, EXIT_SIZE
     except ValidationError as exc:
-        _emit(
-            {
-                "error": {
-                    "type": "validation",
-                    "conditions": sorted(set(exc.conditions)),
-                    "message": str(exc),
-                }
-            },
-            args.outfile,
-        )
-        return EXIT_DOMAIN
+        conditions = sorted(set(exc.conditions))
+        return {"error": {"type": "validation", "conditions": conditions, "message": str(exc)}}, EXIT_DOMAIN
     except StableGraphsError as exc:
         # before the ValueError clause: RankMismatchError is also a ValueError
-        _emit({"error": {"type": "domain", "message": str(exc)}}, args.outfile)
-        return EXIT_DOMAIN
+        return {"error": {"type": "domain", "message": str(exc)}}, EXIT_DOMAIN
     except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
-        _emit({"error": {"type": "schema", "message": f"malformed document: {exc!r}"}}, args.outfile)
+        return {"error": {"type": "schema", "message": f"malformed document: {exc!r}"}}, EXIT_SCHEMA
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    payload, code = _run(args)
+    try:
+        _emit(payload, args.outfile)
+    except OSError as exc:
+        _emit({"error": {"type": "schema", "message": f"cannot write output: {exc}"}}, None)
         return EXIT_SCHEMA
+    return code
 
 
 if __name__ == "__main__":

@@ -78,9 +78,6 @@ class MarkedGraph:
 
     # -- basic accessors -------------------------------------------------
 
-    def is_tail(self, f: int) -> bool:
-        return self.involution[f] == f
-
     def flags_at(self, v: int) -> tuple[int, ...]:
         if v not in self.genus:
             raise KeyError(f"unknown vertex id {v}")

@@ -251,12 +251,7 @@ def marked_key(m: MarkedMorphism) -> tuple:
     is relabelled, its maps to the endpoints become decorations, and the
     marking homomorphism is compared on the nose.
     """
-    from .canonical import diagram_key
-
-    contr_preimage = {mid_flag: tgt_flag for tgt_flag, mid_flag in m.contr.flagmap.items()}
-    flag_dec = {f: (m.comb.flagmap[f], contr_preimage.get(f)) for f in m.mid.flags}
-    vertex_dec = {v: (m.comb.vertexmap[v], m.contr.vertexmap[v]) for v in m.mid.vertices}
-    return (m.hom.rows, m.hom.source_rank, diagram_key(m.mid, flag_dec, vertex_dec))
+    return (m.hom.rows, m.hom.source_rank, pullback_diagram_key(m.mid, m.contr, m.comb))
 
 
 def lift_contraction(phi: Contraction) -> MarkedMorphism:

@@ -135,7 +135,11 @@ def resolve_profile(spec: str | dict | None) -> VarietyProfile:
         return BUILTIN_PROFILES[spec]
     path = Path(spec)
     if path.exists():
-        return profile_from_json(json.loads(path.read_text()))
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise SchemaError(f"cannot read profile: {exc}") from exc
+        return profile_from_json(json.loads(text))
     raise SchemaError(f"unknown profile {spec!r}; use P1|P2|P3|point or a JSON file path")
 
 

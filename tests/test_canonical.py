@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from stablegraphs.canonical import (
+    canonical_encoding,
     canonical_form,
     canonical_key,
     canonicalize,
@@ -150,3 +152,32 @@ def test_canonical_symmetric_shapes():
     double_loop = modular_graph({0: 0}, edges=[((0, 0), (1, 0)), ((2, 0), (3, 0))])
     for _ in range(10):
         assert canonical_form(shuffle_ids(rng, double_loop)) == canonical_form(double_loop)
+
+
+def test_canonical_encoding_is_pinned():
+    # the minimal encoding and its witness decide the printed canonical forms
+    # and their order, so any rewrite of the search must reproduce both exactly
+    rng = random.Random(5)
+    lines = []
+    for i in range(300):
+        g = rand_graph(rng, rank=rng.randint(0, 2), max_flags=12)
+        fc = vc = None
+        if i % 3 == 0:
+            fc = {f: rng.choice([None, 1, 2, (1, None), "x"]) for f in g.flags}
+            vc = {v: rng.choice([None, 0, (2, 3)]) for v in g.vertices}
+        lines.append(repr(canonical_encoding(g, fc, vc)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "d8421f27f4eed99a"
+
+
+def test_ordering_cap_fires_before_search(monkeypatch):
+    # a 10-cycle of identical vertices: refinement leaves one class, 10! orderings
+    import stablegraphs.canonical as canonical
+
+    def no_search(*args):
+        raise AssertionError("an ordering was encoded before the cap fired")
+
+    monkeypatch.setattr(canonical, "_encode_with_vertex_order", no_search)
+    k = 10
+    cycle = modular_graph({v: 0 for v in range(k)}, edges=[((2 * v, v), (2 * v + 1, (v + 1) % k)) for v in range(k)])
+    with pytest.raises(SizeCapError, match="^canonical labelling search space exceeds 2000000 orderings$"):
+        canonical_key(cycle, max_flags=20)

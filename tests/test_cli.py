@@ -279,3 +279,29 @@ def test_stdin_stdout(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["chi"] == 1
+
+
+def test_unreadable_input_file_is_schema_error(tmp_path, capsys):
+    assert main(["invariants", "--in", str(tmp_path / "missing.json")]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+
+
+@pytest.mark.parametrize("where", ["document", "option"])
+def test_unreadable_profile_file_is_schema_error(where, tmp_path, capsys):
+    # an existing directory passes the profile lookup but cannot be read
+    doc = tmp_path / "doc.json"
+    if where == "document":
+        doc.write_text(json.dumps({"profile": str(tmp_path), "genus": 2}))
+        argv = ["boundary", "--in", str(doc)]
+    else:
+        doc.write_text(json.dumps({"genus": 2}))
+        argv = ["boundary", "--profile", str(tmp_path), "--in", str(doc)]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+
+
+def test_unwritable_output_file_reports_on_stdout(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir.out"
+    assert main(["invariants", "--in", str(GOLDEN / "in" / "invariants_tripod.json"), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+    assert not out.exists()
