@@ -7,6 +7,20 @@ base graphs produces the family of all compatible lifts; for a non-loop
 edge contraction these are indexed by all ways of splitting the class at
 the contracted vertex, which is the combinatorial shadow of the splitting
 axiom.  Degrees are preserved along every pullback.
+
+The lifts of a profile-graph sigma' over each kind of elementary isogeny,
+where w0 is the vertex of sigma' over the base vertex the step acts at:
+
+* loop contraction: one lift, a new loop at w0, whose genus drops by one;
+* non-loop contraction: one lift per splitting of w0's class in two,
+  splitting w0 along the contracted edge (``split_vertex``);
+* forget, type I: one lift, the forgotten tail added back at w0;
+* forget, types II and III: one lift, a new genus-zero, class-zero vertex
+  carrying the forgotten tail and copies of the dying vertex's two other
+  flags, spliced into sigma'; a type II forget lifts to type III when the
+  surviving tail is an edge half in sigma';
+* glue: one lift, the target edge cut into two tails, and only when the
+  glued tails are a literal edge of sigma'.
 """
 
 from __future__ import annotations
@@ -32,7 +46,6 @@ from .monoid import LinearForm, MonoidElement, MonoidHom, enumerate_pair_decompo
 from .morphisms import CombinatorialMorphism, validate_combinatorial
 from .profiles import VarietyProfile, deg_graph
 from .isogeny import (
-    ContractStep,
     ExtendedIsogeny,
     elementary_contraction_isogeny,
     elementary_forget_isogeny,
@@ -87,154 +100,142 @@ class FamilyMember:
     lift: ExtendedIsogeny  # graph -> the target profile-graph
 
 
-def _check_member(p: VarietyProfile, base: MarkedGraph, member: FamilyMember, sigma_prime: MarkedGraph) -> None:
-    a, taui, lift = member.identification, member.graph, member.lift
-    if a.source != base or a.target != taui:
-        raise ValidationError([Violation("cartesian-member-endpoints", "identification endpoints wrong")])
-    ensure_valid(validate_combinatorial(a), "cartesian member identification invalid")
-    if not is_stabilization_identification(a):
-        raise ValidationError([Violation("cartesian-member-stabilization", "base is not the absolute stabilization")])
-    if not is_stable(taui):
-        raise ValidationError([Violation("cartesian-member-unstable", "family member must be stable")])
-    if lift.source != taui or lift.target != sigma_prime:
-        raise ValidationError([Violation("cartesian-member-lift", "lift endpoints wrong")])
-    if deg_graph(p, taui) != deg_graph(p, sigma_prime):
-        raise ValidationError([Violation("cartesian-member-degree", "degree not preserved along the pullback")])
+def _member_violations(
+    p: VarietyProfile,
+    where: str,
+    graph: MarkedGraph,
+    base: MarkedGraph | None = None,
+    a: CombinatorialMorphism | None = None,
+    lift: ExtendedIsogeny | None = None,
+    lift_target: MarkedGraph | None = None,
+) -> list[Violation]:
+    """What is wrong with one family member; ``where`` names it in messages.
+
+    With ``base``, checks the identification a: base -> graph; with ``lift``,
+    checks the lift graph -> lift_target and the degree along it.
+    """
+    out: list[Violation] = []
+    if base is not None:
+        if graph.rank != p.rank:
+            return [Violation("cartesian-profile-rank", f"{where} has rank {graph.rank}")]
+        if a.source != base or a.target != graph:
+            return [Violation("cartesian-member-endpoints", f"{where}: identification endpoints wrong")]
+        if not is_stable(graph):
+            out.append(Violation("cartesian-member-unstable", f"{where} is unstable"))
+        if not is_stabilization_identification(a):
+            out.append(Violation("cartesian-member-stabilization", f"{where}: base is not its stabilization"))
+    if lift is not None:
+        if lift.source != graph or lift.target != lift_target:
+            out.append(Violation("cartesian-member-lift", f"{where}: lift endpoints wrong"))
+        elif deg_graph(p, graph) != deg_graph(p, lift_target):
+            out.append(Violation("cartesian-member-degree", f"{where}: degree not preserved along the lift"))
+    return out
 
 
-def _pullback_contraction(
-    p: VarietyProfile, phi: ExtendedIsogeny, b: CombinatorialMorphism
-) -> list[FamilyMember]:
+def _elementary_step(phi: ExtendedIsogeny) -> tuple[str, object]:
+    """The one step of an elementary phi, as (kind, data).
+
+    "glue" comes with the glued pair, "forget" with its StableForget, and
+    "contract" with (contraction, f, fbar, v1, v2, v0): the contracted edge
+    (f, fbar) of phi.source, the vertices v1 and v2 it joins, and the target
+    vertex v0 they become.
+    """
+    if phi.glued:
+        return "glue", phi.glued[0]
+    kind, result = phi.step_results[0]
+    if kind == "forget":
+        return kind, result
+    ((f, fbar),) = result.contracted_edges()
+    v1, v2 = phi.source.boundary[f], phi.source.boundary[fbar]
+    return kind, (result, f, fbar, v1, v2, result.vertexmap[v1])
+
+
+def _pullback_contraction(phi: ExtendedIsogeny, b: CombinatorialMorphism, step) -> list[FamilyMember]:
     tau, sigma_prime = phi.source, b.target
-    contr = phi.step_results[0][1]
-    ((f, fbar),) = [contr.contracted_edges()[0]]
-    v1, v2 = tau.boundary[f], tau.boundary[fbar]
-    v0 = contr.vertexmap[v1]
+    contr, f, fbar, v1, v2, v0 = step
     w0 = b.vertexmap[v0]
-    inv_flag = {pre: t for t, pre in contr.flagmap.items()}  # tau flag -> sigma flag
-    zero_hom = MonoidHom.to_trivial(sigma_prime.rank)
-
-    def outer_flag(x: int) -> int:
-        return b.flagmap[inv_flag[x]]
-
-    def outer_vertex(v: int) -> int:
-        return b.vertexmap[contr.vertexmap[v]]
-
-    members: list[FamilyMember] = []
+    # each lift: (graph, the new edge (e1 at w0, e2), the vertex v2 goes to)
     if v1 == v2:
-        # loop case: one lift, hanging a loop at w0 and dropping its genus
+        # one lift, hanging a loop at w0 and dropping its genus
         if sigma_prime.genus[w0] < 1:
             raise ValidationError([Violation("cartesian-loop-genus", "loop pullback needs genus >= 1 at the target vertex")])
-        tau0, (l1, l2) = add_loop(sigma_prime, w0)
-        a0 = CombinatorialMorphism(
-            source=tau,
-            target=tau0,
-            flagmap={x: (l1 if x == f else l2 if x == fbar else outer_flag(x)) for x in tau.flags},
-            vertexmap={v: outer_vertex(v) for v in tau.vertices},
-            hom=zero_hom,
-        )
-        lift = elementary_contraction_isogeny(tau0, (l1, l2))
-        if lift.target != sigma_prime:
-            raise AssertionError("loop pullback did not contract back onto the target")
-        members.append(FamilyMember(a0, tau0, lift))
+        lifts = [add_loop(sigma_prime, w0) + (w0,)]
     else:
-        splits = enumerate_pair_decompositions(sigma_prime.classes[w0])
-        at_w0 = sigma_prime.flags_at(w0)
+        # one lift per class splitting, the flags from v2's side moving to the new vertex
         b_inv = {img: x for x, img in b.flagmap.items()}
-        side2_flags = [
-            x for x in at_w0 if tau.boundary[contr.flagmap[b_inv[x]]] == v2
+        side2 = [x for x in sigma_prime.flags_at(w0) if tau.boundary[contr.flagmap[b_inv[x]]] == v2]
+        lifts = [
+            split_vertex(sigma_prime, w0, side2, (tau.genus[v1], beta1), (tau.genus[v2], beta2))
+            for beta1, beta2 in enumerate_pair_decompositions(sigma_prime.classes[w0])
         ]
-        for beta1, beta2 in splits:
-            taui, (e1, e2), wsecond = split_vertex(
-                sigma_prime, w0, side2_flags, (tau.genus[v1], beta1), (tau.genus[v2], beta2)
-            )
-            if not is_stable(taui):
-                raise AssertionError("class split destabilized an already stable vertex")
-            ai = CombinatorialMorphism(
-                source=tau,
-                target=taui,
-                flagmap={x: (e1 if x == f else e2 if x == fbar else outer_flag(x)) for x in tau.flags},
-                vertexmap={
-                    v: (w0 if v == v1 else wsecond if v == v2 else outer_vertex(v)) for v in tau.vertices
-                },
-                hom=zero_hom,
-            )
-            lift = elementary_contraction_isogeny(taui, (e1, e2))
-            if lift.target != sigma_prime:
-                raise AssertionError("split pullback did not contract back onto the target")
-            members.append(FamilyMember(ai, taui, lift))
+    inv_flag = {pre: t for t, pre in contr.flagmap.items()}  # tau flag -> sigma flag
+    members: list[FamilyMember] = []
+    for taui, (e1, e2), w2 in lifts:
+        ai = CombinatorialMorphism(
+            source=tau,
+            target=taui,
+            flagmap={x: (e1 if x == f else e2 if x == fbar else b.flagmap[inv_flag[x]]) for x in tau.flags},
+            vertexmap={v: (w2 if v == v2 else b.vertexmap[contr.vertexmap[v]]) for v in tau.vertices},
+            hom=MonoidHom.to_trivial(sigma_prime.rank),
+        )
+        lift = elementary_contraction_isogeny(taui, (e1, e2))
+        if lift.target != sigma_prime:
+            raise AssertionError(f"{'loop' if v1 == v2 else 'split'} pullback did not contract back onto the target")
+        members.append(FamilyMember(ai, taui, lift))
     return members
 
 
-def _pullback_forget(
-    p: VarietyProfile, phi: ExtendedIsogeny, b: CombinatorialMorphism
-) -> list[FamilyMember]:
+def _pullback_forget(phi: ExtendedIsogeny, b: CombinatorialMorphism, res) -> list[FamilyMember]:
     tau, sigma_prime = phi.source, b.target
-    res = phi.step_results[0][1]
     t = res.forgotten
     v = tau.boundary[t]
-    zero_hom = MonoidHom.to_trivial(sigma_prime.rank)
     fresh = next_id(sigma_prime.flags)
-    # types II and III lift to a new genus-zero, class-zero vertex u
-    u = next_id(sigma_prime.vertices)
-    new_vertex = {u: (0, MonoidElement.zero(sigma_prime.rank))}
-
-    def base_map(extra_flags: dict[int, int], extra_vertices: dict[int, int], tau0: MarkedGraph) -> CombinatorialMorphism:
-        return CombinatorialMorphism(
-            source=tau,
-            target=tau0,
-            flagmap={x: extra_flags.get(x, b.flagmap.get(x)) for x in tau.flags},
-            vertexmap={vv: extra_vertices.get(vv, b.vertexmap.get(vv)) for vv in tau.vertices},
-            hom=zero_hom,
-        )
-
     if res.kind == "I":
-        t0 = fresh
-        tau0 = edit_graph(sigma_prime, attach={t0: b.vertexmap[v]})
-        a0 = base_map({t: t0}, {}, tau0)
-        expect_kind = "I"
-    elif res.kind == "II":
-        # flags at the dying vertex: the forgotten tail t, another tail s, one edge half
-        at_v = tau.flags_at(v)
-        s = next(x for x in at_v if tau.involution[x] == x and x != t)
-        pflag = next(x for x in at_v if tau.involution[x] != x)
-        q = tau.involution[pflag]
-        r = b.flagmap[q]
-        t0, s0, p0 = fresh, fresh + 1, fresh + 2
-        pair = {p0: r, r: p0}
+        tau0 = edit_graph(sigma_prime, attach={fresh: b.vertexmap[v]})
+        extra_flags, extra_vertices, expect_kind = {t: fresh}, {}, "I"
+    elif res.kind in ("II", "III"):
+        # v lifts to a new genus-zero, class-zero vertex u carrying copies of
+        # its flags: t as fresh, the other two (tails first) as fresh + 1, + 2
+        u = next_id(sigma_prime.vertices)
+        others = sorted((x for x in tau.flags_at(v) if x != t), key=lambda x: (tau.involution[x] != x, x))
+        extra_flags = {t: fresh, others[0]: fresh + 1, others[1]: fresh + 2}
+        extra_vertices = {v: u}
+        # the first edge half's copy joins the image r of its far half; if r
+        # is an edge half in sigma', the other copy joins r's partner (type III)
+        anchor = next(x for x in others if tau.involution[x] != x)
+        (other,) = (x for x in others if x != anchor)
+        r = b.flagmap[tau.involution[anchor]]
+        pair = {extra_flags[anchor]: r, r: extra_flags[anchor]}
         expect_kind = "II"
         if sigma_prime.involution[r] != r:
             c = sigma_prime.involution[r]
-            pair.update({s0: c, c: s0})
+            pair.update({extra_flags[other]: c, c: extra_flags[other]})
             expect_kind = "III"
-        tau0 = edit_graph(sigma_prime, attach={t0: u, s0: u, p0: u}, vertices=new_vertex, pair=pair)
-        a0 = base_map({t: t0, s: s0, pflag: p0}, {v: u}, tau0)
-    elif res.kind == "III":
-        at_v = tau.flags_at(v)
-        p1, p2 = sorted(x for x in at_v if x != t)
-        q1 = tau.involution[p1]
-        r = b.flagmap[q1]
-        c = sigma_prime.involution[r]
-        t0, p10, p20 = fresh, fresh + 1, fresh + 2
         tau0 = edit_graph(
-            sigma_prime, attach={t0: u, p10: u, p20: u}, vertices=new_vertex, pair={p10: r, r: p10, p20: c, c: p20}
+            sigma_prime,
+            attach={fresh: u, fresh + 1: u, fresh + 2: u},
+            vertices={u: (0, MonoidElement.zero(sigma_prime.rank))},
+            pair=pair,
         )
-        a0 = base_map({t: t0, p1: p10, p2: p20}, {v: u}, tau0)
-        expect_kind = "III"
     else:
         raise ValidationError([Violation("cartesian-forget-iv", "a component-killing forget is not an isogeny")])
 
+    a0 = CombinatorialMorphism(
+        source=tau,
+        target=tau0,
+        flagmap={x: extra_flags.get(x, b.flagmap.get(x)) for x in tau.flags},
+        vertexmap={w: extra_vertices.get(w, b.vertexmap.get(w)) for w in tau.vertices},
+        hom=MonoidHom.to_trivial(sigma_prime.rank),
+    )
     lift = elementary_forget_isogeny(tau0, fresh)
     if lift.target != sigma_prime or lift.forget_kinds[0] != expect_kind:
         raise AssertionError("tail pullback did not forget back onto the target")
     return [FamilyMember(a0, tau0, lift)]
 
 
-def _pullback_glue(
-    p: VarietyProfile, phi: ExtendedIsogeny, b: CombinatorialMorphism
-) -> list[FamilyMember]:
+def _pullback_glue(phi: ExtendedIsogeny, b: CombinatorialMorphism, pair: tuple[int, int]) -> list[FamilyMember]:
     tau, sigma_prime = phi.source, b.target
-    x, xbar = phi.glued[0]
+    x, xbar = pair
     y, ybar = b.flagmap[x], b.flagmap[xbar]
     if sigma_prime.involution[y] != ybar:
         raise ValidationError(
@@ -258,6 +259,9 @@ def _pullback_glue(
     if lift.target != sigma_prime:
         raise AssertionError("glue pullback did not glue back onto the target")
     return [FamilyMember(a0, tau0, lift)]
+
+
+_PULLBACKS = {"glue": _pullback_glue, "forget": _pullback_forget, "contract": _pullback_contraction}
 
 
 def cartesian_pullback(
@@ -285,14 +289,12 @@ def cartesian_pullback(
     if not is_stabilization_identification(b):
         raise ValidationError([Violation("cartesian-not-stabilization", "b must identify the absolute stabilization")])
 
-    if phi.glued:
-        members = _pullback_glue(p, phi, b)
-    elif isinstance(phi.steps[0], ContractStep):
-        members = _pullback_contraction(p, phi, b)
-    else:
-        members = _pullback_forget(p, phi, b)
-    for m in members:
-        _check_member(p, phi.source, m, b.target)
+    kind, step = _elementary_step(phi)
+    members = _PULLBACKS[kind](phi, b, step)
+    for i, m in enumerate(members):
+        ensure_valid(validate_combinatorial(m.identification), "cartesian member identification invalid")
+        violations = _member_violations(p, f"member {i}", m.graph, phi.source, m.identification, m.lift, b.target)
+        ensure_valid(violations, "cartesian pullback produced an invalid member")
     return members
 
 
@@ -315,16 +317,7 @@ def validate_cartesian_object(p: VarietyProfile, x: CartesianObject) -> list[Vio
     if not is_stable(x.base):
         out.append(Violation("cartesian-base-unstable", "base must be stable"))
     for i, (a, taui) in enumerate(x.family):
-        if taui.rank != p.rank:
-            out.append(Violation("cartesian-profile-rank", f"member {i} has rank {taui.rank}"))
-            continue
-        if a.source != x.base or a.target != taui:
-            out.append(Violation("cartesian-member-endpoints", f"member {i} identification endpoints wrong"))
-            continue
-        if not is_stable(taui):
-            out.append(Violation("cartesian-member-unstable", f"member {i} is unstable"))
-        if not is_stabilization_identification(a):
-            out.append(Violation("cartesian-member-stabilization", f"member {i}: base is not its stabilization"))
+        out.extend(_member_violations(p, f"member {i}", taui, x.base, a))
     return out
 
 
@@ -354,18 +347,6 @@ class CartesianMorphism:
         return self.factors[-1].target
 
 
-def _class_pairs_of_family(
-    phi: ExtendedIsogeny, fiber: list[tuple[CombinatorialMorphism, MarkedGraph, ExtendedIsogeny]]
-) -> list[tuple[MonoidElement, MonoidElement]]:
-    contr = phi.step_results[0][1]
-    ((f, fbar),) = [contr.contracted_edges()[0]]
-    v1, v2 = phi.source.boundary[f], phi.source.boundary[fbar]
-    pairs = []
-    for a, taui, _ in fiber:
-        pairs.append((taui.classes[a.vertexmap[v1]], taui.classes[a.vertexmap[v2]]))
-    return pairs
-
-
 def validate_elementary_cartesian(p: VarietyProfile, m: ElementaryCartesianMorphism) -> list[Violation]:
     out: list[Violation] = []
     out.extend(validate_cartesian_object(p, m.source))
@@ -383,29 +364,18 @@ def validate_elementary_cartesian(p: VarietyProfile, m: ElementaryCartesianMorph
     if any(j >= len(m.target.family) or j < 0 for j in m.index_map):
         return [Violation("cartesian-family-shape", "index map hits a missing target member")]
 
-    nonloop = False
-    if not phi.glued and isinstance(phi.steps[0], ContractStep):
-        e = phi.step_results[0][1].contracted_edges()[0]
-        nonloop = phi.source.boundary[e[0]] != phi.source.boundary[e[1]]
-
+    # v1 != v2 only over a non-loop contraction, whose fibers run over the class splits
+    kind, step = _elementary_step(phi)
+    _, _, _, v1, v2, v0 = step if kind == "contract" else (None,) * 6
     for j, (bj, sigma_j) in enumerate(m.target.family):
-        fiber = [
-            (m.source.family[i][0], m.source.family[i][1], m.lifts[i])
-            for i in range(len(m.index_map))
-            if m.index_map[i] == j
-        ]
-        for a, taui, lift in fiber:
-            if lift.source != taui or lift.target != sigma_j:
-                out.append(Violation("cartesian-member-lift", f"lift endpoints wrong over target member {j}"))
-                continue
-            if deg_graph(p, taui) != deg_graph(p, sigma_j):
-                out.append(Violation("cartesian-member-degree", f"degree not preserved over target member {j}"))
-        if nonloop:
-            contr = phi.step_results[0][1]
-            v0 = contr.vertexmap[phi.source.boundary[contr.contracted_edges()[0][0]]]
-            w0 = bj.vertexmap[v0]
-            expected = enumerate_pair_decompositions(sigma_j.classes[w0])
-            got = _class_pairs_of_family(phi, fiber)
+        fiber = [i for i, target_index in enumerate(m.index_map) if target_index == j]
+        for i in fiber:
+            where = f"member {i} over target member {j}"
+            out.extend(_member_violations(p, where, m.source.family[i][1], lift=m.lifts[i], lift_target=sigma_j))
+        if v1 != v2:
+            expected = enumerate_pair_decompositions(sigma_j.classes[bj.vertexmap[v0]])
+            members = [m.source.family[i] for i in fiber]
+            got = [(taui.classes[a.vertexmap[v1]], taui.classes[a.vertexmap[v2]]) for a, taui in members]
             if len(set(got)) != len(got):
                 out.append(Violation("cartesian-repetitive", f"repeated class split over target member {j}"))
             missing = set(expected) - set(got)

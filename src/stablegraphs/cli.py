@@ -59,14 +59,20 @@ EXIT_SIZE = 4
 
 
 def _check_size(doc, cap: int) -> None:
-    if isinstance(doc, dict) and isinstance(doc.get("flags"), list) and len(doc["flags"]) > cap:
-        raise SizeCapError(f"graph has {len(doc['flags'])} flags, cap is {cap}")
-    if isinstance(doc, dict):
-        for value in doc.values():
-            _check_size(value, cap)
-    elif isinstance(doc, list):
-        for value in doc:
-            _check_size(value, cap)
+    """Refuse any graph in the document with more than cap flags.
+
+    Walks the document depth first, in document order, with an explicit
+    stack, so nesting depth is not bounded by the recursion limit.
+    """
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, dict):
+            if isinstance(node.get("flags"), list) and len(node["flags"]) > cap:
+                raise SizeCapError(f"graph has {len(node['flags'])} flags, cap is {cap}")
+            stack.extend(reversed(node.values()))
+        elif isinstance(node, list):
+            stack.extend(reversed(node))
 
 
 def _run_validate(doc, args):
@@ -271,7 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--in", dest="infile", default=None, help="input JSON file (default: stdin)")
     parser.add_argument("--out", dest="outfile", default=None, help="output file (default: stdout)")
     parser.add_argument("--profile", default=None, help="P1|P2|P3|point or a profile JSON file")
-    parser.add_argument("--max-flags", type=int, default=DEFAULT_MAX_FLAGS, help="size cap on graphs")
+    parser.add_argument(
+        "--max-flags",
+        type=int,
+        default=DEFAULT_MAX_FLAGS,
+        help=(
+            "cap on the flags of each graph in the input document; canonical labelling "
+            f"and boundary keep their fixed cap of {DEFAULT_MAX_FLAGS} flags"
+        ),
+    )
     return parser
 
 
@@ -302,6 +316,8 @@ def _run(args) -> tuple[object, int]:
             doc = json.loads(raw) if raw.strip() else {}
         except json.JSONDecodeError as exc:
             raise SchemaError(f"input is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise SchemaError("input is nested too deeply to read") from exc
         _check_size(doc, args.max_flags)
         return VERBS[args.verb](doc, args), EXIT_OK
     except SchemaError as exc:

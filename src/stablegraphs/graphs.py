@@ -10,13 +10,14 @@ Flag ids and vertex ids are opaque small integers in two independent
 namespaces.  All values are immutable after construction; every operation
 returns fresh graphs.
 
-Derived structure (flags per vertex, tails, edges, connected components and
-the flag partition) is computed on first use and kept on the instance, so a
-graph validated against many times pays for it once.  The cached values are
-not dataclass fields: ``==``, ``repr`` and ``dataclasses.replace`` ignore
-them.  This is sound only because the dict fields (``boundary``,
-``involution``, ``genus``, ``classes``) are never mutated after construction;
-code must build a new graph instead.
+The flag and vertex id sets are built once, at construction, where the
+structure check needs them.  Other derived structure (flags per vertex,
+tails, edges, connected components and the flag partition) is computed on
+first use and kept on the instance, so a graph validated against many times
+pays for it once.  These values are not dataclass fields: ``==``, ``repr``
+and ``dataclasses.replace`` ignore them.  This is sound only because the dict
+fields (``boundary``, ``involution``, ``genus``, ``classes``) are never
+mutated after construction; code must build a new graph instead.
 """
 
 from __future__ import annotations
@@ -46,11 +47,14 @@ class MarkedGraph:
         object.__setattr__(self, "involution", dict(self.involution))
         object.__setattr__(self, "genus", dict(self.genus))
         object.__setattr__(self, "classes", dict(self.classes))
+        # the id sets are not fields, like the cached indices below
+        object.__setattr__(self, "_flag_set", frozenset(self.flags))
+        object.__setattr__(self, "_vertex_set", frozenset(self.vertices))
         ensure_valid(self._structural_violations(), "invalid graph")
 
     def _structural_violations(self) -> list[Violation]:
         out: list[Violation] = []
-        fset, vset = set(self.flags), set(self.vertices)
+        fset, vset = self._flag_set, self._vertex_set
         if len(fset) != len(self.flags):
             out.append(Violation("flag-duplicate", "flag ids repeat"))
         if len(vset) != len(self.vertices):
@@ -246,10 +250,7 @@ def genus(g: MarkedGraph) -> int:
 
 
 def total_class(g: MarkedGraph) -> MonoidElement:
-    total = MonoidElement.zero(g.rank)
-    for v in g.vertices:
-        total = total + g.classes[v]
-    return total
+    return sum((g.classes[v] for v in g.vertices), MonoidElement.zero(g.rank))
 
 
 def is_stable_vertex(g: MarkedGraph, v: int) -> bool:

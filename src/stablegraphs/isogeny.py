@@ -65,23 +65,14 @@ def stably_forget_tail(g: MarkedGraph, f: int) -> StableForget:
     smaller, incl = forget_tail(g, f)
     stable, stab_morph, steps = stabilize_with_trace(smaller)
     morphism = compose_combinatorial(incl, stab_morph)
-    if not steps:
-        kind = "I"
-        tail_map = {h: h for h in tails(stable)}
-    else:
+    kind = "I"
+    if steps:
         (step,) = steps  # a stable graph destabilizes at one vertex at most
-        if step.case == "II":
-            kind = "II"
-            (new_tail,) = step.new_tails
-            removed_tail = next(x for x in step.removed_flags if g.involution[x] == x)
-            tail_map = {h: h for h in tails(stable) if h != new_tail}
-            tail_map[new_tail] = removed_tail
-        elif step.case == "III":
-            kind = "III"
-            tail_map = {h: h for h in tails(stable)}
-        else:
-            kind = "IV"
-            tail_map = {h: h for h in tails(stable)}
+        kind = step.case
+    tail_map = {h: h for h in tails(stable)}
+    if kind == "II":
+        (new_tail,) = step.new_tails
+        tail_map[new_tail] = next(x for x in step.removed_flags if g.involution[x] == x)
     if f in tail_map.values():
         raise AssertionError("forgotten tail leaked into the tail map image")
     return StableForget(forgotten=f, graph=stable, morphism=morphism, tail_map=tail_map, kind=kind)

@@ -68,15 +68,15 @@ def validate_contraction(c: Contraction) -> list[Violation]:
     if src.rank != tgt.rank:
         out.append(Violation("contraction-rank", f"source rank {src.rank} != target rank {tgt.rank}"))
         return out
-    if set(c.flagmap) != set(tgt.flags) or not set(c.flagmap.values()) <= set(src.flags):
+    if c.flagmap.keys() != tgt._flag_set or not src._flag_set.issuperset(c.flagmap.values()):
         out.append(Violation("contraction-maps-total", "flag map must send exactly the target flags into source flags"))
         return out
-    if set(c.vertexmap) != set(src.vertices) or not set(c.vertexmap.values()) <= set(tgt.vertices):
+    if c.vertexmap.keys() != src._vertex_set or not tgt._vertex_set.issuperset(c.vertexmap.values()):
         out.append(Violation("contraction-maps-total", "vertex map must send exactly the source vertices into target vertices"))
         return out
     if len(set(c.flagmap.values())) != len(c.flagmap):
         out.append(Violation("contraction-1-injective", "flag map is not injective"))
-    if set(c.vertexmap.values()) != set(tgt.vertices):
+    if set(c.vertexmap.values()) != tgt._vertex_set:
         out.append(Violation("contraction-1-surjective", "vertex map is not surjective"))
     for f, pre in c.flagmap.items():
         if c.vertexmap[src.boundary[pre]] != tgt.boundary[f]:
@@ -108,10 +108,7 @@ def validate_contraction(c: Contraction) -> list[Violation]:
         expected_g = sum(src.genus[w] for w in fibers[v]) + betti1(piece)
         if tgt.genus[v] != expected_g:
             out.append(Violation("contraction-genus", f"genus at target vertex {v}: {tgt.genus[v]} != {expected_g}"))
-        total = MonoidElement.zero(src.rank)
-        for w in fibers[v]:
-            total = total + src.classes[w]
-        if tgt.classes[v] != total:
+        if tgt.classes[v] != sum((src.classes[w] for w in fibers[v]), MonoidElement.zero(src.rank)):
             out.append(Violation("contraction-class", f"class at target vertex {v} is not the fiber sum"))
     return out
 
@@ -160,10 +157,7 @@ def contract_edges(g: MarkedGraph, edge_set: Iterable[tuple[int, int]]) -> Contr
         r = fiber[0]
         # the contracted edges connect the fiber, so its cycle rank is #E - #V + 1
         tgt_genus[r] = sum(g.genus[v] for v in fiber) + edges_in[r] - len(fiber) + 1
-        total = MonoidElement.zero(g.rank)
-        for v in fiber:
-            total = total + g.classes[v]
-        tgt_classes[r] = total
+        tgt_classes[r] = sum((g.classes[v] for v in fiber), MonoidElement.zero(g.rank))
 
     target = MarkedGraph(
         flags=tuple(kept),
@@ -279,10 +273,10 @@ def validate_combinatorial(a: CombinatorialMorphism) -> list[Violation]:
         if a.hom.source_rank != tgt.rank or a.hom.target_rank != src.rank:
             out.append(Violation("combinatorial-rank", "marking homomorphism ranks do not match the graphs"))
             return out
-    if set(a.flagmap) != set(src.flags) or not set(a.flagmap.values()) <= set(tgt.flags):
+    if a.flagmap.keys() != src._flag_set or not tgt._flag_set.issuperset(a.flagmap.values()):
         out.append(Violation("combinatorial-maps-total", "flag map must send exactly the source flags into target flags"))
         return out
-    if set(a.vertexmap) != set(src.vertices) or not set(a.vertexmap.values()) <= set(tgt.vertices):
+    if a.vertexmap.keys() != src._vertex_set or not tgt._vertex_set.issuperset(a.vertexmap.values()):
         out.append(Violation("combinatorial-maps-total", "vertex map must send exactly the source vertices into target vertices"))
         return out
     for f in src.flags:

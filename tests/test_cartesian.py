@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -24,15 +26,20 @@ from stablegraphs.cartesian import (
 from stablegraphs.errors import SizeCapError, ValidationError
 from stablegraphs.graphs import (
     MarkedGraph,
+    add_loop,
     edges,
+    edit_graph,
     is_stable,
     marked_graph,
     modular_graph,
+    next_id,
+    split_vertex,
     tails,
     total_class,
 )
 from stablegraphs.isogeny import (
     ContractStep,
+    elementary_contraction_isogeny,
     elementary_forget_isogeny,
     elementary_glue_isogeny,
     extended_isogeny,
@@ -40,8 +47,11 @@ from stablegraphs.isogeny import (
 from stablegraphs.monoid import LinearForm, MonoidHom, element
 from stablegraphs.morphisms import CombinatorialMorphism
 from stablegraphs.profiles import BUILTIN_PROFILES, VarietyProfile, deg_graph
+from stablegraphs.serialize import combinatorial_to_json, graph_to_json, isogeny_to_json
+from stablegraphs.stabilize import absolute_stabilization
 
 from oracles import enumerate_by_shapes
+from strategies import rand_graph
 
 P1 = BUILTIN_PROFILES["P1"]
 P2 = BUILTIN_PROFILES["P2"]
@@ -265,6 +275,98 @@ def test_validation_flags_repetitive_family():
     )
     conditions = [v.condition for v in validate_elementary_cartesian(P2, broken)]
     assert "cartesian-repetitive" in conditions or "cartesian-incomplete" in conditions
+
+
+def seeded_pullback_case(rng):
+    """A random (kind, profile, phi, b) for cartesian_pullback, or None.
+
+    b identifies the absolute stabilization sigma of a random stable
+    profile-graph; tau is built from sigma by the inverse of one elementary
+    step of the given kind, so that the step from tau lands on sigma.
+    """
+    p = rng.choice((P1, P2, SURFACE))
+    sigma_prime = rand_graph(rng, rank=p.rank, max_flags=8, max_vertices=3, stable=True)
+    sigma, stab = absolute_stabilization(sigma_prime)
+    if not sigma.vertices:
+        return None
+    b = CombinatorialMorphism(sigma, sigma_prime, stab.flagmap, stab.vertexmap, MonoidHom.to_trivial(p.rank))
+    zero = element()
+    kind = rng.choice(("loop", "split", "forget I", "forget II", "forget III", "glue"))
+    v = rng.choice(sigma.vertices)
+    # three new flag ids, in random order and not always consecutive
+    ids = list(range(next_id(sigma.flags), next_id(sigma.flags) + 5))
+    rng.shuffle(ids)
+    t, x1, x2 = ids[:3]
+    u = next_id(sigma.vertices)
+    if kind == "loop":
+        if sigma.genus[v] < 1:
+            return None
+        tau, edge = add_loop(sigma, v)
+    elif kind == "split":
+        moved = [f for f in sigma.flags_at(v) if rng.random() < 0.5]
+        g1 = rng.randint(0, sigma.genus[v])
+        tau, edge, _ = split_vertex(sigma, v, moved, (g1, zero), (sigma.genus[v] - g1, zero))
+    elif kind == "forget I":
+        tau = edit_graph(sigma, attach={t: v})
+    elif kind == "forget II":
+        # a new vertex carrying t, the tail x1 and the edge half x2 onto a tail q
+        if not tails(sigma):
+            return None
+        q = rng.choice(tails(sigma))
+        tau = edit_graph(sigma, attach={t: u, x1: u, x2: u}, vertices={u: (0, zero)}, pair={x2: q, q: x2})
+    else:
+        # forget III subdivides an edge (r, c) by a new vertex carrying t; glue cuts it
+        if not edges(sigma):
+            return None
+        r, c = sorted(rng.choice(edges(sigma)), reverse=rng.random() < 0.5)
+        if kind == "glue":
+            tau = edit_graph(sigma, pair={r: r, c: c})
+        else:
+            pair = {x1: r, r: x1, x2: c, c: x2}
+            tau = edit_graph(sigma, attach={t: u, x1: u, x2: u}, vertices={u: (0, zero)}, pair=pair)
+    if not is_stable(tau):
+        return None
+    if kind in ("loop", "split"):
+        phi = elementary_contraction_isogeny(tau, edge)
+    elif kind == "glue":
+        phi = elementary_glue_isogeny(tau, (r, c))
+    else:
+        phi = elementary_forget_isogeny(tau, t)
+    assert phi.target == sigma
+    return kind, p, phi, b
+
+
+def test_cartesian_pullback_families_are_pinned():
+    # every lift kind, serialized: a rewrite of the lift builders must
+    # reproduce the families (ids, order, maps) exactly
+    rng = random.Random(11)
+    lines, kinds = [], set()
+    while len(lines) < 600:
+        case = seeded_pullback_case(rng)
+        if case is None:
+            continue
+        kind, p, phi, b = case
+        try:
+            members = cartesian_pullback(p, phi, b)
+        except ValidationError as err:
+            kinds.add(f"{kind} refused")
+            lines.append(json.dumps({"kind": kind, "refused": sorted(err.conditions)}))
+            continue
+        if kind.startswith("forget"):
+            kind += " -> " + members[0].lift.forget_kinds[0]
+        elif kind == "split":
+            kind += f" rank {p.rank}" + (" family" if len(members) > 1 else "")
+        kinds.add(kind)
+        family = [
+            [combinatorial_to_json(m.identification), graph_to_json(m.graph), isogeny_to_json(m.lift)]
+            for m in members
+        ]
+        lines.append(json.dumps({"kind": kind, "family": family}, sort_keys=True))
+    assert kinds == {
+        "loop", "split rank 1", "split rank 1 family", "split rank 2", "split rank 2 family",
+        "forget I -> I", "forget II -> II", "forget II -> III", "forget III -> III", "glue", "glue refused",
+    }
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "b424e6890302cbf0"
 
 
 # -- monoidal structure ----------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from stablegraphs.cli import main
+from stablegraphs.errors import SizeCapError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -89,6 +90,25 @@ def test_malformed_json_is_schema_error(tmp_path, capsys):
     assert main(["invariants", "--in", str(bad)]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "schema"
+
+
+def test_deeply_nested_document_is_schema_error(tmp_path, capsys):
+    # the JSON reader gives up on deep nesting with a RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["invariants", "--in", str(deep)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+
+
+def test_size_check_walks_deeply_nested_documents():
+    from stablegraphs.cli import _check_size
+
+    doc = [{"flags": list(range(3))}, {"flags": list(range(17))}, {"flags": list(range(18))}]
+    for _ in range(100_000):
+        doc = [doc]
+    # the first graph over the cap in document order is the one reported
+    with pytest.raises(SizeCapError, match="^graph has 17 flags, cap is 16$"):
+        _check_size({"a": doc}, 16)
 
 
 def _tripod_with_vertex(**fields):
