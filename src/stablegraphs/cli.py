@@ -35,6 +35,7 @@ from .profiles import deg_graph, dim_graph
 from .pullback import compose_marked, stable_pullback
 from .serialize import (
     SchemaError,
+    _read_json,
     combinatorial_from_json,
     combinatorial_to_json,
     contraction_from_json,
@@ -304,20 +305,7 @@ def _emit(payload, outfile: str | None) -> None:
 def _run(args) -> tuple[object, int]:
     """The verb's payload and exit code, or an error payload and its code."""
     try:
-        if args.infile:
-            try:
-                with open(args.infile, "r", encoding="utf-8") as fh:
-                    raw = fh.read()
-            except OSError as exc:
-                raise SchemaError(f"cannot read input: {exc}") from exc
-        else:
-            raw = sys.stdin.read()
-        try:
-            doc = json.loads(raw) if raw.strip() else {}
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"input is not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise SchemaError("input is nested too deeply to read") from exc
+        doc = _read_json(args.infile or None, "input")
         _check_size(doc, args.max_flags)
         return VERBS[args.verb](doc, args), EXIT_OK
     except SchemaError as exc:

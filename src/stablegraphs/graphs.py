@@ -18,6 +18,8 @@ pays for it once.  These values are not dataclass fields: ``==``, ``repr``
 and ``dataclasses.replace`` ignore them.  This is sound only because the dict
 fields (``boundary``, ``involution``, ``genus``, ``classes``) are never
 mutated after construction; code must build a new graph instead.
+``stabilize.absolute_stabilization`` keeps its result on the instance the
+same way.
 """
 
 from __future__ import annotations
@@ -112,12 +114,7 @@ class MarkedGraph:
 
     @cached_property
     def _flag_partition(self) -> FlagPartition:
-        pairs = [(f, self.involution[f]) for f in self.flags]
-        for v in self.vertices:
-            if is_free_vertex(self, v):
-                at_v = self.flags_at(v)
-                pairs += [(at_v[0], f) for f in at_v[1:]]
-        return FlagPartition(tuple(tuple(b) for b in equivalence_classes(self.flags, pairs)))
+        return _partition_flags(self, self.classes)
 
 
 def marked_graph(
@@ -284,15 +281,20 @@ class FlagPartition:
         return self._index[f1] == self._index[f2]
 
 
-def is_free_vertex(g: MarkedGraph, v: int) -> bool:
-    """Genus zero and trivial class: marked points on it may be permuted freely."""
-    return g.genus[v] == 0 and g.classes[v].is_zero()
-
-
 def flag_partition(g: MarkedGraph) -> FlagPartition:
     """Finest partition joining involution orbits and, at every genus-zero
     class-zero vertex, all flags attached there."""
     return g._flag_partition
+
+
+def _partition_flags(g: MarkedGraph, classes: Mapping[int, MonoidElement]) -> FlagPartition:
+    """``flag_partition`` of g with ``classes`` read in place of g's own classes."""
+    pairs = [(f, g.involution[f]) for f in g.flags]
+    for v in g.vertices:
+        if g.genus[v] == 0 and classes[v].is_zero():
+            at_v = g.flags_at(v)
+            pairs += [(at_v[0], f) for f in at_v[1:]]
+    return FlagPartition(tuple(tuple(b) for b in equivalence_classes(g.flags, pairs)))
 
 
 # -- constructions -------------------------------------------------------

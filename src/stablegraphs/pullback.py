@@ -167,7 +167,7 @@ def stable_pullback(
     order (or the given ``edge_order``); the result does not depend on this
     choice, up to isomorphism of the whole output diagram.
     """
-    ensure_valid(validate_contraction(phi), "stable_pullback: invalid contraction")
+    factors = decompose_elementary(phi, edge_order)  # validates phi first
     ensure_valid(validate_combinatorial(a), "stable_pullback: invalid covering morphism")
     covering = a.hom if a.hom is not None else MonoidHom.identity(a.source.rank)
     if covering != xi:
@@ -177,7 +177,6 @@ def stable_pullback(
     if a.target != phi.target:
         raise ValidationError([Violation("pullback-endpoints", "covering morphism must land in the contraction target")])
 
-    factors = decompose_elementary(phi, edge_order)
     current_a = a
     psis: list[Contraction] = []
     for step in reversed(factors):

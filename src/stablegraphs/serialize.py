@@ -14,6 +14,8 @@ integer.  Emission is deterministic: keys sorted, ids as constructed.
 
 from __future__ import annotations
 
+import json
+import sys
 from typing import Any
 
 from .graphs import MarkedGraph, edges, tails
@@ -123,8 +125,32 @@ def profile_from_json(doc: dict) -> VarietyProfile:
     )
 
 
+def _read_json(path: str | None, what: str) -> Any:
+    """The JSON document in the file at ``path``, or on stdin when it is None.
+
+    A blank text reads as ``{}``.  An unreadable file, text that is not JSON
+    and nesting too deep for the JSON reader raise SchemaError; ``what``
+    names the document in the message.
+    """
+    try:
+        if path is None:
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {what}: {exc}") from exc
+    if not text.strip():
+        return {}
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{what} is nested too deeply to read") from exc
+
+
 def resolve_profile(spec: str | dict | None) -> VarietyProfile:
-    import json
     from pathlib import Path
 
     if spec is None:
@@ -133,13 +159,8 @@ def resolve_profile(spec: str | dict | None) -> VarietyProfile:
         return profile_from_json(spec)
     if spec in BUILTIN_PROFILES:
         return BUILTIN_PROFILES[spec]
-    path = Path(spec)
-    if path.exists():
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise SchemaError(f"cannot read profile: {exc}") from exc
-        return profile_from_json(json.loads(text))
+    if Path(spec).exists():
+        return profile_from_json(_read_json(spec, "profile"))
     raise SchemaError(f"unknown profile {spec!r}; use P1|P2|P3|point or a JSON file path")
 
 

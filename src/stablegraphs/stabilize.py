@@ -163,10 +163,15 @@ def absolute_stabilization(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMo
     """Forget all classes (push to the trivial monoid) and stabilize.
 
     The returned morphism goes from the stable rank-0 graph into the rank-0
-    relabelling of g, with the same flag/vertex ids as g.
+    relabelling of g, with the same flag/vertex ids as g.  The pair is
+    computed once per graph and kept on the instance, like its derived
+    indices, so every later call on g returns the same pair.
     """
-    relabeled = relabel_classes(g, MonoidHom.to_trivial(g.rank))
-    return stabilize(relabeled)
+    kept = g.__dict__.get("_absolute_stabilization")
+    if kept is None:
+        kept = stabilize(relabel_classes(g, MonoidHom.to_trivial(g.rank)))
+        g.__dict__["_absolute_stabilization"] = kept
+    return kept
 
 
 # -- exhaustive morphism enumeration and the universal property oracle ----

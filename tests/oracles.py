@@ -2,8 +2,10 @@
 
 These deliberately re-derive answers by different routes: linear algebra
 over GF(2) for cycle ranks, a literal breadth-first chain search for the
-flag-equivalence condition, and a raw product enumeration for boundary
-graph listings.  None of them call the code paths they certify.
+flag-equivalence condition, a raw product enumeration for boundary graph
+listings, and the two morphism validators written the way that builds
+graphs (each contracted piece, and the relabelled target).  None of them
+call the code paths they certify.
 """
 
 from __future__ import annotations
@@ -11,9 +13,17 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, product
 
 from stablegraphs.canonical import canonical_form, canonical_key
-from stablegraphs.graphs import MarkedGraph, edges, equivalence_classes, is_stable
+from stablegraphs.errors import Violation
+from stablegraphs.graphs import (
+    MarkedGraph,
+    edges,
+    equivalence_classes,
+    flag_partition,
+    is_stable,
+    relabel_classes,
+)
 from stablegraphs.monoid import MonoidElement
-from stablegraphs.morphisms import CombinatorialMorphism
+from stablegraphs.morphisms import CombinatorialMorphism, Contraction, contracted_piece
 from stablegraphs.profiles import VarietyProfile
 
 
@@ -81,6 +91,87 @@ def chain_condition_holds(a: CombinatorialMorphism, f: int, fbar: int) -> bool:
 
 def chain_condition_all_edges(a: CombinatorialMorphism) -> dict[tuple[int, int], bool]:
     return {e: chain_condition_holds(a, e[0], e[1]) for e in edges(a.source)}
+
+
+def validate_contraction_by_pieces(c: Contraction) -> list[Violation]:
+    """``validate_contraction``, taking each genus gain from the contracted
+    piece built as a graph, by its GF(2) cycle rank."""
+    out: list[Violation] = []
+    src, tgt = c.source, c.target
+    if src.rank != tgt.rank:
+        return [Violation("contraction-rank", f"source rank {src.rank} != target rank {tgt.rank}")]
+    if set(c.flagmap) != set(tgt.flags) or not set(c.flagmap.values()) <= set(src.flags):
+        return [Violation("contraction-maps-total", "flag map must send exactly the target flags into source flags")]
+    if set(c.vertexmap) != set(src.vertices) or not set(c.vertexmap.values()) <= set(tgt.vertices):
+        return [Violation("contraction-maps-total", "vertex map must send exactly the source vertices into target vertices")]
+    if len(set(c.flagmap.values())) != len(c.flagmap):
+        out.append(Violation("contraction-1-injective", "flag map is not injective"))
+    if set(c.vertexmap.values()) != set(tgt.vertices):
+        out.append(Violation("contraction-1-surjective", "vertex map is not surjective"))
+    for f, pre in c.flagmap.items():
+        if c.vertexmap[src.boundary[pre]] != tgt.boundary[f]:
+            out.append(Violation("contraction-2-boundary", f"boundary square fails at target flag {f}"))
+            break
+    for f, pre in c.flagmap.items():
+        if c.flagmap[tgt.involution[f]] != src.involution[pre]:
+            out.append(Violation("contraction-3-involution", f"involution square fails at target flag {f}"))
+            break
+    else:
+        src_tails = {f for f in src.flags if src.involution[f] == f}
+        if {c.flagmap[f] for f in tgt.flags if tgt.involution[f] == f} != src_tails:
+            out.append(Violation("contraction-4-tails", "tails do not correspond bijectively"))
+    if out:
+        return out
+    gone = set(src.flags) - set(c.flagmap.values())
+    joined = ((src.boundary[f], src.boundary[src.involution[f]]) for f in gone)
+    fibers = {v: [w for w in src.vertices if c.vertexmap[w] == v] for v in sorted(tgt.vertices)}
+    if sorted(fibers.values()) != equivalence_classes(src.vertices, joined):
+        return [Violation("contraction-5-fibers", "vertex fibers differ from contracted-edge connectivity classes")]
+    for v, fiber in fibers.items():
+        expected_g = sum(src.genus[w] for w in fiber) + betti1_gf2(contracted_piece(c, v))
+        if tgt.genus[v] != expected_g:
+            out.append(Violation("contraction-genus", f"genus at target vertex {v}: {tgt.genus[v]} != {expected_g}"))
+        if tgt.classes[v] != sum((src.classes[w] for w in fiber), MonoidElement.zero(src.rank)):
+            out.append(Violation("contraction-class", f"class at target vertex {v} is not the fiber sum"))
+    return out
+
+
+def validate_combinatorial_by_relabelling(a: CombinatorialMorphism) -> list[Violation]:
+    """``validate_combinatorial``, reading the flag partition and the classes
+    off the target relabelled through the hom, built as a graph."""
+    out: list[Violation] = []
+    src, tgt = a.source, a.target
+    if a.hom is None and src.rank != tgt.rank:
+        return [Violation("combinatorial-rank", f"source rank {src.rank} != target rank {tgt.rank}")]
+    if a.hom is not None and (a.hom.source_rank != tgt.rank or a.hom.target_rank != src.rank):
+        return [Violation("combinatorial-rank", "marking homomorphism ranks do not match the graphs")]
+    if set(a.flagmap) != set(src.flags) or not set(a.flagmap.values()) <= set(tgt.flags):
+        return [Violation("combinatorial-maps-total", "flag map must send exactly the source flags into target flags")]
+    if set(a.vertexmap) != set(src.vertices) or not set(a.vertexmap.values()) <= set(tgt.vertices):
+        return [Violation("combinatorial-maps-total", "vertex map must send exactly the source vertices into target vertices")]
+    for f in src.flags:
+        if tgt.boundary[a.flagmap[f]] != a.vertexmap[src.boundary[f]]:
+            out.append(Violation("combinatorial-1-boundary", f"boundary square fails at flag {f}"))
+            break
+    for v in src.vertices:
+        if len({a.flagmap[f] for f in src.flags_at(v)}) != len(src.flags_at(v)):
+            out.append(Violation("combinatorial-2-injective", f"flag map not injective at vertex {v}"))
+            break
+    marked = relabel_classes(tgt, a.hom) if a.hom is not None else tgt
+    part = flag_partition(marked)
+    for f1, f2 in edges(src):
+        if not part.same_block(a.flagmap[f1], a.flagmap[f2]):
+            out.append(Violation("combinatorial-3-equivalence", f"edge ({f1},{f2}) maps to inequivalent flags"))
+            break
+    for v in src.vertices:
+        if src.classes[v] != marked.classes[a.vertexmap[v]]:
+            out.append(Violation("combinatorial-4-class", f"class mismatch at vertex {v}"))
+            break
+    for v in src.vertices:
+        if src.genus[v] != tgt.genus[a.vertexmap[v]]:
+            out.append(Violation("combinatorial-5-genus", f"genus mismatch at vertex {v}"))
+            break
+    return out
 
 
 def isomorphic_brute_force(g1: MarkedGraph, g2: MarkedGraph) -> bool:

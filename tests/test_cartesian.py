@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +49,13 @@ from stablegraphs.isogeny import (
 from stablegraphs.monoid import LinearForm, MonoidHom, element
 from stablegraphs.morphisms import CombinatorialMorphism
 from stablegraphs.profiles import BUILTIN_PROFILES, VarietyProfile, deg_graph
-from stablegraphs.serialize import combinatorial_to_json, graph_to_json, isogeny_to_json
+from stablegraphs.serialize import (
+    combinatorial_from_json,
+    combinatorial_to_json,
+    graph_to_json,
+    isogeny_from_json,
+    isogeny_to_json,
+)
 from stablegraphs.stabilize import absolute_stabilization
 
 from oracles import enumerate_by_shapes
@@ -240,6 +248,24 @@ def test_pullback_object_and_validation():
     assert len(source.family) == 3
     assert validate_elementary_cartesian(P2, morphism) == []
     assert validate_cartesian_morphism(P2, CartesianMorphism((morphism,))) == []
+
+
+def test_pullback_object_stabilizes_each_graph_once(monkeypatch):
+    # on the golden cartesian input the target member and its 3 lifts are
+    # checked many times over, but each is stabilized once
+    doc = json.loads((Path(__file__).parent / "golden" / "in" / "cartesian_case2.json").read_text())
+    phi, b = isogeny_from_json(doc["phi"]), combinatorial_from_json(doc["b"])
+    # the package re-exports the function stabilize, which hides the module
+    stabilize_module = importlib.import_module("stablegraphs.stabilize")
+    runs = []
+    original = stabilize_module.stabilize_with_trace
+    monkeypatch.setattr(
+        stabilize_module, "stabilize_with_trace", lambda g, *args: runs.append(g) or original(g, *args)
+    )
+    target = CartesianObject(base=b.source, family=((b, b.target),))
+    source, _ = pullback_object(P2, phi, target)
+    assert len(source.family) == 3
+    assert len(runs) == 4
 
 
 def test_validation_flags_incomplete_family():

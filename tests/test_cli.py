@@ -100,6 +100,22 @@ def test_deeply_nested_document_is_schema_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
 
 
+@pytest.mark.parametrize("where", ["document", "option"])
+def test_deeply_nested_profile_file_is_schema_error(where, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"dim": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    doc = json.loads((GOLDEN / "in" / "dim_p2_d2.json").read_text())
+    del doc["profile"]
+    argv = ["dim", "--in", str(tmp_path / "doc.json")]
+    if where == "document":
+        doc["profile"] = str(deep)
+    else:
+        argv += ["--profile", str(deep)]
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+
+
 def test_size_check_walks_deeply_nested_documents():
     from stablegraphs.cli import _check_size
 

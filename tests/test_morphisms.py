@@ -1,11 +1,21 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from stablegraphs.canonical import canonical_key, is_isomorphic
 from stablegraphs.errors import ValidationError
-from stablegraphs.graphs import edges, marked_graph, modular_graph, tails
-from stablegraphs.monoid import MonoidHom
+from stablegraphs.graphs import (
+    MarkedGraph,
+    edges,
+    edit_graph,
+    flag_partition,
+    marked_graph,
+    modular_graph,
+    relabel_classes,
+    tails,
+)
+from stablegraphs.monoid import MonoidHom, element
 from stablegraphs.morphisms import (
     CombinatorialMorphism,
     Contraction,
@@ -23,8 +33,13 @@ from stablegraphs.morphisms import (
 )
 from stablegraphs.graphs import component_of, connected_components, is_stable
 
-from oracles import betti1_gf2, chain_condition_holds
-from strategies import rand_contraction, rand_graph
+from oracles import (
+    betti1_gf2,
+    chain_condition_holds,
+    validate_combinatorial_by_relabelling,
+    validate_contraction_by_pieces,
+)
+from strategies import rand_contraction, rand_covering, rand_graph
 
 
 def two_vertex_graph(g0=1, g1=2):
@@ -307,3 +322,70 @@ def test_chain_oracle_agrees_with_partition_check():
         for f1, f2 in edges(src):
             assert chain_condition_holds(a, f1, f2) == part.same_block(fmap[f1], fmap[f2])
             checked += 1
+
+
+# -- the validators build no graph -----------------------------------------
+
+
+def _remapped(rng, a):
+    """a with one flag or one vertex sent somewhere else in the target."""
+    flagmap, vertexmap = dict(a.flagmap), dict(a.vertexmap)
+    if flagmap and rng.random() < 0.5:
+        flagmap[rng.choice(list(flagmap))] = rng.choice(a.target.flags)
+    elif vertexmap:
+        vertexmap[rng.choice(list(vertexmap))] = rng.choice(a.target.vertices)
+    return replace(a, flagmap=flagmap, vertexmap=vertexmap)
+
+
+@pytest.fixture(scope="module")
+def validator_cases():
+    """Seeded morphisms over homs that kill the class of a genus-0 target
+    vertex, the same with one flag or vertex remapped, and contractions
+    whose target genus is moved by one at one vertex."""
+    rng = random.Random(2024)
+    covers, contractions = [], []
+    while len(covers) < 2000:
+        tau = rand_graph(rng, rank=2, max_flags=10)
+        v = rng.choice(tau.vertices)
+        tau = edit_graph(tau, vertices={v: (0, element(0, rng.randint(1, 2)))})
+        # every row is zero on the second coordinate, so the hom kills v's class
+        xi = MonoidHom(tuple((rng.randint(0, 2), 0) for _ in range(rng.randint(0, 2))), 2)
+        a = rand_covering(rng, tau, xi)
+        covers += [a, _remapped(rng, a)]
+    while len(contractions) < 1000:
+        c = rand_contraction(rng, num_edges=(1, 3), rank=1, max_flags=10)
+        v = rng.choice(c.target.vertices)
+        gv = c.target.genus[v]
+        moved = gv + 1 if gv == 0 or rng.random() < 0.5 else gv - 1
+        contractions.append(replace(c, target=edit_graph(c.target, vertices={v: (moved, c.target.classes[v])})))
+    return covers, contractions
+
+
+def test_validators_agree_with_the_graph_building_references(validator_cases):
+    covers, contractions = validator_cases
+    killed, conditions = 0, set()
+    for a in covers:
+        found = validate_combinatorial(a)
+        assert found == validate_combinatorial_by_relabelling(a)
+        conditions.update(x.condition for x in found)
+        killed += flag_partition(relabel_classes(a.target, a.hom)) != flag_partition(a.target)
+    for c in contractions:
+        found = validate_contraction(c)
+        assert found == validate_contraction_by_pieces(c)
+        conditions.update(x.condition for x in found)
+    # the kill changes the flag partition in most cases, and the perturbed
+    # cases fail the checks whose route changed
+    assert killed > len(covers) // 2
+    assert {"combinatorial-3-equivalence", "combinatorial-4-class", "contraction-genus"} <= conditions
+
+
+def test_validators_construct_no_graph(validator_cases, monkeypatch):
+    covers, contractions = validator_cases
+    before = [validate_combinatorial(a) for a in covers] + [validate_contraction(c) for c in contractions]
+
+    def refuse(self):
+        raise AssertionError("a validator built a MarkedGraph")
+
+    monkeypatch.setattr(MarkedGraph, "__post_init__", refuse)
+    after = [validate_combinatorial(a) for a in covers] + [validate_contraction(c) for c in contractions]
+    assert after == before
