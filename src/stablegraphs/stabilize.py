@@ -21,11 +21,24 @@ from itertools import permutations, product
 from typing import Callable, Iterable
 
 from .errors import SizeCapError, ValidationError, Violation, ensure_valid
-from .graphs import MarkedGraph, edit_graph, is_stable, is_stable_vertex, relabel_classes, valence
+from .graphs import (
+    MarkedGraph,
+    component_of,
+    connected_components,
+    edges,
+    edit_graph,
+    flag_partition,
+    is_stable,
+    is_stable_vertex,
+    relabel_classes,
+    valence,
+)
 from .monoid import MonoidHom
 from .morphisms import (
     CombinatorialMorphism,
     compose_combinatorial,
+    cut_edge,
+    forget_tail,
     identity_contraction,
     validate_combinatorial,
 )
@@ -175,6 +188,10 @@ def absolute_stabilization(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMo
 
 
 # -- exhaustive morphism enumeration and the universal property oracle ----
+#
+# The enumerator is a backtracking search that meets conditions 1, 2, 4 and
+# 5 by construction and checks condition 3 as each edge closes; every result
+# is still validated in full, so the oracle keeps all of its checks.
 
 
 def enumerate_combinatorial_morphisms(
@@ -182,9 +199,16 @@ def enumerate_combinatorial_morphisms(
 ) -> list[CombinatorialMorphism]:
     """All combinatorial morphisms src -> tgt over a common monoid.
 
-    Backtracks over genus/class/valence compatible vertex assignments, then
-    over per-vertex flag injections, validating each candidate in full.
-    Intended for oracle use on very small graphs.
+    Vertex maps run over the genus/class/valence compatible targets, so
+    class and genus hold by construction.  For each, a depth-first search
+    over ``src.vertices`` in order injects the flags at each source vertex
+    into the flags at its image, so boundary and injectivity at each vertex
+    hold too.  Condition 3 is checked against the target's flag partition
+    as each edge closes, at the later of its endpoints, and a failing branch
+    is dropped there.  Every complete flag map is still validated in full.
+    Results come in the order of the product of per-vertex permutations.
+    ``cap`` bounds the search nodes visited (flag picks tried).  Intended
+    for oracle use on very small graphs.
     """
     if src.rank != tgt.rank:
         return []
@@ -201,34 +225,36 @@ def enumerate_combinatorial_morphisms(
             return []
         candidates[v] = opts
 
+    svs = src.vertices
+    part = flag_partition(tgt)
+    # closing[i]: the source edges whose later endpoint in the search order is svs[i]
+    depth = {v: i for i, v in enumerate(svs)}
+    closing: list[list[tuple[int, int]]] = [[] for _ in svs]
+    for f1, f2 in edges(src):
+        closing[max(depth[src.boundary[f1]], depth[src.boundary[f2]])].append((f1, f2))
+
     results: list[CombinatorialMorphism] = []
-    svs = list(src.vertices)
+    fmap: dict[int, int] = {}
+    nodes = 0
 
-    def flag_assignments(vmap: dict[int, int]):
-        per_vertex: list[list[dict[int, int]]] = []
-        for v in svs:
-            at_v = src.flags_at(v)
-            tgt_at = tgt.flags_at(vmap[v])
-            options = [dict(zip(at_v, pick)) for pick in permutations(tgt_at, len(at_v))]
-            if not options:
-                return
-            per_vertex.append(options)
-        for combo in product(*per_vertex):
-            fmap: dict[int, int] = {}
-            for d in combo:
-                fmap.update(d)
-            yield fmap
-
-    count = 0
-    for assignment in product(*(candidates[v] for v in svs)):
-        vmap = dict(zip(svs, assignment))
-        for fmap in flag_assignments(vmap):
-            count += 1
-            if count > cap:
-                raise SizeCapError(f"morphism enumeration exceeded {cap} candidates")
-            cand = CombinatorialMorphism(source=src, target=tgt, flagmap=fmap, vertexmap=vmap)
+    def extend(i: int, vmap: dict[int, int]) -> None:
+        nonlocal nodes
+        if i == len(svs):
+            cand = CombinatorialMorphism(source=src, target=tgt, flagmap=dict(fmap), vertexmap=vmap)
             if not validate_combinatorial(cand):
                 results.append(cand)
+            return
+        at_v = src.flags_at(svs[i])
+        for pick in permutations(tgt.flags_at(vmap[svs[i]]), len(at_v)):
+            nodes += 1
+            if nodes > cap:
+                raise SizeCapError(f"morphism enumeration exceeded {cap} candidates")
+            fmap.update(zip(at_v, pick))
+            if all(part.same_block(fmap[f1], fmap[f2]) for f1, f2 in closing[i]):
+                extend(i + 1, vmap)
+
+    for assignment in product(*(candidates[v] for v in svs)):
+        extend(0, dict(zip(svs, assignment)))
     return results
 
 
@@ -243,13 +269,9 @@ class UniversalPropertyReport:
         return not self.counterexamples
 
 
-def _default_source_pool(g: MarkedGraph, limit: int) -> list[MarkedGraph]:
-    """Stable graphs derived from g itself: its stabilization, components,
-    edge cuts and stable tail forgets thereof."""
-    from .graphs import component_of, connected_components, edges
-    from .morphisms import cut_edge, forget_tail
-
-    stable, _ = stabilize(g)
+def _default_source_pool(stable: MarkedGraph, limit: int) -> list[MarkedGraph]:
+    """Stable graphs derived from a graph's stabilization ``stable``: the
+    stabilization itself, its components, edge cuts and stable tail forgets."""
     pool: list[MarkedGraph] = [stable]
     for comp in connected_components(stable):
         pool.append(component_of(stable, min(comp)))
@@ -279,7 +301,7 @@ def check_universal_property(
         raise SizeCapError(f"universal property oracle capped at {max_flags} flags")
     stable, a = stabilize(g)
     report = UniversalPropertyReport()
-    sources = list(pool) if pool is not None else _default_source_pool(g, pool_limit)
+    sources = list(pool) if pool is not None else _default_source_pool(stable, pool_limit)
     for sigma in sources[:pool_limit]:
         if not is_stable(sigma):
             continue

@@ -3,17 +3,17 @@
 These deliberately re-derive answers by different routes: linear algebra
 over GF(2) for cycle ranks, a literal breadth-first chain search for the
 flag-equivalence condition, a raw product enumeration for boundary graph
-listings, and the two morphism validators written the way that builds
+listings and for combinatorial morphisms, and the two morphism validators written the way that builds
 graphs (each contracted piece, and the relabelled target).  None of them
 call the code paths they certify.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 from stablegraphs.canonical import canonical_form, canonical_key
-from stablegraphs.errors import Violation
+from stablegraphs.errors import SizeCapError, Violation
 from stablegraphs.graphs import (
     MarkedGraph,
     edges,
@@ -21,9 +21,15 @@ from stablegraphs.graphs import (
     flag_partition,
     is_stable,
     relabel_classes,
+    valence,
 )
 from stablegraphs.monoid import MonoidElement
-from stablegraphs.morphisms import CombinatorialMorphism, Contraction, contracted_piece
+from stablegraphs.morphisms import (
+    CombinatorialMorphism,
+    Contraction,
+    contracted_piece,
+    validate_combinatorial,
+)
 from stablegraphs.profiles import VarietyProfile
 
 
@@ -172,6 +178,59 @@ def validate_combinatorial_by_relabelling(a: CombinatorialMorphism) -> list[Viol
             out.append(Violation("combinatorial-5-genus", f"genus mismatch at vertex {v}"))
             break
     return out
+
+
+def enumerate_combinatorial_morphisms_by_product(
+    src: MarkedGraph, tgt: MarkedGraph, cap: int = 200_000
+) -> list[CombinatorialMorphism]:
+    """``enumerate_combinatorial_morphisms`` without pruning: every product
+    of per-vertex flag injections over every compatible vertex assignment
+    is built and validated in full.  ``cap`` counts complete candidates.
+    """
+    if src.rank != tgt.rank:
+        return []
+    candidates: dict[int, list[int]] = {}
+    for v in src.vertices:
+        opts = [
+            w
+            for w in tgt.vertices
+            if tgt.genus[w] == src.genus[v]
+            and tgt.classes[w] == src.classes[v]
+            and valence(tgt, w) >= valence(src, v)
+        ]
+        if not opts:
+            return []
+        candidates[v] = opts
+
+    results: list[CombinatorialMorphism] = []
+    svs = list(src.vertices)
+
+    def flag_assignments(vmap: dict[int, int]):
+        per_vertex: list[list[dict[int, int]]] = []
+        for v in svs:
+            at_v = src.flags_at(v)
+            tgt_at = tgt.flags_at(vmap[v])
+            options = [dict(zip(at_v, pick)) for pick in permutations(tgt_at, len(at_v))]
+            if not options:
+                return
+            per_vertex.append(options)
+        for combo in product(*per_vertex):
+            fmap: dict[int, int] = {}
+            for d in combo:
+                fmap.update(d)
+            yield fmap
+
+    count = 0
+    for assignment in product(*(candidates[v] for v in svs)):
+        vmap = dict(zip(svs, assignment))
+        for fmap in flag_assignments(vmap):
+            count += 1
+            if count > cap:
+                raise SizeCapError(f"morphism enumeration exceeded {cap} candidates")
+            cand = CombinatorialMorphism(source=src, target=tgt, flagmap=fmap, vertexmap=vmap)
+            if not validate_combinatorial(cand):
+                results.append(cand)
+    return results
 
 
 def isomorphic_brute_force(g1: MarkedGraph, g2: MarkedGraph) -> bool:

@@ -249,6 +249,21 @@ def rand_isogeny(rng: random.Random, g: MarkedGraph, max_steps: int = 3, allow_g
     return iso
 
 
+def relabelled(rng: random.Random, g: MarkedGraph) -> MarkedGraph:
+    """g with its flag and vertex ids sent to shuffled, spread-out ids."""
+    fmap = dict(zip(g.flags, rng.sample(range(3 * len(g.flags) + 1), len(g.flags))))
+    vmap = dict(zip(g.vertices, rng.sample(range(3 * len(g.vertices) + 1), len(g.vertices))))
+    return MarkedGraph(
+        flags=tuple(fmap.values()),
+        vertices=tuple(vmap.values()),
+        boundary={fmap[f]: vmap[v] for f, v in g.boundary.items()},
+        involution={fmap[f]: fmap[p] for f, p in g.involution.items()},
+        genus={vmap[v]: x for v, x in g.genus.items()},
+        classes={vmap[v]: c for v, c in g.classes.items()},
+        rank=g.rank,
+    )
+
+
 def rand_unstable_graph(rng: random.Random, rank: int = 1, max_flags: int = 8) -> MarkedGraph:
     """A graph guaranteed to have at least one unstable vertex."""
     for _ in range(200):

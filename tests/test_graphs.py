@@ -30,7 +30,7 @@ from stablegraphs.monoid import element, enumerate_pair_decompositions
 from stablegraphs.morphisms import contract_edges
 
 from oracles import betti1_gf2
-from strategies import rand_graph
+from strategies import rand_graph, relabelled
 
 
 def tripod():
@@ -242,21 +242,6 @@ def test_add_loop_inverts_contraction():
     assert checked > 40
 
 
-def _relabelled(rng, g):
-    """g with its flag and vertex ids sent to shuffled, spread-out ids."""
-    fmap = dict(zip(g.flags, rng.sample(range(3 * len(g.flags) + 1), len(g.flags))))
-    vmap = dict(zip(g.vertices, rng.sample(range(3 * len(g.vertices) + 1), len(g.vertices))))
-    return MarkedGraph(
-        flags=tuple(fmap.values()),
-        vertices=tuple(vmap.values()),
-        boundary={fmap[f]: vmap[v] for f, v in g.boundary.items()},
-        involution={fmap[f]: fmap[p] for f, p in g.involution.items()},
-        genus={vmap[v]: x for v, x in g.genus.items()},
-        classes={vmap[v]: c for v, c in g.classes.items()},
-        rank=g.rank,
-    )
-
-
 def _components_by_search(g):
     """Vertex sets reached by walking edges, by smallest member."""
     seen, out = set(), []
@@ -298,7 +283,7 @@ def _flag_blocks_by_merging(g):
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=2))
 def test_cached_indices_match_recomputation(seed, rank):
     rng = random.Random(seed)
-    g = _relabelled(rng, rand_graph(rng, rank=rank, max_flags=10))
+    g = relabelled(rng, rand_graph(rng, rank=rank, max_flags=10))
     cold = MarkedGraph(
         g.flags, g.vertices, dict(g.boundary), dict(g.involution), dict(g.genus), dict(g.classes), g.rank
     )

@@ -1,10 +1,12 @@
+import importlib
 import random
 
 import pytest
 
 from stablegraphs.canonical import canonical_key
-from stablegraphs.errors import ValidationError
+from stablegraphs.errors import SizeCapError, ValidationError
 from stablegraphs.graphs import (
+    component_of,
     edges,
     empty_graph,
     euler_characteristic,
@@ -15,7 +17,7 @@ from stablegraphs.graphs import (
     total_class,
 )
 from stablegraphs.monoid import MonoidHom
-from stablegraphs.morphisms import validate_combinatorial
+from stablegraphs.morphisms import cut_edge, validate_combinatorial
 from stablegraphs.stabilize import (
     check_universal_property,
     enumerate_combinatorial_morphisms,
@@ -24,7 +26,11 @@ from stablegraphs.stabilize import (
     stabilize_with_trace,
 )
 
-from strategies import rand_graph, rand_hom, rand_unstable_graph
+from oracles import enumerate_combinatorial_morphisms_by_product
+from strategies import rand_graph, rand_hom, rand_unstable_graph, relabelled
+
+# the package re-exports the function stabilize under the module's name
+stabilize_module = importlib.import_module("stablegraphs.stabilize")
 
 
 def test_stable_graph_is_fixed():
@@ -227,3 +233,127 @@ def test_universal_property_random_unstable():
         report = check_universal_property(g)
         assert report.ok, report.counterexamples
         done += 1
+
+
+# -- the pruned morphism search against the product oracle -------------------
+
+
+def _morphism_pairs():
+    """Seeded (sigma, target) pairs: random and unstable targets over ranks 0
+    and 1 (rank 0 makes every genus-0 vertex free, so blocks merge), sources
+    taken from the target itself, its stabilization and pieces of it, or
+    drawn at random, plus rank mismatches."""
+    rng = random.Random(97)
+    pairs = []
+    for i in range(330):
+        rank = i % 2
+        kind = i % 3
+        if kind == 0:
+            tgt = rand_unstable_graph(rng, rank=rank, max_flags=7)
+        else:
+            tgt = rand_graph(rng, rank=rank, max_flags=7, max_genus=1, max_class=1, stable=kind == 2)
+        stable, _ = stabilize(tgt)
+        choice = i % 5
+        if choice == 0 or not stable.vertices:
+            sigma = tgt
+        elif choice == 1:
+            sigma = stable
+        elif choice == 2 and edges(stable):
+            sigma = cut_edge(stable, rng.choice(edges(stable)))[0]
+        elif choice == 3:
+            sigma = component_of(stable, rng.choice(stable.vertices))
+        else:
+            sigma = None
+        if sigma is None or len(sigma.flags) > 6:  # keeps the product oracle quick
+            sigma = rand_graph(rng, rank=rank, max_flags=5, max_genus=1, max_class=1)
+        pairs.append((relabelled(rng, sigma), relabelled(rng, tgt)))
+    for _ in range(4):
+        pairs.append((rand_graph(rng, rank=1, max_flags=4), rand_graph(rng, rank=0, max_flags=6)))
+    return pairs
+
+
+def _keys(morphisms):
+    return [(m.flagmap, m.vertexmap) for m in morphisms]
+
+
+def test_search_matches_product_oracle(monkeypatch):
+    verdicts = {"passed": 0, "rejected": 0}
+
+    def counting_validate(a):
+        out = validate_combinatorial(a)
+        verdicts["rejected" if out else "passed"] += 1
+        return out
+
+    monkeypatch.setattr(stabilize_module, "validate_combinatorial", counting_validate)
+    seen = dict.fromkeys(
+        ("nonempty", "unstable_target", "loop_source", "multi_edge_target", "merged_block", "rank_mismatch"), 0
+    )
+    for sigma, tgt in _morphism_pairs():
+        before = dict(verdicts)
+        found = enumerate_combinatorial_morphisms(sigma, tgt)
+        assert _keys(found) == _keys(enumerate_combinatorial_morphisms_by_product(sigma, tgt))
+        assert verdicts["rejected"] == 0
+        assert verdicts["passed"] - before["passed"] == len(found)
+        if sigma.rank != tgt.rank:
+            assert found == []
+            seen["rank_mismatch"] += 1
+        if not found:
+            continue
+        seen["nonempty"] += 1
+        seen["unstable_target"] += not is_stable(tgt)
+        pairs = [(sigma.boundary[f1], sigma.boundary[f2]) for f1, f2 in edges(sigma)]
+        seen["loop_source"] += any(v1 == v2 for v1, v2 in pairs)
+        ends = [frozenset((tgt.boundary[f1], tgt.boundary[f2])) for f1, f2 in edges(tgt)]
+        seen["multi_edge_target"] += len(set(ends)) < len(ends)
+        seen["merged_block"] += any(
+            m.flagmap[f2] != tgt.involution[m.flagmap[f1]] for m in found for f1, f2 in edges(sigma)
+        )
+    # the draw reaches every case the pruning has to get right
+    assert seen["nonempty"] >= 150
+    assert min(seen.values()) >= 4, seen
+
+
+def _banana():
+    """Two genus-1 vertices joined by three edges, and a one-edge source:
+    4 vertex maps, 12 search nodes each, 36 complete flag maps and 12
+    morphisms (when both ends go to one vertex, both halves go to one flag)."""
+    tgt = modular_graph({0: 1, 1: 1}, edges=[((0, 0), (1, 1)), ((2, 0), (3, 1)), ((4, 0), (5, 1))])
+    sigma = modular_graph({0: 1, 1: 1}, edges=[((0, 0), (1, 1))])
+    return sigma, tgt
+
+
+def test_cap_counts_search_nodes(monkeypatch):
+    sigma, tgt = _banana()
+    assert len(enumerate_combinatorial_morphisms(sigma, tgt, cap=48)) == 12
+    # 36 complete candidates fit under 47, but the 48 search nodes do not
+    assert len(enumerate_combinatorial_morphisms_by_product(sigma, tgt, cap=47)) == 12
+    validations = 0
+
+    def counting_validate(a):
+        nonlocal validations
+        validations += 1
+        return validate_combinatorial(a)
+
+    monkeypatch.setattr(stabilize_module, "validate_combinatorial", counting_validate)
+    for cap in (1, 5, 11, 30, 47):
+        validations = 0
+        with pytest.raises(SizeCapError) as err:
+            enumerate_combinatorial_morphisms(sigma, tgt, cap=cap)
+        assert str(err.value) == f"morphism enumeration exceeded {cap} candidates"
+        assert validations <= cap
+
+
+def test_default_pool_stabilizes_once(monkeypatch):
+    calls = 0
+    real = stabilize_module.stabilize_with_trace
+
+    def counting(g, *args):
+        nonlocal calls
+        calls += 1
+        return real(g, *args)
+
+    monkeypatch.setattr(stabilize_module, "stabilize_with_trace", counting)
+    g = marked_graph(1, {0: (0, 0), 1: (1, 0)}, tails={0: 0}, edges=[((1, 0), (2, 1))])
+    report = check_universal_property(g)
+    assert report.ok and report.sources_checked == 2
+    assert calls == 1
