@@ -1,8 +1,8 @@
 """Canonical labelling and isomorphism testing for small marked graphs.
 
 Graphs in this calculus are tiny (a configurable cap, 16 flags by default),
-so we canonicalise by exhaustive search over vertex orderings instead of
-anything clever.  The search space is cut down in three ways:
+so we canonicalise by exhaustive search over vertex orderings.  The search
+space is cut down in three ways:
 
 * components are canonicalised independently, in place on the graph, and
   then sorted, so symmetric unions of many small pieces never multiply into
@@ -23,6 +23,14 @@ decorations).  Colors participate in the refinement and in the final
 encoding, by their ``repr``, which lets callers compare whole diagrams, i.e.
 graphs together with maps into fixed external graphs, up to isomorphism:
 relabel only the middle graph and record the maps as colors.
+
+The uncolored labelling (behind ``canonical_key``, ``canonical_form``,
+``canonicalize`` and ``is_isomorphic``) is computed once per graph instance
+and kept on it, like the graph's derived indices, so keying a graph and then
+printing its canonical form searches once.  Colored calls (``diagram_key``)
+are not memoised.  An uncolored search takes no color strings at all: every
+flag and vertex would get ``repr(None)``, so those parts of the encoding are
+constant.
 """
 
 from __future__ import annotations
@@ -36,20 +44,25 @@ from .graphs import MarkedGraph, connected_components
 
 DEFAULT_MAX_FLAGS = 16
 _MAX_ORDERINGS = 2_000_000
+_NO_COLOR = repr(None)  # the color string of every flag and vertex without colors
 
 Encoding = tuple
 Labeling = tuple[dict[int, int], dict[int, int]]  # flag -> slot, vertex -> slot
+# color strings by flag or vertex id; None when nothing is colored, which
+# gives the same result as mapping every id to _NO_COLOR
+_Reprs = Mapping[int, str] | None
 # per vertex: tails, loop halves, and (flag, partner, partner's vertex) for
 # the halves of edges to other vertices, each in encoding order
 _FlagGroups = tuple[list[int], list[int], list[tuple[int, int, int]]]
 
 
-def _flag_groups(g: MarkedGraph, v: int, frepr: Mapping[int, str]) -> _FlagGroups:
+def _flag_groups(g: MarkedGraph, v: int, frepr: _Reprs) -> _FlagGroups:
     """The order-independent part of the flag numbering at v.
 
     Tails sort by color, loops pair their halves adjacently and sort by the
     halves' colors, and edge halves sort by their own and their partner's
-    color; ties go to the smaller flag id.
+    color; ties go to the smaller flag id.  ``flags_at`` is sorted, so
+    without colors every group is already in order.
     """
     tails, loops, ends = [], [], []
     for f in g.flags_at(v):
@@ -60,10 +73,12 @@ def _flag_groups(g: MarkedGraph, v: int, frepr: Mapping[int, str]) -> _FlagGroup
         elif w != v:
             ends.append((f, p, w))
         elif f < p:
-            loops.append(sorted((f, p), key=lambda x: (frepr[x], x)))
-    tails.sort(key=lambda f: (frepr[f], f))
-    loops.sort(key=lambda pair: (frepr[pair[0]], frepr[pair[1]]))
-    ends.sort(key=lambda e: (frepr[e[0]], frepr[e[1]], e[0]))
+            loops.append((f, p))
+    if frepr is not None:
+        loops = [sorted(pair, key=lambda x: (frepr[x], x)) for pair in loops]
+        tails.sort(key=lambda f: (frepr[f], f))
+        loops.sort(key=lambda pair: (frepr[pair[0]], frepr[pair[1]]))
+        ends.sort(key=lambda e: (frepr[e[0]], frepr[e[1]], e[0]))
     return tails, [x for pair in loops for x in pair], ends
 
 
@@ -71,24 +86,31 @@ def _vertex_classes(
     g: MarkedGraph,
     comp: list[int],
     groups: Mapping[int, _FlagGroups],
-    frepr: Mapping[int, str],
-    vrepr: Mapping[int, str],
+    frepr: _Reprs,
+    vrepr: _Reprs,
 ) -> list[list[int]]:
     """Partition a component's vertices into invariant classes, refined to a
     fixed point; classes come sorted by the repr of their invariant."""
+    if len(comp) == 1:
+        return [comp]
     inv = {}
     for v in comp:
         tails, loops, ends = groups[v]
         at_v = tails + loops + [e[0] for e in ends]
-        fcols = tuple(sorted(frepr[f] for f in at_v))
-        inv[v] = (g.genus[v], g.classes[v].coords, len(at_v), len(tails), len(loops), vrepr[v], fcols)
+        fcols = (_NO_COLOR,) * len(at_v) if frepr is None else tuple(sorted(frepr[f] for f in at_v))
+        vcol = _NO_COLOR if vrepr is None else vrepr[v]
+        inv[v] = (g.genus[v], g.classes[v].coords, len(at_v), len(tails), len(loops), vcol, fcols)
     key = {v: repr(inv[v]) for v in comp}
-    while True:
-        refined = {v: (inv[v], tuple(sorted(key[w] for _, _, w in groups[v][2]))) for v in comp}
-        refined_key = {v: repr(refined[v]) for v in comp}
-        if len(set(key.values())) == len(set(refined_key.values())):
+    # a round cannot merge classes, so it stops once all are singletons; the
+    # repr of (invariant, neighbour keys) is spelled out from the invariant's
+    # repr, which is its key
+    count = len(set(key.values()))
+    while count < len(comp):
+        refined_key = {v: f"({key[v]}, {tuple(sorted([key[w] for _, _, w in groups[v][2]]))!r})" for v in comp}
+        refined_count = len(set(refined_key.values()))
+        if refined_count == count:
             break
-        inv, key = refined, refined_key
+        key, count = refined_key, refined_count
     classes: dict[str, list[int]] = {}
     for v in comp:
         classes.setdefault(key[v], []).append(v)
@@ -99,8 +121,8 @@ def _encode_with_vertex_order(
     g: MarkedGraph,
     order: list[int],
     groups: Mapping[int, _FlagGroups],
-    frepr: Mapping[int, str],
-    vrepr: Mapping[int, str],
+    frepr: _Reprs,
+    vrepr: _Reprs,
 ) -> tuple[Encoding, Labeling]:
     """Deterministic encoding of a component for a fixed vertex ordering.
 
@@ -126,15 +148,13 @@ def _encode_with_vertex_order(
         tuple([(g.genus[v], g.classes[v].coords) for v in order]),
         tuple([vpos[g.boundary[f]] for f in seq]),
         tuple([fslot[g.involution[f]] for f in seq]),
-        tuple([vrepr[v] for v in order]),
-        tuple([frepr[f] for f in seq]),
+        (_NO_COLOR,) * len(order) if vrepr is None else tuple([vrepr[v] for v in order]),
+        (_NO_COLOR,) * len(seq) if frepr is None else tuple([frepr[f] for f in seq]),
     )
     return enc, (fslot, vpos)
 
 
-def _component_best(
-    g: MarkedGraph, comp: list[int], frepr: Mapping[int, str], vrepr: Mapping[int, str]
-) -> tuple[Encoding, Labeling]:
+def _component_best(g: MarkedGraph, comp: list[int], frepr: _Reprs, vrepr: _Reprs) -> tuple[Encoding, Labeling]:
     """Minimal encoding of one connected component, first witness on ties."""
     groups = {v: _flag_groups(g, v, frepr) for v in comp}
     classes = _vertex_classes(g, comp, groups, frepr, vrepr)
@@ -145,24 +165,8 @@ def _component_best(
     return min(encodings, key=lambda r: r[0])
 
 
-def canonical_encoding(
-    g: MarkedGraph,
-    flag_colors: Mapping[int, Hashable] | None = None,
-    vertex_colors: Mapping[int, Hashable] | None = None,
-    max_flags: int = DEFAULT_MAX_FLAGS,
-) -> tuple[Encoding, Labeling]:
-    """Minimal encoding over all admissible labellings, plus one witness.
-
-    The witness labelling maps original flag/vertex ids to slots 0..n-1.
-    Isomorphic graphs (with matching colors under the isomorphism) yield
-    equal encodings, and conversely.
-    """
-    if len(g.flags) > max_flags:
-        raise SizeCapError(f"graph has {len(g.flags)} flags, cap is {max_flags}")
-    fc = flag_colors or {}
-    vc = vertex_colors or {}
-    frepr = {f: repr(fc.get(f)) for f in g.flags}
-    vrepr = {v: repr(vc.get(v)) for v in g.vertices}
+def _search(g: MarkedGraph, frepr: _Reprs, vrepr: _Reprs) -> tuple[Encoding, Labeling]:
+    """Minimal encoding of g for the given color strings, plus its witness."""
     pieces = sorted(
         (_component_best(g, sorted(comp), frepr, vrepr) for comp in connected_components(g)),
         key=lambda p: p[0],
@@ -180,6 +184,36 @@ def canonical_encoding(
         voff += enc[0]
         foff += enc[1]
     return (g.rank, len(g.vertices), len(g.flags), tuple(shifted)), (flag_lab, vertex_lab)
+
+
+def canonical_encoding(
+    g: MarkedGraph,
+    flag_colors: Mapping[int, Hashable] | None = None,
+    vertex_colors: Mapping[int, Hashable] | None = None,
+    max_flags: int = DEFAULT_MAX_FLAGS,
+) -> tuple[Encoding, Labeling]:
+    """Minimal encoding over all admissible labellings, plus one witness.
+
+    The witness labelling maps original flag/vertex ids to slots 0..n-1.
+    Isomorphic graphs (with matching colors under the isomorphism) yield
+    equal encodings, and conversely.  Without colors (None or empty
+    mappings) the result is computed once per graph and kept on the
+    instance; every call returns fresh labelling dicts.
+    """
+    if len(g.flags) > max_flags:
+        raise SizeCapError(f"graph has {len(g.flags)} flags, cap is {max_flags}")
+    if flag_colors or vertex_colors:
+        fc = flag_colors or {}
+        vc = vertex_colors or {}
+        frepr = {f: repr(fc.get(f)) for f in g.flags}
+        vrepr = {v: repr(vc.get(v)) for v in g.vertices}
+        return _search(g, frepr, vrepr)
+    kept = g.__dict__.get("_canonical_encoding")
+    if kept is None:
+        kept = _search(g, None, None)
+        g.__dict__["_canonical_encoding"] = kept
+    enc, (flag_lab, vertex_lab) = kept
+    return enc, (dict(flag_lab), dict(vertex_lab))
 
 
 def canonicalize(g: MarkedGraph, max_flags: int = DEFAULT_MAX_FLAGS) -> tuple[MarkedGraph, dict[int, int], dict[int, int]]:

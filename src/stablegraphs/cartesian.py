@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 from .canonical import DEFAULT_MAX_FLAGS, canonical_form, canonical_key
 from .errors import SizeCapError, ValidationError, Violation, ensure_valid
@@ -54,6 +55,11 @@ from .isogeny import (
     validate_extended,
 )
 from .stabilize import absolute_stabilization
+
+# The most lifts a non-loop contraction may have: its family has one member
+# per splitting of the class at w0, prod(b_j + 1) for the class b, and each
+# member costs about a millisecond to build and check.
+_MAX_FAMILY = 1_000
 
 
 def is_stabilization_identification(b: CombinatorialMorphism) -> bool:
@@ -162,6 +168,9 @@ def _pullback_contraction(phi: ExtendedIsogeny, b: CombinatorialMorphism, step) 
         lifts = [add_loop(sigma_prime, w0) + (w0,)]
     else:
         # one lift per class splitting, the flags from v2's side moving to the new vertex
+        size = prod(c + 1 for c in sigma_prime.classes[w0].coords)
+        if size > _MAX_FAMILY:
+            raise SizeCapError(f"cartesian family has {size} members, cap is {_MAX_FAMILY}")
         b_inv = {img: x for x, img in b.flagmap.items()}
         side2 = [x for x in sigma_prime.flags_at(w0) if tau.boundary[contr.flagmap[b_inv[x]]] == v2]
         lifts = [
@@ -582,6 +591,11 @@ def enumerate_stable_graphs(
     the vertex bound.  The graphs are generated level by level, one edge per
     level, from one representative of each isomorphism class found.  ``cap``
     bounds the number of child graphs built and keyed.
+
+    Each child is keyed once with ``canonical_key``.  The uncolored labelling
+    is computed once per graph instance and kept on it (colored labellings
+    are not memoised), so the canonical form of each output reuses the
+    search its key already ran.
     """
     if genus_total < 0 or num_tails < 0 or ample_bound < 0 or max_vertices < 1:
         raise ValidationError([Violation("enumerate-bounds", "bounds must be non-negative (and at least one vertex)")])

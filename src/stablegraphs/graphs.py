@@ -18,7 +18,8 @@ pays for it once.  These values are not dataclass fields: ``==``, ``repr``
 and ``dataclasses.replace`` ignore them.  This is sound only because the dict
 fields (``boundary``, ``involution``, ``genus``, ``classes``) are never
 mutated after construction; code must build a new graph instead.
-``stabilize.absolute_stabilization`` keeps its result on the instance the
+``stabilize.absolute_stabilization`` and the uncolored canonical labelling
+(``canonical.canonical_encoding``) keep their results on the instance the
 same way.
 """
 

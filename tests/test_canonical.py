@@ -181,3 +181,76 @@ def test_ordering_cap_fires_before_search(monkeypatch):
     cycle = modular_graph({v: 0 for v in range(k)}, edges=[((2 * v, v), (2 * v + 1, (v + 1) % k)) for v in range(k)])
     with pytest.raises(SizeCapError, match="^canonical labelling search space exceeds 2000000 orderings$"):
         canonical_key(cycle, max_flags=20)
+
+
+# -- the uncolored labelling is kept on the graph instance -----------------
+
+
+def test_second_call_on_a_graph_runs_no_search(monkeypatch):
+    # one component, so one search; every later uncolored call reads the memo
+    import stablegraphs.canonical as canonical
+
+    original, calls = canonical._component_best, []
+
+    def once(*args):
+        if calls:
+            raise AssertionError("the labelling search ran twice")
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(canonical, "_component_best", once)
+    g = modular_graph({0: 1, 1: 0}, tails={0: 0, 1: 1, 2: 1}, edges=[((3, 0), (4, 1))])
+    key = canonical_key(g)
+    assert canonical_key(g) == key
+    form = canonical_form(g)
+    assert canonicalize(g)[0] == form
+    assert is_isomorphic(g, g)
+    assert canonical_encoding(g, {}, {})[0] == key  # empty colors count as none
+    assert len(calls) == 1
+
+
+def test_mutating_returned_maps_leaves_the_memo_intact():
+    g = modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 2: 1, 3: 1}, edges=[((4, 0), (5, 1))])
+    canon, fmap, vmap = canonicalize(g)
+    expected = (dict(fmap), dict(vmap))
+    fmap.clear()
+    vmap[0] = 99
+    _, (flag_lab, vertex_lab) = canonical_encoding(g)
+    flag_lab[4] = -1
+    assert canonicalize(g) == (canon, *expected)
+    assert canonical_encoding(g)[1] == expected
+
+
+def test_colored_keys_skip_the_memo():
+    g = modular_graph({0: 1}, tails={0: 0, 1: 0})
+    plain = canonical_key(g)
+    same = diagram_key(g, {0: "x", 1: "y"}, {})
+    assert same == diagram_key(g, {0: "y", 1: "x"}, {})
+    assert same != diagram_key(g, {0: "x", 1: "x"}, {})
+    assert same != plain
+    assert canonical_key(g) == plain
+
+
+def test_flag_cap_is_checked_before_the_memo():
+    g = marked_graph(0, {0: (0, None)}, tails={i: 0 for i in range(5)})
+    canonical_key(g)
+    with pytest.raises(SizeCapError, match="^graph has 5 flags, cap is 4$"):
+        canonical_key(g, max_flags=4)
+    with pytest.raises(SizeCapError):
+        canonical_form(g, max_flags=4)
+
+
+def test_enumeration_searches_once_per_keyed_graph(monkeypatch):
+    import stablegraphs.canonical as canonical
+    import stablegraphs.cartesian as cartesian
+    from stablegraphs.profiles import BUILTIN_PROFILES
+
+    keyed, searched = [], []
+    key, best = canonical.canonical_key, canonical._component_best
+    monkeypatch.setattr(cartesian, "canonical_key", lambda g, *a: keyed.append(g) or key(g, *a))
+    monkeypatch.setattr(canonical, "_component_best", lambda g, *a: searched.append(g) or best(g, *a))
+    out = cartesian.enumerate_stable_graphs(BUILTIN_PROFILES["P1"], 0, 4, 3, 3)
+    assert len(out) == 77
+    # enumerated graphs are connected: one component, so one search each
+    assert len(searched) == len(keyed) > len(out)
+    assert {id(g) for g in searched} == {id(g) for g in keyed}

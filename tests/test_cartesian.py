@@ -552,6 +552,24 @@ def test_enumerate_published_counts(genus, count):
     assert len(enumerate_stable_graphs(BUILTIN_PROFILES["point"], genus, 0, 0, 10)) == count
 
 
+@pytest.mark.parametrize(
+    "profile,genus,tails,bound,max_vertices,count,digest",
+    [
+        ("point", 2, 0, 0, 2, 7, "601b0812f6db12de"),
+        ("point", 3, 0, 0, 4, 42, "31fdcc5b122dcc04"),
+        ("point", 1, 4, 0, 4, 30, "6aa6a5d2db2fd7d1"),
+        ("P2", 1, 2, 2, 3, 109, "bbdfab625736d8be"),
+        ("P1", 0, 4, 3, 3, 77, "c12a0a0c63bb687b"),
+    ],
+)
+def test_enumerate_output_is_pinned(profile, genus, tails, bound, max_vertices, count, digest):
+    # the canonical forms in output order, serialized: a change to labelling
+    # or to the enumerator must reproduce them exactly
+    graphs = enumerate_stable_graphs(BUILTIN_PROFILES[profile], genus, tails, bound, max_vertices)
+    text = json.dumps([graph_to_json(g) for g in graphs], sort_keys=True)
+    assert (len(graphs), hashlib.sha256(text.encode()).hexdigest()[:16]) == (count, digest)
+
+
 @pytest.mark.parametrize("genus,tails", [(40, 0), (0, 10**8)])
 def test_enumerate_refuses_the_rose_over_the_flag_cap(genus, tails, monkeypatch):
     def no_graph(self):

@@ -341,3 +341,21 @@ def test_unwritable_output_file_reports_on_stdout(tmp_path, capsys):
     assert main(["invariants", "--in", str(GOLDEN / "in" / "invariants_tripod.json"), "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
     assert not out.exists()
+
+
+def test_oversized_cartesian_family_exits_before_building_it(tmp_path, capsys, monkeypatch):
+    # the golden cartesian input with the class raised from [2] to [100000]:
+    # contracting the edge would lift to 100001 members
+    doc = json.loads((GOLDEN / "in" / "cartesian_case2.json").read_text())
+    doc["b"]["target"]["vertices"][0]["class"] = [100000]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    from stablegraphs.graphs import MarkedGraph
+
+    built = []
+    original = MarkedGraph.__post_init__
+    monkeypatch.setattr(MarkedGraph, "__post_init__", lambda self: built.append(1) or original(self))
+    assert main(["cartesian", "--in", str(path)]) == 4
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"type": "size-cap", "message": "cartesian family has 100001 members, cap is 1000"}
+    assert len(built) < 10  # the 3-member golden family builds 14
