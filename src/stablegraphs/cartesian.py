@@ -592,6 +592,11 @@ def enumerate_stable_graphs(
     level, from one representative of each isomorphism class found.  ``cap``
     bounds the number of child graphs built and keyed.
 
+    Bounds that admit a graph with more flags than canonical labelling
+    accepts (``n + 2(g + V - 1)``, with V the vertex bound clamped to what
+    stability allows) are refused with ``SizeCapError`` before any graph is
+    built.
+
     Each child is keyed once with ``canonical_key``.  The uncolored labelling
     is computed once per graph instance and kept on it (colored labellings
     are not memoised), so the canonical form of each output reuses the
@@ -605,10 +610,16 @@ def enumerate_stable_graphs(
         raise SizeCapError(f"graph has {num_tails + 2 * genus_total} flags, cap is {DEFAULT_MAX_FLAGS}")
     # Summed over the vertices, 2*g_v - 2 + val_v equals 2g - 2 + n.  With two
     # or more vertices every vertex has an edge, so a stable class-zero vertex
-    # adds at least 1 and a vertex with a nonzero class (ample degree >= 1, so
-    # at most ample_bound of them) adds at least -1.  No stable graph has more
+    # adds at least 1 and a vertex with a nonzero class adds at least -1.  A
+    # nonzero class has ample degree at least the least ample coefficient, so
+    # at most ``classed`` vertices carry one.  No stable graph has more
     # vertices than this clamp.
-    max_vertices = min(max_vertices, max(1, 2 * genus_total - 2 + num_tails + 2 * ample_bound))
+    classed = ample_bound // min(p.ample.coeffs) if p.rank else 0
+    max_vertices = min(max_vertices, max(1, 2 * genus_total - 2 + num_tails + 2 * classed))
+    # a connected graph has b1 + V - 1 edges and b1 <= g, so none has more flags
+    most_flags = num_tails + 2 * (genus_total + max_vertices - 1)
+    if most_flags > DEFAULT_MAX_FLAGS:
+        raise SizeCapError(f"graphs within the bounds have up to {most_flags} flags, cap is {DEFAULT_MAX_FLAGS}")
     tails = {f: 0 for f in range(num_tails)}
     starts = (marked_graph(p.rank, {0: (genus_total, beta)}, tails=tails) for beta in _classes_up_to(p, ample_bound))
     level = {canonical_key(g): g for g in starts if is_stable(g)}

@@ -3,12 +3,18 @@
 Elements model non-negative curve classes, homomorphisms model change of
 marking along a map of targets, and linear forms evaluate (possibly negative)
 intersection numbers against classes.
+
+``_sum_classes`` adds a list of classes in one pass and builds at most one
+new element; class sums along a contraction's fibers use it in place of
+folding ``MonoidElement.__add__`` over a zero element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add, mul
+from typing import Sequence
 
 from .errors import RankMismatchError
 
@@ -20,9 +26,10 @@ class MonoidElement:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        if any(c < 0 for c in self.coords):
-            raise ValueError(f"negative coordinate in monoid element {self.coords}")
+        coords = tuple(map(int, self.coords))
+        object.__setattr__(self, "coords", coords)
+        if coords and min(coords) < 0:
+            raise ValueError(f"negative coordinate in monoid element {coords}")
 
     @staticmethod
     def zero(rank: int) -> "MonoidElement":
@@ -33,15 +40,32 @@ class MonoidElement:
         return len(self.coords)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __add__(self, other: "MonoidElement") -> "MonoidElement":
         if self.rank != other.rank:
             raise RankMismatchError(f"cannot add ranks {self.rank} and {other.rank}")
-        return MonoidElement(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return MonoidElement(tuple(map(add, self.coords, other.coords)))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
+
+
+def _sum_classes(classes: Sequence[MonoidElement], rank: int) -> MonoidElement:
+    """The sum of classes of the given rank, equal to folding ``+`` over zero.
+
+    One summand is returned as it is, several give one new element of the
+    coordinate sums, and none gives zero.  A summand of another rank raises
+    ``RankMismatchError``, as the fold does.
+    """
+    for c in classes:
+        if len(c.coords) != rank:
+            raise RankMismatchError(f"cannot add ranks {rank} and {c.rank}")
+    if len(classes) == 1:
+        return classes[0]
+    if not classes:
+        return MonoidElement.zero(rank)
+    return MonoidElement(tuple(map(sum, zip(*(c.coords for c in classes)))))
 
 
 def element(*coords: int) -> MonoidElement:
@@ -102,7 +126,7 @@ class MonoidHom:
 def apply_hom(h: MonoidHom, a: MonoidElement) -> MonoidElement:
     if a.rank != h.source_rank:
         raise RankMismatchError(f"hom expects rank {h.source_rank}, got {a.rank}")
-    return MonoidElement(tuple(sum(r * c for r, c in zip(row, a.coords)) for row in h.rows))
+    return MonoidElement(tuple(sum(map(mul, row, a.coords)) for row in h.rows))
 
 
 def enumerate_pair_decompositions(b: MonoidElement) -> list[tuple[MonoidElement, MonoidElement]]:

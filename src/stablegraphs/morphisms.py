@@ -25,13 +25,13 @@ from .errors import ValidationError, Violation, ensure_valid
 from .graphs import (
     MarkedGraph,
     MonoidElement,
-    _partition_flags,
+    _pushed_partition,
     edges,
     edit_graph,
     equivalence_classes,
     flag_partition,
 )
-from .monoid import MonoidHom
+from .monoid import MonoidHom, _sum_classes
 
 
 @dataclass(frozen=True)
@@ -67,52 +67,56 @@ def validate_contraction(c: Contraction) -> list[Violation]:
     """Check all structural and marking conditions; empty list means valid."""
     out: list[Violation] = []
     src, tgt = c.source, c.target
+    fmap, vmap = c.flagmap, c.vertexmap
     if src.rank != tgt.rank:
         out.append(Violation("contraction-rank", f"source rank {src.rank} != target rank {tgt.rank}"))
         return out
-    if c.flagmap.keys() != tgt._flag_set or not src._flag_set.issuperset(c.flagmap.values()):
+    if fmap.keys() != tgt._flag_set or not src._flag_set.issuperset(fmap.values()):
         out.append(Violation("contraction-maps-total", "flag map must send exactly the target flags into source flags"))
         return out
-    if c.vertexmap.keys() != src._vertex_set or not tgt._vertex_set.issuperset(c.vertexmap.values()):
+    if vmap.keys() != src._vertex_set or not tgt._vertex_set.issuperset(vmap.values()):
         out.append(Violation("contraction-maps-total", "vertex map must send exactly the source vertices into target vertices"))
         return out
-    if len(set(c.flagmap.values())) != len(c.flagmap):
+    image = set(fmap.values())
+    if len(image) != len(fmap):
         out.append(Violation("contraction-1-injective", "flag map is not injective"))
-    if set(c.vertexmap.values()) != tgt._vertex_set:
+    if set(vmap.values()) != tgt._vertex_set:
         out.append(Violation("contraction-1-surjective", "vertex map is not surjective"))
-    for f, pre in c.flagmap.items():
-        if c.vertexmap[src.boundary[pre]] != tgt.boundary[f]:
+    src_boundary, src_j = src.boundary, src.involution
+    for f, pre in fmap.items():
+        if vmap[src_boundary[pre]] != tgt.boundary[f]:
             out.append(Violation("contraction-2-boundary", f"boundary square fails at target flag {f}"))
             break
-    for f, pre in c.flagmap.items():
-        if c.flagmap[tgt.involution[f]] != src.involution[pre]:
+    tgt_j = tgt.involution
+    for f, pre in fmap.items():
+        if fmap[tgt_j[f]] != src_j[pre]:
             out.append(Violation("contraction-3-involution", f"involution square fails at target flag {f}"))
             break
     else:
-        src_tails = {f for f in src.flags if src.involution[f] == f}
-        tail_image = {c.flagmap[f] for f in tgt.flags if tgt.involution[f] == f}
-        if tail_image != src_tails:
+        if {fmap[f] for f in tgt._tails} != set(src._tails):
             out.append(Violation("contraction-4-tails", "tails do not correspond bijectively"))
     if out:
         return out
 
     # fibers must be exactly the connectivity classes of the contracted edges
-    gone = c.contracted_flags()
-    joined = ((src.boundary[f], src.boundary[src.involution[f]]) for f in gone)
+    gone = [f for f in src.flags if f not in image]
+    joined = ((src_boundary[f], src_boundary[src_j[f]]) for f in gone)
     fibers: dict[int, list[int]] = {}
     for v in src.vertices:
-        fibers.setdefault(c.vertexmap[v], []).append(v)
+        fibers.setdefault(vmap[v], []).append(v)
     if sorted(fibers.values()) != equivalence_classes(src.vertices, joined):
         out.append(Violation("contraction-5-fibers", "vertex fibers differ from contracted-edge connectivity classes"))
         return out
 
     # each piece is connected by its contracted edges, so its cycle rank is #E - #V + 1
-    halves = Counter(c.vertexmap[src.boundary[f]] for f in gone)
+    halves = Counter(vmap[src_boundary[f]] for f in gone)
+    src_genus, src_classes = src.genus, src.classes
     for v in sorted(fibers):
-        expected_g = sum(src.genus[w] for w in fibers[v]) + halves[v] // 2 - len(fibers[v]) + 1
+        fiber = fibers[v]
+        expected_g = sum(src_genus[w] for w in fiber) + halves[v] // 2 - len(fiber) + 1
         if tgt.genus[v] != expected_g:
             out.append(Violation("contraction-genus", f"genus at target vertex {v}: {tgt.genus[v]} != {expected_g}"))
-        if tgt.classes[v] != sum((src.classes[w] for w in fibers[v]), MonoidElement.zero(src.rank)):
+        if tgt.classes[v] != _sum_classes([src_classes[w] for w in fiber], src.rank):
             out.append(Violation("contraction-class", f"class at target vertex {v} is not the fiber sum"))
     return out
 
@@ -161,7 +165,7 @@ def contract_edges(g: MarkedGraph, edge_set: Iterable[tuple[int, int]]) -> Contr
         r = fiber[0]
         # the contracted edges connect the fiber, so its cycle rank is #E - #V + 1
         tgt_genus[r] = sum(g.genus[v] for v in fiber) + edges_in[r] - len(fiber) + 1
-        tgt_classes[r] = sum((g.classes[v] for v in fiber), MonoidElement.zero(g.rank))
+        tgt_classes[r] = _sum_classes([g.classes[v] for v in fiber], g.rank)
 
     target = MarkedGraph(
         flags=tuple(kept),
@@ -288,8 +292,10 @@ def validate_combinatorial(a: CombinatorialMorphism) -> list[Violation]:
         if len({a.flagmap[f] for f in at_v}) != len(at_v):
             out.append(Violation("combinatorial-2-injective", f"flag map not injective at vertex {v}"))
             break
-    classes = tgt.classes if a.hom is None else {v: a.hom(c) for v, c in tgt.classes.items()}
-    part = flag_partition(tgt) if a.hom is None else _partition_flags(tgt, classes)
+    if a.hom is None:
+        classes, part = tgt.classes, flag_partition(tgt)
+    else:
+        classes, part = _pushed_partition(tgt, a.hom)
     for f1, f2 in edges(src):
         if not part.same_block(a.flagmap[f1], a.flagmap[f2]):
             out.append(Violation("combinatorial-3-equivalence", f"edge ({f1},{f2}) maps to inequivalent flags"))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ValidationError, Violation, ensure_valid
-from .graphs import MarkedGraph, add_loop, is_stable, relabel_classes, split_vertex
+from .graphs import MarkedGraph, add_loop, is_stable, split_vertex
 from .monoid import MonoidHom
 from .morphisms import (
     CombinatorialMorphism,
@@ -103,7 +103,8 @@ def _elementary_pullback(
     b_flagmap = {x: phi.flagmap[a.flagmap[x]] for x in rho.flags}
     b_vertexmap = {w: inv_vertexmap[a.vertexmap[w]] for w in rho.vertices}
     psi_vertexmap = {w: w for w in rho.vertices}
-    marked_sigma = relabel_classes(sigma, xi)
+    # the classes the halves of a split take, pushed from sigma's monoid to rho's
+    c1, c2 = xi(sigma.classes[v1]), xi(sigma.classes[v2])
     pi = rho
     for w in rho.vertices:
         if a.vertexmap[w] != v0:
@@ -122,7 +123,6 @@ def _elementary_pullback(
         side1 = [x for x in at_w if sigma.boundary[b_flagmap[x]] == v1]
         side2 = [x for x in at_w if sigma.boundary[b_flagmap[x]] == v2]
         g1, g2 = sigma.genus[v1], sigma.genus[v2]
-        c1, c2 = marked_sigma.classes[v1], marked_sigma.classes[v2]
         stable1 = bool(c1) or 2 * g1 + len(side1) + 1 >= 3
         stable2 = bool(c2) or 2 * g2 + len(side2) + 1 >= 3
         if stable1 and stable2:

@@ -578,3 +578,39 @@ def test_enumerate_refuses_the_rose_over_the_flag_cap(genus, tails, monkeypatch)
     monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
     with pytest.raises(SizeCapError, match=f"^graph has {tails + 2 * genus} flags, cap is 16$"):
         enumerate_stable_graphs(BUILTIN_PROFILES["point"], genus, tails, 0, 2 if genus else 1)
+
+
+@pytest.mark.parametrize("max_vertices,flags", [(8, 17), (20, 27)])
+def test_enumerate_refuses_bounds_over_the_flag_cap_up_front(max_vertices, flags, monkeypatch):
+    def no_graph(self):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
+    with pytest.raises(SizeCapError, match=f"^graphs within the bounds have up to {flags} flags, cap is 16$"):
+        enumerate_stable_graphs(BUILTIN_PROFILES["P2"], 0, 3, 6, max_vertices)
+
+
+def test_flag_bound_clamps_the_vertex_bound_first():
+    # on a point no vertex carries a class, so at most 4 vertices and 12
+    # flags; 2 * (ample bound) in their place would refuse at 24 flags
+    assert len(enumerate_stable_graphs(BUILTIN_PROFILES["point"], 3, 0, 3, 10)) == 42
+
+
+def test_flag_bound_is_attained():
+    # the up-front refusal is exact: on every cell with output, some graph has
+    # n + 2(g + V - 1) flags, so no bound that succeeds is refused
+    degree_two = VarietyProfile("Q", 1, LinearForm((-2,)), LinearForm((2,)))
+    nonempty = 0
+    for p in (BUILTIN_PROFILES["point"], BUILTIN_PROFILES["P1"], degree_two):
+        for genus in range(3):
+            for n in range(6 - 2 * genus):
+                for bound in range(3):
+                    # at most bound // (least ample coefficient) vertices carry a class
+                    classed = bound // min(p.ample.coeffs) if p.rank else 0
+                    for max_vertices in range(1, 5):
+                        graphs = enumerate_stable_graphs(p, genus, n, bound, max_vertices)
+                        v = min(max_vertices, max(1, 2 * genus - 2 + n + 2 * classed))
+                        if graphs:
+                            nonempty += 1
+                            assert max(len(g.flags) for g in graphs) == n + 2 * (genus + v - 1)
+    assert nonempty == 336

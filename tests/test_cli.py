@@ -359,3 +359,17 @@ def test_oversized_cartesian_family_exits_before_building_it(tmp_path, capsys, m
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"] == {"type": "size-cap", "message": "cartesian family has 100001 members, cap is 1000"}
     assert len(built) < 10  # the 3-member golden family builds 14
+
+
+@pytest.mark.parametrize("max_vertices", [8, 20])
+def test_boundary_over_the_flag_cap_exits_before_building_a_graph(max_vertices, tmp_path, capsys, monkeypatch):
+    from stablegraphs.graphs import MarkedGraph
+
+    def no_graph(self):
+        raise AssertionError("a graph was built")
+
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps({"profile": "P2", "genus": 0, "tails": 3, "ample_bound": 6, "max_vertices": max_vertices}))
+    monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
+    assert main(["boundary", "--in", str(path)]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "size-cap"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from stablegraphs.monoid import (
     LinearForm,
     MonoidElement,
     MonoidHom,
+    _sum_classes,
     apply_hom,
     element,
     enumerate_pair_decompositions,
@@ -136,3 +139,46 @@ def test_form_linear(pair):
     a, b = pair
     f = LinearForm(tuple((-1) ** i * (i + 1) for i in range(a.rank)))
     assert eval_form(f, a + b) == eval_form(f, a) + eval_form(f, b)
+
+
+def test_coordinates_are_coerced_with_int():
+    a = MonoidElement((True, False, 2.0, "3"))
+    assert a.coords == (1, 0, 2, 3)
+    assert all(type(c) is int for c in a.coords)
+    assert MonoidElement([1, 2]).coords == (1, 2)
+
+
+def test_negative_coordinates_rejected_with_their_message():
+    with pytest.raises(ValueError, match=r"^negative coordinate in monoid element \(2, -1\)$"):
+        MonoidElement((2.5, "-1"))
+
+
+@given(paired(elements))
+def test_add_is_the_coordinate_sum(pair):
+    a, b = pair
+    assert (a + b).coords == tuple(x + y for x, y in zip(a.coords, b.coords))
+    assert (a + b).is_zero() == all(x + y == 0 for x, y in zip(a.coords, b.coords))
+
+
+def _fold(classes, rank):
+    return sum(classes, MonoidElement.zero(rank))
+
+
+def test_sum_classes_equals_the_fold():
+    rng = random.Random(11)
+    assert _sum_classes([], 2) == _fold([], 2) == element(0, 0)
+    assert _sum_classes([], 0) == MonoidElement(())
+    single = element(3, 1)
+    assert _sum_classes([single], 2) is single
+    for _ in range(500):
+        rank = rng.randint(0, 3)
+        classes = [MonoidElement(tuple(rng.randint(0, 4) for _ in range(rank))) for _ in range(rng.randint(0, 6))]
+        assert _sum_classes(classes, rank) == _fold(classes, rank)
+
+
+def test_sum_classes_rejects_a_rank_mismatch_like_the_fold():
+    for rank, classes in [(2, [element(1)]), (1, [element(1), element(1, 0)]), (2, [element(1, 0), element(1)])]:
+        with pytest.raises(RankMismatchError):
+            _fold(classes, rank)
+        with pytest.raises(RankMismatchError):
+            _sum_classes(classes, rank)

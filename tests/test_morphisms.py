@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ from stablegraphs.canonical import canonical_key, is_isomorphic
 from stablegraphs.errors import ValidationError
 from stablegraphs.graphs import (
     MarkedGraph,
+    _pushed_partition,
     edges,
     edit_graph,
     flag_partition,
@@ -15,7 +17,7 @@ from stablegraphs.graphs import (
     relabel_classes,
     tails,
 )
-from stablegraphs.monoid import MonoidHom, element
+from stablegraphs.monoid import MonoidElement, MonoidHom, element
 from stablegraphs.morphisms import (
     CombinatorialMorphism,
     Contraction,
@@ -389,3 +391,74 @@ def test_validators_construct_no_graph(validator_cases, monkeypatch):
     monkeypatch.setattr(MarkedGraph, "__post_init__", refuse)
     after = [validate_combinatorial(a) for a in covers] + [validate_contraction(c) for c in contractions]
     assert after == before
+
+
+def _class_moved(rng, c):
+    """c with one unit of a class coordinate moved from one target vertex to
+    another, and the two vertices; None when no unit can move."""
+    tgt = c.target
+    units = [(v, i) for v in tgt.vertices for i, x in enumerate(tgt.classes[v].coords) if x]
+    if len(tgt.vertices) < 2 or not units:
+        return None
+    v, i = rng.choice(units)
+    w = rng.choice([u for u in tgt.vertices if u != v])
+    less, more = list(tgt.classes[v].coords), list(tgt.classes[w].coords)
+    less[i] -= 1
+    more[i] += 1
+    moved = {v: (tgt.genus[v], MonoidElement(tuple(less))), w: (tgt.genus[w], MonoidElement(tuple(more)))}
+    return replace(c, target=edit_graph(tgt, vertices=moved)), v, w
+
+
+def test_contraction_class_check_agrees_with_the_fold():
+    # the class condition sums each fiber's classes; moving one class unit
+    # between two target vertices must fail it at both, as the reference's
+    # fold over zero says, whether the fibers are single vertices or not
+    rng = random.Random(4242)
+    cases, fiber_kinds = 0, set()
+    while cases < 1000:
+        c = rand_contraction(rng, num_edges=(1, 3), rank=rng.randint(1, 2), max_flags=10, max_vertices=5)
+        assert validate_contraction(c) == validate_contraction_by_pieces(c) == []
+        moved = _class_moved(rng, c)
+        if moved is None:
+            continue
+        bad, v, w = moved
+        found = validate_contraction(bad)
+        assert found == validate_contraction_by_pieces(bad)
+        assert [(x.condition, x.detail) for x in found] == [
+            ("contraction-class", f"class at target vertex {u} is not the fiber sum") for u in sorted((v, w))
+        ]
+        fiber_size = Counter(c.vertexmap.values())
+        fiber_kinds.add((fiber_size[v] > 1, fiber_size[w] > 1))
+        cases += 1
+    assert fiber_kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_pushed_partition_memo_is_kept_per_hom():
+    # hom a kills the class of a genus-0 vertex and hom b keeps it, so their
+    # pushed classes and flag partitions differ on the one shared target;
+    # replace(g) is an equal graph with nothing computed on it yet
+    rng = random.Random(31)
+    hom_a, hom_b = MonoidHom(((1, 0),), 2), MonoidHom(((1, 1),), 2)
+    target = None
+    while target is None or flag_partition(relabel_classes(target, hom_a)) == flag_partition(target):
+        tau = rand_graph(rng, rank=2, max_flags=10, connected=True)
+        v = rng.choice(tau.vertices)
+        target = edit_graph(tau, vertices={v: (0, element(0, rng.randint(1, 2)))})
+    covers = {hom_a: [], hom_b: []}
+    for hom, other in ((hom_a, hom_b), (hom_b, hom_a)):
+        for _ in range(40):
+            a = rand_covering(rng, replace(target), hom)
+            covers[hom] += [a, _remapped(rng, a)]
+            # a cover of the other hom, read under this one
+            covers[other].append(replace(a, hom=other))
+    target = replace(target)
+    conditions = set()
+    for hom in (hom_a, hom_b, hom_a):
+        for a in covers[hom]:
+            a = replace(a, target=target)
+            found = validate_combinatorial(a)
+            assert found == validate_combinatorial(replace(a, target=replace(target)))
+            conditions.update(x.condition for x in found)
+    assert _pushed_partition(target, hom_a) is _pushed_partition(target, MonoidHom(hom_a.rows, 2))
+    assert _pushed_partition(target, hom_a)[1] != _pushed_partition(target, hom_b)[1]
+    assert "combinatorial-4-class" in conditions
