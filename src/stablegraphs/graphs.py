@@ -12,8 +12,7 @@ returns fresh graphs.
 
 The flag and vertex id sets are built once, at construction, where the
 structure check needs them.  Other derived structure (flags per vertex,
-tails, edges, connected components, the flag partition, and per marking
-hom the classes pushed through it with their flag partition) is computed on
+tails, edges, connected components and the flag partition) is computed on
 first use and kept on the instance, so a graph validated against many times
 pays for it once.  These values are not dataclass fields: ``==``, ``repr``
 and ``dataclasses.replace`` ignore them.  This is sound only because the dict
@@ -297,19 +296,6 @@ def _partition_flags(g: MarkedGraph, classes: Mapping[int, MonoidElement]) -> Fl
             at_v = g.flags_at(v)
             pairs += [(at_v[0], f) for f in at_v[1:]]
     return FlagPartition(tuple(tuple(b) for b in equivalence_classes(g.flags, pairs)))
-
-
-def _pushed_partition(g: MarkedGraph, hom: MonoidHom) -> tuple[dict[int, MonoidElement], FlagPartition]:
-    """g's classes pushed through ``hom``, and the flag partition read with them.
-
-    Both are kept on the instance, one entry per hom, like ``flag_partition``.
-    """
-    memo = g.__dict__.setdefault("_pushed_partitions", {})
-    kept = memo.get(hom)
-    if kept is None:
-        classes = {v: hom(c) for v, c in g.classes.items()}
-        kept = memo[hom] = (classes, _partition_flags(g, classes))
-    return kept
 
 
 # -- constructions -------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import ValidationError, Violation, ensure_valid
 from .graphs import (
     MarkedGraph,
     MonoidElement,
-    _pushed_partition,
+    _partition_flags,
     edges,
     edit_graph,
     equivalence_classes,
@@ -77,8 +77,7 @@ def validate_contraction(c: Contraction) -> list[Violation]:
     if vmap.keys() != src._vertex_set or not tgt._vertex_set.issuperset(vmap.values()):
         out.append(Violation("contraction-maps-total", "vertex map must send exactly the source vertices into target vertices"))
         return out
-    image = set(fmap.values())
-    if len(image) != len(fmap):
+    if len(set(fmap.values())) != len(fmap):
         out.append(Violation("contraction-1-injective", "flag map is not injective"))
     if set(vmap.values()) != tgt._vertex_set:
         out.append(Violation("contraction-1-surjective", "vertex map is not surjective"))
@@ -99,7 +98,7 @@ def validate_contraction(c: Contraction) -> list[Violation]:
         return out
 
     # fibers must be exactly the connectivity classes of the contracted edges
-    gone = [f for f in src.flags if f not in image]
+    gone = c.contracted_flags()
     joined = ((src_boundary[f], src_boundary[src_j[f]]) for f in gone)
     fibers: dict[int, list[int]] = {}
     for v in src.vertices:
@@ -292,10 +291,8 @@ def validate_combinatorial(a: CombinatorialMorphism) -> list[Violation]:
         if len({a.flagmap[f] for f in at_v}) != len(at_v):
             out.append(Violation("combinatorial-2-injective", f"flag map not injective at vertex {v}"))
             break
-    if a.hom is None:
-        classes, part = tgt.classes, flag_partition(tgt)
-    else:
-        classes, part = _pushed_partition(tgt, a.hom)
+    classes = tgt.classes if a.hom is None else {v: a.hom(c) for v, c in tgt.classes.items()}
+    part = flag_partition(tgt) if a.hom is None else _partition_flags(tgt, classes)
     for f1, f2 in edges(src):
         if not part.same_block(a.flagmap[f1], a.flagmap[f2]):
             out.append(Violation("combinatorial-3-equivalence", f"edge ({f1},{f2}) maps to inequivalent flags"))

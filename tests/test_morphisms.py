@@ -8,7 +8,6 @@ from stablegraphs.canonical import canonical_key, is_isomorphic
 from stablegraphs.errors import ValidationError
 from stablegraphs.graphs import (
     MarkedGraph,
-    _pushed_partition,
     edges,
     edit_graph,
     flag_partition,
@@ -431,34 +430,3 @@ def test_contraction_class_check_agrees_with_the_fold():
         fiber_kinds.add((fiber_size[v] > 1, fiber_size[w] > 1))
         cases += 1
     assert fiber_kinds == {(False, False), (False, True), (True, False), (True, True)}
-
-
-def test_pushed_partition_memo_is_kept_per_hom():
-    # hom a kills the class of a genus-0 vertex and hom b keeps it, so their
-    # pushed classes and flag partitions differ on the one shared target;
-    # replace(g) is an equal graph with nothing computed on it yet
-    rng = random.Random(31)
-    hom_a, hom_b = MonoidHom(((1, 0),), 2), MonoidHom(((1, 1),), 2)
-    target = None
-    while target is None or flag_partition(relabel_classes(target, hom_a)) == flag_partition(target):
-        tau = rand_graph(rng, rank=2, max_flags=10, connected=True)
-        v = rng.choice(tau.vertices)
-        target = edit_graph(tau, vertices={v: (0, element(0, rng.randint(1, 2)))})
-    covers = {hom_a: [], hom_b: []}
-    for hom, other in ((hom_a, hom_b), (hom_b, hom_a)):
-        for _ in range(40):
-            a = rand_covering(rng, replace(target), hom)
-            covers[hom] += [a, _remapped(rng, a)]
-            # a cover of the other hom, read under this one
-            covers[other].append(replace(a, hom=other))
-    target = replace(target)
-    conditions = set()
-    for hom in (hom_a, hom_b, hom_a):
-        for a in covers[hom]:
-            a = replace(a, target=target)
-            found = validate_combinatorial(a)
-            assert found == validate_combinatorial(replace(a, target=replace(target)))
-            conditions.update(x.condition for x in found)
-    assert _pushed_partition(target, hom_a) is _pushed_partition(target, MonoidHom(hom_a.rows, 2))
-    assert _pushed_partition(target, hom_a)[1] != _pushed_partition(target, hom_b)[1]
-    assert "combinatorial-4-class" in conditions
