@@ -15,7 +15,7 @@ import sys
 
 from .canonical import DEFAULT_MAX_FLAGS
 from .cartesian import cartesian_pullback, enumerate_stable_graphs
-from .errors import SizeCapError, StableGraphsError, ValidationError
+from .errors import SizeCapError, StableGraphsError, ValidationError, ensure_valid
 from .graphs import (
     edges,
     euler_characteristic,
@@ -32,7 +32,7 @@ from .morphisms import (
     validate_contraction,
 )
 from .profiles import deg_graph, dim_graph
-from .pullback import compose_marked, stable_pullback
+from .pullback import compose_marked, stable_pullback, validate_marked
 from .serialize import (
     SchemaError,
     _read_json,
@@ -175,8 +175,11 @@ def _run_compose(doc, args):
     if first is None or second is None:
         raise SchemaError("compose needs 'first' and 'second' (applied first, then second)")
     if first.get("kind") == "marked":
-        composite = compose_marked(marked_from_json(second), marked_from_json(first))
-        return marked_to_json(composite)
+        # compose_marked trusts its inputs, so morphisms read here are checked here
+        outer, inner = marked_from_json(second), marked_from_json(first)
+        for m in (inner, outer):
+            ensure_valid(validate_marked(m), "invalid marked morphism")
+        return marked_to_json(compose_marked(outer, inner))
     if first.get("kind") == "extended-isogeny":
         composite = compose_extended(isogeny_from_json(second), isogeny_from_json(first))
         return isogeny_to_json(composite)

@@ -37,7 +37,6 @@ from .morphisms import (
     contract_edges,
     forget_tail,
     glue_tails,
-    identity_combinatorial,
 )
 from .stabilize import stabilize_with_trace
 
@@ -113,7 +112,6 @@ class ExtendedIsogeny:
     # computed
     glued_graph: MarkedGraph = field(compare=False, default=None)
     target: MarkedGraph = field(compare=False, default=None)
-    glue_morphism: CombinatorialMorphism = field(compare=False, default=None)
     step_results: tuple = field(compare=False, default=())
     forget_kinds: tuple[str, ...] = field(compare=False, default=())
 
@@ -146,10 +144,8 @@ def extended_isogeny(
         raise ValidationError([Violation("isogeny-unstable-source", "extended isogenies start at stable graphs")])
     current = source
     glue_pairs = tuple((int(x), int(y)) for x, y in glued)
-    glue_morph = identity_combinatorial(source)
     for x, y in glue_pairs:
-        current, step_morph = glue_tails(current, x, y)
-        glue_morph = compose_combinatorial(step_morph, glue_morph)
+        current, _ = glue_tails(current, x, y)
     glued_graph = current
     results: list[tuple[str, object]] = []
     kinds: list[str] = []
@@ -172,7 +168,6 @@ def extended_isogeny(
         steps=step_list,
         glued_graph=glued_graph,
         target=current,
-        glue_morphism=glue_morph,
         step_results=tuple(results),
         forget_kinds=tuple(kinds),
     )

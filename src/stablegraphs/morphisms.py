@@ -13,6 +13,11 @@ a component are the basic examples.
 
 The validators ``validate_contraction`` and ``validate_combinatorial`` only
 read the graphs and maps they check; they construct no graph.
+
+Inputs, and composites of morphisms a caller passed in, are validated.  A
+morphism that a construction builds from checked inputs (a contraction, cut,
+forget, glue or stable pullback) is valid by the argument in its docstring;
+seeded tests validate every such construction's output instead.
 """
 
 from __future__ import annotations
@@ -145,6 +150,9 @@ def contract_edges(g: MarkedGraph, edge_set: Iterable[tuple[int, int]]) -> Contr
     Each fiber of merged vertices survives under its minimum vertex id, and
     the remaining flags keep their ids, so repeated runs and differently
     ordered elementary factorizations produce literally equal targets.
+
+    Valid for a checked g and edges: each fiber is joined by chosen edges,
+    and its survivor takes the fiber's genus plus cycle rank and class sum.
     """
     all_edges = set(edges(g))
     chosen = {tuple(sorted(e)) for e in edge_set}
@@ -175,9 +183,7 @@ def contract_edges(g: MarkedGraph, edge_set: Iterable[tuple[int, int]]) -> Contr
         classes=tgt_classes,
         rank=g.rank,
     )
-    c = Contraction(source=g, target=target, flagmap={f: f for f in kept}, vertexmap=dict(rep))
-    ensure_valid(validate_contraction(c), "contract_edges produced an invalid contraction")
-    return c
+    return Contraction(source=g, target=target, flagmap={f: f for f in kept}, vertexmap=dict(rep))
 
 
 def identity_contraction(g: MarkedGraph) -> Contraction:
@@ -193,6 +199,9 @@ def decompose_elementary(c: Contraction, order: Iterable[tuple[int, int]] | None
     isomorphism between the deterministic chain target and c's own target.
     A contraction with no contracted edges (an isomorphism) decomposes into
     the empty list.
+
+    Only c is validated: each factor is a ``contract_edges`` result, the
+    last one followed by the isomorphism onto c.target that c induces.
     """
     ensure_valid(validate_contraction(c), "cannot decompose an invalid contraction")
     if order is None:
@@ -217,7 +226,6 @@ def decompose_elementary(c: Contraction, order: Iterable[tuple[int, int]] | None
         flagmap={t: last.flagmap[c.flagmap[t]] for t in c.target.flags},
         vertexmap={v: c.vertexmap[last.vertexmap[v]] for v in last.source.vertices},
     )
-    ensure_valid(validate_contraction(retargeted), "retargeted elementary factor invalid")
     factors[-1] = retargeted
     return factors
 
@@ -344,43 +352,43 @@ def compose_combinatorial(outer: CombinatorialMorphism, inner: CombinatorialMorp
 
 
 def cut_edge(g: MarkedGraph, edge: tuple[int, int]) -> tuple[MarkedGraph, CombinatorialMorphism]:
-    """Cut one edge into two tails; returns (cut graph, morphism cut -> g)."""
+    """Cut one edge into two tails; returns (cut graph, morphism cut -> g).
+
+    The morphism keeps every id, and the cut changes only the involution.
+    """
     f1, f2 = edge
     if g.involution.get(f1) != f2 or f1 == f2:
         raise ValidationError([Violation("cut-not-edge", f"({f1},{f2}) is not an edge")])
     cut = edit_graph(g, pair={f1: f1, f2: f2})
-    a = CombinatorialMorphism(
+    return cut, CombinatorialMorphism(
         source=cut, target=g, flagmap={f: f for f in g.flags}, vertexmap={v: v for v in g.vertices}
     )
-    ensure_valid(validate_combinatorial(a), "cut_edge morphism invalid")
-    return cut, a
 
 
 def forget_tail(g: MarkedGraph, f: int) -> tuple[MarkedGraph, CombinatorialMorphism]:
     """Drop one tail flag; the result may be unstable.
 
-    Returns (smaller graph, inclusion morphism into g).
+    Returns (smaller graph, inclusion morphism into g), which keeps every id.
     """
     if f not in g.boundary or g.involution[f] != f:
         raise ValidationError([Violation("forget-not-tail", f"{f} is not a tail")])
     smaller = edit_graph(g, drop_flags=(f,))
-    a = CombinatorialMorphism(
+    return smaller, CombinatorialMorphism(
         source=smaller, target=g, flagmap={x: x for x in smaller.flags}, vertexmap={v: v for v in g.vertices}
     )
-    ensure_valid(validate_combinatorial(a), "forget_tail morphism invalid")
-    return smaller, a
 
 
 def glue_tails(g: MarkedGraph, f: int, fbar: int) -> tuple[MarkedGraph, CombinatorialMorphism]:
-    """Join two tails into an edge; returns (glued graph, morphism g -> glued)."""
+    """Join two tails into an edge; returns (glued graph, morphism g -> glued).
+
+    The morphism keeps every id, and the glue changes only the involution.
+    """
     if f == fbar or g.involution.get(f) != f or g.involution.get(fbar) != fbar:
         raise ValidationError([Violation("glue-not-tails", f"{f} and {fbar} must be distinct tails")])
     glued = edit_graph(g, pair={f: fbar, fbar: f})
-    c = CombinatorialMorphism(
+    return glued, CombinatorialMorphism(
         source=g, target=glued, flagmap={x: x for x in g.flags}, vertexmap={v: v for v in g.vertices}
     )
-    ensure_valid(validate_combinatorial(c), "glue_tails morphism invalid")
-    return glued, c
 
 
 def component_inclusion(g: MarkedGraph, component: MarkedGraph) -> CombinatorialMorphism:

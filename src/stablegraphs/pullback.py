@@ -66,10 +66,6 @@ def validate_marked(m: MarkedMorphism) -> list[Violation]:
     return out
 
 
-def check_marked(m: MarkedMorphism) -> None:
-    ensure_valid(validate_marked(m), "invalid marked morphism")
-
-
 def identity_marked(g: MarkedGraph) -> MarkedMorphism:
     if not is_stable(g):
         raise ValidationError([Violation("marked-unstable", "identity morphism needs a stable graph")])
@@ -88,6 +84,10 @@ def _elementary_pullback(
 
     phi: sigma -> tau contracts a single edge; a: rho -> tau covers xi with
     rho stable.  Returns (pi, psi: pi -> rho, b: pi -> sigma covering xi).
+
+    Valid for a valid phi and a: psi contracts exactly the loops and edges
+    that ``add_loop`` and ``split_vertex`` insert, b maps the rest through a
+    and phi, and a half too unstable to split has genus and class zero.
     """
     sigma, rho = phi.source, a.source
     if not phi.is_elementary():
@@ -143,8 +143,6 @@ def _elementary_pullback(
                 b_flagmap[x] = fbar
     psi = Contraction(source=pi, target=rho, flagmap={x: x for x in rho.flags}, vertexmap=psi_vertexmap)
     b = CombinatorialMorphism(source=pi, target=sigma, flagmap=b_flagmap, vertexmap=b_vertexmap, hom=xi)
-    ensure_valid(validate_contraction(psi), "pullback contraction invalid")
-    ensure_valid(validate_combinatorial(b), "pullback combinatorial morphism invalid")
     if not is_stable(pi):
         raise ValidationError([Violation("pullback-unstable", "stable pullback produced an unstable graph")])
     return pi, psi, b
@@ -166,6 +164,9 @@ def stable_pullback(
     phi is factored into elementary contractions in ascending contracted-edge
     order (or the given ``edge_order``); the result does not depend on this
     choice, up to isomorphism of the whole output diagram.
+
+    phi and a are validated; psi and b are valid by construction (with no
+    edge to contract, b is a followed by the inverse of the isomorphism phi).
     """
     factors = decompose_elementary(phi, edge_order)  # validates phi first
     ensure_valid(validate_combinatorial(a), "stable_pullback: invalid covering morphism")
@@ -197,7 +198,6 @@ def stable_pullback(
             },
             hom=xi,
         )
-        ensure_valid(validate_combinatorial(b), "identity pullback invalid")
         return pi, psi, b
     psi = psis[0]
     for nxt in psis[1:]:
@@ -209,19 +209,19 @@ def compose_marked(outer: MarkedMorphism, inner: MarkedMorphism) -> MarkedMorphi
     """Compose (B,sigma) -> (C,rho) after (A,tau) -> (B,sigma).
 
     The middle graph of the composite is the stable pullback of the outer
-    middle across the inner contraction.
+    middle across the inner contraction, which ``stable_pullback`` checks is
+    stable; ``compose_combinatorial`` and ``compose_contractions`` validate
+    the two parts, so for valid inputs the composite is valid.
     """
     if inner.target_graph != outer.source_graph:
         raise ValidationError([Violation("marked-compose-endpoints", "inner target differs from outer source")])
     pi, chi, c = stable_pullback(outer.hom, inner.contr, outer.comb)
-    composite = MarkedMorphism(
+    return MarkedMorphism(
         hom=outer.hom.compose(inner.hom),
         comb=compose_combinatorial(inner.comb, c),
         mid=pi,
         contr=compose_contractions(outer.contr, chi),
     )
-    check_marked(composite)
-    return composite
 
 
 def pullback_diagram_key(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+from stablegraphs.errors import ensure_valid
 from stablegraphs.graphs import (
     MarkedGraph,
     component_of,
@@ -28,7 +29,7 @@ from stablegraphs.morphisms import (
     cut_edge,
     forget_tail,
 )
-from stablegraphs.pullback import MarkedMorphism, check_marked
+from stablegraphs.pullback import MarkedMorphism, validate_marked
 from stablegraphs.stabilize import stabilize
 
 
@@ -214,7 +215,7 @@ def rand_marked_morphism(
     chosen = rng.sample(pool, rng.randint(0, min(2, len(pool)))) if pool else []
     contr = contract_edges(mid, chosen)
     m = MarkedMorphism(hom=xi, comb=cover, mid=mid, contr=contr)
-    check_marked(m)
+    ensure_valid(validate_marked(m))
     return m
 
 
@@ -249,11 +250,12 @@ def rand_isogeny(rng: random.Random, g: MarkedGraph, max_steps: int = 3, allow_g
     return iso
 
 
-def relabelled(rng: random.Random, g: MarkedGraph) -> MarkedGraph:
-    """g with its flag and vertex ids sent to shuffled, spread-out ids."""
+def rand_renaming(rng: random.Random, g: MarkedGraph) -> Contraction:
+    """The isomorphism, as a contraction of no edges, from g onto a copy of g
+    whose flag and vertex ids are sent to shuffled, spread-out ids."""
     fmap = dict(zip(g.flags, rng.sample(range(3 * len(g.flags) + 1), len(g.flags))))
     vmap = dict(zip(g.vertices, rng.sample(range(3 * len(g.vertices) + 1), len(g.vertices))))
-    return MarkedGraph(
+    copy = MarkedGraph(
         flags=tuple(fmap.values()),
         vertices=tuple(vmap.values()),
         boundary={fmap[f]: vmap[v] for f, v in g.boundary.items()},
@@ -262,6 +264,12 @@ def relabelled(rng: random.Random, g: MarkedGraph) -> MarkedGraph:
         classes={vmap[v]: c for v, c in g.classes.items()},
         rank=g.rank,
     )
+    return Contraction(source=g, target=copy, flagmap={new: old for old, new in fmap.items()}, vertexmap=vmap)
+
+
+def relabelled(rng: random.Random, g: MarkedGraph) -> MarkedGraph:
+    """g with its flag and vertex ids sent to shuffled, spread-out ids."""
+    return rand_renaming(rng, g).target
 
 
 def rand_unstable_graph(rng: random.Random, rank: int = 1, max_flags: int = 8) -> MarkedGraph:

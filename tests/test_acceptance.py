@@ -26,7 +26,7 @@ from stablegraphs.isogeny import ContractStep, extended_isogeny
 from stablegraphs.monoid import LinearForm, MonoidHom, element, enumerate_pair_decompositions
 from stablegraphs.morphisms import CombinatorialMorphism, contract_edges
 from stablegraphs.profiles import POINT, VarietyProfile, deg_graph, dim_graph, projective_space
-from stablegraphs.pullback import compose_marked, marked_key, pullback_diagram_key, stable_pullback
+from stablegraphs.pullback import compose_marked, marked_key, pullback_diagram_key, stable_pullback, validate_marked
 from stablegraphs.stabilize import absolute_stabilization, check_universal_property, stabilize
 
 from oracles import betti1_gf2, brute_force_boundary_rank1, chain_condition_holds
@@ -85,6 +85,26 @@ def test_criterion_2_marked_composition_associative():
         assert marked_key(left) == marked_key(right), f"associativity failed at triple {triples}"
         triples += 1
     report(2, f"{triples} composable triples associate up to isomorphism")
+
+
+def test_criterion_2_composites_validate():
+    # compose_marked does not re-check its composite: on the criterion 2
+    # triples, every composite built there must be a valid marked morphism
+    rng = random.Random(2024_02)
+    composites = 0
+    while composites < 400:
+        m1 = rand_marked_morphism(rng, source_rank=2, target_rank=rng.randint(1, 2), max_flags=9)
+        m2 = rand_marked_morphism(
+            rng, source=m1.target_graph, target_rank=rng.randint(1, 2), max_flags=9
+        )
+        m3 = rand_marked_morphism(
+            rng, source=m2.target_graph, target_rank=rng.randint(1, 2), max_flags=9
+        )
+        inner_left, inner_right = compose_marked(m2, m1), compose_marked(m3, m2)
+        for m in (inner_left, inner_right, compose_marked(m3, inner_left), compose_marked(inner_right, m1)):
+            assert validate_marked(m) == []
+            composites += 1
+    report(2, f"{composites} composites of the criterion 2 triples are valid marked morphisms")
 
 
 def test_criterion_3_stabilization_universal_property():

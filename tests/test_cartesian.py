@@ -2,12 +2,14 @@ import hashlib
 import importlib
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from stablegraphs.canonical import canonical_key, is_isomorphic
 from stablegraphs.cartesian import (
+    _member_violations,
     CartesianMorphism,
     CartesianObject,
     DegreeBoundCriterion,
@@ -47,7 +49,7 @@ from stablegraphs.isogeny import (
     extended_isogeny,
 )
 from stablegraphs.monoid import LinearForm, MonoidHom, element
-from stablegraphs.morphisms import CombinatorialMorphism
+from stablegraphs.morphisms import CombinatorialMorphism, validate_combinatorial
 from stablegraphs.profiles import BUILTIN_PROFILES, VarietyProfile, deg_graph
 from stablegraphs.serialize import (
     combinatorial_from_json,
@@ -393,6 +395,51 @@ def test_cartesian_pullback_families_are_pinned():
         "forget I -> I", "forget II -> II", "forget II -> III", "forget III -> III", "glue", "glue refused",
     }
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "b424e6890302cbf0"
+
+
+def test_cartesian_pullback_members_validate():
+    # cartesian_pullback does not re-check its members: on the pinned
+    # families, each identification, lift and degree must pass the checks
+    rng = random.Random(11)
+    cases = members = 0
+    while cases < 600:
+        case = seeded_pullback_case(rng)
+        if case is None:
+            continue
+        cases += 1
+        kind, p, phi, b = case
+        try:
+            family = cartesian_pullback(p, phi, b)
+        except ValidationError:
+            continue
+        for i, m in enumerate(family):
+            assert validate_combinatorial(m.identification) == []
+            assert _member_violations(p, f"member {i}", m.graph, phi.source, m.identification, m.lift, b.target) == []
+            members += 1
+    assert members > 600
+
+
+def test_stabilization_identification_rejects_moved_boundary_or_genus():
+    # validity of b already checks boundaries and genera, which is why
+    # is_stabilization_identification compares only the involution itself
+    rng = random.Random(13)
+    moved = regenused = 0
+    while moved < 100 or regenused < 100:
+        case = seeded_pullback_case(rng)
+        if case is None:
+            continue
+        _, _, _, b = case
+        assert is_stabilization_identification(b)
+        base = b.source
+        v = rng.choice(base.vertices)
+        wrong_genus = edit_graph(base, vertices={v: (base.genus[v] + 1, base.classes[v])})
+        assert not is_stabilization_identification(replace(b, source=wrong_genus))
+        regenused += 1
+        if len(base.vertices) > 1 and base.flags:
+            f = rng.choice(base.flags)
+            w = rng.choice([u for u in base.vertices if u != base.boundary[f]])
+            assert not is_stabilization_identification(replace(b, source=edit_graph(base, attach={f: w})))
+            moved += 1
 
 
 # -- monoidal structure ----------------------------------------------------

@@ -295,6 +295,17 @@ def test_mutated_golden_inputs_keep_the_exit_contract(tmp_path, capsys):
                 assert payload["error"]["type"] in EXIT_TYPES[code], (stem, edit, payload)
 
 
+def test_compose_rejects_an_invalid_marked_input(tmp_path, capsys):
+    # compose_marked does not re-check its composite, so the verb validates
+    # the morphisms it reads: here the first one's hom is not its part's hom
+    doc = json.loads((GOLDEN / "in" / "compose_marked.json").read_text())
+    doc["first"]["xi"]["rows"] = [[2]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compose", "--in", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["conditions"] == ["marked-hom"]
+
+
 def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "stablegraphs", "invariants", "--in", str(GOLDEN / "in" / "invariants_tripod.json")],

@@ -40,7 +40,7 @@ from oracles import (
     validate_combinatorial_by_relabelling,
     validate_contraction_by_pieces,
 )
-from strategies import rand_contraction, rand_covering, rand_graph
+from strategies import rand_contraction, rand_covering, rand_graph, rand_renaming
 
 
 def two_vertex_graph(g0=1, g1=2):
@@ -144,6 +144,27 @@ def test_decompose_recompose_random():
         assert canonical_key(composite.target) == canonical_key(c.target)
         assert composite.target == c.target
         assert composite.flagmap == c.flagmap and composite.vertexmap == c.vertexmap
+
+
+def test_elementary_factors_validate():
+    # decompose_elementary validates its input only; every factor, the
+    # retargeted last one included, must be an elementary contraction, also
+    # when the target's ids differ from the chain's
+    rng = random.Random(45)
+    factors_checked = 0
+    for _ in range(60):
+        c = rand_contraction(rng, num_edges=(1, 3), rank=rng.randint(1, 2), max_flags=10)
+        if rng.random() < 0.5:
+            c = compose_contractions(rand_renaming(rng, c.target), c)
+        order = rng.sample(c.contracted_edges(), len(c.contracted_edges()))
+        for factors in (decompose_elementary(c), decompose_elementary(c, order)):
+            for step in factors:
+                assert validate_contraction(step) == []
+                assert step.is_elementary()
+                factors_checked += 1
+            if factors:
+                assert factors[-1].target == c.target
+    assert factors_checked > 150
 
 
 def test_contraction_genus_matches_gf2_oracle():
@@ -270,6 +291,24 @@ def test_random_cut_morphisms_validate():
             continue
         _, a = cut_edge(g, rng.choice(list(edges(g))))
         assert validate_combinatorial(a) == []
+
+
+def test_random_forget_and_glue_morphisms_validate():
+    rng = random.Random(55)
+    forgets = glues = 0
+    for _ in range(40):
+        g = rand_graph(rng, rank=rng.randint(0, 2), max_flags=10)
+        ts = list(tails(g))
+        if not ts:
+            continue
+        _, a = forget_tail(g, rng.choice(ts))
+        assert validate_combinatorial(a) == []
+        forgets += 1
+        if len(ts) >= 2:
+            _, c = glue_tails(g, *rng.sample(ts, 2))
+            assert validate_combinatorial(c) == []
+            glues += 1
+    assert forgets > 20 and glues > 10
 
 
 def test_marked_combinatorial_covering():

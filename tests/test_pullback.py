@@ -27,7 +27,7 @@ from stablegraphs.pullback import (
     validate_marked,
 )
 
-from strategies import rand_covering, rand_graph, rand_hom, rand_marked_morphism
+from strategies import rand_covering, rand_graph, rand_hom, rand_marked_morphism, rand_renaming
 
 
 def identity_cover(g, rank=None):
@@ -123,6 +123,20 @@ def test_pullback_vertex_square_commutes():
         assert is_stable(pi)
         for v in pi.vertices:
             assert a.vertexmap[psi.vertexmap[v]] == phi.vertexmap[b.vertexmap[v]]
+
+
+def test_pullback_along_isomorphisms_validates():
+    # with no edge to contract, b is a followed by phi's inverse; phi here
+    # renames every flag and vertex
+    rng = random.Random(91)
+    for _ in range(40):
+        phi = rand_renaming(rng, rand_graph(rng, rank=2, max_flags=10, stable=True))
+        xi = rand_hom(rng, 2, rng.randint(1, 2))
+        a = rand_covering(rng, phi.target, xi)
+        pi, psi, b = stable_pullback(xi, phi, a)
+        assert pi == a.source
+        assert validate_contraction(psi) == []
+        assert validate_combinatorial(b) == []
 
 
 def _find_commuting_iso(pi1, psi1, b1, pi2, psi2, b2):

@@ -18,6 +18,7 @@ from stablegraphs.graphs import (
 )
 from stablegraphs.monoid import MonoidHom
 from stablegraphs.morphisms import cut_edge, validate_combinatorial
+from stablegraphs.pullback import validate_marked
 from stablegraphs.stabilize import (
     check_universal_property,
     enumerate_combinatorial_morphisms,
@@ -203,6 +204,17 @@ def test_pushforward_functorial_sample():
         first, _ = pushforward(xi, g)
         second, _ = pushforward(eta, first)
         assert canonical_key(one_shot) == canonical_key(second)
+
+
+def test_pushforward_morphisms_validate():
+    # pushforward retargets the stabilization of g's relabelling onto g
+    # without re-checking it
+    rng = random.Random(81)
+    for _ in range(60):
+        g = rand_graph(rng, rank=2, max_flags=10, stable=True)
+        xi = rand_hom(rng, 2, rng.randint(0, 2))
+        _, m = pushforward(xi, g)
+        assert validate_marked(m) == []
 
 
 # -- universal property ------------------------------------------------------
