@@ -23,7 +23,7 @@ from .graphs import (
     is_stable,
     tails,
 )
-from .isogeny import compose_extended, stably_forget_tail
+from .isogeny import compose_extended, stably_forget_tail, validate_extended
 from .morphisms import (
     contract_edges,
     cut_edge,
@@ -83,12 +83,8 @@ def _run_validate(doc, args):
     elif kind == "combinatorial":
         violations = validate_combinatorial(combinatorial_from_json(doc))
     elif kind == "marked":
-        from .pullback import validate_marked
-
         violations = validate_marked(marked_from_json(doc))
     elif kind == "extended-isogeny":
-        from .isogeny import validate_extended
-
         violations = validate_extended(isogeny_from_json(doc))
     else:
         graph_from_json(doc)  # structural validation happens in the constructor

@@ -33,10 +33,10 @@ from .graphs import (
 )
 from .morphisms import (
     CombinatorialMorphism,
-    compose_combinatorial,
     contract_edges,
     forget_tail,
     glue_tails,
+    inclusion,
 )
 from .stabilize import stabilize_with_trace
 
@@ -58,12 +58,15 @@ def stably_forget_tail(g: MarkedGraph, f: int) -> StableForget:
     The tail map fixes every tail that survives as itself and, in type II,
     sends the newly created tail to the other tail that lived at the removed
     vertex; the forgotten tail is never in its image.
+
+    The morphism is the inclusion of the stable graph into g: forgetting and
+    stabilizing both keep ids, so it equals the composite of their two
+    inclusions, each valid by the argument in its own docstring.
     """
     if not is_stable(g):
         raise ValidationError([Violation("forget-unstable", "stably forgetting needs a stable graph")])
-    smaller, incl = forget_tail(g, f)
-    stable, stab_morph, steps = stabilize_with_trace(smaller)
-    morphism = compose_combinatorial(incl, stab_morph)
+    smaller, _ = forget_tail(g, f)
+    stable, _, steps = stabilize_with_trace(smaller)
     kind = "I"
     if steps:
         (step,) = steps  # a stable graph destabilizes at one vertex at most
@@ -74,7 +77,7 @@ def stably_forget_tail(g: MarkedGraph, f: int) -> StableForget:
         tail_map[new_tail] = next(x for x in step.removed_flags if g.involution[x] == x)
     if f in tail_map.values():
         raise AssertionError("forgotten tail leaked into the tail map image")
-    return StableForget(forgotten=f, graph=stable, morphism=morphism, tail_map=tail_map, kind=kind)
+    return StableForget(forgotten=f, graph=stable, morphism=inclusion(stable, g), tail_map=tail_map, kind=kind)
 
 
 # -- steps ----------------------------------------------------------------

@@ -16,8 +16,10 @@ read the graphs and maps they check; they construct no graph.
 
 Inputs, and composites of morphisms a caller passed in, are validated.  A
 morphism that a construction builds from checked inputs (a contraction, cut,
-forget, glue or stable pullback) is valid by the argument in its docstring;
-seeded tests validate every such construction's output instead.
+forget, glue, stabilization, stable forget, or stable pullback square with
+its composite contraction) is valid by the argument in its docstring; seeded
+tests validate every such construction's output instead.  Those that keep
+every flag and vertex id build their morphism with ``inclusion``.
 """
 
 from __future__ import annotations
@@ -316,10 +318,17 @@ def validate_combinatorial(a: CombinatorialMorphism) -> list[Violation]:
     return out
 
 
+def inclusion(source: MarkedGraph, target: MarkedGraph) -> CombinatorialMorphism:
+    """The morphism source -> target that keeps every flag and vertex id.
+
+    Not checked here: each caller states why its source sits in its target.
+    """
+    flagmap, vertexmap = {f: f for f in source.flags}, {v: v for v in source.vertices}
+    return CombinatorialMorphism(source=source, target=target, flagmap=flagmap, vertexmap=vertexmap)
+
+
 def identity_combinatorial(g: MarkedGraph) -> CombinatorialMorphism:
-    return CombinatorialMorphism(
-        source=g, target=g, flagmap={f: f for f in g.flags}, vertexmap={v: v for v in g.vertices}
-    )
+    return inclusion(g, g)
 
 
 def compose_combinatorial(outer: CombinatorialMorphism, inner: CombinatorialMorphism) -> CombinatorialMorphism:
@@ -360,9 +369,7 @@ def cut_edge(g: MarkedGraph, edge: tuple[int, int]) -> tuple[MarkedGraph, Combin
     if g.involution.get(f1) != f2 or f1 == f2:
         raise ValidationError([Violation("cut-not-edge", f"({f1},{f2}) is not an edge")])
     cut = edit_graph(g, pair={f1: f1, f2: f2})
-    return cut, CombinatorialMorphism(
-        source=cut, target=g, flagmap={f: f for f in g.flags}, vertexmap={v: v for v in g.vertices}
-    )
+    return cut, inclusion(cut, g)
 
 
 def forget_tail(g: MarkedGraph, f: int) -> tuple[MarkedGraph, CombinatorialMorphism]:
@@ -373,9 +380,7 @@ def forget_tail(g: MarkedGraph, f: int) -> tuple[MarkedGraph, CombinatorialMorph
     if f not in g.boundary or g.involution[f] != f:
         raise ValidationError([Violation("forget-not-tail", f"{f} is not a tail")])
     smaller = edit_graph(g, drop_flags=(f,))
-    return smaller, CombinatorialMorphism(
-        source=smaller, target=g, flagmap={x: x for x in smaller.flags}, vertexmap={v: v for v in g.vertices}
-    )
+    return smaller, inclusion(smaller, g)
 
 
 def glue_tails(g: MarkedGraph, f: int, fbar: int) -> tuple[MarkedGraph, CombinatorialMorphism]:
@@ -386,18 +391,11 @@ def glue_tails(g: MarkedGraph, f: int, fbar: int) -> tuple[MarkedGraph, Combinat
     if f == fbar or g.involution.get(f) != f or g.involution.get(fbar) != fbar:
         raise ValidationError([Violation("glue-not-tails", f"{f} and {fbar} must be distinct tails")])
     glued = edit_graph(g, pair={f: fbar, fbar: f})
-    return glued, CombinatorialMorphism(
-        source=g, target=glued, flagmap={x: x for x in g.flags}, vertexmap={v: v for v in g.vertices}
-    )
+    return glued, inclusion(g, glued)
 
 
 def component_inclusion(g: MarkedGraph, component: MarkedGraph) -> CombinatorialMorphism:
     """Inclusion of a subgraph whose flags and vertices keep their ids."""
-    a = CombinatorialMorphism(
-        source=component,
-        target=g,
-        flagmap={f: f for f in component.flags},
-        vertexmap={v: v for v in component.vertices},
-    )
+    a = inclusion(component, g)
     ensure_valid(validate_combinatorial(a), "component inclusion invalid")
     return a

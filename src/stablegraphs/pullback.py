@@ -167,6 +167,11 @@ def stable_pullback(
 
     phi and a are validated; psi and b are valid by construction (with no
     edge to contract, b is a followed by the inverse of the isomorphism phi).
+    psi is built in one piece: every step keeps its target's flags and sends
+    each vertex to the one it split from, so psi keeps rho's flags and
+    follows each vertex of pi back through the steps to the vertex of rho it
+    came from.  It equals the composite of the steps' contractions, and a
+    composite of contractions is a contraction.
     """
     factors = decompose_elementary(phi, edge_order)  # validates phi first
     ensure_valid(validate_combinatorial(a), "stable_pullback: invalid covering morphism")
@@ -178,13 +183,6 @@ def stable_pullback(
     if a.target != phi.target:
         raise ValidationError([Violation("pullback-endpoints", "covering morphism must land in the contraction target")])
 
-    current_a = a
-    psis: list[Contraction] = []
-    for step in reversed(factors):
-        # step: current sigma_k -> sigma_{k-1}; current_a lands in sigma_{k-1}
-        pi, psi_step, b_step = _elementary_pullback(xi, step, current_a)
-        psis.append(psi_step)
-        current_a = b_step
     if not factors:
         pi = a.source
         psi = identity_contraction(pi)
@@ -199,10 +197,15 @@ def stable_pullback(
             hom=xi,
         )
         return pi, psi, b
-    psi = psis[0]
-    for nxt in psis[1:]:
-        psi = compose_contractions(psi, nxt)
-    return current_a.source, psi, current_a
+    rho = a.source
+    current_a = a
+    back = {w: w for w in rho.vertices}  # vertices of the current pi -> rho
+    for step in reversed(factors):
+        # step: current sigma_k -> sigma_{k-1}; current_a lands in sigma_{k-1}
+        pi, psi_step, current_a = _elementary_pullback(xi, step, current_a)
+        back = {v: back[w] for v, w in psi_step.vertexmap.items()}
+    psi = Contraction(source=pi, target=rho, flagmap={x: x for x in rho.flags}, vertexmap=back)
+    return pi, psi, current_a
 
 
 def compose_marked(outer: MarkedMorphism, inner: MarkedMorphism) -> MarkedMorphism:

@@ -12,15 +12,23 @@ four local surgeries, chosen by its flag configuration:
 Each step removes exactly one vertex, so iteration terminates; the result is
 stable and receives a combinatorial morphism into the original graph through
 which every combinatorial morphism from a stable graph factors uniquely.
+
+One ascending pass over the vertices is enough.  No surgery changes the
+genus, class or valence of a vertex that survives it, so the unstable
+vertices are fixed from the start and only ever leave by removal.  The case
+is read on the current graph when the pass reaches a vertex, since removing
+a neighbour can change it: a case III vertex may turn into case IV.  Any
+removal order gives literally the same graph, since surviving ids never
+change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import permutations, product
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .errors import SizeCapError, ValidationError, Violation, ensure_valid
+from .errors import SizeCapError, ValidationError, Violation
 from .graphs import (
     MarkedGraph,
     component_of,
@@ -40,6 +48,7 @@ from .morphisms import (
     cut_edge,
     forget_tail,
     identity_contraction,
+    inclusion,
     validate_combinatorial,
 )
 
@@ -104,42 +113,23 @@ def _apply_reduction(g: MarkedGraph, v: int, case: str) -> tuple[MarkedGraph, Re
     return smaller, ReductionStep(case, v, removed, new_tails, glued)
 
 
-def _pick_vertex_ascending(g: MarkedGraph) -> tuple[int, str] | None:
-    for v in g.vertices:
-        case = _reduction_case(g, v)
-        if case is not None:
-            return v, case
-    return None
-
-
-def stabilize_with_trace(
-    g: MarkedGraph,
-    pick: Callable[[MarkedGraph], tuple[int, str] | None] = _pick_vertex_ascending,
-) -> tuple[MarkedGraph, CombinatorialMorphism, tuple[ReductionStep, ...]]:
+def stabilize_with_trace(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMorphism, tuple[ReductionStep, ...]]:
     """Stabilize, also reporting the surgery steps in application order.
 
-    ``pick`` selects the next unstable vertex; the default scans ascending
-    vertex ids.  Any selection order yields the same result up to canonical
-    isomorphism (and in fact literally the same graph, since surviving ids
-    never change).
+    The unstable vertices are removed in ascending id order.  The morphism
+    is the inclusion of what survives, and it is valid: surviving flags keep
+    their vertex, and surviving vertices their genus and class.  A case III
+    glue joins two far halves that were already joined in g's flag
+    partition, through the removed vertex of genus 0 and class 0.
     """
     current = g
     steps: list[ReductionStep] = []
-    while True:
-        chosen = pick(current)
-        if chosen is None:
-            break
-        v, case = chosen
-        current, step = _apply_reduction(current, v, case)
-        steps.append(step)
-    morphism = CombinatorialMorphism(
-        source=current,
-        target=g,
-        flagmap={f: f for f in current.flags},
-        vertexmap={v: v for v in current.vertices},
-    )
-    ensure_valid(validate_combinatorial(morphism), "stabilization morphism invalid")
-    return current, morphism, tuple(steps)
+    for v in g.vertices:
+        case = _reduction_case(current, v)
+        if case is not None:
+            current, step = _apply_reduction(current, v, case)
+            steps.append(step)
+    return current, inclusion(current, g), tuple(steps)
 
 
 def stabilize(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMorphism]:
@@ -154,9 +144,9 @@ def pushforward(hom: MonoidHom, g: MarkedGraph) -> tuple[MarkedGraph, "pullback.
     Requires g stable over its own monoid; the result is the universal stable
     graph over the hom's target, packaged as a morphism in the marked stable
     graph category (combinatorial part the stabilization, contraction part
-    the identity).  ``stabilize_with_trace`` validates the stabilization into
-    ``relabel_classes(g, hom)``; retargeting it onto g keeps it valid, since
-    that graph is g with its classes pushed through hom.
+    the identity).  The stabilization into ``relabel_classes(g, hom)`` is
+    valid by the argument in ``stabilize_with_trace``; retargeting it onto g
+    keeps it valid, since that graph is g with its classes pushed through hom.
     """
     from . import pullback  # deferred: pullback builds on this module
 

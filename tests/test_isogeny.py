@@ -106,6 +106,7 @@ def test_forget_clauses_random():
                 assert target == h
         assert f not in r.tail_map.values()
         assert validate_combinatorial(r.morphism) == []
+        assert (r.morphism.source, r.morphism.target) == (r.graph, g)
         done += 1
 
 

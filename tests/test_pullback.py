@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -27,7 +28,14 @@ from stablegraphs.pullback import (
     validate_marked,
 )
 
-from strategies import rand_covering, rand_graph, rand_hom, rand_marked_morphism, rand_renaming
+from strategies import (
+    rand_contraction,
+    rand_covering,
+    rand_graph,
+    rand_hom,
+    rand_marked_morphism,
+    rand_renaming,
+)
 
 
 def identity_cover(g, rank=None):
@@ -123,6 +131,25 @@ def test_pullback_vertex_square_commutes():
         assert is_stable(pi)
         for v in pi.vertices:
             assert a.vertexmap[psi.vertexmap[v]] == phi.vertexmap[b.vertexmap[v]]
+
+
+def test_pullback_psi_over_long_chains_validates():
+    # psi is built in one piece over 3 or 4 elementary steps; in many draws
+    # some vertex of rho splits at least twice, so a fiber of psi has 3+ vertices
+    rng = random.Random(113)
+    split_twice = 0
+    for _ in range(40):
+        phi = rand_contraction(rng, num_edges=(3, 4), rank=2, max_flags=14, max_vertices=5)
+        assert len(phi.contracted_edges()) >= 3
+        xi = rand_hom(rng, 2, rng.randint(1, 2))
+        a = rand_covering(rng, phi.target, xi)
+        pi, psi, b = stable_pullback(xi, phi, a)
+        assert validate_contraction(psi) == []
+        assert validate_combinatorial(b) == []
+        for v in pi.vertices:
+            assert a.vertexmap[psi.vertexmap[v]] == phi.vertexmap[b.vertexmap[v]]
+        split_twice += max(Counter(psi.vertexmap.values()).values()) >= 3
+    assert split_twice >= 10
 
 
 def test_pullback_along_isomorphisms_validates():

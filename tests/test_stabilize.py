@@ -117,23 +117,40 @@ def test_stabilize_idempotent_random():
         assert again == s
 
 
+def _stabilize_in_random_order(g, rng):
+    """Remove unstable vertices in a random order; returns (graph, order)."""
+    from stablegraphs.stabilize import _apply_reduction, _reduction_case
+
+    current, order = g, []
+    while True:
+        options = [(v, _reduction_case(current, v)) for v in current.vertices]
+        options = [(v, c) for v, c in options if c is not None]
+        if not options:
+            return current, order
+        v, case = rng.choice(options)
+        current, _ = _apply_reduction(current, v, case)
+        order.append(v)
+
+
 def test_stabilize_order_independent():
+    # removing the unstable vertices in a random order gives the same graph
     rng = random.Random(67)
     for _ in range(40):
         g = rand_graph(rng, rank=1, max_flags=12)
-        s_default, _, _ = stabilize_with_trace(g)
+        assert _stabilize_in_random_order(g, rng)[0] == stabilize_with_trace(g)[0]
 
-        def random_pick(current, rng=rng):
-            from stablegraphs.stabilize import _reduction_case
 
-            options = [(v, _reduction_case(current, v)) for v in current.vertices]
-            options = [(v, c) for v, c in options if c is not None]
-            if not options:
-                return None
-            return rng.choice(options)
-
-        s_random, _, _ = stabilize_with_trace(g, pick=random_pick)
-        assert s_random == s_default
+def test_stabilize_order_independent_over_cascades():
+    # class-zero graphs have several unstable vertices, and a removal can
+    # change the case of the next; the random order must still agree
+    rng = random.Random(83)
+    reordered = 0
+    for _ in range(60):
+        g = rand_graph(rng, rank=1, max_flags=12, max_vertices=5, max_genus=1, max_class=0)
+        s_random, order = _stabilize_in_random_order(g, rng)
+        assert s_random == stabilize_with_trace(g)[0]
+        reordered += order != sorted(order)
+    assert reordered >= 10
 
 
 def test_stabilize_preserves_total_class():
