@@ -377,11 +377,6 @@ def relabel_classes(g: MarkedGraph, hom: MonoidHom) -> MarkedGraph:
     )
 
 
-def forget_marking(g: MarkedGraph) -> MarkedGraph:
-    """The underlying modular graph: same shape and genera, rank-0 classes."""
-    return relabel_classes(g, MonoidHom.to_trivial(g.rank))
-
-
 def disjoint_union_with_maps(
     a: MarkedGraph, b: MarkedGraph
 ) -> tuple[MarkedGraph, dict[int, int], dict[int, int], dict[int, int], dict[int, int]]:
@@ -401,14 +396,11 @@ def disjoint_union_with_maps(
     a_v = {v: v for v in a.vertices}
     b_f = {f: f - bshift + foff for f in b.flags}
     b_v = {v: v - vshift + voff for v in b.vertices}
-    union = MarkedGraph(
-        flags=a.flags + tuple(b_f[f] for f in b.flags),
-        vertices=a.vertices + tuple(b_v[v] for v in b.vertices),
-        boundary={**a.boundary, **{b_f[f]: b_v[v] for f, v in b.boundary.items()}},
-        involution={**a.involution, **{b_f[f]: b_f[p] for f, p in b.involution.items()}},
-        genus={**a.genus, **{b_v[v]: g for v, g in b.genus.items()}},
-        classes={**a.classes, **{b_v[v]: c for v, c in b.classes.items()}},
-        rank=a.rank,
+    union = edit_graph(
+        a,
+        attach={b_f[f]: b_v[v] for f, v in b.boundary.items()},
+        pair={b_f[f]: b_f[p] for f, p in b.involution.items()},
+        vertices={b_v[v]: (b.genus[v], b.classes[v]) for v in b.vertices},
     )
     return union, a_f, a_v, b_f, b_v
 
@@ -417,27 +409,10 @@ def disjoint_union(a: MarkedGraph, b: MarkedGraph) -> MarkedGraph:
     return disjoint_union_with_maps(a, b)[0]
 
 
-def induced_subgraph(g: MarkedGraph, vertex_set: Iterable[int]) -> MarkedGraph:
-    """Subgraph on the given vertices, keeping every flag attached to them.
-
-    Flags whose partner lies outside the vertex set become tails.
-    """
-    vs = set(vertex_set)
-    fs = [f for f in g.flags if g.boundary[f] in vs]
-    fset = set(fs)
-    return MarkedGraph(
-        flags=tuple(fs),
-        vertices=tuple(v for v in g.vertices if v in vs),
-        boundary={f: g.boundary[f] for f in fs},
-        involution={f: (g.involution[f] if g.involution[f] in fset else f) for f in fs},
-        genus={v: g.genus[v] for v in vs},
-        classes={v: g.classes[v] for v in vs},
-        rank=g.rank,
-    )
-
-
 def component_of(g: MarkedGraph, v: int) -> MarkedGraph:
+    """The connected component of g holding v, with every id kept."""
     for comp in connected_components(g):
         if v in comp:
-            return induced_subgraph(g, comp)
+            drop_flags = [f for f in g.flags if g.boundary[f] not in comp]
+            return edit_graph(g, drop_flags=drop_flags, drop_vertices=[w for w in g.vertices if w not in comp])
     raise KeyError(f"unknown vertex id {v}")

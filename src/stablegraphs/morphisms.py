@@ -134,16 +134,8 @@ def contracted_piece(c: Contraction, v: int) -> MarkedGraph:
     src = c.source
     gone = set(c.contracted_flags())
     fiber = {w for w in src.vertices if c.vertexmap[w] == v}
-    fs = [f for f in src.flags if f in gone and src.boundary[f] in fiber]
-    return MarkedGraph(
-        flags=tuple(fs),
-        vertices=tuple(sorted(fiber)),
-        boundary={f: src.boundary[f] for f in fs},
-        involution={f: src.involution[f] for f in fs},
-        genus={w: src.genus[w] for w in fiber},
-        classes={w: src.classes[w] for w in fiber},
-        rank=src.rank,
-    )
+    drop_flags = [f for f in src.flags if f not in gone or src.boundary[f] not in fiber]
+    return edit_graph(src, drop_flags=drop_flags, drop_vertices=[w for w in src.vertices if w not in fiber])
 
 
 def contract_edges(g: MarkedGraph, edge_set: Iterable[tuple[int, int]]) -> Contraction:
@@ -189,7 +181,8 @@ def contract_edges(g: MarkedGraph, edge_set: Iterable[tuple[int, int]]) -> Contr
 
 
 def identity_contraction(g: MarkedGraph) -> Contraction:
-    return contract_edges(g, ())
+    """The contraction of no edge: g is its own target, so no graph is built."""
+    return Contraction(source=g, target=g, flagmap={f: f for f in g.flags}, vertexmap={v: v for v in g.vertices})
 
 
 def decompose_elementary(c: Contraction, order: Iterable[tuple[int, int]] | None = None) -> list[Contraction]:
@@ -197,13 +190,16 @@ def decompose_elementary(c: Contraction, order: Iterable[tuple[int, int]] | None
 
     ``order`` overrides the default ordering; it must be a permutation of
     the contracted edge set.  When c contracts at least one edge the factors
-    compose literally to c: the last factor is conjugated by the unique
-    isomorphism between the deterministic chain target and c's own target.
+    compose literally to c, and the last one lands on c.target itself.
     A contraction with no contracted edges (an isomorphism) decomposes into
     the empty list.
 
-    Only c is validated: each factor is a ``contract_edges`` result, the
-    last one followed by the isomorphism onto c.target that c induces.
+    Only c is validated.  Every factor but the last is a ``contract_edges``
+    result.  The last one is built from c's own maps, restricted to the
+    last source: each step keeps the ids of the flags and vertices that
+    survive it, so every value of c.flagmap is still a flag there, and each
+    of its vertices is a vertex of c.source that stands for a part of one
+    fiber of c.  Those maps contract exactly the one edge left.
     """
     ensure_valid(validate_contraction(c), "cannot decompose an invalid contraction")
     if order is None:
@@ -216,19 +212,11 @@ def decompose_elementary(c: Contraction, order: Iterable[tuple[int, int]] | None
         return []
     factors: list[Contraction] = []
     current = c.source
-    for e in remaining:
+    for e in remaining[:-1]:
         step = contract_edges(current, [e])
         factors.append(step)
         current = step.target
-    # retarget the final factor onto c.target via the unique isomorphism
-    last = factors[-1]
-    retargeted = Contraction(
-        source=last.source,
-        target=c.target,
-        flagmap={t: last.flagmap[c.flagmap[t]] for t in c.target.flags},
-        vertexmap={v: c.vertexmap[last.vertexmap[v]] for v in last.source.vertices},
-    )
-    factors[-1] = retargeted
+    factors.append(Contraction(current, c.target, c.flagmap, {v: c.vertexmap[v] for v in current.vertices}))
     return factors
 
 

@@ -90,9 +90,10 @@ def _elementary_pullback(
     and phi, and a half too unstable to split has genus and class zero.
     """
     sigma, rho = phi.source, a.source
-    if not phi.is_elementary():
+    contracted = phi.contracted_edges()
+    if len(contracted) != 1:
         raise ValidationError([Violation("pullback-not-elementary", "internal step expects one contracted edge")])
-    f, fbar = phi.contracted_edges()[0]
+    ((f, fbar),) = contracted
     v1, v2 = sigma.boundary[f], sigma.boundary[fbar]
     (v0,) = {phi.vertexmap[v1], phi.vertexmap[v2]}
 
@@ -184,16 +185,15 @@ def stable_pullback(
         raise ValidationError([Violation("pullback-endpoints", "covering morphism must land in the contraction target")])
 
     if not factors:
+        # phi contracts no edge, so its vertex map is a bijection
         pi = a.source
         psi = identity_contraction(pi)
+        inverse = {t: v for v, t in phi.vertexmap.items()}
         b = CombinatorialMorphism(
             source=pi,
             target=phi.source,
             flagmap={x: phi.flagmap[a.flagmap[x]] for x in pi.flags},
-            vertexmap={
-                w: next(v for v in phi.source.vertices if phi.vertexmap[v] == a.vertexmap[w])
-                for w in pi.vertices
-            },
+            vertexmap={w: inverse[a.vertexmap[w]] for w in pi.vertices},
             hom=xi,
         )
         return pi, psi, b

@@ -9,8 +9,10 @@ from stablegraphs.graphs import (
     MarkedGraph,
     add_loop,
     betti1,
+    component_of,
     connected_components,
     disjoint_union,
+    disjoint_union_with_maps,
     edges,
     empty_graph,
     euler_characteristic,
@@ -27,7 +29,12 @@ from stablegraphs.graphs import (
     valence,
 )
 from stablegraphs.monoid import element, enumerate_pair_decompositions
-from stablegraphs.morphisms import contract_edges
+from stablegraphs.morphisms import (
+    CombinatorialMorphism,
+    component_inclusion,
+    contract_edges,
+    validate_combinatorial,
+)
 
 from oracles import betti1_gf2
 from strategies import rand_graph, relabelled
@@ -201,6 +208,40 @@ def test_disjoint_union_additive_invariants():
         u = disjoint_union(a, b)
         assert euler_characteristic(u) == euler_characteristic(a) + euler_characteristic(b)
         assert total_class(u) == total_class(a) + total_class(b)
+
+
+def test_disjoint_union_maps_embed_each_summand():
+    rng = random.Random(29)
+    for _ in range(40):
+        a = rand_graph(rng, rank=1, max_flags=8)
+        b = relabelled(rng, rand_graph(rng, rank=1, max_flags=8))
+        u, a_f, a_v, b_f, b_v = disjoint_union_with_maps(a, b)
+        for summand, fmap, vmap in ((a, a_f, a_v), (b, b_f, b_v)):
+            emb = CombinatorialMorphism(source=summand, target=u, flagmap=fmap, vertexmap=vmap)
+            assert validate_combinatorial(emb) == []
+            assert emb.is_complete()
+        assert set(a_f.values()).isdisjoint(b_f.values()) and set(a_v.values()).isdisjoint(b_v.values())
+        assert set(u.flags) == set(a_f.values()) | set(b_f.values())
+        assert set(u.vertices) == set(a_v.values()) | set(b_v.values())
+        assert len(edges(u)) == len(edges(a)) + len(edges(b))
+
+
+def test_component_of_keeps_the_involution():
+    rng = random.Random(31)
+    components = 0
+    for _ in range(40):
+        a = rand_graph(rng, rank=1, max_flags=8)
+        b = rand_graph(rng, rank=1, max_flags=8, connected=rng.random() < 0.5)
+        g = disjoint_union(a, b)
+        for comp in connected_components(g):
+            c = component_of(g, max(comp))
+            assert set(c.vertices) == comp
+            assert set(c.flags) == {f for f in g.flags if g.boundary[f] in comp}
+            assert c.involution == {f: g.involution[f] for f in c.flags}
+            assert set(tails(c)) == set(tails(g)) & set(c.flags)
+            assert validate_combinatorial(component_inclusion(g, c)) == []
+            components += 1
+    assert components > 80
 
 
 def test_flag_count_identities():

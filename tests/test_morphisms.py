@@ -53,6 +53,7 @@ def two_vertex_graph(g0=1, g1=2):
 def test_identity_contraction_valid():
     g = two_vertex_graph()
     c = identity_contraction(g)
+    assert c.target is g
     assert validate_contraction(c) == []
     assert c.contracted_edges() == ()
 
@@ -104,6 +105,18 @@ def test_contracted_piece():
     assert lonely.vertices == (2,) and lonely.flags == ()
 
 
+def test_contracted_pieces_partition_the_contracted_flags():
+    rng = random.Random(49)
+    for _ in range(40):
+        c = rand_contraction(rng, num_edges=(0, 3), rank=1, max_flags=10)
+        pieces = [contracted_piece(c, v) for v in c.target.vertices]
+        assert sorted(f for piece in pieces for f in piece.flags) == sorted(c.contracted_flags())
+        assert sorted(w for piece in pieces for w in piece.vertices) == list(c.source.vertices)
+        for v, piece in zip(c.target.vertices, pieces):
+            assert all(c.vertexmap[w] == v for w in piece.vertices)
+            assert tails(piece) == ()
+
+
 def test_contract_non_edge_rejected():
     g = two_vertex_graph()
     with pytest.raises(ValidationError):
@@ -147,9 +160,9 @@ def test_decompose_recompose_random():
 
 
 def test_elementary_factors_validate():
-    # decompose_elementary validates its input only; every factor, the
-    # retargeted last one included, must be an elementary contraction, also
-    # when the target's ids differ from the chain's
+    # decompose_elementary validates its input only; every factor, the last
+    # one built from c's own maps included, must be an elementary
+    # contraction, also when the target's ids differ from the chain's
     rng = random.Random(45)
     factors_checked = 0
     for _ in range(60):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from stablegraphs.errors import RankMismatchError, ValidationError
-from stablegraphs.graphs import euler_characteristic, forget_marking, marked_graph, modular_graph
-from stablegraphs.monoid import LinearForm
+from stablegraphs.graphs import euler_characteristic, marked_graph, modular_graph, relabel_classes
+from stablegraphs.monoid import LinearForm, MonoidHom
 from stablegraphs.profiles import (
     BUILTIN_PROFILES,
     POINT,
@@ -99,4 +99,4 @@ def test_dim_deg_identity_random():
 
 def test_forget_marking_matches_point_profile():
     g = single_vertex(1, 1, 2, 3)
-    assert dim_graph(POINT, forget_marking(g)) == 3 * 1 - 3 + 2
+    assert dim_graph(POINT, relabel_classes(g, MonoidHom.to_trivial(g.rank))) == 3 * 1 - 3 + 2
