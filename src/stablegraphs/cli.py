@@ -1,16 +1,21 @@
 """Command line interface: one JSON document in, one JSON document out.
 
 Every verb reads a single document from stdin (or ``--in``) and writes its
-result to stdout (or ``--out``) with sorted keys, so outputs are
-byte-identical across runs.  Exit codes: 0 success, 2 malformed input,
+result to stdout (or ``--out``) with sorted keys, a 2-space indent, non-ASCII
+characters as ``\\uXXXX`` escapes and a trailing newline: the same bytes as
+``json.dumps(payload, sort_keys=True, indent=2)`` plus ``"\\n"``, so outputs
+are byte-identical across runs.  Exit codes: 0 success, 2 malformed input,
 3 domain validation failure (the payload lists the violated conditions),
 4 size cap exceeded.
+
+``main`` may be called many times in one process; the calls share one
+argument parser, built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 from .canonical import DEFAULT_MAX_FLAGS
@@ -35,6 +40,7 @@ from .profiles import deg_graph, dim_graph
 from .pullback import compose_marked, stable_pullback, validate_marked
 from .serialize import (
     SchemaError,
+    _dump_json,
     _read_json,
     combinatorial_from_json,
     combinatorial_to_json,
@@ -62,18 +68,21 @@ EXIT_SIZE = 4
 def _check_size(doc, cap: int) -> None:
     """Refuse any graph in the document with more than cap flags.
 
-    Walks the document depth first, in document order, with an explicit
-    stack, so nesting depth is not bounded by the recursion limit.
+    Walks the objects and arrays of the document depth first, in document
+    order, with an explicit stack, so nesting depth is not bounded by the
+    recursion limit.
     """
-    stack = [doc]
+    stack = [doc] if isinstance(doc, (dict, list)) else []
     while stack:
         node = stack.pop()
         if isinstance(node, dict):
-            if isinstance(node.get("flags"), list) and len(node["flags"]) > cap:
-                raise SizeCapError(f"graph has {len(node['flags'])} flags, cap is {cap}")
-            stack.extend(reversed(node.values()))
-        elif isinstance(node, list):
-            stack.extend(reversed(node))
+            flags = node.get("flags")
+            if isinstance(flags, list) and len(flags) > cap:
+                raise SizeCapError(f"graph has {len(flags)} flags, cap is {cap}")
+            children = node.values()
+        else:
+            children = node
+        stack.extend([c for c in reversed(children) if isinstance(c, (dict, list))])
 
 
 def _run_validate(doc, args):
@@ -268,7 +277,12 @@ VERBS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process, since nothing in it varies.
+
+    Every caller gets the same instance, so none may change it.
+    """
     parser = argparse.ArgumentParser(
         prog="stablegraphs",
         description="Calculus of stable marked modular graphs (JSON in, JSON out).",
@@ -293,7 +307,7 @@ def _emit(payload, outfile: str | None) -> None:
     if isinstance(payload, str):
         text = payload
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _dump_json(payload) + "\n"
     if outfile:
         with open(outfile, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -26,11 +26,30 @@ same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import RankMismatchError, Violation, ensure_valid
 from .monoid import MonoidElement, MonoidHom, _sum_classes
+
+
+class _memo:
+    """``functools.cached_property`` without its lock (Python 3.11 and older
+    take one on every first access).  The value goes into the instance
+    ``__dict__``, which shadows this non-data descriptor from then on.  Two
+    threads may both compute a value; both are equal, and one of them stays.
+    """
+
+    def __init__(self, func):
+        self.func = func
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -62,22 +81,23 @@ class MarkedGraph:
             out.append(Violation("flag-duplicate", "flag ids repeat"))
         if len(vset) != len(self.vertices):
             out.append(Violation("vertex-duplicate", "vertex ids repeat"))
-        if set(self.boundary) != fset:
+        if self.boundary.keys() != fset:
             out.append(Violation("boundary-total", "boundary map not defined on exactly the flag set"))
-        elif not set(self.boundary.values()) <= vset:
+        elif not vset.issuperset(self.boundary.values()):
             out.append(Violation("boundary-total", "boundary map hits unknown vertex"))
-        if set(self.involution) != fset:
+        j = self.involution
+        if j.keys() != fset:
             out.append(Violation("j-total", "involution not defined on exactly the flag set"))
         else:
-            if not set(self.involution.values()) <= fset:
+            if not fset.issuperset(j.values()):
                 out.append(Violation("j-involution", "involution hits unknown flag"))
-            elif any(self.involution[self.involution[f]] != f for f in self.flags):
+            elif list(map(j.__getitem__, map(j.__getitem__, self.flags))) != list(self.flags):
                 out.append(Violation("j-involution", "involution composed with itself is not the identity"))
-        if set(self.genus) != vset:
+        if self.genus.keys() != vset:
             out.append(Violation("genus-total", "genus map not defined on exactly the vertex set"))
-        elif any(g < 0 for g in self.genus.values()):
+        elif any(g < 0 for g in self.genus.values()):  # not min(): it raises on mixed types
             out.append(Violation("genus-negative", "vertex genus must be non-negative"))
-        if set(self.classes) != vset:
+        if self.classes.keys() != vset:
             out.append(Violation("class-total", "class map not defined on exactly the vertex set"))
         elif any(c.rank != self.rank for c in self.classes.values()):
             out.append(Violation("class-rank", "vertex class has wrong monoid rank"))
@@ -92,28 +112,28 @@ class MarkedGraph:
 
     # -- derived structure, computed once per instance --------------------
 
-    @cached_property
+    @_memo
     def _flags_at(self) -> dict[int, tuple[int, ...]]:
         at: dict[int, list[int]] = {}
         for f in self.flags:
             at.setdefault(self.boundary[f], []).append(f)
         return {v: tuple(fs) for v, fs in at.items()}
 
-    @cached_property
+    @_memo
     def _tails(self) -> tuple[int, ...]:
         return tuple(f for f in self.flags if self.involution[f] == f)
 
-    @cached_property
+    @_memo
     def _edges(self) -> tuple[tuple[int, int], ...]:
         # flags are sorted, so the pairs come out sorted by their smaller flag
         return tuple((f, p) for f in self.flags if (p := self.involution[f]) > f)
 
-    @cached_property
+    @_memo
     def _connected_components(self) -> tuple[frozenset[int], ...]:
         pairs = ((self.boundary[f1], self.boundary[f2]) for f1, f2 in self._edges)
         return tuple(frozenset(c) for c in equivalence_classes(self.vertices, pairs))
 
-    @cached_property
+    @_memo
     def _flag_partition(self) -> FlagPartition:
         return _partition_flags(self, self.classes)
 

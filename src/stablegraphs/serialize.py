@@ -150,6 +150,36 @@ def _read_json(path: str | None, what: str) -> Any:
         raise SchemaError(f"{what} is nested too deeply to read") from exc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dump_json(value: Any, newline: str = "\n") -> str:
+    """``value`` as the text of ``json.dumps(value, sort_keys=True, indent=2)``.
+
+    ``json.dumps`` drops its C encoder whenever ``indent`` is set, so this
+    writes the same text from C-level pieces instead.  Object keys must be
+    strings.  ``newline`` is the line break plus the indent of the enclosing
+    level.
+    """
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_encode_str(k) + ": " + _dump_json(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_dump_json(v, inner) for v in value]) + newline + "]"
+    # None, bools and floats (inf and nan included) are written as json.dumps writes them
+    return json.dumps(value)
+
+
 def resolve_profile(spec: str | dict | None) -> VarietyProfile:
     from pathlib import Path
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from stablegraphs.cli import main
+from stablegraphs.cli import _check_size, build_parser, main
 from stablegraphs.errors import SizeCapError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -125,6 +125,19 @@ def test_size_check_walks_deeply_nested_documents():
     # the first graph over the cap in document order is the one reported
     with pytest.raises(SizeCapError, match="^graph has 17 flags, cap is 16$"):
         _check_size({"a": doc}, 16)
+
+
+def test_size_check_reports_the_first_oversized_graph_in_document_order():
+    big, bigger = {"flags": list(range(17))}, {"flags": list(range(19))}
+    # objects keep the order of their keys in the document, not sorted order
+    doc = {"z": [0, "s", [None, {"rank": 1, "graph": bigger}]], "a": {"b": [big]}}
+    with pytest.raises(SizeCapError, match="^graph has 19 flags, cap is 16$"):
+        _check_size(doc, 16)
+    doc = {"z": [{"flags": list(range(16))}, [{"x": big}], bigger], "a": bigger}
+    with pytest.raises(SizeCapError, match="^graph has 17 flags, cap is 16$"):
+        _check_size(doc, 16)
+    _check_size(doc, 19)
+    _check_size("not a container", 0)
 
 
 def _tripod_with_vertex(**fields):
@@ -314,6 +327,54 @@ def test_subprocess_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["tails"] == 3
+
+
+def test_repeated_calls_in_one_process_match_calls_made_alone(tmp_path, capsys):
+    graph = json.loads((GOLDEN / "in" / "deg_p2_d2.json").read_text())["graph"]
+    doc = tmp_path / "graph.json"
+    doc.write_text(json.dumps({"graph": graph}))
+    calls = [
+        ["deg", "--in", str(doc), "--profile", "P2"],
+        ["deg", "--in", str(doc), "--profile", "P1"],
+        ["invariants", "--in", str(doc.with_name("tripod.json")), "--max-flags", "2"],
+        ["invariants", "--in", str(doc.with_name("tripod.json"))],
+        ["invariants", "--in", str(doc.with_name("tripod.json")), "--out", str(tmp_path / "out.json")],
+    ]
+    doc.with_name("tripod.json").write_text(json.dumps(graph))
+
+    def in_process(argv):
+        code = main(argv)
+        out = capsys.readouterr().out.encode()
+        if "--out" in argv:
+            out = Path(argv[-1]).read_bytes()
+        return code, out
+
+    def alone(argv):
+        proc = subprocess.run([sys.executable, "-m", "stablegraphs", *argv], capture_output=True)
+        return proc.returncode, Path(argv[-1]).read_bytes() if "--out" in argv else proc.stdout
+
+    expected = [alone(argv) for argv in calls]
+    assert [code for code, _ in expected] == [0, 0, 4, 0, 0]
+    assert len({out for _, out in expected}) == 4  # only the two plain invariants calls agree
+    for _ in range(2):
+        assert [in_process(argv) for argv in calls] == expected
+        assert [in_process(argv) for argv in reversed(calls)] == expected[::-1]
+
+
+def test_help_and_unknown_verb_exit_the_same_on_every_call(capsys):
+    build_parser.cache_clear()  # the next call builds the parser, as a process's first call does
+    outputs = []
+    for _ in range(3):
+        for argv, expected in ((["--help"], 0), (["no-such-verb"], 2)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == expected
+            outputs.append(capsys.readouterr())
+        assert main(["invariants", "--in", str(GOLDEN / "in" / "invariants_tripod.json")]) == 0
+        capsys.readouterr()
+    assert "usage: stablegraphs" in outputs[0].out and "invalid choice: 'no-such-verb'" in outputs[1].err
+    assert outputs[2:] == outputs[:2] * 2
+    assert build_parser.cache_info().misses == 1
 
 
 def test_stdin_stdout(tmp_path):

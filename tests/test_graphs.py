@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -86,6 +87,68 @@ def test_involution_must_be_involution():
             rank=1,
         )
     assert "j-involution" in err.value.conditions
+
+
+def _structural_violations(**changes):
+    # a graph whose vertex 0 holds tail 0 and half-edge 1, joined to vertex 1 by half-edge 2
+    fields = dict(
+        flags=(0, 1, 2),
+        vertices=(0, 1),
+        boundary={0: 0, 1: 0, 2: 1},
+        involution={0: 0, 1: 2, 2: 1},
+        genus={0: 0, 1: 1},
+        classes={0: element(0), 1: element(1)},
+        rank=1,
+    )
+    MarkedGraph(**fields)
+    fields.update(changes)
+    with pytest.raises(ValidationError) as err:
+        MarkedGraph(**fields)
+    return [(v.condition, v.detail) for v in err.value.violations]
+
+
+BOUNDARY_NOT_TOTAL = ("boundary-total", "boundary map not defined on exactly the flag set")
+J_NOT_INVOLUTION = ("j-involution", "involution composed with itself is not the identity")
+GENUS_NEGATIVE = ("genus-negative", "vertex genus must be non-negative")
+CLASS_NOT_TOTAL = ("class-total", "class map not defined on exactly the vertex set")
+
+
+@pytest.mark.parametrize(
+    "changes, expected",
+    [
+        ({"flags": (0, 1, 2, 2)}, [("flag-duplicate", "flag ids repeat")]),
+        ({"vertices": (0, 1, 1)}, [("vertex-duplicate", "vertex ids repeat")]),
+        ({"boundary": {0: 0, 1: 0}}, [BOUNDARY_NOT_TOTAL]),
+        ({"boundary": {0: 0, 1: 0, 2: 7}}, [("boundary-total", "boundary map hits unknown vertex")]),
+        ({"involution": {0: 0, 1: 2}}, [("j-total", "involution not defined on exactly the flag set")]),
+        ({"involution": {0: 0, 1: 5, 2: 1}}, [("j-involution", "involution hits unknown flag")]),
+        ({"involution": {0: 1, 1: 2, 2: 0}}, [J_NOT_INVOLUTION]),
+        ({"genus": {0: 0}}, [("genus-total", "genus map not defined on exactly the vertex set")]),
+        ({"genus": {0: 0, 1: -1}}, [GENUS_NEGATIVE]),
+        ({"classes": {0: element(0)}}, [CLASS_NOT_TOTAL]),
+        ({"classes": {0: element(0), 1: element(1, 0)}}, [("class-rank", "vertex class has wrong monoid rank")]),
+        (
+            {
+                "flags": (0, 1, 2, 2),
+                "vertices": (0, 1, 1),
+                "boundary": {0: 0, 1: 0},
+                "involution": {0: 1, 1: 2, 2: 0},
+                "genus": {0: -1, 1: 0},
+                "classes": {0: element(0)},
+            },
+            [
+                ("flag-duplicate", "flag ids repeat"),
+                ("vertex-duplicate", "vertex ids repeat"),
+                BOUNDARY_NOT_TOTAL,
+                J_NOT_INVOLUTION,
+                GENUS_NEGATIVE,
+                CLASS_NOT_TOTAL,
+            ],
+        ),
+    ],
+)
+def test_structural_violations_are_pinned(changes, expected):
+    assert _structural_violations(**changes) == expected
 
 
 def test_connected_components():
@@ -343,3 +406,18 @@ def test_cached_indices_match_recomputation(seed, rank):
     for accessor in (tails, edges, connected_components, flag_partition):
         assert accessor(g) is accessor(g)
     assert g == cold and repr(g) == repr(cold)
+
+
+def test_memoised_indices_are_kept_on_the_instance_but_not_compared():
+    g = marked_graph(1, {0: (0, 1), 1: (1, 0)}, tails={0: 0}, edges=[((1, 0), (2, 1))])
+    cold = dataclasses.replace(g)
+    names = ("_flags_at", "_tails", "_edges", "_connected_components", "_flag_partition")
+    for name in names:
+        assert name not in vars(g)
+        first = getattr(g, name)
+        assert vars(g)[name] is first and getattr(g, name) is first
+    assert not any(name in vars(cold) for name in names)
+    assert g == cold and repr(g) == repr(cold)
+    copy = dataclasses.replace(g)
+    assert copy == g and not any(name in vars(copy) for name in names)
+    assert copy._edges == g._edges and copy._edges is not g._edges

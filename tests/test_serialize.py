@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablegraphs.graphs import empty_graph, marked_graph, modular_graph
 from stablegraphs.isogeny import ContractStep, ForgetStep, extended_isogeny
@@ -10,6 +12,7 @@ from stablegraphs.morphisms import contract_edges, cut_edge
 from stablegraphs.pullback import identity_marked
 from stablegraphs.serialize import (
     SchemaError,
+    _dump_json,
     combinatorial_from_json,
     combinatorial_to_json,
     contraction_from_json,
@@ -119,3 +122,26 @@ def test_export_dot_empty():
 def test_export_dot_deterministic():
     g = marked_graph(1, {0: (1, 2), 1: (0, 1)}, tails={5: 0}, edges=[((0, 0), (1, 1))])
     assert export_dot(g) == export_dot(graph_from_json(graph_to_json(g)))
+
+
+# keys and strings that need escapes: quotes, backslashes, control and non-ASCII characters
+json_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'))
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | json_text
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(json_text, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values)
+def test_dump_json_writes_what_json_dumps_writes(value):
+    assert _dump_json(value) == json.dumps(value, sort_keys=True, indent=2)
