@@ -26,7 +26,7 @@ where w0 is the vertex of sigma' over the base vertex the step acts at:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import prod
 
 from .canonical import DEFAULT_MAX_FLAGS, canonical_form, canonical_key
@@ -73,8 +73,9 @@ def is_stabilization_identification(b: CombinatorialMorphism) -> bool:
     src, tgt = b.source, b.target
     if src.rank != 0:
         return False
-    hom = b.hom if b.hom is not None else MonoidHom.identity(tgt.rank)
-    if hom != MonoidHom.to_trivial(tgt.rank):
+    # a missing hom is the identity, which forgets every class only at rank 0
+    forgets = b.hom == MonoidHom.to_trivial(tgt.rank) if b.hom is not None else tgt.rank == 0
+    if not forgets:
         return False
     if validate_combinatorial(b):
         return False
@@ -508,23 +509,28 @@ def is_admissible_member(g: MarkedGraph, criterion) -> bool:
     return bool(criterion.accepts(g))
 
 
-def _classes_up_to(p: VarietyProfile, bound: int) -> list[MonoidElement]:
-    """All classes whose ample degree is at most the bound."""
-    if p.rank == 0:
-        return [MonoidElement(())]
-    out: list[MonoidElement] = []
+def _classes_up_to(p: VarietyProfile, bound: int):
+    """The coordinates of every class whose ample degree is at most the
+    bound, in lexicographic order, made one at a time.
 
-    def rec(prefix: tuple[int, ...], remaining: int):
-        idx = len(prefix)
-        if idx == p.rank:
-            out.append(MonoidElement(prefix))
+    An odometer: the last coordinate that still fits in the remaining degree
+    goes up by one, and every coordinate after it goes back to zero.  It
+    keeps no stack, so a profile of any rank works.
+    """
+    coeffs = p.ample.coeffs
+    coords = [0] * len(coeffs)
+    remaining = bound
+    while True:
+        yield tuple(coords)
+        i = len(coeffs) - 1
+        while i >= 0 and remaining < coeffs[i]:
+            remaining += coeffs[i] * coords[i]
+            coords[i] = 0
+            i -= 1
+        if i < 0:
             return
-        coeff = p.ample.coeffs[idx]
-        for c in range(remaining // coeff + 1):
-            rec(prefix + (c,), remaining - coeff * c)
-
-    rec((), bound)
-    return out
+        coords[i] += 1
+        remaining -= coeffs[i]
 
 
 def _splittings(g: MarkedGraph, max_vertices: int):
@@ -581,7 +587,10 @@ def enumerate_stable_graphs(
     splittings (hang a loop, or split a vertex) through stable graphs within
     the vertex bound.  The graphs are generated level by level, one edge per
     level, from one representative of each isomorphism class found.  ``cap``
-    bounds the number of child graphs built and keyed.
+    bounds the number of graphs built and keyed: the start graphs, one per
+    class within the ample bound, and then the children.  The classes are
+    counted before any start graph is built, so too many of them raise
+    ``SizeCapError`` up front.
 
     Bounds that admit a graph with more flags than canonical labelling
     accepts (``n + 2(g + V - 1)``, with V the vertex bound clamped to what
@@ -611,11 +620,14 @@ def enumerate_stable_graphs(
     most_flags = num_tails + 2 * (genus_total + max_vertices - 1)
     if most_flags > DEFAULT_MAX_FLAGS:
         raise SizeCapError(f"graphs within the bounds have up to {most_flags} flags, cap is {DEFAULT_MAX_FLAGS}")
+    # one start graph per class: count them before building any
+    built = sum(1 for _ in islice(_classes_up_to(p, ample_bound), cap + 1))
+    if built > cap:
+        raise SizeCapError(f"enumeration exceeded {cap} candidates")
     tails = {f: 0 for f in range(num_tails)}
     starts = (marked_graph(p.rank, {0: (genus_total, beta)}, tails=tails) for beta in _classes_up_to(p, ample_bound))
     level = {canonical_key(g): g for g in starts if is_stable(g)}
     seen = dict(level)
-    built = 0
     while level:
         found: dict[tuple, MarkedGraph] = {}
         for g in level.values():

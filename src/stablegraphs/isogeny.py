@@ -27,7 +27,6 @@ from .errors import ValidationError, Violation
 from .graphs import (
     MarkedGraph,
     connected_components,
-    euler_characteristic,
     is_stable,
     tails,
 )
@@ -229,8 +228,3 @@ def compose_extended(outer: ExtendedIsogeny, inner: ExtendedIsogeny) -> Extended
     if composite.target != outer.target:
         raise AssertionError("extended isogeny composition did not reproduce the outer target")
     return composite
-
-
-def chi_drop(e: ExtendedIsogeny) -> int:
-    """chi(source after gluing) - chi(target); zero for every isogeny."""
-    return euler_characteristic(e.glued_graph) - euler_characteristic(e.target)

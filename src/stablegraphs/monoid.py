@@ -123,6 +123,17 @@ class MonoidHom:
         return MonoidHom(rows, inner.source_rank)
 
 
+def _is_identity(h: MonoidHom, rank: int) -> bool:
+    """Whether h equals ``MonoidHom.identity(rank)``, read off h's own rows.
+
+    Unlike that comparison it builds nothing, so a rank that a caller only
+    declares costs no more than the size of h.
+    """
+    if h.source_rank != rank or len(h.rows) != rank:
+        return False
+    return all(row[i] == 1 and sum(row) == 1 for i, row in enumerate(h.rows))
+
+
 def apply_hom(h: MonoidHom, a: MonoidElement) -> MonoidElement:
     if a.rank != h.source_rank:
         raise RankMismatchError(f"hom expects rank {h.source_rank}, got {a.rank}")

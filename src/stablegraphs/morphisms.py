@@ -380,10 +380,3 @@ def glue_tails(g: MarkedGraph, f: int, fbar: int) -> tuple[MarkedGraph, Combinat
         raise ValidationError([Violation("glue-not-tails", f"{f} and {fbar} must be distinct tails")])
     glued = edit_graph(g, pair={f: fbar, fbar: f})
     return glued, inclusion(g, glued)
-
-
-def component_inclusion(g: MarkedGraph, component: MarkedGraph) -> CombinatorialMorphism:
-    """Inclusion of a subgraph whose flags and vertices keep their ids."""
-    a = inclusion(component, g)
-    ensure_valid(validate_combinatorial(a), "component inclusion invalid")
-    return a

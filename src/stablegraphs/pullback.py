@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .canonical import diagram_key
 from .errors import ValidationError, Violation, ensure_valid
 from .graphs import MarkedGraph, add_loop, is_stable, split_vertex
-from .monoid import MonoidHom
+from .monoid import MonoidHom, _is_identity
 from .morphisms import (
     CombinatorialMorphism,
     Contraction,
@@ -176,8 +177,9 @@ def stable_pullback(
     """
     factors = decompose_elementary(phi, edge_order)  # validates phi first
     ensure_valid(validate_combinatorial(a), "stable_pullback: invalid covering morphism")
-    covering = a.hom if a.hom is not None else MonoidHom.identity(a.source.rank)
-    if covering != xi:
+    # a missing hom is the identity; xi is compared with it without building it
+    covers = a.hom == xi if a.hom is not None else _is_identity(xi, a.source.rank)
+    if not covers:
         raise ValidationError([Violation("pullback-hom", "covering morphism does not cover xi")])
     if not is_stable(a.source):
         raise ValidationError([Violation("pullback-unstable-input", "the graph being pulled back must be stable")])
@@ -237,8 +239,6 @@ def pullback_diagram_key(
     get equal keys exactly when they differ by an isomorphism of pi
     commuting with both maps.
     """
-    from .canonical import diagram_key
-
     psi_preimage = {src_flag: rho_flag for rho_flag, src_flag in psi.flagmap.items()}
     flag_dec = {f: (b.flagmap[f], psi_preimage.get(f)) for f in pi.flags}
     vertex_dec = {v: (b.vertexmap[v], psi.vertexmap[v]) for v in pi.vertices}

@@ -13,13 +13,15 @@ Each step removes exactly one vertex, so iteration terminates; the result is
 stable and receives a combinatorial morphism into the original graph through
 which every combinatorial morphism from a stable graph factors uniquely.
 
-One ascending pass over the vertices is enough.  No surgery changes the
-genus, class or valence of a vertex that survives it, so the unstable
-vertices are fixed from the start and only ever leave by removal.  The case
-is read on the current graph when the pass reaches a vertex, since removing
-a neighbour can change it: a case III vertex may turn into case IV.  Any
-removal order gives literally the same graph, since surviving ids never
-change.
+One ascending pass over the vertices is enough, and the stable graph is
+built once.  No surgery changes the genus, class or valence of a vertex that
+survives it, so the unstable vertices are read once from the input and only
+ever leave by removal.  Besides dropping its vertex and that vertex's
+flags, a surgery changes only the involution of the survivors.  The pass
+runs on a working copy of the involution, and reads the case from that copy
+when it reaches a vertex, since removing a neighbour can change it: a
+case III vertex may turn into case IV.  Any removal order gives literally
+the same graph, since surviving ids never change.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .morphisms import (
     inclusion,
     validate_combinatorial,
 )
+from .pullback import MarkedMorphism
 
 
 @dataclass(frozen=True)
@@ -64,72 +67,48 @@ class ReductionStep:
     glued: tuple[int, int] | None  # case III: the far halves now forming an edge
 
 
-def _reduction_case(g: MarkedGraph, v: int) -> str | None:
-    """Which removal case applies at v, or None when v is stable.
+def _remove_vertex(g: MarkedGraph, v: int, involution: dict[int, int]) -> ReductionStep:
+    """Remove the unstable vertex v of g from the working ``involution``.
 
-    The guards are disjoint: an unstable vertex matches exactly one case.
+    The case is read from the far halves of v's edges to other vertices, in
+    ``involution`` as earlier removals left it: none is case IV, one becomes
+    a tail (case I when v has one flag, else case II), two are glued (case
+    III).  v's flags leave ``involution``.
     """
-    if is_stable_vertex(g, v):
-        return None
     at_v = g.flags_at(v)
-    external = [f for f in at_v if g.involution[f] != f and g.boundary[g.involution[f]] != v]
-    if not external:
-        return "IV"
-    if len(at_v) == 1:
-        return "I"
-    # unstable with class zero forces genus 0 and valence <= 2 here
-    if len(external) == 1:
-        return "II"
-    return "III"
-
-
-def _apply_reduction(g: MarkedGraph, v: int, case: str) -> tuple[MarkedGraph, ReductionStep]:
-    at_v = g.flags_at(v)
-    if case == "I":
-        (f1,) = at_v
-        f2 = g.involution[f1]
-        removed = (f1,)
-        new_tails = (f2,)
-        glued = None
-    elif case == "II":
-        tail = next(f for f in at_v if g.involution[f] == f)
-        half = next(f for f in at_v if g.involution[f] != f)
-        removed = tuple(sorted((tail, half)))
-        new_tails = (g.involution[half],)
-        glued = None
-    elif case == "III":
-        h1, h2 = sorted(at_v)
-        removed = (h1, h2)
-        new_tails = ()
-        glued = (g.involution[h1], g.involution[h2])
-    else:  # IV
-        removed = tuple(sorted(at_v))
-        new_tails = ()
-        glued = None
-    pair = {t: t for t in new_tails}
-    if glued:
-        pair.update({glued[0]: glued[1], glued[1]: glued[0]})
-    smaller = edit_graph(g, drop_flags=removed, drop_vertices=(v,), pair=pair)
-    return smaller, ReductionStep(case, v, removed, new_tails, glued)
+    far = [involution[f] for f in at_v if g.boundary[involution[f]] != v]
+    for f in at_v:
+        del involution[f]
+    if not far:
+        return ReductionStep("IV", v, at_v, (), None)
+    if len(far) == 1:
+        (tail,) = far
+        involution[tail] = tail
+        return ReductionStep("I" if len(at_v) == 1 else "II", v, at_v, (tail,), None)
+    h1, h2 = far  # an unstable vertex of class zero has genus 0 and valence <= 2
+    involution[h1], involution[h2] = h2, h1
+    return ReductionStep("III", v, at_v, (), (h1, h2))
 
 
 def stabilize_with_trace(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMorphism, tuple[ReductionStep, ...]]:
     """Stabilize, also reporting the surgery steps in application order.
 
-    The unstable vertices are removed in ascending id order.  The morphism
-    is the inclusion of what survives, and it is valid: surviving flags keep
-    their vertex, and surviving vertices their genus and class.  A case III
-    glue joins two far halves that were already joined in g's flag
-    partition, through the removed vertex of genus 0 and class 0.
+    The unstable vertices are read once from g and removed in ascending id
+    order on a working copy of the involution; the stable graph is built
+    once, at the end, and g itself comes back when nothing is unstable.  The
+    morphism is the inclusion of what survives, and it is valid: surviving
+    flags keep their vertex, and surviving vertices their genus and class.
+    A case III glue joins two far halves that were already joined in g's
+    flag partition, through the removed vertex of genus 0 and class 0.
     """
-    current = g
-    steps: list[ReductionStep] = []
-    for v in g.vertices:
-        case = _reduction_case(current, v)
-        if case is not None:
-            current, step = _apply_reduction(current, v, case)
-            steps.append(step)
-    return current, inclusion(current, g), tuple(steps)
+    unstable = [v for v in g.vertices if not is_stable_vertex(g, v)]
+    if not unstable:
+        return g, inclusion(g, g), ()
+    involution = dict(g.involution)
+    steps = tuple(_remove_vertex(g, v, involution) for v in unstable)
+    removed = [f for step in steps for f in step.removed_flags]
+    stable = edit_graph(g, drop_flags=removed, drop_vertices=unstable, pair=involution)
+    return stable, inclusion(stable, g), steps
 
 
 def stabilize(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMorphism]:
@@ -138,7 +117,7 @@ def stabilize(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMorphism]:
     return stable, morphism
 
 
-def pushforward(hom: MonoidHom, g: MarkedGraph) -> tuple[MarkedGraph, "pullback.MarkedMorphism"]:
+def pushforward(hom: MonoidHom, g: MarkedGraph) -> tuple[MarkedGraph, MarkedMorphism]:
     """Change the marking monoid along hom, then stabilize.
 
     Requires g stable over its own monoid; the result is the universal stable
@@ -148,13 +127,11 @@ def pushforward(hom: MonoidHom, g: MarkedGraph) -> tuple[MarkedGraph, "pullback.
     valid by the argument in ``stabilize_with_trace``; retargeting it onto g
     keeps it valid, since that graph is g with its classes pushed through hom.
     """
-    from . import pullback  # deferred: pullback builds on this module
-
     if not is_stable(g):
         raise ValidationError([Violation("pushforward-unstable-source", "pushforward requires a stable graph")])
     relabeled = relabel_classes(g, hom)
     stable, a = stabilize(relabeled)
-    morphism = pullback.MarkedMorphism(
+    morphism = MarkedMorphism(
         hom=hom,
         comb=replace(a, target=g, hom=hom),
         mid=stable,

@@ -5,7 +5,8 @@ over GF(2) for cycle ranks, a literal breadth-first chain search for the
 flag-equivalence condition, a raw product enumeration for boundary graph
 listings and for combinatorial morphisms, and the two morphism validators written the way that builds
 graphs (each contracted piece, and the relabelled target).  None of them
-call the code paths they certify.
+call the code paths they certify.  At the end are two checked helpers that
+only the tests call.
 """
 
 from __future__ import annotations
@@ -13,21 +14,24 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations, product
 
 from stablegraphs.canonical import canonical_form, canonical_key
-from stablegraphs.errors import SizeCapError, Violation
+from stablegraphs.errors import SizeCapError, Violation, ensure_valid
 from stablegraphs.graphs import (
     MarkedGraph,
     edges,
     equivalence_classes,
+    euler_characteristic,
     flag_partition,
     is_stable,
     relabel_classes,
     valence,
 )
+from stablegraphs.isogeny import ExtendedIsogeny
 from stablegraphs.monoid import MonoidElement
 from stablegraphs.morphisms import (
     CombinatorialMorphism,
     Contraction,
     contracted_piece,
+    inclusion,
     validate_combinatorial,
 )
 from stablegraphs.profiles import VarietyProfile
@@ -416,3 +420,18 @@ def _assemble(rank, genera, classes, tail_split, edge_combo) -> MarkedGraph:
         classes={v: classes[v] for v in range(nv)},
         rank=rank,
     )
+
+
+# -- checked helpers that only the tests use -------------------------------
+
+
+def component_inclusion(g: MarkedGraph, component: MarkedGraph) -> CombinatorialMorphism:
+    """Inclusion of a subgraph whose flags and vertices keep their ids, validated."""
+    a = inclusion(component, g)
+    ensure_valid(validate_combinatorial(a), "component inclusion invalid")
+    return a
+
+
+def chi_drop(e: ExtendedIsogeny) -> int:
+    """chi(source after gluing) - chi(target); zero for every isogeny."""
+    return euler_characteristic(e.glued_graph) - euler_characteristic(e.target)

@@ -23,7 +23,6 @@ from stablegraphs.monoid import MonoidElement, MonoidHom
 from stablegraphs.morphisms import (
     CombinatorialMorphism,
     Contraction,
-    component_inclusion,
     compose_combinatorial,
     contract_edges,
     cut_edge,
@@ -31,6 +30,8 @@ from stablegraphs.morphisms import (
 )
 from stablegraphs.pullback import MarkedMorphism, validate_marked
 from stablegraphs.stabilize import stabilize
+
+from oracles import component_inclusion
 
 
 def rand_element(rng: random.Random, rank: int, max_coord: int = 2) -> MonoidElement:

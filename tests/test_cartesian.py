@@ -637,6 +637,28 @@ def test_enumerate_refuses_bounds_over_the_flag_cap_up_front(max_vertices, flags
         enumerate_stable_graphs(BUILTIN_PROFILES["P2"], 0, 3, 6, max_vertices)
 
 
+def test_enumerate_cap_counts_the_start_graphs(monkeypatch):
+    # P1, 3 tails, one vertex: one stable start graph per degree 0..5 and no
+    # children, so a cap of 6 admits them and a cap of 5 refuses before any
+    assert len(enumerate_stable_graphs(BUILTIN_PROFILES["P1"], 0, 3, 5, 1, cap=6)) == 6
+
+    def no_graph(self):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
+    with pytest.raises(SizeCapError, match="^enumeration exceeded 5 candidates$"):
+        enumerate_stable_graphs(BUILTIN_PROFILES["P1"], 0, 3, 5, 1, cap=5)
+
+
+def test_enumerate_start_classes_at_a_high_rank():
+    # the start classes come from an odometer, not a recursion per coordinate
+    rank = 2000
+    p = VarietyProfile("wide", 2, LinearForm((-3,) * rank), LinearForm((1,) * rank))
+    (g,) = enumerate_stable_graphs(p, 0, 3, 0, 1)
+    assert g.rank == rank and g.classes[0].is_zero()
+    assert len(enumerate_stable_graphs(p, 0, 3, 1, 1)) == rank + 1
+
+
 def test_flag_bound_clamps_the_vertex_bound_first():
     # on a point no vertex carries a class, so at most 4 vertices and 12
     # flags; 2 * (ample bound) in their place would refuse at 24 flags

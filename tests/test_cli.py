@@ -433,6 +433,53 @@ def test_oversized_cartesian_family_exits_before_building_it(tmp_path, capsys, m
     assert len(built) < 10  # the 3-member golden family builds 14
 
 
+def _identity_capped(monkeypatch, largest):
+    """Make ``MonoidHom.identity`` fail above rank ``largest``."""
+    from stablegraphs.monoid import MonoidHom
+
+    real = MonoidHom.identity
+
+    def capped(rank):
+        if rank > largest:
+            raise AssertionError(f"identity hom of rank {rank} built")
+        return real(rank)
+
+    monkeypatch.setattr(MonoidHom, "identity", staticmethod(capped))
+
+
+def test_pullback_hom_check_builds_no_identity_of_the_declared_rank(tmp_path, capsys, monkeypatch):
+    # empty graphs that declare rank 3000, a covering morphism with no hom
+    # (the identity) and a rank-0 xi: the answer is in xi's own rows
+    empty = {"flags": [], "vertices": [], "boundary": {}, "involution": {}, "rank": 3000}
+    doc = {
+        "xi": {"rows": [], "source_rank": 0},
+        "phi": {"kind": "contraction", "source": empty, "target": empty, "flagmap": {}, "vertexmap": {}},
+        "a": {"kind": "combinatorial", "source": empty, "target": empty, "flagmap": {}, "vertexmap": {}},
+    }
+    path = tmp_path / "pullback.json"
+    path.write_text(json.dumps(doc))
+    _identity_capped(monkeypatch, 4)
+    assert main(["pullback", "--in", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["conditions"] == ["pullback-hom"]
+
+
+def test_cartesian_hom_check_builds_no_identity_of_the_profile_rank(tmp_path, capsys, monkeypatch):
+    # the golden cartesian input over a rank-3000 profile, with b's hom left
+    # out: the identity of a positive rank forgets no class
+    rank = 3000
+    doc = json.loads((GOLDEN / "in" / "cartesian_case2.json").read_text())
+    doc["profile"] = {"dim": 2, "canonical": [-3] * rank, "ample": [1] * rank}
+    del doc["b"]["hom"]
+    doc["b"]["target"]["rank"] = rank
+    doc["b"]["target"]["vertices"][0]["class"] = [2] + [0] * (rank - 1)
+    path = tmp_path / "cartesian.json"
+    path.write_text(json.dumps(doc))
+    _identity_capped(monkeypatch, 4)
+    assert main(["cartesian", "--in", str(path)]) == 3
+    conditions = json.loads(capsys.readouterr().out)["error"]["conditions"]
+    assert conditions == ["cartesian-not-stabilization"]
+
+
 @pytest.mark.parametrize("max_vertices", [8, 20])
 def test_boundary_over_the_flag_cap_exits_before_building_a_graph(max_vertices, tmp_path, capsys, monkeypatch):
     from stablegraphs.graphs import MarkedGraph
@@ -445,3 +492,21 @@ def test_boundary_over_the_flag_cap_exits_before_building_a_graph(max_vertices, 
     monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
     assert main(["boundary", "--in", str(path)]) == 4
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "size-cap"
+
+
+def test_boundary_with_too_many_start_classes_exits_before_building_a_graph(tmp_path, capsys, monkeypatch):
+    # P2 has one start graph per degree up to the ample bound: 10**9 + 1 of
+    # them, more than the 500,000 graphs the enumeration may build
+    from stablegraphs.graphs import MarkedGraph
+
+    def no_graph(self):
+        raise AssertionError("a graph was built")
+
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps({"profile": "P2", "genus": 0, "tails": 3, "ample_bound": 10**9, "max_vertices": 1}))
+    monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
+    assert main(["boundary", "--in", str(path)]) == 4
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "type": "size-cap",
+        "message": "enumeration exceeded 500000 candidates",
+    }

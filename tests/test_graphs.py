@@ -32,12 +32,11 @@ from stablegraphs.graphs import (
 from stablegraphs.monoid import element, enumerate_pair_decompositions
 from stablegraphs.morphisms import (
     CombinatorialMorphism,
-    component_inclusion,
     contract_edges,
     validate_combinatorial,
 )
 
-from oracles import betti1_gf2
+from oracles import betti1_gf2, component_inclusion
 from strategies import rand_graph, relabelled
 
 

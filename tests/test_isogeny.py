@@ -15,7 +15,6 @@ from stablegraphs.graphs import (
 from stablegraphs.isogeny import (
     ContractStep,
     ForgetStep,
-    chi_drop,
     compose_extended,
     elementary_glue_isogeny,
     extended_isogeny,
@@ -25,6 +24,7 @@ from stablegraphs.isogeny import (
 )
 from stablegraphs.morphisms import validate_combinatorial
 
+from oracles import chi_drop
 from strategies import rand_graph, rand_isogeny
 
 

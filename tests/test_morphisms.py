@@ -20,7 +20,6 @@ from stablegraphs.monoid import MonoidElement, MonoidHom, element
 from stablegraphs.morphisms import (
     CombinatorialMorphism,
     Contraction,
-    component_inclusion,
     compose_contractions,
     contract_edges,
     contracted_piece,
@@ -37,6 +36,7 @@ from stablegraphs.graphs import component_of, connected_components, is_stable
 from oracles import (
     betti1_gf2,
     chain_condition_holds,
+    component_inclusion,
     validate_combinatorial_by_relabelling,
     validate_contraction_by_pieces,
 )

@@ -6,11 +6,14 @@ import pytest
 from stablegraphs.canonical import canonical_key
 from stablegraphs.errors import SizeCapError, ValidationError
 from stablegraphs.graphs import (
+    MarkedGraph,
     component_of,
     edges,
+    edit_graph,
     empty_graph,
     euler_characteristic,
     is_stable,
+    is_stable_vertex,
     marked_graph,
     modular_graph,
     tails,
@@ -20,6 +23,7 @@ from stablegraphs.monoid import MonoidHom
 from stablegraphs.morphisms import cut_edge, validate_combinatorial
 from stablegraphs.pullback import validate_marked
 from stablegraphs.stabilize import (
+    _remove_vertex,
     check_universal_property,
     enumerate_combinatorial_morphisms,
     pushforward,
@@ -118,18 +122,12 @@ def test_stabilize_idempotent_random():
 
 
 def _stabilize_in_random_order(g, rng):
-    """Remove unstable vertices in a random order; returns (graph, order)."""
-    from stablegraphs.stabilize import _apply_reduction, _reduction_case
-
-    current, order = g, []
-    while True:
-        options = [(v, _reduction_case(current, v)) for v in current.vertices]
-        options = [(v, c) for v, c in options if c is not None]
-        if not options:
-            return current, order
-        v, case = rng.choice(options)
-        current, _ = _apply_reduction(current, v, case)
-        order.append(v)
+    """Remove the unstable vertices in a random order; returns (graph, order)."""
+    order = [v for v in g.vertices if not is_stable_vertex(g, v)]
+    rng.shuffle(order)
+    involution = dict(g.involution)
+    removed = [f for v in order for f in _remove_vertex(g, v, involution).removed_flags]
+    return edit_graph(g, drop_flags=removed, drop_vertices=order, pair=involution), order
 
 
 def test_stabilize_order_independent():
@@ -162,16 +160,17 @@ def test_stabilize_preserves_total_class():
 
 
 def test_stabilize_chi_per_case():
+    # each removal, applied on its own to the graph the earlier ones left
     rng = random.Random(73)
     for _ in range(60):
         g = rand_graph(rng, rank=1, max_flags=12)
         current = g
         _, _, steps = stabilize_with_trace(g)
-        from stablegraphs.stabilize import _apply_reduction
-
         for step in steps:
             before = euler_characteristic(current)
-            nxt, _ = _apply_reduction(current, step.vertex, step.case)
+            involution = dict(current.involution)
+            assert _remove_vertex(current, step.vertex, involution) == step
+            nxt = edit_graph(current, drop_flags=step.removed_flags, drop_vertices=(step.vertex,), pair=involution)
             after = euler_characteristic(nxt)
             if step.case == "IV":
                 loops = sum(1 for f in step.removed_flags if current.involution[f] != f) // 2
@@ -180,6 +179,32 @@ def test_stabilize_chi_per_case():
             else:
                 assert before == after
             current = nxt
+
+
+def test_stabilize_builds_one_graph(monkeypatch):
+    # a chain of three unstable vertices between two stable ends, and a
+    # stable graph: one graph built for the first, none for the second
+    chain = modular_graph(
+        {0: 1, 1: 0, 2: 0, 3: 0, 4: 1},
+        tails={10: 0, 11: 4},
+        edges=[((0, 0), (1, 1)), ((2, 1), (3, 2)), ((4, 2), (5, 3)), ((6, 3), (7, 4))],
+    )
+    stable = marked_graph(1, {0: (1, 1)}, tails={0: 0})
+    built = []
+    real = MarkedGraph.__post_init__
+    monkeypatch.setattr(MarkedGraph, "__post_init__", lambda self: built.append(self) or real(self))
+    s, _, steps = stabilize_with_trace(chain)
+    assert [st.case for st in steps] == ["III", "III", "III"]
+    assert built == [s] and s.vertices == (0, 4) and edges(s) == ((0, 7),)
+    built.clear()
+    same, _, steps = stabilize_with_trace(stable)
+    assert same is stable and steps == () and built == []
+    rng = random.Random(89)
+    for _ in range(60):
+        g = rand_graph(rng, rank=1, max_flags=12, max_vertices=5, max_genus=1, max_class=0)
+        built.clear()
+        s, _, steps = stabilize_with_trace(g)
+        assert len(built) == (1 if steps else 0)
 
 
 # -- pushforward -----------------------------------------------------------
