@@ -41,6 +41,7 @@ from .pullback import compose_marked, stable_pullback, validate_marked
 from .serialize import (
     SchemaError,
     _dump_json,
+    _need,
     _read_json,
     combinatorial_from_json,
     combinatorial_to_json,
@@ -50,6 +51,7 @@ from .serialize import (
     graph_from_json,
     graph_to_json,
     hom_from_json,
+    int_pair,
     int_value,
     isogeny_from_json,
     isogeny_to_json,
@@ -85,21 +87,27 @@ def _check_size(doc, cap: int) -> None:
         stack.extend([c for c in reversed(children) if isinstance(c, (dict, list))])
 
 
+def _kinds() -> dict:
+    """Each morphism kind's reader and validator.
+
+    Built on every call, so the names are looked up when a verb runs.
+    """
+    return {
+        "contraction": (contraction_from_json, validate_contraction),
+        "combinatorial": (combinatorial_from_json, validate_combinatorial),
+        "marked": (marked_from_json, validate_marked),
+        "extended-isogeny": (isogeny_from_json, validate_extended),
+    }
+
+
 def _run_validate(doc, args):
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind == "contraction":
-        violations = validate_contraction(contraction_from_json(doc))
-    elif kind == "combinatorial":
-        violations = validate_combinatorial(combinatorial_from_json(doc))
-    elif kind == "marked":
-        violations = validate_marked(marked_from_json(doc))
-    elif kind == "extended-isogeny":
-        violations = validate_extended(isogeny_from_json(doc))
+    kinds = _kinds()
+    if isinstance(kind, str) and kind in kinds:
+        read, check = kinds[kind]
+        ensure_valid(check(read(doc)))
     else:
         graph_from_json(doc)  # structural validation happens in the constructor
-        violations = []
-    if violations:
-        raise ValidationError(violations)
     return {"ok": True}
 
 
@@ -125,47 +133,32 @@ def _run_stabilize(doc, args):
 
 
 def _run_pushforward(doc, args):
-    hom = hom_from_json(doc["xi"]) if "xi" in doc else None
-    if hom is None:
-        raise SchemaError("pushforward needs 'xi'")
-    g = graph_from_json(doc["graph"]) if "graph" in doc else None
-    if g is None:
-        raise SchemaError("pushforward needs 'graph'")
-    result, morphism = pushforward(hom, g)
+    hom = hom_from_json(_need(doc, "xi"))
+    result, morphism = pushforward(hom, graph_from_json(_need(doc, "graph")))
     return {"graph": graph_to_json(result), "morphism": marked_to_json(morphism)}
 
 
 def _run_contract(doc, args):
-    g = graph_from_json(doc["graph"]) if "graph" in doc else None
-    if g is None or "edges" not in doc:
-        raise SchemaError("contract needs 'graph' and 'edges'")
-    edge_set = [(int_value(e[0], "edge flag"), int_value(e[1], "edge flag")) for e in doc["edges"]]
+    g = graph_from_json(_need(doc, "graph"))
+    edge_set = [int_pair(e, "edge flag") for e in _need(doc, "edges", list)]
     return contraction_to_json(contract_edges(g, edge_set))
 
 
 def _run_cut(doc, args):
-    g = graph_from_json(doc["graph"]) if "graph" in doc else None
-    if g is None or "edge" not in doc:
-        raise SchemaError("cut needs 'graph' and 'edge'")
-    e = doc["edge"]
-    cut, morphism = cut_edge(g, (int_value(e[0], "edge flag"), int_value(e[1], "edge flag")))
+    g = graph_from_json(_need(doc, "graph"))
+    cut, morphism = cut_edge(g, int_pair(_need(doc, "edge"), "edge flag"))
     return {"graph": graph_to_json(cut), "morphism": combinatorial_to_json(morphism)}
 
 
 def _run_glue(doc, args):
-    g = graph_from_json(doc["graph"]) if "graph" in doc else None
-    if g is None or "tails" not in doc:
-        raise SchemaError("glue needs 'graph' and 'tails'")
-    t = doc["tails"]
-    glued, morphism = glue_tails(g, int_value(t[0], "tail"), int_value(t[1], "tail"))
+    g = graph_from_json(_need(doc, "graph"))
+    glued, morphism = glue_tails(g, *int_pair(_need(doc, "tails"), "tail"))
     return {"graph": graph_to_json(glued), "morphism": combinatorial_to_json(morphism)}
 
 
 def _run_forget(doc, args):
-    g = graph_from_json(doc["graph"]) if "graph" in doc else None
-    if g is None or "tail" not in doc:
-        raise SchemaError("forget needs 'graph' and 'tail'")
-    result = stably_forget_tail(g, int_value(doc["tail"], "tail"))
+    g = graph_from_json(_need(doc, "graph"))
+    result = stably_forget_tail(g, int_value(_need(doc, "tail"), "tail"))
     return {
         "graph": graph_to_json(result.graph),
         "morphism": combinatorial_to_json(result.morphism),
@@ -175,29 +168,25 @@ def _run_forget(doc, args):
 
 
 def _run_compose(doc, args):
-    first = doc.get("first")
-    second = doc.get("second")
-    if first is None or second is None:
-        raise SchemaError("compose needs 'first' and 'second' (applied first, then second)")
-    if first.get("kind") == "marked":
-        # compose_marked trusts its inputs, so morphisms read here are checked here
-        outer, inner = marked_from_json(second), marked_from_json(first)
-        for m in (inner, outer):
-            ensure_valid(validate_marked(m), "invalid marked morphism")
+    # second o first, both read as first's kind; neither compose function
+    # checks its inputs as a whole, so both are checked here as validate would
+    first, second = _need(doc, "first", dict), _need(doc, "second", dict)
+    kind = first.get("kind")
+    if kind not in ("marked", "extended-isogeny"):
+        raise SchemaError("compose handles kinds 'marked' and 'extended-isogeny'")
+    read, check = _kinds()[kind]
+    outer, inner = read(second), read(first)
+    for m in (inner, outer):
+        ensure_valid(check(m), f"invalid {kind} morphism")
+    if kind == "marked":
         return marked_to_json(compose_marked(outer, inner))
-    if first.get("kind") == "extended-isogeny":
-        composite = compose_extended(isogeny_from_json(second), isogeny_from_json(first))
-        return isogeny_to_json(composite)
-    raise SchemaError("compose handles kinds 'marked' and 'extended-isogeny'")
+    return isogeny_to_json(compose_extended(outer, inner))
 
 
 def _run_pullback(doc, args):
-    for key in ("xi", "phi", "a"):
-        if key not in doc:
-            raise SchemaError(f"pullback needs {key!r}")
-    xi = hom_from_json(doc["xi"])
-    phi = contraction_from_json(doc["phi"])
-    a = combinatorial_from_json(doc["a"])
+    xi = hom_from_json(_need(doc, "xi"))
+    phi = contraction_from_json(_need(doc, "phi"))
+    a = combinatorial_from_json(_need(doc, "a"))
     if "rho" in doc and graph_from_json(doc["rho"]) != a.source:
         raise SchemaError("'rho' must equal the source of 'a'")
     pi, psi, b = stable_pullback(xi, phi, a)
@@ -210,10 +199,8 @@ def _run_pullback(doc, args):
 
 def _run_cartesian(doc, args):
     profile = resolve_profile(doc.get("profile", args.profile))
-    if "phi" not in doc or "b" not in doc:
-        raise SchemaError("cartesian needs 'phi' (extended isogeny) and 'b' (combinatorial)")
-    phi = isogeny_from_json(doc["phi"])
-    b = combinatorial_from_json(doc["b"])
+    phi = isogeny_from_json(_need(doc, "phi"))
+    b = combinatorial_from_json(_need(doc, "b"))
     members = cartesian_pullback(profile, phi, b)
     return {
         "family": [

@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ValidationError, Violation, ensure_valid
+from .errors import RankMismatchError, ValidationError, Violation, ensure_valid
 from .graphs import (
     MarkedGraph,
     MonoidElement,
@@ -324,16 +324,23 @@ def compose_combinatorial(outer: CombinatorialMorphism, inner: CombinatorialMorp
 
     The marking hom of a morphism points from the target's monoid to the
     source's, so along a composite source -> mid -> target the homs compose
-    the other way around.
+    the other way around.  A missing hom is the identity of its source's
+    rank; it is never built, so a rank the graphs only declare costs nothing.
     """
     if inner.target != outer.source:
         raise ValidationError([Violation("combinatorial-compose-endpoints", "inner target differs from outer source")])
     if inner.hom is None and outer.hom is None:
         hom = None
+    elif inner.hom is not None and outer.hom is not None:
+        hom = inner.hom.compose(outer.hom)
     else:
-        inner_hom = inner.hom or MonoidHom.identity(inner.source.rank)
-        outer_hom = outer.hom or MonoidHom.identity(outer.source.rank)
-        hom = inner_hom.compose(outer_hom)
+        # composing with an identity changes nothing, once the ranks agree as
+        # MonoidHom.compose requires them to
+        source_rank = inner.source.rank if inner.hom is None else inner.hom.source_rank
+        target_rank = outer.source.rank if outer.hom is None else outer.hom.target_rank
+        if target_rank != source_rank:
+            raise RankMismatchError(f"cannot compose: inner target rank {target_rank} != source rank {source_rank}")
+        hom = outer.hom if inner.hom is None else inner.hom
     composite = CombinatorialMorphism(
         source=inner.source,
         target=outer.target,

@@ -9,7 +9,8 @@ Graph documents look like::
      "involution": {"0": 0, "1": 2, "2": 1}}
 
 Map keys are strings because JSON objects demand it; everything else is an
-integer.  Emission is deterministic: keys sorted, ids as constructed.
+integer.  A pair (an edge, two tails to glue) is an array of exactly two
+integers.  Emission is deterministic: keys sorted, ids as constructed.
 """
 
 from __future__ import annotations
@@ -44,6 +45,13 @@ def int_value(value: Any, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{what} must be an integer, not {type(value).__name__}")
     return value
+
+
+def int_pair(value: Any, what: str) -> tuple[int, int]:
+    """A document value that must be an array of exactly two integers."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise SchemaError(f"{what}s must be an array of exactly two integers")
+    return int_value(value[0], what), int_value(value[1], what)
 
 
 def _int_key_map(doc: Any, what: str) -> dict[int, int]:
@@ -197,50 +205,47 @@ def resolve_profile(spec: str | dict | None) -> VarietyProfile:
 # -- morphisms ------------------------------------------------------------
 
 
-def contraction_to_json(c: Contraction) -> dict:
+def _maps_doc(kind: str, m: Contraction | CombinatorialMorphism) -> dict:
+    """The kind, the two graphs and the two id maps of a morphism document."""
     return {
-        "kind": "contraction",
-        "source": graph_to_json(c.source),
-        "target": graph_to_json(c.target),
-        "flagmap": {str(k): v for k, v in sorted(c.flagmap.items())},
-        "vertexmap": {str(k): v for k, v in sorted(c.vertexmap.items())},
+        "kind": kind,
+        "source": graph_to_json(m.source),
+        "target": graph_to_json(m.target),
+        "flagmap": {str(k): v for k, v in sorted(m.flagmap.items())},
+        "vertexmap": {str(k): v for k, v in sorted(m.vertexmap.items())},
     }
+
+
+def _read_maps(doc: dict, kind: str) -> dict:
+    """The source, target, flagmap and vertexmap of a morphism document of ``kind``."""
+    if doc.get("kind") != kind:
+        raise SchemaError(f"expected kind {kind!r}")
+    return {
+        "source": graph_from_json(_need(doc, "source", dict)),
+        "target": graph_from_json(_need(doc, "target", dict)),
+        "flagmap": _int_key_map(_need(doc, "flagmap"), "flagmap"),
+        "vertexmap": _int_key_map(_need(doc, "vertexmap"), "vertexmap"),
+    }
+
+
+def contraction_to_json(c: Contraction) -> dict:
+    return _maps_doc("contraction", c)
 
 
 def contraction_from_json(doc: dict) -> Contraction:
-    if doc.get("kind") != "contraction":
-        raise SchemaError("expected kind 'contraction'")
-    return Contraction(
-        source=graph_from_json(_need(doc, "source", dict)),
-        target=graph_from_json(_need(doc, "target", dict)),
-        flagmap=_int_key_map(_need(doc, "flagmap"), "flagmap"),
-        vertexmap=_int_key_map(_need(doc, "vertexmap"), "vertexmap"),
-    )
+    return Contraction(**_read_maps(doc, "contraction"))
 
 
 def combinatorial_to_json(a: CombinatorialMorphism) -> dict:
-    doc = {
-        "kind": "combinatorial",
-        "source": graph_to_json(a.source),
-        "target": graph_to_json(a.target),
-        "flagmap": {str(k): v for k, v in sorted(a.flagmap.items())},
-        "vertexmap": {str(k): v for k, v in sorted(a.vertexmap.items())},
-    }
+    doc = _maps_doc("combinatorial", a)
     if a.hom is not None:
         doc["hom"] = hom_to_json(a.hom)
     return doc
 
 
 def combinatorial_from_json(doc: dict) -> CombinatorialMorphism:
-    if doc.get("kind") != "combinatorial":
-        raise SchemaError("expected kind 'combinatorial'")
-    return CombinatorialMorphism(
-        source=graph_from_json(_need(doc, "source", dict)),
-        target=graph_from_json(_need(doc, "target", dict)),
-        flagmap=_int_key_map(_need(doc, "flagmap"), "flagmap"),
-        vertexmap=_int_key_map(_need(doc, "vertexmap"), "vertexmap"),
-        hom=hom_from_json(doc["hom"]) if "hom" in doc else None,
-    )
+    maps = _read_maps(doc, "combinatorial")
+    return CombinatorialMorphism(**maps, hom=hom_from_json(doc["hom"]) if "hom" in doc else None)
 
 
 def marked_to_json(m: MarkedMorphism) -> dict:
@@ -284,15 +289,14 @@ def isogeny_from_json(doc: dict) -> ExtendedIsogeny:
     if doc.get("kind") != "extended-isogeny":
         raise SchemaError("expected kind 'extended-isogeny'")
     source = graph_from_json(_need(doc, "source", dict))
-    glues = [(int_value(p[0], "glued tail"), int_value(p[1], "glued tail")) for p in doc.get("glues", [])]
+    glues = [int_pair(p, "glued tail") for p in doc.get("glues", [])]
     steps = []
     for s in doc.get("steps", []):
         op = _need(s, "op")
         if op == "forget":
             steps.append(ForgetStep(int_value(_need(s, "tail"), "tail")))
         elif op == "contract":
-            e = _need(s, "edge", list)
-            steps.append(ContractStep((int_value(e[0], "edge flag"), int_value(e[1], "edge flag"))))
+            steps.append(ContractStep(int_pair(_need(s, "edge"), "edge flag")))
         else:
             raise SchemaError(f"unknown isogeny step {op!r}")
     return extended_isogeny(source, glues, steps)

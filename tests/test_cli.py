@@ -510,3 +510,94 @@ def test_boundary_with_too_many_start_classes_exits_before_building_a_graph(tmp_
         "type": "size-cap",
         "message": "enumeration exceeded 500000 candidates",
     }
+
+
+def _golden_edited(stem, *path_and_value):
+    """The golden input ``stem`` with the value at the given path replaced."""
+    doc = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
+    *path, value = path_and_value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+MALFORMED_PAIR_CASES = [
+    ("contract", _golden_edited("contract_bridge", "edges", [[0, 1, 99]])),
+    ("glue", _golden_edited("glue_loop", "tails", [0, 1, 77])),
+    ("cut", _golden_edited("cut_bridge", "edge", [0])),
+    ("cut", _golden_edited("cut_bridge", "edge", [0, 1, 2])),
+    ("compose", _golden_edited("compose_isogenies", "second", "glues", [[11, 10, 9]])),
+    ("compose", _golden_edited("compose_isogenies", "first", "steps", [{"op": "contract", "edge": [1, 2, 3]}])),
+    ("cartesian", _golden_edited("cartesian_case2", "phi", "glues", [[0, 1, 2]])),
+    ("cartesian", _golden_edited("cartesian_case2", "phi", "steps", 0, "edge", [4, 5, 6])),
+]
+
+
+@pytest.mark.parametrize("verb,bad", MALFORMED_PAIR_CASES)
+def test_pair_that_is_not_two_integers_is_schema_error(verb, bad, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(bad))
+    assert main([verb, "--in", str(doc)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "schema"
+    assert "must be an array of exactly two integers" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("forget_side", ["first", "second"])
+def test_compose_rejects_an_invalid_isogeny_input(forget_side, tmp_path, capsys):
+    # the type-IV forget of a lonely tripod kills its component, so it is
+    # no isogeny; composed with an identity on either side it is refused as
+    # validate refuses it
+    import stablegraphs as sg
+    from stablegraphs.isogeny import elementary_forget_isogeny, identity_extended
+    from stablegraphs.serialize import isogeny_to_json
+
+    forget = elementary_forget_isogeny(sg.modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0}), 0)
+    if forget_side == "first":
+        doc = {"first": isogeny_to_json(forget), "second": isogeny_to_json(identity_extended(forget.target))}
+    else:
+        doc = {"first": isogeny_to_json(identity_extended(forget.source)), "second": isogeny_to_json(forget)}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compose", "--in", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["conditions"] == ["isogeny-pi0"]
+    path.write_text(json.dumps(doc[forget_side]))
+    assert main(["validate", "--in", str(path)]) == 3
+    assert json.loads(capsys.readouterr().out)["error"]["conditions"] == ["isogeny-pi0"]
+
+
+REQUIRED_KEYS = [
+    ("pushforward_absolute", "xi"),
+    ("pushforward_absolute", "graph"),
+    ("contract_bridge", "graph"),
+    ("contract_bridge", "edges"),
+    ("cut_bridge", "graph"),
+    ("cut_bridge", "edge"),
+    ("glue_loop", "graph"),
+    ("glue_loop", "tails"),
+    ("forget_type2", "graph"),
+    ("forget_type2", "tail"),
+    ("compose_marked", "first"),
+    ("compose_marked", "second"),
+    ("compose_isogenies", "first"),
+    ("compose_isogenies", "second"),
+    ("pullback_case2", "xi"),
+    ("pullback_case2", "phi"),
+    ("pullback_case2", "a"),
+    ("cartesian_case2", "phi"),
+    ("cartesian_case2", "b"),
+]
+
+
+@pytest.mark.parametrize("stem,key", REQUIRED_KEYS)
+def test_missing_required_key_is_named(stem, key, tmp_path, capsys):
+    doc = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
+    del doc[key]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([CASES[stem][0], "--in", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "schema"
+    assert repr(key) in error["message"]

@@ -5,11 +5,12 @@ from dataclasses import replace
 import pytest
 
 from stablegraphs.canonical import canonical_key, is_isomorphic
-from stablegraphs.errors import ValidationError
+from stablegraphs.errors import RankMismatchError, ValidationError
 from stablegraphs.graphs import (
     MarkedGraph,
     edges,
     edit_graph,
+    empty_graph,
     flag_partition,
     marked_graph,
     modular_graph,
@@ -20,6 +21,7 @@ from stablegraphs.monoid import MonoidElement, MonoidHom, element
 from stablegraphs.morphisms import (
     CombinatorialMorphism,
     Contraction,
+    compose_combinatorial,
     compose_contractions,
     contract_edges,
     contracted_piece,
@@ -482,3 +484,62 @@ def test_contraction_class_check_agrees_with_the_fold():
         fiber_kinds.add((fiber_size[v] > 1, fiber_size[w] > 1))
         cases += 1
     assert fiber_kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def _empty_morphism(source_rank, target_rank, hom=None):
+    return CombinatorialMorphism(empty_graph(source_rank), empty_graph(target_rank), {}, {}, hom)
+
+
+@pytest.fixture
+def identity_capped(monkeypatch):
+    real = MonoidHom.identity
+
+    def capped(rank):
+        if rank > 4:
+            raise AssertionError(f"identity hom of rank {rank} built")
+        return real(rank)
+
+    monkeypatch.setattr(MonoidHom, "identity", staticmethod(capped))
+
+
+@pytest.mark.parametrize("missing", ["inner", "outer"])
+def test_compose_combinatorial_builds_no_identity_of_the_declared_rank(missing, identity_capped):
+    # empty graphs that declare rank 3000; the side with no hom is the
+    # identity, so the composite's hom is the other side's
+    rank = 3000
+    if missing == "inner":
+        hom = MonoidHom(((),) * rank, 0)
+        inner, outer = _empty_morphism(rank, rank), _empty_morphism(rank, 0, hom)
+    else:
+        hom = MonoidHom.to_trivial(rank)
+        inner, outer = _empty_morphism(0, rank, hom), _empty_morphism(rank, rank)
+    composite = compose_combinatorial(outer, inner)
+    assert composite.hom == hom
+    assert (composite.source.rank, composite.target.rank) == (inner.source.rank, outer.target.rank)
+
+
+def test_compose_combinatorial_with_a_missing_hom_matches_the_identity():
+    rng = random.Random(53)
+    for _ in range(200):
+        r0, r1, r2 = (rng.randint(0, 3) for _ in range(3))
+        hom = MonoidHom(tuple(tuple(rng.randint(0, 2) for _ in range(r1)) for _ in range(r0)), r1)
+        inner = _empty_morphism(r0, r1, hom)
+        outer = _empty_morphism(r1, r1)
+        assert compose_combinatorial(outer, inner).hom == hom.compose(MonoidHom.identity(r1))
+        hom = MonoidHom(tuple(tuple(rng.randint(0, 2) for _ in range(r2)) for _ in range(r1)), r2)
+        inner, outer = _empty_morphism(r1, r1), _empty_morphism(r1, r2, hom)
+        assert compose_combinatorial(outer, inner).hom == MonoidHom.identity(r1).compose(hom)
+
+
+def test_compose_combinatorial_rank_mismatch_keeps_its_message():
+    # neither input is checked, so a hom of the wrong rank reaches the
+    # composition; the message is the one MonoidHom.compose gives
+    mid = empty_graph(2)
+    inner = CombinatorialMorphism(empty_graph(2), mid, {}, {})
+    outer = CombinatorialMorphism(mid, empty_graph(1), {}, {}, MonoidHom(((1,), (0,), (1,)), 1))
+    with pytest.raises(RankMismatchError, match=r"^cannot compose: inner target rank 3 != source rank 2$"):
+        compose_combinatorial(outer, inner)
+    inner = CombinatorialMorphism(empty_graph(1), mid, {}, {}, MonoidHom(((1, 0, 0),), 3))
+    outer = CombinatorialMorphism(mid, empty_graph(2), {}, {})
+    with pytest.raises(RankMismatchError, match=r"^cannot compose: inner target rank 2 != source rank 3$"):
+        compose_combinatorial(outer, inner)
