@@ -101,9 +101,11 @@ def _kinds() -> dict:
 
 
 def _run_validate(doc, args):
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    kinds = _kinds()
-    if isinstance(kind, str) and kind in kinds:
+    if isinstance(doc, dict) and "kind" in doc:  # graph documents carry no kind
+        kind, kinds = doc["kind"], _kinds()
+        if not isinstance(kind, str) or kind not in kinds:
+            accepted = ", ".join(map(repr, kinds))
+            raise SchemaError(f"unknown kind {kind!r}: validate reads a graph (no kind) or a kind of {accepted}")
         read, check = kinds[kind]
         ensure_valid(check(read(doc)))
     else:

@@ -4,14 +4,14 @@ A morphism (A, tau) -> (B, sigma) is a quadruple: a monoid homomorphism
 xi: A -> B, a stable B-graph mid, a combinatorial morphism mid -> tau
 covering xi, and a contraction mid -> sigma.  Composition lifts the middle
 combinatorial morphism across the other morphism's contraction via the
-stable pullback construction, one elementary contraction at a time:
+stable pullback construction.  It walks the elementary factors of the
+contraction in one pass and builds the lifted graph once, at the end.  For
+each factor, every vertex lying over the contraction target:
 
-* pulling back across a loop contraction attaches a loop (and drops the
-  genus by one) at every vertex lying over the contraction target;
-* pulling back across a non-loop edge contraction splits every vertex lying
-  over the target into two halves joined by a new edge, distributing its
-  flags by where they go in the contraction source, and re-contracts any
-  split whose halves would be unstable.
+* across a loop contraction, gets a loop (and drops the genus by one);
+* across a non-loop edge contraction, splits into two halves joined by a
+  new edge, distributing its flags by where they go in the contraction
+  source, or stays whole when one half would be unstable.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 from .canonical import diagram_key
 from .errors import ValidationError, Violation, ensure_valid
-from .graphs import MarkedGraph, add_loop, is_stable, split_vertex
+from .graphs import MarkedGraph, edit_graph, is_stable, next_id
 from .monoid import MonoidHom, _is_identity
 from .morphisms import (
     CombinatorialMorphism,
@@ -78,78 +78,6 @@ def identity_marked(g: MarkedGraph) -> MarkedMorphism:
     )
 
 
-def _elementary_pullback(
-    xi: MonoidHom, phi: Contraction, a: CombinatorialMorphism
-) -> tuple[MarkedGraph, Contraction, CombinatorialMorphism]:
-    """Pull a morphism rho -> target back across one elementary contraction.
-
-    phi: sigma -> tau contracts a single edge; a: rho -> tau covers xi with
-    rho stable.  Returns (pi, psi: pi -> rho, b: pi -> sigma covering xi).
-
-    Valid for a valid phi and a: psi contracts exactly the loops and edges
-    that ``add_loop`` and ``split_vertex`` insert, b maps the rest through a
-    and phi, and a half too unstable to split has genus and class zero.
-    """
-    sigma, rho = phi.source, a.source
-    contracted = phi.contracted_edges()
-    if len(contracted) != 1:
-        raise ValidationError([Violation("pullback-not-elementary", "internal step expects one contracted edge")])
-    ((f, fbar),) = contracted
-    v1, v2 = sigma.boundary[f], sigma.boundary[fbar]
-    (v0,) = {phi.vertexmap[v1], phi.vertexmap[v2]}
-
-    inv_vertexmap = {}
-    for v in sigma.vertices:
-        inv_vertexmap.setdefault(phi.vertexmap[v], v)
-    # a vertex over v0 that is not split maps to inv_vertexmap[v0], which is v1 for a loop
-    b_flagmap = {x: phi.flagmap[a.flagmap[x]] for x in rho.flags}
-    b_vertexmap = {w: inv_vertexmap[a.vertexmap[w]] for w in rho.vertices}
-    psi_vertexmap = {w: w for w in rho.vertices}
-    # the classes the halves of a split take, pushed from sigma's monoid to rho's
-    c1, c2 = xi(sigma.classes[v1]), xi(sigma.classes[v2])
-    pi = rho
-    for w in rho.vertices:
-        if a.vertexmap[w] != v0:
-            continue
-        if v1 == v2:
-            # loop contraction: hang a loop off every vertex over v0, dropping genus
-            if rho.genus[w] < 1:
-                raise ValidationError(
-                    [Violation("pullback-loop-genus", f"vertex {w} over a contracted loop must have genus >= 1")]
-                )
-            pi, (l1, l2) = add_loop(pi, w)
-            b_flagmap[l1], b_flagmap[l2] = f, fbar
-            continue
-        # non-loop contraction: split each vertex over v0, re-merge unstable splits
-        at_w = rho.flags_at(w)
-        side1 = [x for x in at_w if sigma.boundary[b_flagmap[x]] == v1]
-        side2 = [x for x in at_w if sigma.boundary[b_flagmap[x]] == v2]
-        g1, g2 = sigma.genus[v1], sigma.genus[v2]
-        stable1 = bool(c1) or 2 * g1 + len(side1) + 1 >= 3
-        stable2 = bool(c2) or 2 * g2 + len(side2) + 1 >= 3
-        if stable1 and stable2:
-            pi, (e1, e2), wsecond = split_vertex(pi, w, side2, (g1, c1), (g2, c2))
-            b_flagmap[e1], b_flagmap[e2] = f, fbar
-            b_vertexmap[w], b_vertexmap[wsecond] = v1, v2
-            psi_vertexmap[wsecond] = w
-        elif stable1:
-            # re-contract: keep w whole and map it to the stable side
-            b_vertexmap[w] = v1
-            for x in side2:
-                b_flagmap[x] = f
-        else:
-            # both sides unstable would contradict rho being stable
-            assert stable2, "both split halves unstable contradicts stability of the source"
-            b_vertexmap[w] = v2
-            for x in side1:
-                b_flagmap[x] = fbar
-    psi = Contraction(source=pi, target=rho, flagmap={x: x for x in rho.flags}, vertexmap=psi_vertexmap)
-    b = CombinatorialMorphism(source=pi, target=sigma, flagmap=b_flagmap, vertexmap=b_vertexmap, hom=xi)
-    if not is_stable(pi):
-        raise ValidationError([Violation("pullback-unstable", "stable pullback produced an unstable graph")])
-    return pi, psi, b
-
-
 def stable_pullback(
     xi: MonoidHom,
     phi: Contraction,
@@ -167,13 +95,19 @@ def stable_pullback(
     order (or the given ``edge_order``); the result does not depend on this
     choice, up to isomorphism of the whole output diagram.
 
+    The factors are walked from tau back to sigma in one pass, over one
+    working copy of rho's edits and of the maps bf, bv from the growing graph
+    into the current factor's source.  New flags and vertices take the next
+    free ids of the growing graph, vertices over the contracted edge are
+    treated in ascending order, and pi is built once, from rho, at the end.
+    A loop keeps 2g + n and the halves of a split are stable, so pi is stable
+    because rho is.
+
     phi and a are validated; psi and b are valid by construction (with no
     edge to contract, b is a followed by the inverse of the isomorphism phi).
-    psi is built in one piece: every step keeps its target's flags and sends
-    each vertex to the one it split from, so psi keeps rho's flags and
-    follows each vertex of pi back through the steps to the vertex of rho it
-    came from.  It equals the composite of the steps' contractions, and a
-    composite of contractions is a contraction.
+    psi keeps rho's flags and sends each vertex of pi to the vertex of rho it
+    was split from; b maps every flag and vertex not inserted through a and
+    phi.
     """
     factors = decompose_elementary(phi, edge_order)  # validates phi first
     ensure_valid(validate_combinatorial(a), "stable_pullback: invalid covering morphism")
@@ -200,14 +134,77 @@ def stable_pullback(
         )
         return pi, psi, b
     rho = a.source
-    current_a = a
-    back = {w: w for w in rho.vertices}  # vertices of the current pi -> rho
+    bf, bv = dict(a.flagmap), dict(a.vertexmap)  # pi -> tau, then -> each factor's source
+    at = {w: list(rho.flags_at(w)) for w in rho.vertices}
+    attach: dict[int, int] = {}
+    pair: dict[int, int] = {}
+    data: dict[int, tuple] = {}  # (genus, class) of the new and changed vertices
+    origin: dict[int, int] = {}  # new vertex -> the vertex of rho it was split from
+    next_flag, next_vertex = next_id(rho.flags), next_id(rho.vertices)
     for step in reversed(factors):
-        # step: current sigma_k -> sigma_{k-1}; current_a lands in sigma_{k-1}
-        pi, psi_step, current_a = _elementary_pullback(xi, step, current_a)
-        back = {v: back[w] for v, w in psi_step.vertexmap.items()}
-    psi = Contraction(source=pi, target=rho, flagmap={x: x for x in rho.flags}, vertexmap=back)
-    return pi, psi, current_a
+        sigma = step.source
+        ((f, fbar),) = step.contracted_edges()
+        v1, v2 = sigma.boundary[f], sigma.boundary[fbar]
+        v0 = step.vertexmap[v1]
+        # bv lists rho's vertices, then the new ones, each in ascending order
+        over = [w for w, t in bv.items() if t == v0]
+        # v0 has v1 alone as preimage for a loop; otherwise every w over v0 is reassigned
+        inverse = {t: v for v, t in step.vertexmap.items()}
+        bf = {x: step.flagmap[y] for x, y in bf.items()}
+        bv = {w: inverse[t] for w, t in bv.items()}
+        # the classes the halves of a split take, pushed from sigma's monoid to rho's
+        c1, c2 = xi(sigma.classes[v1]), xi(sigma.classes[v2])
+        for w in over:
+            if v1 == v2:
+                gw, cw = data[w] if w in data else (rho.genus[w], rho.classes[w])
+                if gw < 1:
+                    raise ValidationError(
+                        [Violation("pullback-loop-genus", f"vertex {w} over a contracted loop must have genus >= 1")]
+                    )
+                l1, l2 = next_flag, next_flag + 1
+                next_flag += 2
+                attach[l1] = attach[l2] = w
+                pair[l1], pair[l2] = l2, l1
+                data[w] = (gw - 1, cw)
+                at[w] += [l1, l2]
+                bf[l1], bf[l2] = f, fbar
+                continue
+            side1 = [x for x in at[w] if sigma.boundary[bf[x]] == v1]
+            side2 = [x for x in at[w] if sigma.boundary[bf[x]] == v2]
+            g1, g2 = sigma.genus[v1], sigma.genus[v2]
+            stable1 = bool(c1) or 2 * g1 + len(side1) + 1 >= 3
+            stable2 = bool(c2) or 2 * g2 + len(side2) + 1 >= 3
+            if stable1 and stable2:
+                e1, e2, w2 = next_flag, next_flag + 1, next_vertex
+                next_flag += 2
+                next_vertex += 1
+                attach[e1], attach[e2] = w, w2
+                attach.update((x, w2) for x in side2)
+                pair[e1], pair[e2] = e2, e1
+                data[w], data[w2] = (g1, c1), (g2, c2)
+                at[w], at[w2] = [x for x in at[w] if x not in side2] + [e1], side2 + [e2]
+                bf[e1], bf[e2] = f, fbar
+                bv[w], bv[w2] = v1, v2
+                origin[w2] = origin.get(w, w)
+            elif stable1:
+                # re-contract: keep w whole and map it to the stable side
+                bv[w] = v1
+                for x in side2:
+                    bf[x] = f
+            else:
+                # both sides unstable would contradict rho being stable
+                assert stable2, "both split halves unstable contradicts stability of the source"
+                bv[w] = v2
+                for x in side1:
+                    bf[x] = fbar
+    # with nothing inserted pi is rho itself, and no graph is built
+    pi = edit_graph(rho, attach=attach, pair=pair, vertices=data) if attach else rho
+    if not is_stable(pi):
+        raise ValidationError([Violation("pullback-unstable", "stable pullback produced an unstable graph")])
+    psi = Contraction(
+        source=pi, target=rho, flagmap={x: x for x in rho.flags}, vertexmap={v: origin.get(v, v) for v in pi.vertices}
+    )
+    return pi, psi, CombinatorialMorphism(source=pi, target=phi.source, flagmap=bf, vertexmap=bv, hom=xi)
 
 
 def compose_marked(outer: MarkedMorphism, inner: MarkedMorphism) -> MarkedMorphism:

@@ -40,6 +40,14 @@ def _need(doc: dict, key: str, kind=None):
     return value
 
 
+def _array(value: Any, what: str) -> list:
+    """A document value that must be an array, such as an optional key read
+    with ``doc.get(key, [])``: an object or a string is not an empty list."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be an array, not {type(value).__name__}")
+    return value
+
+
 def int_value(value: Any, what: str) -> int:
     """A document value that must be an integer: no bool, float or string."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -120,7 +128,9 @@ def hom_to_json(h: MonoidHom) -> dict:
 
 
 def hom_from_json(doc: dict) -> MonoidHom:
-    rows = tuple(tuple(int_value(x, "hom entry") for x in row) for row in _need(doc, "rows", list))
+    rows = tuple(
+        tuple(int_value(x, "hom entry") for x in _array(row, "hom row")) for row in _need(doc, "rows", list)
+    )
     return MonoidHom(rows, int_value(_need(doc, "source_rank"), "source_rank"))
 
 
@@ -289,9 +299,9 @@ def isogeny_from_json(doc: dict) -> ExtendedIsogeny:
     if doc.get("kind") != "extended-isogeny":
         raise SchemaError("expected kind 'extended-isogeny'")
     source = graph_from_json(_need(doc, "source", dict))
-    glues = [int_pair(p, "glued tail") for p in doc.get("glues", [])]
+    glues = [int_pair(p, "glued tail") for p in _array(doc.get("glues", []), "glues")]
     steps = []
-    for s in doc.get("steps", []):
+    for s in _array(doc.get("steps", []), "steps"):
         op = _need(s, "op")
         if op == "forget":
             steps.append(ForgetStep(int_value(_need(s, "tail"), "tail")))

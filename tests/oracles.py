@@ -3,8 +3,9 @@
 These deliberately re-derive answers by different routes: linear algebra
 over GF(2) for cycle ranks, a literal breadth-first chain search for the
 flag-equivalence condition, a raw product enumeration for boundary graph
-listings and for combinatorial morphisms, and the two morphism validators written the way that builds
-graphs (each contracted piece, and the relabelled target).  None of them
+listings and for combinatorial morphisms, the two morphism validators written the way that builds
+graphs (each contracted piece, and the relabelled target), and an
+automorphism count that backtracks over vertex bijections.  None of them
 call the code paths they certify.  At the end are two checked helpers that
 only the tests call.
 """
@@ -12,6 +13,7 @@ only the tests call.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations, product
+from math import factorial
 
 from stablegraphs.canonical import canonical_form, canonical_key
 from stablegraphs.errors import SizeCapError, Violation, ensure_valid
@@ -284,6 +286,60 @@ def isomorphic_brute_force(g1: MarkedGraph, g2: MarkedGraph) -> bool:
         if extend(0, {}):
             return True
     return False
+
+
+def automorphism_count(g: MarkedGraph) -> int:
+    """|Aut g|, tails unlabelled, by backtracking over vertex bijections.
+
+    A vertex bijection extends to an automorphism exactly when it keeps the
+    genus, class, tail count and loop count of every vertex and the number
+    of edges between every pair of vertices.  Each one extends in
+    prod_v t_v! l_v! 2^l_v prod_{u<v} m_uv! ways: tails, loops (each either
+    way round) and parallel edges permute freely.  Exponential in the
+    vertex count; only for small graphs.
+    """
+    tails = {v: 0 for v in g.vertices}
+    loops = dict(tails)
+    between: dict[tuple[int, int], int] = {}
+    for f in g.flags:
+        p = g.involution[f]
+        u, v = sorted((g.boundary[f], g.boundary[p]))
+        if p == f:
+            tails[u] += 1
+        elif f < p and u == v:
+            loops[u] += 1
+        elif f < p:
+            between[u, v] = between.get((u, v), 0) + 1
+
+    def sig(v: int) -> tuple:
+        return (g.genus[v], g.classes[v].coords, tails[v], loops[v])
+
+    def mult(u: int, v: int) -> int:
+        return between.get((min(u, v), max(u, v)), 0)
+
+    verts = list(g.vertices)
+    image: dict[int, int] = {}
+
+    def bijections(i: int) -> int:
+        if i == len(verts):
+            return 1
+        v, total = verts[i], 0
+        for w in verts:
+            if w in image.values() or sig(w) != sig(v):
+                continue
+            if any(mult(u, v) != mult(image[u], w) for u in verts[:i]):
+                continue
+            image[v] = w
+            total += bijections(i + 1)
+            del image[v]
+        return total
+
+    per = 1
+    for v in verts:
+        per *= factorial(tails[v]) * factorial(loops[v]) * 2 ** loops[v]
+    for m in between.values():
+        per *= factorial(m)
+    return bijections(0) * per
 
 
 def brute_force_boundary_rank1(max_class_total: int) -> list:

@@ -319,6 +319,42 @@ def test_compose_rejects_an_invalid_marked_input(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["conditions"] == ["marked-hom"]
 
 
+OPTIONAL_ARRAY_CASES = [
+    ("compose", "compose_isogenies", ("second", "glues"), {}),
+    ("compose", "compose_isogenies", ("second", "steps"), {}),
+    ("pushforward", "pushforward_absolute", ("xi", "rows"), [{}]),
+]
+
+
+@pytest.mark.parametrize("verb,stem,where,bad", OPTIONAL_ARRAY_CASES)
+def test_non_array_where_an_array_goes_is_schema_error(verb, stem, where, bad, tmp_path, capsys):
+    # an object once read as an empty array: the glue or the steps were dropped
+    doc = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
+    doc[where[0]][where[1]] = bad
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([verb, "--in", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "schema"
+    assert "must be an array" in payload["error"]["message"]
+
+
+def test_validate_names_an_unknown_kind(tmp_path, capsys):
+    import stablegraphs as sg
+    from stablegraphs.serialize import contraction_to_json
+
+    g = sg.modular_graph({0: 1, 1: 1}, edges=[((0, 0), (1, 1))])
+    doc = contraction_to_json(sg.contract_edges(g, [(0, 1)]))
+    doc["kind"] = "contraktion"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--in", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "schema"
+    for name in ("contraktion", "contraction", "combinatorial", "marked", "extended-isogeny"):
+        assert repr(name) in payload["error"]["message"]
+
+
 def test_subprocess_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "stablegraphs", "invariants", "--in", str(GOLDEN / "in" / "invariants_tripod.json")],

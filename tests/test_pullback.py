@@ -6,7 +6,7 @@ import pytest
 
 from stablegraphs.canonical import is_isomorphic
 from stablegraphs.errors import ValidationError
-from stablegraphs.graphs import edges, is_stable, marked_graph, relabel_classes
+from stablegraphs.graphs import MarkedGraph, edges, is_stable, marked_graph, relabel_classes
 from stablegraphs.monoid import MonoidHom
 from stablegraphs.morphisms import (
     compose_combinatorial,
@@ -150,6 +150,39 @@ def test_pullback_psi_over_long_chains_validates():
             assert a.vertexmap[psi.vertexmap[v]] == phi.vertexmap[b.vertexmap[v]]
         split_twice += max(Counter(psi.vertexmap.values()).values()) >= 3
     assert split_twice >= 10
+
+
+def test_pullback_builds_one_graph(monkeypatch):
+    # a chain of three vertices contracted to one, and two vertices of rho
+    # over it: each splits at both steps, and pi is the only graph built
+    # besides the first factor that decompose_elementary contracts
+    sigma = marked_graph(
+        1, {0: (0, 1), 1: (0, 0), 2: (0, 1)}, tails={0: 0, 1: 1, 2: 2}, edges=[((3, 0), (4, 1)), ((5, 1), (6, 2))]
+    )
+    phi = contract_edges(sigma, [(3, 4), (5, 6)])
+    (v0,) = phi.target.vertices
+    rho = marked_graph(1, {0: (0, 2), 1: (0, 2)}, tails={0: 0, 1: 0, 2: 1, 3: 1})
+    a = CombinatorialMorphism(
+        source=rho, target=phi.target, flagmap={0: 0, 1: 1, 2: 2, 3: 1}, vertexmap={0: v0, 1: v0},
+        hom=MonoidHom.identity(1),
+    )
+    built = []
+    real = MarkedGraph.__post_init__
+    monkeypatch.setattr(MarkedGraph, "__post_init__", lambda self: built.append(self) or real(self))
+    pi, psi, b = stable_pullback(MonoidHom.identity(1), phi, a)
+    assert len(built) == 2 and built[1] is pi
+    assert len(pi.vertices) == 6 and len(edges(pi)) == 4
+    assert validate_contraction(psi) == [] and validate_combinatorial(b) == []
+    rng = random.Random(127)
+    for _ in range(60):
+        phi = rand_contraction(rng, num_edges=(2, 3), rank=2, max_flags=12, max_vertices=5)
+        xi = rand_hom(rng, 2, rng.randint(1, 2))
+        a = rand_covering(rng, phi.target, xi)
+        built.clear()
+        pi, psi, b = stable_pullback(xi, phi, a)
+        inserted = pi is not a.source
+        assert len(built) == len(phi.contracted_edges()) - 1 + inserted
+        assert not inserted or built[-1] is pi
 
 
 def test_pullback_along_isomorphisms_validates():
