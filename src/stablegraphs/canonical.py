@@ -131,25 +131,44 @@ def _encode_with_vertex_order(
     slot), tails, loops (halves paired adjacently), then flags pointing at
     later vertices (grouped by the target's position).  Interchangeable
     flags within a group are distinguished only by color.
+
+    This runs once per ordering tried, so it makes one pass over the
+    vertices: each vertex's flags get consecutive slots, so the boundary
+    part is each position repeated by that vertex's flag count.
     """
     vpos = {v: i for i, v in enumerate(order)}
     fslot: dict[int, int] = {}
+    boundary: list[int] = []
     for i, v in enumerate(order):
         tails, loops, ends = groups[v]
-        back = sorted([(fslot[p], f) for f, p, w in ends if vpos[w] < i])
-        forward = sorted([e for e in ends if vpos[e[2]] > i], key=lambda e: vpos[e[2]])
-        for f in [f for _, f in back] + tails + loops + [e[0] for e in forward]:
+        back, forward = [], []
+        for k, (f, p, w) in enumerate(ends):
+            pos = vpos[w]
+            if pos < i:
+                back.append((fslot[p], f))
+            else:
+                # the index in ends keeps equal positions in group order
+                forward.append((pos, k, f))
+        back.sort()
+        forward.sort()
+        for _, f in back:
             fslot[f] = len(fslot)
-    seq = list(fslot)
-    # this runs once per ordering tried: list comprehensions beat generators here
+        for f in tails:
+            fslot[f] = len(fslot)
+        for f in loops:
+            fslot[f] = len(fslot)
+        for _, _, f in forward:
+            fslot[f] = len(fslot)
+        boundary += [i] * (len(tails) + len(loops) + len(ends))
+    involution = g.involution
     enc = (
         len(order),
-        len(seq),
+        len(fslot),
         tuple([(g.genus[v], g.classes[v].coords) for v in order]),
-        tuple([vpos[g.boundary[f]] for f in seq]),
-        tuple([fslot[g.involution[f]] for f in seq]),
+        tuple(boundary),
+        tuple([fslot[involution[f]] for f in fslot]),
         (_NO_COLOR,) * len(order) if vrepr is None else tuple([vrepr[v] for v in order]),
-        (_NO_COLOR,) * len(seq) if frepr is None else tuple([frepr[f] for f in seq]),
+        (_NO_COLOR,) * len(fslot) if frepr is None else tuple([frepr[f] for f in fslot]),
     )
     return enc, (fslot, vpos)
 

@@ -264,6 +264,14 @@ class CombinatorialMorphism:
 
 
 def validate_combinatorial(a: CombinatorialMorphism) -> list[Violation]:
+    """Check all structural and marking conditions; empty list means valid.
+
+    Each condition names its first offender in source order.  Condition 2
+    is tested whole, as one set of (source vertex, image) pairs, and walked
+    vertex by vertex only when it fails.  The others are loops that stop
+    at the first offender: on the small graphs this calculus handles, a
+    loop over a few items costs less than building two lists to compare.
+    """
     out: list[Violation] = []
     src, tgt = a.source, a.target
     if a.hom is None:
@@ -274,33 +282,36 @@ def validate_combinatorial(a: CombinatorialMorphism) -> list[Violation]:
         if a.hom.source_rank != tgt.rank or a.hom.target_rank != src.rank:
             out.append(Violation("combinatorial-rank", "marking homomorphism ranks do not match the graphs"))
             return out
-    if a.flagmap.keys() != src._flag_set or not tgt._flag_set.issuperset(a.flagmap.values()):
+    fmap, vmap = a.flagmap, a.vertexmap
+    if fmap.keys() != src._flag_set or not tgt._flag_set.issuperset(fmap.values()):
         out.append(Violation("combinatorial-maps-total", "flag map must send exactly the source flags into target flags"))
         return out
-    if a.vertexmap.keys() != src._vertex_set or not tgt._vertex_set.issuperset(a.vertexmap.values()):
+    if vmap.keys() != src._vertex_set or not tgt._vertex_set.issuperset(vmap.values()):
         out.append(Violation("combinatorial-maps-total", "vertex map must send exactly the source vertices into target vertices"))
         return out
+    src_boundary, tgt_boundary = src.boundary, tgt.boundary
     for f in src.flags:
-        if tgt.boundary[a.flagmap[f]] != a.vertexmap[src.boundary[f]]:
+        if tgt_boundary[fmap[f]] != vmap[src_boundary[f]]:
             out.append(Violation("combinatorial-1-boundary", f"boundary square fails at flag {f}"))
             break
-    for v in src.vertices:
-        at_v = src.flags_at(v)
-        if len({a.flagmap[f] for f in at_v}) != len(at_v):
-            out.append(Violation("combinatorial-2-injective", f"flag map not injective at vertex {v}"))
-            break
+    # injective at every vertex: no two flags share a (source vertex, image) pair
+    if len({(v, fmap[f]) for f, v in src_boundary.items()}) != len(src_boundary):
+        v = next(v for v in src.vertices if len({fmap[f] for f in src.flags_at(v)}) != len(src.flags_at(v)))
+        out.append(Violation("combinatorial-2-injective", f"flag map not injective at vertex {v}"))
     classes = tgt.classes if a.hom is None else {v: a.hom(c) for v, c in tgt.classes.items()}
-    part = flag_partition(tgt) if a.hom is None else _partition_flags(tgt, classes)
+    block = (flag_partition(tgt) if a.hom is None else _partition_flags(tgt, classes))._index
     for f1, f2 in edges(src):
-        if not part.same_block(a.flagmap[f1], a.flagmap[f2]):
+        if block[fmap[f1]] != block[fmap[f2]]:
             out.append(Violation("combinatorial-3-equivalence", f"edge ({f1},{f2}) maps to inequivalent flags"))
             break
+    src_classes = src.classes
     for v in src.vertices:
-        if src.classes[v] != classes[a.vertexmap[v]]:
+        if src_classes[v] != classes[vmap[v]]:
             out.append(Violation("combinatorial-4-class", f"class mismatch at vertex {v}"))
             break
+    src_genus, tgt_genus = src.genus, tgt.genus
     for v in src.vertices:
-        if src.genus[v] != tgt.genus[a.vertexmap[v]]:
+        if src_genus[v] != tgt_genus[vmap[v]]:
             out.append(Violation("combinatorial-5-genus", f"genus mismatch at vertex {v}"))
             break
     return out

@@ -41,12 +41,10 @@ from .graphs import (
     is_stable,
     is_stable_vertex,
     relabel_classes,
-    valence,
 )
 from .monoid import MonoidHom
 from .morphisms import (
     CombinatorialMorphism,
-    compose_combinatorial,
     cut_edge,
     forget_tail,
     identity_contraction,
@@ -159,7 +157,10 @@ def absolute_stabilization(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMo
 #
 # The enumerator is a backtracking search that meets conditions 1, 2, 4 and
 # 5 by construction and checks condition 3 as each edge closes; every result
-# is still validated in full, so the oracle keeps all of its checks.
+# is still validated in full.  The oracle keys each composite a o c straight
+# from the maps and validates none of them: it compares the composites'
+# keys with those of the direct morphisms, all validated, so a composite
+# that is not a morphism matches none and shows as a difference of hom-sets.
 
 
 def enumerate_combinatorial_morphisms(
@@ -180,21 +181,22 @@ def enumerate_combinatorial_morphisms(
     """
     if src.rank != tgt.rank:
         return []
-    candidates: dict[int, list[int]] = {}
-    for v in src.vertices:
+    svs = src.vertices
+    src_at = [src.flags_at(v) for v in svs]
+    tgt_at = {w: tgt.flags_at(w) for w in tgt.vertices}  # and so each valence, once per call
+    candidates: list[list[int]] = []
+    for v, at_v in zip(svs, src_at):
+        genus, cls = src.genus[v], src.classes[v]
         opts = [
             w
             for w in tgt.vertices
-            if tgt.genus[w] == src.genus[v]
-            and tgt.classes[w] == src.classes[v]
-            and valence(tgt, w) >= valence(src, v)
+            if tgt.genus[w] == genus and tgt.classes[w] == cls and len(tgt_at[w]) >= len(at_v)
         ]
         if not opts:
             return []
-        candidates[v] = opts
+        candidates.append(opts)
 
-    svs = src.vertices
-    part = flag_partition(tgt)
+    block = flag_partition(tgt)._index
     # closing[i]: the source edges whose later endpoint in the search order is svs[i]
     depth = {v: i for i, v in enumerate(svs)}
     closing: list[list[tuple[int, int]]] = [[] for _ in svs]
@@ -208,20 +210,21 @@ def enumerate_combinatorial_morphisms(
     def extend(i: int, vmap: dict[int, int]) -> None:
         nonlocal nodes
         if i == len(svs):
-            cand = CombinatorialMorphism(source=src, target=tgt, flagmap=dict(fmap), vertexmap=vmap)
+            # the constructor copies both maps, so fmap is reused as scratch
+            cand = CombinatorialMorphism(source=src, target=tgt, flagmap=fmap, vertexmap=vmap)
             if not validate_combinatorial(cand):
                 results.append(cand)
             return
-        at_v = src.flags_at(svs[i])
-        for pick in permutations(tgt.flags_at(vmap[svs[i]]), len(at_v)):
+        at_v, shut = src_at[i], closing[i]
+        for pick in permutations(tgt_at[vmap[svs[i]]], len(at_v)):
             nodes += 1
             if nodes > cap:
                 raise SizeCapError(f"morphism enumeration exceeded {cap} candidates")
             fmap.update(zip(at_v, pick))
-            if all(part.same_block(fmap[f1], fmap[f2]) for f1, f2 in closing[i]):
+            if not shut or all(block[fmap[f1]] == block[fmap[f2]] for f1, f2 in shut):
                 extend(i + 1, vmap)
 
-    for assignment in product(*(candidates[v] for v in svs)):
+    for assignment in product(*candidates):
         extend(0, dict(zip(svs, assignment)))
     return results
 
@@ -253,6 +256,28 @@ def _default_source_pool(stable: MarkedGraph, limit: int) -> list[MarkedGraph]:
     return pool[:limit]
 
 
+def _hom_keys(
+    sigma: MarkedGraph, morphisms: list[CombinatorialMorphism], outer: CombinatorialMorphism | None = None
+) -> list[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]:
+    """One key per morphism from sigma, or per composite ``outer o m``: its
+    (flag, image) pairs over ``sigma.flags`` and (vertex, image) pairs over
+    ``sigma.vertices``, both in sigma's ascending order."""
+    flags, vertices = sigma.flags, sigma.vertices
+    if outer is None:
+        return [
+            (tuple([(f, m.flagmap[f]) for f in flags]), tuple([(v, m.vertexmap[v]) for v in vertices]))
+            for m in morphisms
+        ]
+    ofmap, ovmap = outer.flagmap, outer.vertexmap
+    return [
+        (
+            tuple([(f, ofmap[m.flagmap[f]]) for f in flags]),
+            tuple([(v, ovmap[m.vertexmap[v]]) for v in vertices]),
+        )
+        for m in morphisms
+    ]
+
+
 def check_universal_property(
     g: MarkedGraph,
     pool: Iterable[MarkedGraph] | None = None,
@@ -263,7 +288,11 @@ def check_universal_property(
 
     For every stable graph in the pool, composition with the stabilization
     morphism must be a bijection between morphisms into the stabilization and
-    morphisms into g.  Both hom-sets are enumerated exhaustively.
+    morphisms into g.  Both hom-sets are enumerated exhaustively, and every
+    morphism in them is validated.  The composites are keyed from the maps
+    and not validated: the set comparison against the validated direct
+    morphisms certifies them, since a composite that is not a morphism
+    matches none of them and is reported as a difference of hom-sets.
     """
     if len(g.flags) > max_flags:
         raise SizeCapError(f"universal property oracle capped at {max_flags} flags")
@@ -277,13 +306,8 @@ def check_universal_property(
         into_stable = enumerate_combinatorial_morphisms(sigma, stable)
         into_g = enumerate_combinatorial_morphisms(sigma, g)
         report.morphisms_checked += len(into_g)
-        composed_keys = set()
-        for c in into_stable:
-            comp = compose_combinatorial(a, c)
-            composed_keys.add((tuple(sorted(comp.flagmap.items())), tuple(sorted(comp.vertexmap.items()))))
-        direct_keys = {
-            (tuple(sorted(b.flagmap.items())), tuple(sorted(b.vertexmap.items()))) for b in into_g
-        }
+        composed_keys = set(_hom_keys(sigma, into_stable, a))
+        direct_keys = set(_hom_keys(sigma, into_g))
         if len(composed_keys) != len(into_stable):
             report.counterexamples.append(
                 f"factorization not unique for source with {len(sigma.flags)} flags"

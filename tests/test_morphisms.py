@@ -446,6 +446,139 @@ def test_validators_construct_no_graph(validator_cases, monkeypatch):
     assert after == before
 
 
+# -- several faults at once -----------------------------------------------------
+#
+# Each fault returns a copy of the morphism that breaks one condition, or None
+# when the morphism leaves no room for it.  Faults on the target's vertices
+# edit the target graph, so the maps stay total.
+
+
+def _fault_boundary(rng, a):
+    src, tgt = a.source, a.target
+    moves = [(f, x) for f in src.flags for x in tgt.flags if tgt.boundary[x] != a.vertexmap[src.boundary[f]]]
+    if not moves:
+        return None
+    f, x = rng.choice(moves)
+    return replace(a, flagmap={**a.flagmap, f: x})
+
+
+def _fault_injective(rng, a):
+    crowded = [at_v for v in a.source.vertices if len(at_v := a.source.flags_at(v)) >= 2]
+    if not crowded:
+        return None
+    f1, f2 = rng.sample(rng.choice(crowded), 2)
+    return replace(a, flagmap={**a.flagmap, f2: a.flagmap[f1]})
+
+
+def _fault_equivalence(rng, a):
+    # one half of an edge goes to another flag at the same target vertex,
+    # outside the block of the other half's image
+    tgt = a.target
+    part = flag_partition(tgt if a.hom is None else relabel_classes(tgt, a.hom))
+    moves = [
+        (f2, x)
+        for f1, f2 in edges(a.source)
+        for x in tgt.flags_at(tgt.boundary[a.flagmap[f2]])
+        if not part.same_block(a.flagmap[f1], x)
+    ]
+    if not moves:
+        return None
+    f2, x = rng.choice(moves)
+    return replace(a, flagmap={**a.flagmap, f2: x})
+
+
+def _fault_genus(rng, a):
+    tgt = a.target
+    w = a.vertexmap[rng.choice(a.source.vertices)]
+    return replace(a, target=edit_graph(tgt, vertices={w: (tgt.genus[w] + 1, tgt.classes[w])}))
+
+
+def _fault_class(rng, a):
+    tgt = a.target
+    if not tgt.rank:
+        return None
+    w = a.vertexmap[rng.choice(a.source.vertices)]
+    bumped = MonoidElement(tuple(x + 1 for x in tgt.classes[w].coords))
+    return replace(a, target=edit_graph(tgt, vertices={w: (tgt.genus[w], bumped)}))
+
+
+def _fault_rank(rng, a):
+    tgt = a.target
+    if a.hom is None:
+        return replace(a, target=relabel_classes(tgt, MonoidHom.to_trivial(tgt.rank)))
+    return replace(a, hom=MonoidHom.to_trivial(tgt.rank + 1))
+
+
+def _fault_maps_total(rng, a):
+    which = "flagmap" if a.flagmap and (rng.random() < 0.5 or not a.vertexmap) else "vertexmap"
+    partial = dict(getattr(a, which))
+    if not partial:
+        return None
+    del partial[rng.choice(list(partial))]
+    return replace(a, **{which: partial})
+
+
+_FAULT_PAIRS = [
+    (_fault_boundary, _fault_genus),
+    (_fault_injective, _fault_class),
+    (_fault_equivalence, _fault_class),
+    (_fault_rank, _fault_boundary),
+    (_fault_genus, _fault_maps_total),  # a map made partial first leaves no image to edit
+]
+
+
+def _base_morphism(rng, with_hom):
+    """A seeded valid morphism with at least one source vertex: over a hom
+    that kills the class of a genus-0 target vertex, or with no hom."""
+    while True:
+        if with_hom:
+            tau = rand_graph(rng, rank=2, max_flags=10)
+            v = rng.choice(tau.vertices)
+            tau = edit_graph(tau, vertices={v: (0, element(0, rng.randint(1, 2)))})
+            xi = MonoidHom(tuple((rng.randint(1, 2), 0) for _ in range(rng.randint(1, 2))), 2)
+            a = rand_covering(rng, tau, xi)
+        else:
+            tau = rand_graph(rng, rank=1, max_flags=10)
+            a = replace(rand_covering(rng, tau, MonoidHom.identity(1)), hom=None)
+        if a.source.vertices:
+            return a
+
+
+def test_validator_agrees_with_the_reference_on_two_faults_at_once():
+    # the whole-condition checks must name the same first offenders, in the
+    # same order, as the reference's walks, however the faults combine; each
+    # fault is applied once or twice, so a condition may fail at two places
+    rng = random.Random(1905)
+    seen, both = set(), Counter()
+    for with_hom in (False, True):
+        for first, second in _FAULT_PAIRS:
+            for _ in range(60):
+                a = _base_morphism(rng, with_hom)
+                for fault in (first, first, second, second)[rng.randint(0, 1) : 4 - rng.randint(0, 1)]:
+                    a = a and fault(rng, a)
+                if a is None:
+                    continue
+                found = validate_combinatorial(a)
+                assert found == validate_combinatorial_by_relabelling(a)
+                ids = [x.condition for x in found]
+                seen.update(ids)
+                both[first.__name__, second.__name__] += len(ids) >= 2
+    assert seen == {
+        "combinatorial-rank",
+        "combinatorial-maps-total",
+        "combinatorial-1-boundary",
+        "combinatorial-2-injective",
+        "combinatorial-3-equivalence",
+        "combinatorial-4-class",
+        "combinatorial-5-genus",
+    }
+    # the early returns report one violation; every other pair reports two
+    # at once in some case
+    assert both[_fault_rank.__name__, _fault_boundary.__name__] == 0
+    assert both[_fault_genus.__name__, _fault_maps_total.__name__] == 0
+    assert all(both[f.__name__, s.__name__] > 0 for f, s in _FAULT_PAIRS[:3]), both
+
+
 def _class_moved(rng, c):
     """c with one unit of a class coordinate moved from one target vertex to
     another, and the two vertices; None when no unit can move."""

@@ -1,5 +1,6 @@
 import importlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,9 +21,11 @@ from stablegraphs.graphs import (
     total_class,
 )
 from stablegraphs.monoid import MonoidHom
-from stablegraphs.morphisms import cut_edge, validate_combinatorial
+from stablegraphs.morphisms import compose_combinatorial, cut_edge, validate_combinatorial
 from stablegraphs.pullback import validate_marked
 from stablegraphs.stabilize import (
+    _default_source_pool,
+    _hom_keys,
     _remove_vertex,
     check_universal_property,
     enumerate_combinatorial_morphisms,
@@ -287,6 +290,47 @@ def test_universal_property_random_unstable():
         report = check_universal_property(g)
         assert report.ok, report.counterexamples
         done += 1
+
+
+def _sorted_key(m):
+    return tuple(sorted(m.flagmap.items())), tuple(sorted(m.vertexmap.items()))
+
+
+def test_composite_keys_match_compose_combinatorial():
+    # the oracle keys each composite a o c from the maps; the keys must be
+    # those of the composite that compose_combinatorial builds and validates
+    rng = random.Random(89)
+    composites = directs = 0
+    for _ in range(40):
+        g = rand_unstable_graph(rng, rank=1, max_flags=8)
+        stable, a = stabilize(g)
+        for sigma in _default_source_pool(stable, 50):
+            into_stable = enumerate_combinatorial_morphisms(sigma, stable)
+            into_g = enumerate_combinatorial_morphisms(sigma, g)
+            assert _hom_keys(sigma, into_stable, a) == [_sorted_key(compose_combinatorial(a, c)) for c in into_stable]
+            assert _hom_keys(sigma, into_g) == [_sorted_key(b) for b in into_g]
+            composites += len(into_stable)
+            directs += len(into_g)
+    assert composites > 200 and directs > 200
+
+
+def test_broken_stabilization_shows_as_differing_hom_sets(monkeypatch):
+    # a stabilization morphism that sends one vertex elsewhere: its composites
+    # are not morphisms, so none matches a validated direct morphism, and the
+    # oracle reports the hom-sets as different instead of raising
+    g = marked_graph(1, {0: (1, 0), 1: (1, 0), 2: (0, 0)}, edges=[((0, 0), (1, 1)), ((2, 1), (3, 2))])
+    real = stabilize_module.stabilize
+
+    def broken(graph):
+        stable, a = real(graph)
+        return stable, replace(a, vertexmap={**a.vertexmap, 0: 1})
+
+    monkeypatch.setattr(stabilize_module, "stabilize", broken)
+    report = check_universal_property(g)
+    assert report.sources_checked > 0
+    assert any(c.startswith("hom-sets differ through stabilization") for c in report.counterexamples)
+    monkeypatch.setattr(stabilize_module, "stabilize", real)
+    assert check_universal_property(g).ok
 
 
 # -- the pruned morphism search against the product oracle -------------------
