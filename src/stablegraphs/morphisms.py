@@ -185,6 +185,18 @@ def identity_contraction(g: MarkedGraph) -> Contraction:
     return Contraction(source=g, target=g, flagmap={f: f for f in g.flags}, vertexmap={v: v for v in g.vertices})
 
 
+def _contraction_order(c: Contraction, order: Iterable[tuple[int, int]] | None) -> list[tuple[int, int]]:
+    """Validate c and list its contracted edges as (f, fbar), f < fbar, in
+    ascending order or in ``order``, which must permute them."""
+    ensure_valid(validate_contraction(c), "cannot decompose an invalid contraction")
+    if order is None:
+        return sorted(c.contracted_edges())
+    remaining = [tuple(sorted(e)) for e in order]
+    if sorted(remaining) != sorted(c.contracted_edges()):
+        raise ValidationError([Violation("contraction-order", "order must permute the contracted edges")])
+    return remaining
+
+
 def decompose_elementary(c: Contraction, order: Iterable[tuple[int, int]] | None = None) -> list[Contraction]:
     """Factor into single-edge contractions, ascending contracted-edge id.
 
@@ -201,13 +213,7 @@ def decompose_elementary(c: Contraction, order: Iterable[tuple[int, int]] | None
     of its vertices is a vertex of c.source that stands for a part of one
     fiber of c.  Those maps contract exactly the one edge left.
     """
-    ensure_valid(validate_contraction(c), "cannot decompose an invalid contraction")
-    if order is None:
-        remaining = sorted(c.contracted_edges())
-    else:
-        remaining = [tuple(sorted(e)) for e in order]
-        if sorted(remaining) != sorted(c.contracted_edges()):
-            raise ValidationError([Violation("contraction-order", "order must permute the contracted edges")])
+    remaining = _contraction_order(c, order)
     if not remaining:
         return []
     factors: list[Contraction] = []

@@ -4,9 +4,10 @@ A morphism (A, tau) -> (B, sigma) is a quadruple: a monoid homomorphism
 xi: A -> B, a stable B-graph mid, a combinatorial morphism mid -> tau
 covering xi, and a contraction mid -> sigma.  Composition lifts the middle
 combinatorial morphism across the other morphism's contraction via the
-stable pullback construction.  It walks the elementary factors of the
-contraction in one pass and builds the lifted graph once, at the end.  For
-each factor, every vertex lying over the contraction target:
+stable pullback construction.  It reads the elementary steps of the
+contraction from the contraction's own ids, walks them back in one pass and
+builds the lifted graph once, at the end.  For each contracted edge, every
+vertex lying over the vertex it is contracted onto:
 
 * across a loop contraction, gets a loop (and drops the genus by one);
 * across a non-loop edge contraction, splits into two halves joined by a
@@ -25,9 +26,9 @@ from .monoid import MonoidHom, _is_identity
 from .morphisms import (
     CombinatorialMorphism,
     Contraction,
+    _contraction_order,
     compose_combinatorial,
     compose_contractions,
-    decompose_elementary,
     identity_combinatorial,
     identity_contraction,
     validate_combinatorial,
@@ -91,25 +92,30 @@ def stable_pullback(
     Returns (pi, psi: pi -> rho, b: pi -> sigma covering xi); psi contracts
     exactly the edges inserted by the construction.
 
-    phi is factored into elementary contractions in ascending contracted-edge
-    order (or the given ``edge_order``); the result does not depend on this
-    choice, up to isomorphism of the whole output diagram.
+    phi is taken one contracted edge at a time, in ascending order (or the
+    given ``edge_order``); the result does not depend on this choice, up to
+    isomorphism of the whole output diagram.
 
-    The factors are walked from tau back to sigma in one pass, over one
-    working copy of rho's edits and of the maps bf, bv from the growing graph
-    into the current factor's source.  New flags and vertices take the next
-    free ids of the growing graph, vertices over the contracted edge are
-    treated in ascending order, and pi is built once, from rho, at the end.
-    A loop keeps 2g + n and the halves of a split are stable, so pi is stable
-    because rho is.
+    No intermediate graph is built.  A forward pass over sigma = phi.source
+    records, for each edge (f, fbar), its ends v1, v2 as the least vertex of
+    the part the edges before it join them into (the vertex that
+    ``contract_edges`` keeps, so the edge lands on v0 = min(v1, v2)), each
+    end's (genus, class) then, and that part for every vertex of sigma, which
+    tells the end a flag sits at.  The edges are walked back from tau to
+    sigma over one working copy of rho's edits and of the maps bf, bv from
+    the growing graph into sigma: bf starts as phi.flagmap after a.flagmap,
+    and bv at the least vertex of each fiber of phi.  New flags and vertices
+    take the next free ids of the growing graph, the vertices over v0 come in
+    a.vertexmap's order and then in the order they were made, and pi is
+    built once, from rho, at the end.  A loop keeps 2g + n and the halves of
+    a split are stable, so pi is stable because rho is.  With no edge to
+    contract, pi is rho and b is a followed by the inverse of phi.
 
-    phi and a are validated; psi and b are valid by construction (with no
-    edge to contract, b is a followed by the inverse of the isomorphism phi).
-    psi keeps rho's flags and sends each vertex of pi to the vertex of rho it
-    was split from; b maps every flag and vertex not inserted through a and
-    phi.
+    phi and a are validated; psi and b are valid by construction.  psi keeps
+    rho's flags and sends each vertex of pi to the vertex of rho it was
+    split from; b maps every flag and vertex not inserted through a and phi.
     """
-    factors = decompose_elementary(phi, edge_order)  # validates phi first
+    order = _contraction_order(phi, edge_order)  # validates phi first
     ensure_valid(validate_combinatorial(a), "stable_pullback: invalid covering morphism")
     # a missing hom is the identity; xi is compared with it without building it
     covers = a.hom == xi if a.hom is not None else _is_identity(xi, a.source.rank)
@@ -120,40 +126,34 @@ def stable_pullback(
     if a.target != phi.target:
         raise ValidationError([Violation("pullback-endpoints", "covering morphism must land in the contraction target")])
 
-    if not factors:
-        # phi contracts no edge, so its vertex map is a bijection
-        pi = a.source
-        psi = identity_contraction(pi)
-        inverse = {t: v for v, t in phi.vertexmap.items()}
-        b = CombinatorialMorphism(
-            source=pi,
-            target=phi.source,
-            flagmap={x: phi.flagmap[a.flagmap[x]] for x in pi.flags},
-            vertexmap={w: inverse[a.vertexmap[w]] for w in pi.vertices},
-            hom=xi,
-        )
-        return pi, psi, b
-    rho = a.source
-    bf, bv = dict(a.flagmap), dict(a.vertexmap)  # pi -> tau, then -> each factor's source
+    sigma, rho = phi.source, a.source
+    rep = {v: v for v in sigma.vertices}  # vertex of sigma -> least vertex of its part
+    ends = {v: (sigma.genus[v], sigma.classes[v]) for v in sigma.vertices}
+    steps = []
+    for f, fbar in order:
+        v1, v2 = rep[sigma.boundary[f]], rep[sigma.boundary[fbar]]
+        v0 = min(v1, v2)
+        steps.append((f, fbar, v0, v1, v2, ends[v1], ends[v2], rep))
+        (g1, c1), (g2, c2) = ends[v1], ends[v2]
+        if v1 == v2:
+            ends[v0] = (g1 + 1, c1)
+        else:
+            ends[v0] = (g1 + g2, c1 + c2)
+            rep = {v: v0 if r in (v1, v2) else r for v, r in rep.items()}
+    least = {phi.vertexmap[v]: r for v, r in rep.items()}
+    bf = {x: phi.flagmap[y] for x, y in a.flagmap.items()}
+    bv = {w: least[t] for w, t in a.vertexmap.items()}
     at = {w: list(rho.flags_at(w)) for w in rho.vertices}
     attach: dict[int, int] = {}
     pair: dict[int, int] = {}
     data: dict[int, tuple] = {}  # (genus, class) of the new and changed vertices
     origin: dict[int, int] = {}  # new vertex -> the vertex of rho it was split from
     next_flag, next_vertex = next_id(rho.flags), next_id(rho.vertices)
-    for step in reversed(factors):
-        sigma = step.source
-        ((f, fbar),) = step.contracted_edges()
-        v1, v2 = sigma.boundary[f], sigma.boundary[fbar]
-        v0 = step.vertexmap[v1]
-        # bv lists rho's vertices, then the new ones, each in ascending order
+    for f, fbar, v0, v1, v2, (g1, c1), (g2, c2), rep in reversed(steps):
+        # bv lists a's vertices, then the new ones in the order they were made
         over = [w for w, t in bv.items() if t == v0]
-        # v0 has v1 alone as preimage for a loop; otherwise every w over v0 is reassigned
-        inverse = {t: v for v, t in step.vertexmap.items()}
-        bf = {x: step.flagmap[y] for x, y in bf.items()}
-        bv = {w: inverse[t] for w, t in bv.items()}
         # the classes the halves of a split take, pushed from sigma's monoid to rho's
-        c1, c2 = xi(sigma.classes[v1]), xi(sigma.classes[v2])
+        c1, c2 = xi(c1), xi(c2)
         for w in over:
             if v1 == v2:
                 gw, cw = data[w] if w in data else (rho.genus[w], rho.classes[w])
@@ -169,9 +169,8 @@ def stable_pullback(
                 at[w] += [l1, l2]
                 bf[l1], bf[l2] = f, fbar
                 continue
-            side1 = [x for x in at[w] if sigma.boundary[bf[x]] == v1]
-            side2 = [x for x in at[w] if sigma.boundary[bf[x]] == v2]
-            g1, g2 = sigma.genus[v1], sigma.genus[v2]
+            side1 = [x for x in at[w] if rep[sigma.boundary[bf[x]]] == v1]
+            side2 = [x for x in at[w] if rep[sigma.boundary[bf[x]]] == v2]
             stable1 = bool(c1) or 2 * g1 + len(side1) + 1 >= 3
             stable2 = bool(c2) or 2 * g2 + len(side2) + 1 >= 3
             if stable1 and stable2:

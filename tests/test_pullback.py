@@ -14,6 +14,7 @@ from stablegraphs.morphisms import (
     CombinatorialMorphism,
     contract_edges,
     cut_edge,
+    decompose_elementary,
     validate_combinatorial,
     validate_contraction,
 )
@@ -154,8 +155,8 @@ def test_pullback_psi_over_long_chains_validates():
 
 def test_pullback_builds_one_graph(monkeypatch):
     # a chain of three vertices contracted to one, and two vertices of rho
-    # over it: each splits at both steps, and pi is the only graph built
-    # besides the first factor that decompose_elementary contracts
+    # over it: each splits at both steps, and pi is the only graph built;
+    # the steps are read from phi's ids, so no factor graph is built
     sigma = marked_graph(
         1, {0: (0, 1), 1: (0, 0), 2: (0, 1)}, tails={0: 0, 1: 1, 2: 2}, edges=[((3, 0), (4, 1)), ((5, 1), (6, 2))]
     )
@@ -170,7 +171,7 @@ def test_pullback_builds_one_graph(monkeypatch):
     real = MarkedGraph.__post_init__
     monkeypatch.setattr(MarkedGraph, "__post_init__", lambda self: built.append(self) or real(self))
     pi, psi, b = stable_pullback(MonoidHom.identity(1), phi, a)
-    assert len(built) == 2 and built[1] is pi
+    assert built == [pi] and built[0] is pi
     assert len(pi.vertices) == 6 and len(edges(pi)) == 4
     assert validate_contraction(psi) == [] and validate_combinatorial(b) == []
     rng = random.Random(127)
@@ -181,8 +182,57 @@ def test_pullback_builds_one_graph(monkeypatch):
         built.clear()
         pi, psi, b = stable_pullback(xi, phi, a)
         inserted = pi is not a.source
-        assert len(built) == len(phi.contracted_edges()) - 1 + inserted
-        assert not inserted or built[-1] is pi
+        assert built == ([pi] if inserted else [])
+        assert not inserted or built[0] is pi
+
+
+def _staged_pullback(xi, phi, a, order):
+    # pull a back across one elementary factor at a time, last factor first
+    psi = None
+    for step in reversed(decompose_elementary(phi, order)):
+        pi, step_psi, a = stable_pullback(xi, step, a)
+        psi = step_psi if psi is None else compose_contractions(psi, step_psi)
+    return pi, psi, a
+
+
+def test_one_pass_equals_staged_pullback():
+    # the one pass over phi's edges gives literally the square that pulling
+    # back across each factor of decompose_elementary gives, dict order included
+    rng = random.Random(163)
+    cases = 0
+    for _ in range(80):
+        phi = rand_contraction(rng, num_edges=(2, 4), rank=2, max_flags=12, max_vertices=5)
+        xi = rand_hom(rng, 2, rng.randint(1, 2))
+        a = rand_covering(rng, phi.target, xi)
+        orders = list(permutations(phi.contracted_edges()))
+        for order in rng.sample(orders, min(6, len(orders))):
+            pi, psi, b = stable_pullback(xi, phi, a, edge_order=order)
+            staged_pi, staged_psi, staged_b = _staged_pullback(xi, phi, a, order)
+            assert pi == staged_pi and list(pi.boundary) == list(staged_pi.boundary)
+            assert list(psi.flagmap.items()) == list(staged_psi.flagmap.items())
+            assert list(psi.vertexmap.items()) == list(staged_psi.vertexmap.items())
+            assert list(b.flagmap.items()) == list(staged_b.flagmap.items())
+            assert list(b.vertexmap.items()) == list(staged_b.vertexmap.items())
+            cases += 1
+    assert cases > 300
+
+
+def test_edge_order_must_permute_the_contracted_edges():
+    sigma = marked_graph(
+        1, {0: (0, 1), 1: (0, 0), 2: (0, 1)}, tails={0: 0, 1: 1, 2: 2}, edges=[((3, 0), (4, 1)), ((5, 1), (6, 2))]
+    )
+    phi = contract_edges(sigma, [(3, 4)])
+    a = identity_cover(phi.target, rank=1)
+    xi = MonoidHom.identity(1)
+    # a repeated edge, a missing edge, and an edge phi does not contract
+    for order in ([(3, 4), (3, 4)], [], [(3, 4), (5, 6)], [(5, 6)]):
+        for call in (lambda: decompose_elementary(phi, order), lambda: stable_pullback(xi, phi, a, edge_order=order)):
+            with pytest.raises(ValidationError) as err:
+                call()
+            assert err.value.conditions == ("contraction-order",)
+    # an edge may be given from either end
+    assert decompose_elementary(phi, [(4, 3)]) == decompose_elementary(phi)
+    assert stable_pullback(xi, phi, a, edge_order=[(4, 3)]) == stable_pullback(xi, phi, a)
 
 
 def test_pullback_along_isomorphisms_validates():
