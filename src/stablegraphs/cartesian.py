@@ -21,6 +21,10 @@ where w0 is the vertex of sigma' over the base vertex the step acts at:
   surviving tail is an edge half in sigma';
 * glue: one lift, the target edge cut into two tails, and only when the
   glued tails are a literal edge of sigma'.
+
+``cartesian_pullback`` and ``pullback_object`` check their inputs once, up
+front.  The members they build, and the morphism ``pullback_object``
+returns, are valid by construction and are not checked again.
 """
 
 from __future__ import annotations
@@ -136,23 +140,50 @@ def _elementary_step(phi: ExtendedIsogeny) -> tuple[str, object]:
     """The one step of an elementary phi, as (kind, data).
 
     "glue" comes with the glued pair, "forget" with its StableForget, and
-    "contract" with (contraction, f, fbar, v1, v2, v0): the contracted edge
-    (f, fbar) of phi.source, the vertices v1 and v2 it joins, and the target
-    vertex v0 they become.
+    "contract" with (f, fbar, v1, v2, v0): the contracted edge (f, fbar) of
+    phi.source, the vertices v1 and v2 it joins, and the target vertex v0
+    they become.
     """
     if phi.glued:
         return "glue", phi.glued[0]
     kind, result = phi.step_results[0]
     if kind == "forget":
         return kind, result
-    ((f, fbar),) = result.contracted_edges()
+    f, fbar = phi.steps[0].edge
     v1, v2 = phi.source.boundary[f], phi.source.boundary[fbar]
-    return kind, (result, f, fbar, v1, v2, result.vertexmap[v1])
+    return kind, (f, fbar, v1, v2, result.vertexmap[v1])
+
+
+def _member(
+    tau: MarkedGraph,
+    b: CombinatorialMorphism,
+    graph: MarkedGraph,
+    lift: ExtendedIsogeny,
+    flags: dict[int, int],
+    vertices: dict[int, int],
+    forget_kinds: tuple[str, ...] = (),
+) -> FamilyMember:
+    """The member (a, graph, lift) over b's target; a covers the trivial hom.
+
+    a sends the flags and vertices of tau that ``flags`` and ``vertices``
+    list where they say, and every other one where b sends it: phi's step
+    keeps the ids of what survives it, so those are ids of b's source too.
+    """
+    if lift.target != b.target or lift.forget_kinds != forget_kinds:
+        raise AssertionError("the lift does not reduce back onto the target")
+    a = CombinatorialMorphism(
+        source=tau,
+        target=graph,
+        flagmap={x: flags[x] if x in flags else b.flagmap[x] for x in tau.flags},
+        vertexmap={v: vertices[v] if v in vertices else b.vertexmap[v] for v in tau.vertices},
+        hom=MonoidHom.to_trivial(b.target.rank),
+    )
+    return FamilyMember(a, graph, lift)
 
 
 def _pullback_contraction(phi: ExtendedIsogeny, b: CombinatorialMorphism, step) -> list[FamilyMember]:
     tau, sigma_prime = phi.source, b.target
-    contr, f, fbar, v1, v2, v0 = step
+    f, fbar, v1, v2, v0 = step
     w0 = b.vertexmap[v0]
     # each lift: (graph, the new edge (e1 at w0, e2), the vertex v2 goes to)
     if v1 == v2:
@@ -166,26 +197,15 @@ def _pullback_contraction(phi: ExtendedIsogeny, b: CombinatorialMorphism, step) 
         if size > _MAX_FAMILY:
             raise SizeCapError(f"cartesian family has {size} members, cap is {_MAX_FAMILY}")
         b_inv = {img: x for x, img in b.flagmap.items()}
-        side2 = [x for x in sigma_prime.flags_at(w0) if tau.boundary[contr.flagmap[b_inv[x]]] == v2]
+        side2 = [x for x in sigma_prime.flags_at(w0) if tau.boundary[b_inv[x]] == v2]
         lifts = [
             split_vertex(sigma_prime, w0, side2, (tau.genus[v1], beta1), (tau.genus[v2], beta2))
             for beta1, beta2 in enumerate_pair_decompositions(sigma_prime.classes[w0])
         ]
-    inv_flag = {pre: t for t, pre in contr.flagmap.items()}  # tau flag -> sigma flag
-    members: list[FamilyMember] = []
-    for taui, (e1, e2), w2 in lifts:
-        ai = CombinatorialMorphism(
-            source=tau,
-            target=taui,
-            flagmap={x: (e1 if x == f else e2 if x == fbar else b.flagmap[inv_flag[x]]) for x in tau.flags},
-            vertexmap={v: (w2 if v == v2 else b.vertexmap[contr.vertexmap[v]]) for v in tau.vertices},
-            hom=MonoidHom.to_trivial(sigma_prime.rank),
-        )
-        lift = elementary_contraction_isogeny(taui, (e1, e2))
-        if lift.target != sigma_prime:
-            raise AssertionError(f"{'loop' if v1 == v2 else 'split'} pullback did not contract back onto the target")
-        members.append(FamilyMember(ai, taui, lift))
-    return members
+    return [
+        _member(tau, b, taui, elementary_contraction_isogeny(taui, (e1, e2)), {f: e1, fbar: e2}, {v1: w0, v2: w2})
+        for taui, (e1, e2), w2 in lifts
+    ]
 
 
 def _pullback_forget(phi: ExtendedIsogeny, b: CombinatorialMorphism, res) -> list[FamilyMember]:
@@ -195,45 +215,32 @@ def _pullback_forget(phi: ExtendedIsogeny, b: CombinatorialMorphism, res) -> lis
     fresh = next_id(sigma_prime.flags)
     if res.kind == "I":
         tau0 = edit_graph(sigma_prime, attach={fresh: b.vertexmap[v]})
-        extra_flags, extra_vertices, expect_kind = {t: fresh}, {}, "I"
-    elif res.kind in ("II", "III"):
-        # v lifts to a new genus-zero, class-zero vertex u carrying copies of
-        # its flags: t as fresh, the other two (tails first) as fresh + 1, + 2
-        u = next_id(sigma_prime.vertices)
-        others = sorted((x for x in tau.flags_at(v) if x != t), key=lambda x: (tau.involution[x] != x, x))
-        extra_flags = {t: fresh, others[0]: fresh + 1, others[1]: fresh + 2}
-        extra_vertices = {v: u}
-        # the first edge half's copy joins the image r of its far half; if r
-        # is an edge half in sigma', the other copy joins r's partner (type III)
-        anchor = next(x for x in others if tau.involution[x] != x)
-        (other,) = (x for x in others if x != anchor)
-        r = b.flagmap[tau.involution[anchor]]
-        pair = {extra_flags[anchor]: r, r: extra_flags[anchor]}
-        expect_kind = "II"
-        if sigma_prime.involution[r] != r:
-            c = sigma_prime.involution[r]
-            pair.update({extra_flags[other]: c, c: extra_flags[other]})
-            expect_kind = "III"
-        tau0 = edit_graph(
-            sigma_prime,
-            attach={fresh: u, fresh + 1: u, fresh + 2: u},
-            vertices={u: (0, MonoidElement.zero(sigma_prime.rank))},
-            pair=pair,
-        )
-    else:
+        return [_member(tau, b, tau0, elementary_forget_isogeny(tau0, fresh), {t: fresh}, {}, ("I",))]
+    if res.kind == "IV":
         raise ValidationError([Violation("cartesian-forget-iv", "a component-killing forget is not an isogeny")])
-
-    a0 = CombinatorialMorphism(
-        source=tau,
-        target=tau0,
-        flagmap={x: extra_flags.get(x, b.flagmap.get(x)) for x in tau.flags},
-        vertexmap={w: extra_vertices.get(w, b.vertexmap.get(w)) for w in tau.vertices},
-        hom=MonoidHom.to_trivial(sigma_prime.rank),
+    # v lifts to a new genus-zero, class-zero vertex u carrying copies of
+    # its flags: t as fresh, the other two (tails first) as fresh + 1, + 2
+    u = next_id(sigma_prime.vertices)
+    others = sorted((x for x in tau.flags_at(v) if x != t), key=lambda x: (tau.involution[x] != x, x))
+    extra_flags = {t: fresh, others[0]: fresh + 1, others[1]: fresh + 2}
+    # the first edge half's copy joins the image r of its far half; if r
+    # is an edge half in sigma', the other copy joins r's partner (type III)
+    anchor = next(x for x in others if tau.involution[x] != x)
+    (other,) = (x for x in others if x != anchor)
+    r = b.flagmap[tau.involution[anchor]]
+    pair = {extra_flags[anchor]: r, r: extra_flags[anchor]}
+    kind = "II"
+    if sigma_prime.involution[r] != r:
+        c = sigma_prime.involution[r]
+        pair.update({extra_flags[other]: c, c: extra_flags[other]})
+        kind = "III"
+    tau0 = edit_graph(
+        sigma_prime,
+        attach={fresh: u, fresh + 1: u, fresh + 2: u},
+        vertices={u: (0, MonoidElement.zero(sigma_prime.rank))},
+        pair=pair,
     )
-    lift = elementary_forget_isogeny(tau0, fresh)
-    if lift.target != sigma_prime or lift.forget_kinds[0] != expect_kind:
-        raise AssertionError("tail pullback did not forget back onto the target")
-    return [FamilyMember(a0, tau0, lift)]
+    return [_member(tau, b, tau0, elementary_forget_isogeny(tau0, fresh), extra_flags, {v: u}, (kind,))]
 
 
 def _pullback_glue(phi: ExtendedIsogeny, b: CombinatorialMorphism, pair: tuple[int, int]) -> list[FamilyMember]:
@@ -251,20 +258,19 @@ def _pullback_glue(phi: ExtendedIsogeny, b: CombinatorialMorphism, pair: tuple[i
             ]
         )
     tau0 = edit_graph(sigma_prime, pair={y: y, ybar: ybar})
-    a0 = CombinatorialMorphism(
-        source=tau,
-        target=tau0,
-        flagmap=dict(b.flagmap),
-        vertexmap=dict(b.vertexmap),
-        hom=MonoidHom.to_trivial(sigma_prime.rank),
-    )
-    lift = elementary_glue_isogeny(tau0, (y, ybar))
-    if lift.target != sigma_prime:
-        raise AssertionError("glue pullback did not glue back onto the target")
-    return [FamilyMember(a0, tau0, lift)]
+    return [_member(tau, b, tau0, elementary_glue_isogeny(tau0, (y, ybar)), {}, {})]
 
 
 _PULLBACKS = {"glue": _pullback_glue, "forget": _pullback_forget, "contract": _pullback_contraction}
+
+
+def _check_phi(phi: ExtendedIsogeny) -> None:
+    """Raise unless phi is an elementary isogeny of rank-0 graphs."""
+    if phi.source.rank != 0:
+        raise ValidationError([Violation("cartesian-base-rank", "the isogeny must live over rank-0 graphs")])
+    if not is_elementary_extended(phi):
+        raise ValidationError([Violation("cartesian-not-elementary", "phi must be elementary")])
+    ensure_valid(validate_extended(phi), "phi must be an isogeny")
 
 
 def cartesian_pullback(
@@ -281,11 +287,7 @@ def cartesian_pullback(
     phi and b are validated; the members, built from them as the module
     docstring lists, are not checked again.
     """
-    if phi.source.rank != 0:
-        raise ValidationError([Violation("cartesian-base-rank", "the isogeny must live over rank-0 graphs")])
-    if not is_elementary_extended(phi):
-        raise ValidationError([Violation("cartesian-not-elementary", "phi must be elementary")])
-    ensure_valid(validate_extended(phi), "phi must be an isogeny")
+    _check_phi(phi)
     if b.source != phi.target:
         raise ValidationError([Violation("cartesian-endpoints", "b must start at phi's target")])
     if b.target.rank != p.rank:
@@ -367,7 +369,7 @@ def validate_elementary_cartesian(p: VarietyProfile, m: ElementaryCartesianMorph
 
     # v1 != v2 only over a non-loop contraction, whose fibers run over the class splits
     kind, step = _elementary_step(phi)
-    _, _, _, v1, v2, v0 = step if kind == "contract" else (None,) * 6
+    _, _, v1, v2, v0 = step if kind == "contract" else (None,) * 5
     for j, (bj, sigma_j) in enumerate(m.target.family):
         fiber = [i for i, target_index in enumerate(m.index_map) if target_index == j]
         for i in fiber:
@@ -405,28 +407,22 @@ def validate_cartesian_morphism(p: VarietyProfile, m: CartesianMorphism) -> list
 def pullback_object(
     p: VarietyProfile, phi: ExtendedIsogeny, target: CartesianObject
 ) -> tuple[CartesianObject, ElementaryCartesianMorphism]:
-    """Pull a whole cartesian object back along an elementary isogeny."""
+    """Pull a whole cartesian object back along an elementary isogeny.
+
+    The inputs are checked once, up front: the target object, then that phi
+    lands at its base, then phi itself.  Each member's family is then built
+    as ``cartesian_pullback`` builds it, and neither the members nor the
+    morphism are checked again: they are valid by construction.
+    """
     ensure_valid(validate_cartesian_object(p, target), "invalid cartesian object")
     if phi.target != target.base:
         raise ValidationError([Violation("cartesian-endpoints", "phi must land at the object's base")])
-    family: list[tuple[CombinatorialMorphism, MarkedGraph]] = []
-    index_map: list[int] = []
-    lifts: list[ExtendedIsogeny] = []
-    for j, (bj, _) in enumerate(target.family):
-        for member in cartesian_pullback(p, phi, bj):
-            family.append((member.identification, member.graph))
-            index_map.append(j)
-            lifts.append(member.lift)
-    source = CartesianObject(base=phi.source, family=tuple(family))
-    morphism = ElementaryCartesianMorphism(
-        source=source,
-        target=target,
-        base_isogeny=phi,
-        index_map=tuple(index_map),
-        lifts=tuple(lifts),
-    )
-    ensure_valid(validate_elementary_cartesian(p, morphism), "pullback produced an invalid morphism")
-    return source, morphism
+    _check_phi(phi)
+    kind, step = _elementary_step(phi)
+    members = [(j, m) for j, (bj, _) in enumerate(target.family) for m in _PULLBACKS[kind](phi, bj, step)]
+    source = CartesianObject(base=phi.source, family=tuple((m.identification, m.graph) for _, m in members))
+    index_map, lifts = tuple(j for j, _ in members), tuple(m.lift for _, m in members)
+    return source, ElementaryCartesianMorphism(source, target, phi, index_map, lifts)
 
 
 # -- direct sum, tensor, degree decomposition -----------------------------

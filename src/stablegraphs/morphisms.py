@@ -71,7 +71,10 @@ class Contraction:
 
 
 def validate_contraction(c: Contraction) -> list[Violation]:
-    """Check all structural and marking conditions; empty list means valid."""
+    """Check all structural and marking conditions; empty list means valid.
+
+    Each square condition names its first offender in target flag order.
+    """
     out: list[Violation] = []
     src, tgt = c.source, c.target
     fmap, vmap = c.flagmap, c.vertexmap
@@ -89,13 +92,13 @@ def validate_contraction(c: Contraction) -> list[Violation]:
     if set(vmap.values()) != tgt._vertex_set:
         out.append(Violation("contraction-1-surjective", "vertex map is not surjective"))
     src_boundary, src_j = src.boundary, src.involution
-    for f, pre in fmap.items():
-        if vmap[src_boundary[pre]] != tgt.boundary[f]:
+    for f in tgt.flags:
+        if vmap[src_boundary[fmap[f]]] != tgt.boundary[f]:
             out.append(Violation("contraction-2-boundary", f"boundary square fails at target flag {f}"))
             break
     tgt_j = tgt.involution
-    for f, pre in fmap.items():
-        if fmap[tgt_j[f]] != src_j[pre]:
+    for f in tgt.flags:
+        if fmap[tgt_j[f]] != src_j[fmap[f]]:
             out.append(Violation("contraction-3-involution", f"involution square fails at target flag {f}"))
             break
     else:

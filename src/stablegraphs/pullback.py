@@ -106,7 +106,7 @@ def stable_pullback(
     the growing graph into sigma: bf starts as phi.flagmap after a.flagmap,
     and bv at the least vertex of each fiber of phi.  New flags and vertices
     take the next free ids of the growing graph, the vertices over v0 come in
-    a.vertexmap's order and then in the order they were made, and pi is
+    rho's vertex order and then in the order they were made, and pi is
     built once, from rho, at the end.  A loop keeps 2g + n and the halves of
     a split are stable, so pi is stable because rho is.  With no edge to
     contract, pi is rho and b is a followed by the inverse of phi.
@@ -142,7 +142,7 @@ def stable_pullback(
             rep = {v: v0 if r in (v1, v2) else r for v, r in rep.items()}
     least = {phi.vertexmap[v]: r for v, r in rep.items()}
     bf = {x: phi.flagmap[y] for x, y in a.flagmap.items()}
-    bv = {w: least[t] for w, t in a.vertexmap.items()}
+    bv = {w: least[a.vertexmap[w]] for w in rho.vertices}
     at = {w: list(rho.flags_at(w)) for w in rho.vertices}
     attach: dict[int, int] = {}
     pair: dict[int, int] = {}
@@ -150,7 +150,7 @@ def stable_pullback(
     origin: dict[int, int] = {}  # new vertex -> the vertex of rho it was split from
     next_flag, next_vertex = next_id(rho.flags), next_id(rho.vertices)
     for f, fbar, v0, v1, v2, (g1, c1), (g2, c2), rep in reversed(steps):
-        # bv lists a's vertices, then the new ones in the order they were made
+        # bv lists rho's vertices, then the new ones in the order they were made
         over = [w for w, t in bv.items() if t == v0]
         # the classes the halves of a split take, pushed from sigma's monoid to rho's
         c1, c2 = xi(c1), xi(c2)

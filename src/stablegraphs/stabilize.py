@@ -242,10 +242,12 @@ class UniversalPropertyReport:
 
 def _default_source_pool(stable: MarkedGraph, limit: int) -> list[MarkedGraph]:
     """Stable graphs derived from a graph's stabilization ``stable``: the
-    stabilization itself, its components, edge cuts and stable tail forgets."""
+    stabilization itself, its components when it has two or more (a single
+    component is ``stable`` again), edge cuts and stable tail forgets."""
     pool: list[MarkedGraph] = [stable]
-    for comp in connected_components(stable):
-        pool.append(component_of(stable, min(comp)))
+    components = connected_components(stable)
+    if len(components) > 1:
+        pool.extend(component_of(stable, min(comp)) for comp in components)
     for e in edges(stable):
         pool.append(cut_edge(stable, e)[0])
     for f in stable.flags:

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import random
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,10 +44,12 @@ from stablegraphs.graphs import (
 )
 from stablegraphs.isogeny import (
     ContractStep,
+    ForgetStep,
     elementary_contraction_isogeny,
     elementary_forget_isogeny,
     elementary_glue_isogeny,
     extended_isogeny,
+    validate_extended,
 )
 from stablegraphs.monoid import LinearForm, MonoidHom, element
 from stablegraphs.morphisms import CombinatorialMorphism, validate_combinatorial
@@ -61,7 +64,7 @@ from stablegraphs.serialize import (
 from stablegraphs.stabilize import absolute_stabilization
 
 from oracles import enumerate_by_shapes
-from strategies import rand_graph
+from strategies import rand_graph, rand_renaming
 
 P1 = BUILTIN_PROFILES["P1"]
 P2 = BUILTIN_PROFILES["P2"]
@@ -253,8 +256,8 @@ def test_pullback_object_and_validation():
 
 
 def test_pullback_object_stabilizes_each_graph_once(monkeypatch):
-    # on the golden cartesian input the target member and its 3 lifts are
-    # checked many times over, but each is stabilized once
+    # on the golden cartesian input only the target member is stabilized:
+    # its 3 lifts are valid by construction and are not checked again
     doc = json.loads((Path(__file__).parent / "golden" / "in" / "cartesian_case2.json").read_text())
     phi, b = isogeny_from_json(doc["phi"]), combinatorial_from_json(doc["b"])
     # the package re-exports the function stabilize, which hides the module
@@ -267,7 +270,104 @@ def test_pullback_object_stabilizes_each_graph_once(monkeypatch):
     target = CartesianObject(base=b.source, family=((b, b.target),))
     source, _ = pullback_object(P2, phi, target)
     assert len(source.family) == 3
-    assert len(runs) == 4
+    assert len(runs) == 1
+
+
+def _count_package_calls(monkeypatch, functions):
+    """Count the calls to each function through every package module that binds it."""
+    counts = {fn.__name__: 0 for fn in functions}
+    modules = [m for n, m in sys.modules.items() if n == "stablegraphs" or n.startswith("stablegraphs.")]
+    for fn in functions:
+        def counting(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for m in modules:
+            for name, value in list(vars(m).items()):
+                if value is fn:
+                    monkeypatch.setattr(m, name, counting)
+    return counts
+
+
+def test_pullback_object_checks_its_inputs_once(monkeypatch):
+    # on the golden cartesian input: the target object's one member is
+    # checked once, phi once, and the 3 lifts and the morphism not at all
+    doc = json.loads((Path(__file__).parent / "golden" / "in" / "cartesian_case2.json").read_text())
+    phi, b = isogeny_from_json(doc["phi"]), combinatorial_from_json(doc["b"])
+    counts = _count_package_calls(
+        monkeypatch,
+        [
+            validate_combinatorial,
+            is_stabilization_identification,
+            deg_graph,
+            validate_extended,
+            validate_cartesian_object,
+            cartesian_pullback,
+            validate_elementary_cartesian,
+        ],
+    )
+    source, _ = pullback_object(P2, phi, CartesianObject(base=b.source, family=((b, b.target),)))
+    assert len(source.family) == 3
+    assert counts == {
+        "validate_combinatorial": 1,
+        "is_stabilization_identification": 1,
+        "deg_graph": 0,
+        "validate_extended": 1,
+        "validate_cartesian_object": 1,
+        "cartesian_pullback": 0,
+        "validate_elementary_cartesian": 0,
+    }
+
+
+def test_pullback_object_morphisms_validate():
+    # pullback_object does not check what it builds: over objects of one and
+    # two members (the second a relabelled copy of the first), the morphism
+    # must pass the full check
+    rng = random.Random(17)
+    cases = kinds = 0
+    seen = set()
+    while cases < 300:
+        case = seeded_pullback_case(rng)
+        if case is None:
+            continue
+        kind, p, phi, b = case
+        try:
+            cartesian_pullback(p, phi, b)
+        except ValidationError:
+            continue
+        cases += 1
+        renaming = rand_renaming(rng, b.target)
+        old_to_new = {old: new for new, old in renaming.flagmap.items()}
+        b2 = replace(
+            b,
+            target=renaming.target,
+            flagmap={f: old_to_new[x] for f, x in b.flagmap.items()},
+            vertexmap={v: renaming.vertexmap[w] for v, w in b.vertexmap.items()},
+        )
+        for family in (((b, b.target),), ((b, b.target), (b2, b2.target))):
+            source, morphism = pullback_object(p, phi, CartesianObject(base=phi.target, family=family))
+            assert morphism.source is source and morphism.base_isogeny is phi
+            assert validate_elementary_cartesian(p, morphism) == []
+            seen.add((kind, len(family), len(source.family) > len(family)))
+    # every kind, and families larger than the object over class splits
+    assert {k for k, _, _ in seen} == {"loop", "split", "forget I", "forget II", "forget III", "glue"}
+    assert ("split", 2, True) in seen
+
+
+def test_pullback_object_checks_phi_with_an_empty_family():
+    # a phi of two steps is refused alike whether the object has members
+    # or not; before, only the closing self-check caught it with no members
+    tau = modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 2: 1, 3: 1}, edges=[((4, 0), (5, 1))])
+    phi = extended_isogeny(tau, (), (ContractStep((4, 5)), ForgetStep(0)))
+    sigma = phi.target
+    sigma_prime = marked_graph(P2.rank, {0: (0, element(2))}, tails={1: 0, 2: 0, 3: 0})
+    errors = []
+    for family in ((), ((identification(sigma, sigma_prime), sigma_prime),)):
+        with pytest.raises(ValidationError) as err:
+            pullback_object(P2, phi, CartesianObject(base=sigma, family=family))
+        errors.append((err.value.conditions, str(err.value)))
+    message = "validation failed: cartesian-not-elementary: phi must be elementary"
+    assert errors[0] == errors[1] == (("cartesian-not-elementary",), message)
 
 
 def test_validation_flags_incomplete_family():

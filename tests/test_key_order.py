@@ -1,0 +1,211 @@
+"""Outputs depend on the values of the inputs, not on the key order of their dicts.
+
+Every mapping of every input is rebuilt in a shuffled key order; the rebuilt
+inputs are equal to the originals, so each construction must give equal
+outputs (compared field by field, computed fields included) and raise the
+same violations in the same order.
+"""
+
+import json
+import random
+from dataclasses import fields, is_dataclass, replace
+
+import pytest
+
+from stablegraphs.cartesian import CartesianObject, cartesian_pullback, pullback_object
+from stablegraphs.cli import main
+from stablegraphs.errors import StableGraphsError, ValidationError
+from stablegraphs.graphs import disjoint_union_with_maps, marked_graph
+from stablegraphs.isogeny import compose_extended, extended_isogeny, validate_extended
+from stablegraphs.monoid import MonoidHom
+from stablegraphs.morphisms import (
+    CombinatorialMorphism,
+    contract_edges,
+    validate_combinatorial,
+    validate_contraction,
+)
+from stablegraphs.pullback import compose_marked, stable_pullback, validate_marked
+from stablegraphs.stabilize import (
+    _default_source_pool,
+    enumerate_combinatorial_morphisms,
+    pushforward,
+    stabilize,
+    stabilize_with_trace,
+)
+
+from strategies import (
+    rand_contraction,
+    rand_covering,
+    rand_graph,
+    rand_hom,
+    rand_isogeny,
+    rand_marked_morphism,
+    rand_unstable_graph,
+)
+from test_cartesian import seeded_pullback_case
+from test_cli import CASES, GOLDEN
+
+
+def shuffled(x, rng):
+    """x rebuilt with every dict, at any depth, in a random key order."""
+    if isinstance(x, dict):
+        items = list(x.items())
+        rng.shuffle(items)
+        return {k: shuffled(v, rng) for k, v in items}
+    if isinstance(x, (list, tuple)):
+        return type(x)(shuffled(v, rng) for v in x)
+    if is_dataclass(x) and not isinstance(x, type):
+        return type(x)(**{f.name: shuffled(getattr(x, f.name), rng) for f in fields(x) if f.init})
+    return x
+
+
+def deep(x):
+    """A comparable form of x that also holds the fields left out of ==."""
+    if isinstance(x, dict):
+        return {k: deep(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [deep(v) for v in x]
+    if is_dataclass(x) and not isinstance(x, type):
+        return (type(x).__name__, [deep(getattr(x, f.name)) for f in fields(x)])
+    return x
+
+
+def outcome(fn, args):
+    """What fn(*args) gives: its value, or its error with the violations in order."""
+    try:
+        return "value", fn(*args)
+    except ValidationError as err:
+        return "invalid", err.violations, str(err)
+    except StableGraphsError as err:
+        return type(err).__name__, str(err)
+
+
+def assert_key_order_free(rng, fn, *args):
+    """fn gives the same outcome on args and on args rebuilt in shuffled key
+    order; returns that outcome."""
+    expected = outcome(fn, args)
+    for _ in range(3):
+        again = shuffled(args, rng)
+        assert again == args
+        got = outcome(fn, again)
+        assert got == expected
+        assert deep(got) == deep(expected)
+    return expected
+
+
+def moved(rng, m):
+    """m with one flag image replaced by another flag of its target, so that
+    it is most often invalid in several ways at once."""
+    if not m.flagmap:
+        return m
+    f = rng.choice(sorted(m.flagmap))
+    return replace(m, flagmap={**m.flagmap, f: rng.choice(m.target.flags)})
+
+
+def doubled(a):
+    """a from two disjoint copies of its source, so that two vertices lie over
+    each vertex a hits."""
+    rho, f1, v1, f2, v2 = disjoint_union_with_maps(a.source, a.source)
+    flagmap = {**{f1[f]: x for f, x in a.flagmap.items()}, **{f2[f]: x for f, x in a.flagmap.items()}}
+    vertexmap = {**{v1[v]: w for v, w in a.vertexmap.items()}, **{v2[v]: w for v, w in a.vertexmap.items()}}
+    return replace(a, source=rho, flagmap=flagmap, vertexmap=vertexmap)
+
+
+def test_pullback_does_not_depend_on_the_key_order_of_the_covering():
+    # two vertices of rho over the vertex a chain of two edges contracts to:
+    # listed in either order, the covering is the same, and so is the square
+    sigma = marked_graph(
+        1, {0: (0, 1), 1: (0, 0), 2: (0, 1)}, tails={0: 0, 1: 1, 2: 2}, edges=[((3, 0), (4, 1)), ((5, 1), (6, 2))]
+    )
+    phi = contract_edges(sigma, [(3, 4), (5, 6)])
+    (v0,) = phi.target.vertices
+    rho = marked_graph(1, {0: (0, 2), 1: (0, 2)}, tails={0: 0, 1: 0, 2: 1, 3: 1})
+    a, a2 = (
+        CombinatorialMorphism(
+            source=rho, target=phi.target, flagmap={0: 0, 1: 1, 2: 2, 3: 1}, vertexmap=vertexmap,
+            hom=MonoidHom.identity(1),
+        )
+        for vertexmap in ({0: v0, 1: v0}, {1: v0, 0: v0})
+    )
+    assert a == a2
+    assert stable_pullback(MonoidHom.identity(1), phi, a) == stable_pullback(MonoidHom.identity(1), phi, a2)
+
+
+def test_stable_pullback_and_compose_marked_are_key_order_free():
+    rng = random.Random(211)
+    kinds = {"value": 0, "invalid": 0}
+    for _ in range(60):
+        phi = rand_contraction(rng, num_edges=(1, 3), rank=2, max_flags=10, max_vertices=4)
+        xi = rand_hom(rng, 2, rng.randint(1, 2))
+        a = rand_covering(rng, phi.target, xi)
+        if rng.random() < 0.5:
+            a = doubled(a)
+        kinds[assert_key_order_free(rng, stable_pullback, xi, phi, a)[0]] += 1
+        kinds[assert_key_order_free(rng, stable_pullback, xi, phi, moved(rng, a))[0]] += 1
+        assert_key_order_free(rng, validate_combinatorial, moved(rng, a))
+        assert_key_order_free(rng, validate_contraction, moved(rng, phi))
+    for _ in range(30):
+        inner = rand_marked_morphism(rng, source_rank=2, target_rank=rng.randint(1, 2), max_flags=8)
+        sigma = inner.target_graph
+        outer = rand_marked_morphism(rng, source=sigma, source_rank=sigma.rank, target_rank=1, max_flags=8)
+        assert assert_key_order_free(rng, compose_marked, outer, inner)[0] == "value"
+        assert_key_order_free(rng, validate_marked, replace(outer, comb=moved(rng, outer.comb)))
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_stabilization_and_morphism_search_are_key_order_free():
+    rng = random.Random(223)
+    for _ in range(60):
+        g = rand_unstable_graph(rng, rank=1, max_flags=8)
+        assert assert_key_order_free(rng, stabilize_with_trace, g)[0] == "value"
+        stable = rand_graph(rng, rank=1, max_flags=8, max_vertices=3, stable=True)
+        assert_key_order_free(rng, pushforward, rand_hom(rng, 1, rng.randint(0, 2)), stable)
+    found = 0
+    for _ in range(12):
+        g = rand_unstable_graph(rng, rank=1, max_flags=7)
+        stable, _ = stabilize(g)
+        for sigma in _default_source_pool(stable, 3):
+            kind, morphisms = assert_key_order_free(rng, enumerate_combinatorial_morphisms, sigma, g)
+            assert kind == "value"
+            found += len(morphisms)
+    assert found >= 30
+
+
+def test_isogenies_are_key_order_free():
+    rng = random.Random(227)
+    composed = 0
+    for _ in range(50):
+        g = rand_graph(rng, rank=1, max_flags=10, stable=True)
+        inner = rand_isogeny(rng, g)
+        assert assert_key_order_free(rng, extended_isogeny, g, inner.glued, inner.steps)[0] == "value"
+        assert_key_order_free(rng, validate_extended, inner)
+        outer = rand_isogeny(rng, inner.target)
+        composed += assert_key_order_free(rng, compose_extended, outer, inner)[0] == "value"
+    assert composed >= 40
+
+
+def test_cartesian_pullbacks_are_key_order_free():
+    rng = random.Random(229)
+    kinds = set()
+    for case in filter(None, (seeded_pullback_case(rng) for _ in range(200))):
+        kind, p, phi, b = case
+        if assert_key_order_free(rng, cartesian_pullback, p, phi, b)[0] == "value":
+            kinds.add(kind)
+        assert_key_order_free(rng, pullback_object, p, phi, CartesianObject(base=phi.target, family=((b, b.target),)))
+        b_moved = moved(rng, b)
+        broken = CartesianObject(base=phi.target, family=((b_moved, b.target),))
+        assert assert_key_order_free(rng, pullback_object, p, phi, broken)[0] == ("value" if b_moved == b else "invalid")
+    assert kinds == {"loop", "split", "forget I", "forget II", "forget III", "glue"}
+
+
+@pytest.mark.parametrize("stem", sorted(CASES))
+def test_golden_inputs_with_shuffled_keys_give_the_golden_output(stem, tmp_path):
+    verb, expected_exit = CASES[stem]
+    golden = (GOLDEN / "out" / f"{stem}.out").read_bytes()
+    doc = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
+    rng = random.Random(stem)
+    for i in range(5):
+        path, out = tmp_path / f"in{i}.json", tmp_path / f"out{i}"
+        path.write_text(json.dumps(shuffled(doc, rng)))
+        assert main([verb, "--in", str(path), "--out", str(out)]) == expected_exit
+        assert out.read_bytes() == golden

@@ -9,6 +9,7 @@ from stablegraphs.errors import SizeCapError, ValidationError
 from stablegraphs.graphs import (
     MarkedGraph,
     component_of,
+    connected_components,
     edges,
     edit_graph,
     empty_graph,
@@ -453,5 +454,23 @@ def test_default_pool_stabilizes_once(monkeypatch):
     monkeypatch.setattr(stabilize_module, "stabilize_with_trace", counting)
     g = marked_graph(1, {0: (0, 0), 1: (1, 0)}, tails={0: 0}, edges=[((1, 0), (2, 1))])
     report = check_universal_property(g)
-    assert report.ok and report.sources_checked == 2
+    # the stabilization is one genus-1 vertex: connected, with no edge and no tail
+    assert report.ok and report.sources_checked == 1
     assert calls == 1
+
+
+def test_default_pool_lists_each_graph_once():
+    # a connected stabilization is its own only component, so the pool does
+    # not list it a second time; with more components, each is listed
+    rng = random.Random(157)
+    seen = {"connected": 0, "disconnected": 0}
+    for _ in range(200):
+        g = rand_graph(rng, rank=1, max_flags=8, max_vertices=3, stable=True, connected=rng.random() < 0.5)
+        pool = _default_source_pool(g, 10**6)
+        assert pool[0] is g
+        assert all(x != y for i, x in enumerate(pool) for y in pool[i + 1 :])
+        components = len(connected_components(g))
+        seen["connected" if components == 1 else "disconnected"] += 1
+        # only components have fewer vertices than g
+        assert sum(len(h.vertices) < len(g.vertices) for h in pool) == (components if components > 1 else 0)
+    assert min(seen.values()) >= 40, seen
