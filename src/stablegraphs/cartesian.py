@@ -33,12 +33,13 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import prod
 
-from .canonical import DEFAULT_MAX_FLAGS, canonical_form, canonical_key
+from .canonical import DEFAULT_MAX_FLAGS, canonical_encoding, canonical_form, canonical_key
 from .errors import SizeCapError, ValidationError, Violation, ensure_valid
 from .graphs import (
     MarkedGraph,
     add_loop,
     disjoint_union_with_maps,
+    edges,
     edit_graph,
     empty_graph,
     is_forest,
@@ -48,7 +49,7 @@ from .graphs import (
     split_vertex,
 )
 from .monoid import LinearForm, MonoidElement, MonoidHom, enumerate_pair_decompositions
-from .morphisms import CombinatorialMorphism, validate_combinatorial
+from .morphisms import CombinatorialMorphism, contract_edges, validate_combinatorial
 from .profiles import VarietyProfile, deg_graph
 from .isogeny import (
     ExtendedIsogeny,
@@ -216,8 +217,7 @@ def _pullback_forget(phi: ExtendedIsogeny, b: CombinatorialMorphism, res) -> lis
     if res.kind == "I":
         tau0 = edit_graph(sigma_prime, attach={fresh: b.vertexmap[v]})
         return [_member(tau, b, tau0, elementary_forget_isogeny(tau0, fresh), {t: fresh}, {}, ("I",))]
-    if res.kind == "IV":
-        raise ValidationError([Violation("cartesian-forget-iv", "a component-killing forget is not an isogeny")])
+    # types II and III; phi's check refuses every type IV forget as isogeny-pi0
     # v lifts to a new genus-zero, class-zero vertex u carrying copies of
     # its flags: t as fresh, the other two (tails first) as fresh + 1, + 2
     u = next_id(sigma_prime.vertices)
@@ -530,22 +530,30 @@ def _classes_up_to(p: VarietyProfile, bound: int):
 
 
 def _splittings(g: MarkedGraph, max_vertices: int):
-    """The stable graphs one elementary splitting away from the stable graph
-    g, with at most max_vertices vertices; each isomorphism class among them
-    comes at least once.
+    """The elementary splittings of the stable graph g whose children are
+    stable with at most max_vertices vertices, as (v, moved, kept, new).
+    Nothing is built here.
 
-    A splitting at v hangs a loop (v loses one genus) or splits v's flags,
-    genus and class between v and a new vertex.  Tails at v can be swapped by
-    an automorphism, so only how many of them move matters, and the first k
-    move.  A split and its mirror (the complementary flags move, the two
-    halves swap their data) give isomorphic graphs, so the first edge half
-    at v stays, or, with no edge half at v, at most half of the tails move.
+    A splitting at v hangs a loop (``moved`` is None, and v loses one genus)
+    or moves the flags in ``moved`` from v to a new vertex joined to v by a
+    new edge, with ``kept`` and ``new`` the (genus, class) of v and of the
+    new vertex.
+
+    Completeness: for every stable child C within the bounds and every edge
+    e of C whose contraction gives g, some splitting gives a child
+    isomorphic to C by an isomorphism that takes its new edge to e.  The two
+    prunings keep this true.  Tails at v can be swapped by an automorphism
+    of g, so only how many of them move matters, and the first k move.  A
+    split and its mirror (the complementary flags move, the two halves swap
+    their data) are isomorphic by swapping the ends of the new edge, which
+    takes the new edge to itself, so the first edge half at v stays, or,
+    with no edge half at v, at most half of the tails move.
     """
     for v in g.vertices:
         gv, cv = g.genus[v], g.classes[v]
         if gv >= 1:
             # 2 * genus + valence does not change, so v stays stable
-            yield add_loop(g, v)[0]
+            yield v, None, None, None
         if len(g.vertices) >= max_vertices:
             continue
         at_v = g.flags_at(v)
@@ -561,7 +569,104 @@ def _splittings(g: MarkedGraph, max_vertices: int):
                 kept_valence, new_valence = len(at_v) - len(moved) + 1, len(moved) + 1
                 for g1, c1, g2, c2 in data:
                     if (c1 or 2 * g1 + kept_valence >= 3) and (c2 or 2 * g2 + new_valence >= 3):
-                        yield split_vertex(g, v, moved, (g1, c1), (g2, c2))[0]
+                        yield v, moved, (g1, c1), (g2, c2)
+
+
+def _invariants(g: MarkedGraph) -> tuple[dict[int, tuple], dict[tuple[int, int], tuple]]:
+    """sigma per vertex: (genus, class coordinates, valence, tail count, loop
+    count); and iota per edge (f, p): (is it a loop, the smaller sigma of
+    its ends, the larger)."""
+    sigma = {}
+    for v in g.vertices:
+        at_v = g.flags_at(v)
+        tails = loop_halves = 0
+        for f in at_v:
+            p = g.involution[f]
+            if p == f:
+                tails += 1
+            elif g.boundary[p] == v:
+                loop_halves += 1
+        sigma[v] = (g.genus[v], g.classes[v].coords, len(at_v), tails, loop_halves // 2)
+    iota = {}
+    for f, p in edges(g):
+        u, x = g.boundary[f], g.boundary[p]
+        iota[f, p] = _edge_invariant(u == x, sigma[u], sigma[x])
+    return sigma, iota
+
+
+def _edge_invariant(is_loop: bool, s: tuple, t: tuple) -> tuple:
+    """iota of an edge whose ends have the invariants s and t."""
+    return (is_loop, s, t) if s <= t else (is_loop, t, s)
+
+
+def _parent_tables(g: MarkedGraph) -> dict[int, tuple]:
+    """What ``_new_edge_verdict`` reads from a parent, once per parent.
+
+    Per vertex v: its sigma, the loops at v, the halves at v of edges to
+    other vertices with the far end's sigma, and the greatest iota of an
+    edge away from v (``()``, below every iota, when there is none).  A
+    splitting at v leaves the edges away from v and their ends as they are.
+    """
+    sigma, iota = _invariants(g)
+    tables = {}
+    for v in g.vertices:
+        loops, others = [], []
+        for f in g.flags_at(v):
+            p = g.involution[f]
+            x = g.boundary[p]
+            if x != v:
+                others.append((f, sigma[x]))
+            elif f < p:
+                loops.append((f, p))
+        away = max((i for (f, p), i in iota.items() if v != g.boundary[f] and v != g.boundary[p]), default=())
+        tables[v] = (sigma[v], loops, others, away)
+    return tables
+
+
+def _new_edge_verdict(g: MarkedGraph, tables, v: int, moved, kept, new) -> bool | None:
+    """Tests (a) and the same-ends half of (b) of the canonical-parent rule
+    (see ``enumerate_stable_graphs``) for the child of g that a splitting
+    builds, read from g and the splitting alone.
+
+    False: an edge of the child has a greater iota than the new edge.  True:
+    every edge with the new edge's iota joins the new edge's ends.  None:
+    some edge with that iota joins other ends, and the built child decides.
+    """
+    (genus, coords, valence, tails, loop_count), loops, others, rival = tables[v]
+    if moved is None:
+        s = (genus - 1, coords, valence + 2, tails, loop_count + 1)
+        # v's loops share the new loop's iota and ends; its other edges are
+        # not loops, so they rank below it
+        top = (True, s, s)
+    else:
+        inside = set(moved)
+        # a loop kept whole at v, or moved whole, outranks the new edge, which
+        # is not a loop; a loop split in two joins the new edge's ends
+        if any((f in inside) == (p in inside) for f, p in loops):
+            return False
+        # with every loop split, neither end keeps one
+        k = sum(1 for f in moved if g.involution[f] == f)
+        sv = (kept[0], kept[1].coords, valence - len(moved) + 1, tails - k, 0)
+        sw = (new[0], new[1].coords, len(moved) + 1, k, 0)
+        top = _edge_invariant(False, sv, sw)
+        for f, sx in others:
+            i = _edge_invariant(False, sw if f in inside else sv, sx)
+            if i > rival:
+                rival = i
+    if rival > top:
+        return False
+    return None if rival == top else True
+
+
+def _contracts_to_parent(c: MarkedGraph, parent_key: tuple) -> bool:
+    """The rest of test (b): contracting m, the edge of greatest iota whose
+    flags take the least slot in c's canonical labelling, gives the parent's
+    class.  c must be keyed already, so its labelling is kept on it."""
+    _, iota = _invariants(c)
+    top = max(iota.values())
+    _, (slot, _) = canonical_encoding(c)
+    m = min((e for e, i in iota.items() if i == top), key=lambda e: min(slot[e[0]], slot[e[1]]))
+    return canonical_key(contract_edges(c, [m]).target) == parent_key
 
 
 def enumerate_stable_graphs(
@@ -582,21 +687,38 @@ def enumerate_stable_graphs(
     every output arises from a stable one-vertex graph by elementary
     splittings (hang a loop, or split a vertex) through stable graphs within
     the vertex bound.  The graphs are generated level by level, one edge per
-    level, from one representative of each isomorphism class found.  ``cap``
-    bounds the number of graphs built and keyed: the start graphs, one per
-    class within the ample bound, and then the children.  The classes are
-    counted before any start graph is built, so too many of them raise
-    ``SizeCapError`` up front.
+    level, from one representative of each isomorphism class found.
+
+    Each class is accepted only from its canonical parent (McKay's canonical
+    augmentation, "Isomorph-free exhaustive generation", J. Algorithms 26,
+    1998).  A vertex has the invariant sigma = (genus, class coordinates,
+    valence, tail count, loop count); an edge has iota = (is it a loop, the
+    smaller sigma of its ends, the larger).  A child C with new edge e is
+    accepted only when (a) iota(e) is the greatest iota of an edge of C, and
+    (b) either every edge with that iota joins the ends of e (parallel edges
+    are swapped by an automorphism, and so are loops at one vertex), or
+    contracting m gives the parent's class, where m is the edge of greatest
+    iota whose flags take the least slot in C's canonical labelling.  (a)
+    and the first half of (b) are read from the parent and the splitting,
+    so most rejected children are never built or keyed.  C/m is the same
+    class whichever canonical labelling is taken, so each class of C is
+    accepted from the one representative of the class of C/m, and accepted
+    siblings are deduplicated by key; no other lookup is needed.
+
+    ``cap`` bounds the work: the start graphs, one per class within the
+    ample bound, and then every splitting considered, whether it is built
+    or not.  The classes are counted before any start graph is built, so
+    too many of them raise ``SizeCapError`` up front.
 
     Bounds that admit a graph with more flags than canonical labelling
     accepts (``n + 2(g + V - 1)``, with V the vertex bound clamped to what
     stability allows) are refused with ``SizeCapError`` before any graph is
     built.
 
-    Each child is keyed once with ``canonical_key``.  The uncolored labelling
-    is computed once per graph instance and kept on it (colored labellings
-    are not memoised), so the canonical form of each output reuses the
-    search its key already ran.
+    Each built child is keyed once with ``canonical_key``.  The uncolored
+    labelling is computed once per graph instance and kept on it (colored
+    labellings are not memoised), so the canonical form of each output, and
+    the labelling that test (b) reads, reuse the search its key already ran.
     """
     if genus_total < 0 or num_tails < 0 or ample_bound < 0 or max_vertices < 1:
         raise ValidationError([Violation("enumerate-bounds", "bounds must be non-negative (and at least one vertex)")])
@@ -617,22 +739,29 @@ def enumerate_stable_graphs(
     if most_flags > DEFAULT_MAX_FLAGS:
         raise SizeCapError(f"graphs within the bounds have up to {most_flags} flags, cap is {DEFAULT_MAX_FLAGS}")
     # one start graph per class: count them before building any
-    built = sum(1 for _ in islice(_classes_up_to(p, ample_bound), cap + 1))
-    if built > cap:
+    considered = sum(1 for _ in islice(_classes_up_to(p, ample_bound), cap + 1))
+    if considered > cap:
         raise SizeCapError(f"enumeration exceeded {cap} candidates")
     tails = {f: 0 for f in range(num_tails)}
     starts = (marked_graph(p.rank, {0: (genus_total, beta)}, tails=tails) for beta in _classes_up_to(p, ample_bound))
     level = {canonical_key(g): g for g in starts if is_stable(g)}
-    seen = dict(level)
+    found = dict(level)
     while level:
-        found: dict[tuple, MarkedGraph] = {}
-        for g in level.values():
-            for child in _splittings(g, max_vertices):
-                built += 1
-                if built > cap:
+        children: dict[tuple, MarkedGraph] = {}
+        for parent_key, g in level.items():
+            tables = None  # made at the first splitting: many parents have none
+            for v, moved, kept, new in _splittings(g, max_vertices):
+                considered += 1
+                if considered > cap:
                     raise SizeCapError(f"enumeration exceeded {cap} candidates")
+                tables = tables or _parent_tables(g)
+                verdict = _new_edge_verdict(g, tables, v, moved, kept, new)
+                if verdict is False:
+                    continue
+                child = add_loop(g, v)[0] if moved is None else split_vertex(g, v, moved, kept, new)[0]
                 key = canonical_key(child)
-                if key not in seen:
-                    seen[key] = found[key] = child
-        level = found
-    return [canonical_form(seen[k]) for k in sorted(seen)]
+                if key not in children and (verdict or _contracts_to_parent(child, parent_key)):
+                    children[key] = child
+        found.update(children)
+        level = children
+    return [canonical_form(found[k]) for k in sorted(found)]

@@ -354,13 +354,16 @@ def edit_graph(
 def add_loop(g: MarkedGraph, v: int) -> tuple[MarkedGraph, tuple[int, int]]:
     """Hang a new loop at v and lower its genus by one.
 
-    Contracting the returned loop gives g back.
+    Contracting the returned loop gives g back.  The loop joins no two
+    components, so g's components, once computed, are kept on the result.
     """
     l1 = next_id(g.flags)
     l2 = l1 + 1
     loop = edit_graph(
         g, attach={l1: v, l2: v}, pair={l1: l2, l2: l1}, vertices={v: (g.genus[v] - 1, g.classes[v])}
     )
+    if "_connected_components" in g.__dict__:
+        loop.__dict__["_connected_components"] = g._connected_components
     return loop, (l1, l2)
 
 
@@ -376,7 +379,9 @@ def split_vertex(
 
     v takes ``kept_data`` and w takes ``new_data``, each a ``(genus, class)``.
     Returns (graph, (e1, e2), w).  Contracting the new edge gives g back when
-    the genera and the classes add up to v's.
+    the genera and the classes add up to v's.  w joins v's component, and w
+    is the largest vertex id, so once g's components are computed the
+    result's are known, in the same order, and are kept on it.
     """
     e1 = next_id(g.flags)
     e2 = e1 + 1
@@ -384,6 +389,8 @@ def split_vertex(
     attach = {e1: v, e2: w}
     attach.update((x, w) for x in moved)
     split = edit_graph(g, attach=attach, pair={e1: e2, e2: e1}, vertices={v: kept_data, w: new_data})
+    if "_connected_components" in g.__dict__:
+        split.__dict__["_connected_components"] = tuple(c | {w} if v in c else c for c in g._connected_components)
     return split, (e1, e2), w
 
 

@@ -4,16 +4,19 @@ These deliberately re-derive answers by different routes: linear algebra
 over GF(2) for cycle ranks, a literal breadth-first chain search for the
 flag-equivalence condition, a raw product enumeration for boundary graph
 listings and for combinatorial morphisms, the two morphism validators written the way that builds
-graphs (each contracted piece, and the relabelled target), and an
-automorphism count that backtracks over vertex bijections.  None of them
-call the code paths they certify.  At the end are two checked helpers that
-only the tests call.
+graphs (each contracted piece, and the relabelled target), an
+automorphism count that backtracks over vertex bijections, and sums over
+whole enumerator outputs by a Feynman expansion that builds no graph.
+None of them call the code paths they certify.  At the end are two checked
+helpers that only the tests call.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations, product
-from math import factorial
+from fractions import Fraction
+from math import factorial, prod
+from operator import add, le
 
 from stablegraphs.canonical import canonical_form, canonical_key
 from stablegraphs.errors import SizeCapError, Violation, ensure_valid
@@ -340,6 +343,89 @@ def automorphism_count(g: MarkedGraph) -> int:
     for m in between.values():
         per *= factorial(m)
     return bijections(0) * per
+
+
+def _times(a: dict, b: dict, limits: tuple) -> dict:
+    """The product of two series whose keys are exponent tuples, dropping
+    every term with an exponent above its limit.  b's terms are taken in
+    order of their first exponent, so each term of a stops at its room."""
+    out: dict = {}
+    terms = sorted(b.items())
+    for ka, ca in a.items():
+        room = limits[0] - ka[0]
+        for kb, cb in terms:
+            if kb[0] > room:
+                break
+            key = tuple(map(add, ka, kb))
+            if all(map(le, key, limits)):
+                out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _reachable(series: dict, aim: int, most: int) -> dict:
+    """The terms of a series in (grade, degree, x, y, w) from which some
+    term with grade - 3 degree = aim and at most ``most`` vertices can grow.
+    Each vertex more adds 2g - 2 + k + j >= -2 to grade - 3 degree."""
+    return {key: c for key, c in series.items() if key[0] - 3 * key[1] - 2 * (most - key[4]) <= aim}
+
+
+def graph_sums(genus: int, tails: int, max_degree: int, max_vertices: int, weight=lambda g, m: 1) -> dict:
+    """degree d -> per vertex count V up to max_vertices, the sum over the
+    connected stable graphs with the genus, the tails, total degree d (a
+    rank-1 class, or 0 at rank 0) and V vertices of
+    prod_v weight(genus_v, valence_v) / |Aut|, tails unlabelled, in exact
+    fractions; ``weight`` gives integers.
+
+    A Feynman expansion that builds no graph (Bessis, Itzykson and Zuber,
+    "Quantum field theory techniques in graphical enumeration", Adv. Appl.
+    Math. 1, 1980): the sum is the coefficient of h^(g-1) q^d y^n w^V in the
+    log of the Gaussian average, <x^2m> = (2m-1)!! h^m, of exp of the sum
+    over stable (g, d, k, j) of weight h^(g-1) q^d w x^k y^j / (k! j!).
+    Every stable vertex has the grade e = 2g - 2 + k + j + 3d >= 1, and e
+    sums to 2g - 2 + n + 3d over a graph, so the series are cut at that
+    grade.  The power of h follows from the grade, the degree and the tails,
+    so the series carry exponents of (grade, degree, x, y, w) only.  They
+    hold integer numerators over one denominator per series.
+    """
+    top = 2 * genus - 2 + tails + 3 * max_degree
+    # no graph has more vertices than grade
+    most = max(0, min(max_vertices, top))
+    limits = (top, max_degree, 2 * top + 4 * most, tails, most)
+    # the vertex terms over `scale`, so their m-th power is over scale^m
+    scale = factorial(top + 2) * factorial(tails)
+    vertex = {}
+    for d in range(max_degree + 1):
+        for j in range(tails + 1):
+            for g in range(top // 2 + 2):
+                for k in range(top + 3):
+                    e = 2 * g - 2 + k + j + 3 * d
+                    if 1 <= e <= top:
+                        vertex[e, d, k, j, 1] = weight(g, k + j) * scale // (factorial(k) * factorial(j))
+    # z, the average of exp less its constant term, over z_scale: each
+    # x^k goes to its (k-1)!! pairings, and V^m comes with 1/m!
+    z_scale = scale**most * factorial(most)
+    z: dict = {}
+    power = {(0, 0, 0, 0, 0): 1}
+    for m in range(1, most + 1):
+        power = _reachable(_times(power, vertex, limits), 2 * genus - 2 + tails, most)
+        lift = scale ** (most - m) * factorial(most) // factorial(m)
+        for (e, d, k, j, w), c in power.items():
+            if k % 2 == 0:
+                z[e, d, 0, j, w] = z.get((e, d, 0, j, w), 0) + c * prod(range(k - 1, 0, -2)) * lift
+    # log(1 + z) over z_scale^most most!: each term of z has w >= 1, so
+    # `most` terms suffice
+    log: dict = {}
+    power = {(0, 0, 0, 0, 0): 1}
+    for r in range(1, most + 1):
+        power = _reachable(_times(power, z, limits), 2 * genus - 2 + tails, most)
+        lift = (-1) ** (r + 1) * factorial(most) // r * z_scale ** (most - r)
+        for key, c in power.items():
+            log[key] = log.get(key, 0) + c * lift
+    denominator = z_scale**most * factorial(most)
+    return {
+        d: [Fraction(log.get((2 * genus - 2 + tails + 3 * d, d, 0, tails, w), 0), denominator) for w in range(most + 1)]
+        for d in range(max_degree + 1)
+    }
 
 
 def brute_force_boundary_rank1(max_class_total: int) -> list:

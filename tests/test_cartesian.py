@@ -370,6 +370,23 @@ def test_pullback_object_checks_phi_with_an_empty_family():
     assert errors[0] == errors[1] == (("cartesian-not-elementary",), message)
 
 
+def test_type_iv_forget_is_refused_as_no_isogeny():
+    # forgetting a tail of a lonely tripod kills its component, next to a
+    # second component that survives; phi's own check refuses it first
+    tau = modular_graph({0: 0, 1: 1}, tails={0: 0, 1: 0, 2: 0, 10: 1})
+    phi = elementary_forget_isogeny(tau, 0)
+    assert phi.forget_kinds == ("IV",)
+    sigma = phi.target
+    sigma_prime = marked_graph(P1.rank, {1: (1, 1)}, tails={10: 1})
+    b = identification(sigma, sigma_prime)
+    with pytest.raises(ValidationError) as err:
+        cartesian_pullback(P1, phi, b)
+    assert err.value.conditions == ("isogeny-pi0",)
+    with pytest.raises(ValidationError) as err:
+        pullback_object(P1, phi, CartesianObject(base=sigma, family=((b, sigma_prime),)))
+    assert err.value.conditions == ("isogeny-pi0",)
+
+
 def test_validation_flags_incomplete_family():
     tau, phi, sigma, b = four_tail_setup(P2, element(2))
     target = CartesianObject(base=sigma, family=((b, b.target),))

@@ -1,9 +1,11 @@
-"""Outputs depend on the values of the inputs, not on the key order of their dicts.
+"""Outputs depend on the values of the inputs, not on the key order of their
+dicts or on their ids.
 
 Every mapping of every input is rebuilt in a shuffled key order; the rebuilt
 inputs are equal to the originals, so each construction must give equal
 outputs (compared field by field, computed fields included) and raise the
-same violations in the same order.
+same violations in the same order.  Inputs whose ids are renamed are
+isomorphic to the originals, so the outputs must be isomorphic too.
 """
 
 import json
@@ -12,6 +14,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
+from stablegraphs.canonical import canonical_key
 from stablegraphs.cartesian import CartesianObject, cartesian_pullback, pullback_object
 from stablegraphs.cli import main
 from stablegraphs.errors import StableGraphsError, ValidationError
@@ -20,11 +23,12 @@ from stablegraphs.isogeny import compose_extended, extended_isogeny, validate_ex
 from stablegraphs.monoid import MonoidHom
 from stablegraphs.morphisms import (
     CombinatorialMorphism,
+    Contraction,
     contract_edges,
     validate_combinatorial,
     validate_contraction,
 )
-from stablegraphs.pullback import compose_marked, stable_pullback, validate_marked
+from stablegraphs.pullback import compose_marked, pullback_diagram_key, stable_pullback, validate_marked
 from stablegraphs.stabilize import (
     _default_source_pool,
     enumerate_combinatorial_morphisms,
@@ -40,6 +44,7 @@ from strategies import (
     rand_hom,
     rand_isogeny,
     rand_marked_morphism,
+    rand_renaming,
     rand_unstable_graph,
 )
 from test_cartesian import seeded_pullback_case
@@ -209,3 +214,47 @@ def test_golden_inputs_with_shuffled_keys_give_the_golden_output(stem, tmp_path)
         path.write_text(json.dumps(shuffled(doc, rng)))
         assert main([verb, "--in", str(path), "--out", str(out)]) == expected_exit
         assert out.read_bytes() == golden
+
+
+def renamed(rng, g):
+    """A copy of g with shuffled, spread-out ids, and the new id of each old
+    flag and vertex."""
+    r = rand_renaming(rng, g)
+    return r.target, {old: new for new, old in r.flagmap.items()}, r.vertexmap
+
+
+def test_outputs_do_not_depend_on_ids():
+    # stabilize_with_trace gives isomorphic graphs, and stable_pullback gives
+    # squares with equal keys once the maps out of pi are read back in the
+    # original ids of rho and sigma
+    rng = random.Random(233)
+    for _ in range(60):
+        g = rand_unstable_graph(rng, rank=1, max_flags=8)
+        copy, _, _ = renamed(rng, g)
+        assert canonical_key(stabilize_with_trace(copy)[0]) == canonical_key(stabilize_with_trace(g)[0])
+    for _ in range(60):
+        phi = rand_contraction(rng, num_edges=(1, 3), rank=2, max_flags=10, max_vertices=4)
+        xi = rand_hom(rng, 2, rng.randint(1, 2))
+        a = rand_covering(rng, phi.target, xi)
+        sigma, sf, sv = renamed(rng, phi.source)
+        tau, tf, tv = renamed(rng, phi.target)
+        rho, rf, rv = renamed(rng, a.source)
+        phi2 = Contraction(
+            sigma, tau, {tf[x]: sf[y] for x, y in phi.flagmap.items()}, {sv[v]: tv[w] for v, w in phi.vertexmap.items()}
+        )
+        a2 = CombinatorialMorphism(
+            rho, tau, {rf[x]: tf[y] for x, y in a.flagmap.items()}, {rv[v]: tv[w] for v, w in a.vertexmap.items()}, a.hom
+        )
+        pi, psi, b = stable_pullback(xi, phi, a)
+        pi2, psi2, b2 = stable_pullback(xi, phi2, a2)
+        rf_back = {new: old for old, new in rf.items()}
+        rv_back = {new: old for old, new in rv.items()}
+        sf_back = {new: old for old, new in sf.items()}
+        sv_back = {new: old for old, new in sv.items()}
+        psi_back = Contraction(
+            pi2, a.source, {rf_back[x]: y for x, y in psi2.flagmap.items()}, {v: rv_back[w] for v, w in psi2.vertexmap.items()}
+        )
+        b_back = CombinatorialMorphism(
+            pi2, phi.source, {x: sf_back[y] for x, y in b2.flagmap.items()}, {v: sv_back[w] for v, w in b2.vertexmap.items()}
+        )
+        assert pullback_diagram_key(pi2, psi_back, b_back) == pullback_diagram_key(pi, psi, b)

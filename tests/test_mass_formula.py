@@ -1,56 +1,99 @@
 """Mass-formula checks on whole enumerator outputs.
 
+Summed over an output, prod_v weight(genus_v, valence_v) / |Aut| must equal
+the sum that ``oracles.graph_sums`` reads off a Feynman expansion, which
+builds no graph, for every total class.  The automorphism counts come from
+``oracles.automorphism_count``.  This catches missing, duplicated and
+mis-weighted graphs on every cell below.
+
 For ``point``, genus 0 and n tails, ``Aut`` of a stable tree acts faithfully
-on its tails, so summing n!/|Aut| over the output counts the stable trees
-with n labelled tails (check B), and weighting each vertex of valence m by
-chi(M_{0,m}) = (-1)^(m-3) (m-3)! gives chi(Mbar_{0,n}) (check A).  The
-automorphism counts come from ``oracles.automorphism_count``, and the right
-sides from the rooted-tree recurrence below, in exact fractions.
+on its tails, so n! times the sum with weight 1 counts the stable trees with
+n labelled tails (check B), and weighting each vertex of valence m by
+chi(M_{0,m}) = (-1)^(m-3) (m-3)! gives chi(Mbar_{0,n}) (check A).
 """
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
 
 from stablegraphs.cartesian import enumerate_stable_graphs
-from stablegraphs.graphs import marked_graph, modular_graph, valence
-from stablegraphs.profiles import BUILTIN_PROFILES
+from stablegraphs.graphs import marked_graph, modular_graph, total_class, valence
+from stablegraphs.monoid import LinearForm
+from stablegraphs.profiles import BUILTIN_PROFILES, VarietyProfile
 
-from oracles import automorphism_count
+from oracles import automorphism_count, graph_sums
+
+PROFILES = {**BUILTIN_PROFILES, "Q": VarietyProfile("Q", 1, LinearForm((-2,)), LinearForm((2,)))}
+
+# (profile, genus, tails, ample bound, max vertices)
+PERFBENCH_GRID = [
+    ("point", 2, 0, 0, 2),
+    ("point", 3, 0, 0, 4),
+    ("point", 1, 4, 0, 4),
+    ("point", 2, 2, 0, 4),
+    ("P2", 1, 2, 2, 3),
+    ("P1", 0, 4, 3, 3),
+    ("P2", 0, 8, 0, 4),
+]
+
+# the cells of rank 0 and 1 that the other tier-1 tests enumerate
+TIER1_CELLS = sorted(
+    # test_enumerate_matches_product_oracle
+    {
+        (profile, genus, tails, bound, 3)
+        for profile in ("point", "P1", "P2")
+        for genus in range(3)
+        for tails in range(6 - 2 * genus)
+        for bound in ((0,) if profile == "point" else (0, 1))
+    }
+    # test_flag_bound_is_attained
+    | {
+        (profile, genus, tails, bound, max_vertices)
+        for profile in ("point", "P1", "Q")
+        for genus in range(3)
+        for tails in range(6 - 2 * genus)
+        for bound in range(3)
+        for max_vertices in range(1, 5)
+    }
+    # acceptance criteria 3 and 10, and the boundary_tree4 golden case
+    | {("P1", genus, tails, 1, 2) for genus in (0, 1) for tails in range(1, 5)}
+    # the published counts, the genus, clamp and cap tests, and the mass formula
+    | {("point", 2, 0, 0, 10), ("point", 3, 0, 0, 10), ("P1", 1, 1, 0, 2), ("P1", 0, 3, 5, 1)}
+    | {("point", 0, 3, 0, 10**6), ("P1", 0, 0, 2, 10**6)}
+    | {("point", 0, tails, 0, tails - 2) for tails in range(3, 8)}
+)
 
 
-def _labelled_tree_sums(weight, max_tails: int) -> dict[int, Fraction]:
-    """n -> the sum over stable trees with n labelled tails of the product
-    of ``weight(valence)`` over the vertices.
-
-    Rooted at tail n, such trees satisfy F = x + sum_{k>=2} weight(k+1) F^k / k!,
-    and the sum is (n-1)! [x^(n-1)] (F - x).  F is solved by iteration on
-    series truncated after x^(max_tails - 1).
-    """
-    order = max_tails - 1
-    x = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
-
-    def times(p, q):
-        out = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(p):
-            if a:
-                for j, b in enumerate(q[: order + 1 - i]):
-                    out[i + j] += a * b
-        return out
-
-    f = list(x)
-    for _ in range(order):
-        nxt, power = list(x), f
-        for k in range(2, order + 1):
-            power = times(power, f)
-            nxt = [a + weight(k + 1) * b / factorial(k) for a, b in zip(nxt, power)]
-        f = nxt
-    return {n: factorial(n - 1) * (f[n - 1] - x[n - 1]) for n in range(3, max_tails + 1)}
+def _euler_weight(genus: int, m: int) -> int:
+    # chi(M_{0,m}); genus-0 graphs have only genus-0 vertices, so any value
+    # serves for the others
+    return (-1) ** (m - 3) * factorial(m - 3) if genus == 0 else 0
 
 
-def _euler_weight(m: int) -> int:
-    return (-1) ** (m - 3) * factorial(m - 3)
+def _unit_weight(genus: int, m: int) -> int:
+    return 1
+
+
+@cache
+def _right_side(genus: int, tails: int, max_degree: int, max_vertices: int, weight) -> dict:
+    return graph_sums(genus, tails, max_degree, max_vertices, weight)
+
+
+def _sums_agree(cell, weight=_unit_weight) -> None:
+    profile, genus, tails, bound, max_vertices = cell
+    p = PROFILES[profile]
+    max_degree = bound // p.ample.coeffs[0] if p.rank else 0
+    left = {d: Fraction(0) for d in range(max_degree + 1)}
+    for g in enumerate_stable_graphs(p, genus, tails, bound, max_vertices):
+        vertex_weight = 1
+        for v in g.vertices:
+            vertex_weight *= weight(g.genus[v], valence(g, v))
+        degree = total_class(g).coords[0] if p.rank else 0
+        left[degree] += Fraction(vertex_weight, automorphism_count(g))
+    right = _right_side(genus, tails, max_degree, max_vertices, weight)
+    assert left == {d: sum(right[d][: max_vertices + 1]) for d in left}, cell
 
 
 def test_automorphism_count_small_graphs():
@@ -69,18 +112,31 @@ def test_automorphism_count_small_graphs():
     assert automorphism_count(path) == 2 * 2 * 2
 
 
+def test_graph_sums_by_hand():
+    # one tripod (3! tail orders); the genus-1 vertex and the loop (flipped)
+    # with one tail
+    assert graph_sums(0, 3, 0, 1) == {0: [0, Fraction(1, 6)]}
+    assert sum(graph_sums(1, 1, 0, 2)[0]) == 1 + Fraction(1, 2)
+    # genus 0 without tails: only a lone vertex of degree 1 is stable
+    assert graph_sums(0, 0, 1, 2) == {0: [0, 0], 1: [0, 1]}
+
+
 @pytest.mark.parametrize(
-    "weight,expected", [(lambda m: 1, [1, 4, 26, 236, 2752]), (_euler_weight, [1, 2, 7, 34, 213])], ids=["B", "A"]
+    "weight,expected", [(_unit_weight, [1, 4, 26, 236, 2752]), (_euler_weight, [1, 2, 7, 34, 213])], ids=["B", "A"]
 )
 def test_genus_zero_mass_formula(weight, expected):
-    right = _labelled_tree_sums(weight, 7)
-    assert [right[n] for n in range(3, 8)] == expected
+    # the labelled stable trees and chi(Mbar_{0,n}), n = 3..7, from the
+    # expansion; then the enumerator's outputs sum to the same
+    assert [factorial(n) * sum(_right_side(0, n, 0, n - 2, weight)[0]) for n in range(3, 8)] == expected
     for n in range(3, 8):
-        graphs = enumerate_stable_graphs(BUILTIN_PROFILES["point"], 0, n, 0, n - 2)
-        left = Fraction(0)
-        for g in graphs:
-            vertex_weight = 1
-            for v in g.vertices:
-                vertex_weight *= weight(valence(g, v))
-            left += Fraction(factorial(n) * vertex_weight, automorphism_count(g))
-        assert left == right[n], n
+        _sums_agree(("point", 0, n, 0, n - 2), weight)
+
+
+@pytest.mark.parametrize("cell", PERFBENCH_GRID, ids=str)
+def test_graph_sums_on_the_perfbench_grid(cell):
+    _sums_agree(cell)
+
+
+def test_graph_sums_on_the_tier1_cells():
+    for cell in TIER1_CELLS:
+        _sums_agree(cell)
