@@ -56,31 +56,27 @@ def _require_rank(p: VarietyProfile, g: MarkedGraph) -> None:
         raise RankMismatchError(f"profile rank {p.rank} != graph rank {g.rank}")
 
 
+def _dim(p: VarietyProfile, g: MarkedGraph, omega: int) -> int:
+    """chi(g) * (dim - 3) - omega + #tails - #edges."""
+    return euler_characteristic(g) * (p.dimension - 3) - omega + len(tails(g)) - len(edges(g))
+
+
 def dim_graph(p: VarietyProfile, g: MarkedGraph) -> int:
     """Expected dimension of the moduli cell indexed by g over the profile.
 
     chi(g) * (dim - 3) - omega(total class) + #tails - #edges.
     """
     _require_rank(p, g)
-    return (
-        euler_characteristic(g) * (p.dimension - 3)
-        - p.canonical(total_class(g))
-        + len(tails(g))
-        - len(edges(g))
-    )
+    return _dim(p, g, p.canonical(total_class(g)))
 
 
 def deg_graph(p: VarietyProfile, g: MarkedGraph) -> int:
     """Degree of g: the dimension drop against its absolute stabilization.
 
     omega(total class) + (dim - 3)(chi(g^s) - chi(g)) + (#S^s - #S) - (#E^s - #E),
-    where g^s is the stabilization of g with markings forgotten.
+    where g^s is the stabilization of g with markings forgotten, which
+    carries no class.
     """
     _require_rank(p, g)
     gs, _ = absolute_stabilization(g)
-    return (
-        p.canonical(total_class(g))
-        + (p.dimension - 3) * (euler_characteristic(gs) - euler_characteristic(g))
-        + (len(tails(gs)) - len(tails(g)))
-        - (len(edges(gs)) - len(edges(g)))
-    )
+    return _dim(p, gs, 0) - dim_graph(p, g)

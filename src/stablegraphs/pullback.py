@@ -2,12 +2,18 @@
 
 A morphism (A, tau) -> (B, sigma) is a quadruple: a monoid homomorphism
 xi: A -> B, a stable B-graph mid, a combinatorial morphism mid -> tau
-covering xi, and a contraction mid -> sigma.  Composition lifts the middle
-combinatorial morphism across the other morphism's contraction via the
-stable pullback construction.  It reads the elementary steps of the
-contraction from the contraction's own ids, walks them back in one pass and
-builds the lifted graph once, at the end.  For each contracted edge, every
-vertex lying over the vertex it is contracted onto:
+covering xi, and a contraction mid -> sigma.  Every such quadruple built
+from its parts (the identity, a lifted contraction or combinatorial
+morphism, and the pushforward in ``stabilize``) comes from ``_marked``,
+which takes mid to be the combinatorial part's source and sets that part's
+hom to xi.
+
+Composition lifts the middle combinatorial morphism across the other
+morphism's contraction via the stable pullback construction.  It reads the
+elementary steps of the contraction from the contraction's own ids, walks
+them back in one pass and builds the lifted graph once, at the end.  For
+each contracted edge, every vertex lying over the vertex it is contracted
+onto:
 
 * across a loop contraction, gets a loop (and drops the genus by one);
 * across a non-loop edge contraction, splits into two halves joined by a
@@ -68,15 +74,15 @@ def validate_marked(m: MarkedMorphism) -> list[Violation]:
     return out
 
 
+def _marked(hom: MonoidHom, comb: CombinatorialMorphism, contr: Contraction) -> MarkedMorphism:
+    """The morphism (hom, comb covering hom, comb's source, contr)."""
+    return MarkedMorphism(hom, replace(comb, hom=hom), comb.source, contr)
+
+
 def identity_marked(g: MarkedGraph) -> MarkedMorphism:
     if not is_stable(g):
         raise ValidationError([Violation("marked-unstable", "identity morphism needs a stable graph")])
-    return MarkedMorphism(
-        hom=MonoidHom.identity(g.rank),
-        comb=replace(identity_combinatorial(g), hom=MonoidHom.identity(g.rank)),
-        mid=g,
-        contr=identity_contraction(g),
-    )
+    return _marked(MonoidHom.identity(g.rank), identity_combinatorial(g), identity_contraction(g))
 
 
 def stable_pullback(
@@ -107,9 +113,16 @@ def stable_pullback(
     and bv at the least vertex of each fiber of phi.  New flags and vertices
     take the next free ids of the growing graph, the vertices over v0 come in
     rho's vertex order and then in the order they were made, and pi is
-    built once, from rho, at the end.  A loop keeps 2g + n and the halves of
-    a split are stable, so pi is stable because rho is.  With no edge to
-    contract, pi is rho and b is a followed by the inverse of phi.
+    built once, from rho, at the end.  With no edge to contract, pi is rho
+    and b is a followed by the inverse of phi.
+
+    Every vertex of the growing graph carries the genus of the part of sigma
+    it maps to: a valid a gives this at the start, a split gives each half
+    its part's genus, and a vertex is re-contracted only when its other half
+    is unstable, and so of genus 0.  A vertex over a contracted loop thus
+    has genus at least 1.  A loop keeps 2g + n, a split happens only when
+    both halves are stable, and a re-contraction keeps the vertex whole, so
+    pi is stable because rho is.
 
     phi and a are validated; psi and b are valid by construction.  psi keeps
     rho's flags and sends each vertex of pi to the vertex of rho it was
@@ -157,10 +170,6 @@ def stable_pullback(
         for w in over:
             if v1 == v2:
                 gw, cw = data[w] if w in data else (rho.genus[w], rho.classes[w])
-                if gw < 1:
-                    raise ValidationError(
-                        [Violation("pullback-loop-genus", f"vertex {w} over a contracted loop must have genus >= 1")]
-                    )
                 l1, l2 = next_flag, next_flag + 1
                 next_flag += 2
                 attach[l1] = attach[l2] = w
@@ -198,8 +207,6 @@ def stable_pullback(
                     bf[x] = fbar
     # with nothing inserted pi is rho itself, and no graph is built
     pi = edit_graph(rho, attach=attach, pair=pair, vertices=data) if attach else rho
-    if not is_stable(pi):
-        raise ValidationError([Violation("pullback-unstable", "stable pullback produced an unstable graph")])
     psi = Contraction(
         source=pi, target=rho, flagmap={x: x for x in rho.flags}, vertexmap={v: origin.get(v, v) for v in pi.vertices}
     )
@@ -257,13 +264,7 @@ def lift_contraction(phi: Contraction) -> MarkedMorphism:
     if not is_stable(phi.source) or not is_stable(phi.target):
         raise ValidationError([Violation("lift-unstable", "lifting requires stable endpoints")])
     ensure_valid(validate_contraction(phi), "cannot lift an invalid contraction")
-    rank = phi.source.rank
-    return MarkedMorphism(
-        hom=MonoidHom.identity(rank),
-        comb=replace(identity_combinatorial(phi.source), hom=MonoidHom.identity(rank)),
-        mid=phi.source,
-        contr=phi,
-    )
+    return _marked(MonoidHom.identity(phi.source.rank), identity_combinatorial(phi.source), phi)
 
 
 def lift_combinatorial(a: CombinatorialMorphism) -> MarkedMorphism:
@@ -272,12 +273,6 @@ def lift_combinatorial(a: CombinatorialMorphism) -> MarkedMorphism:
     if not is_stable(a.source) or not is_stable(a.target):
         raise ValidationError([Violation("lift-unstable", "lifting requires stable endpoints")])
     ensure_valid(validate_combinatorial(a), "cannot lift an invalid combinatorial morphism")
-    if a.hom is not None and a.hom != MonoidHom.identity(a.target.rank):
+    if a.hom is not None and not _is_identity(a.hom, a.target.rank):
         raise ValidationError([Violation("lift-hom", "only same-monoid morphisms lift directly")])
-    rank = a.source.rank
-    return MarkedMorphism(
-        hom=MonoidHom.identity(rank),
-        comb=replace(a, hom=MonoidHom.identity(rank)),
-        mid=a.source,
-        contr=identity_contraction(a.source),
-    )
+    return _marked(MonoidHom.identity(a.source.rank), a, identity_contraction(a.source))

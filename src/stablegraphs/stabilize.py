@@ -51,7 +51,7 @@ from .morphisms import (
     inclusion,
     validate_combinatorial,
 )
-from .pullback import MarkedMorphism
+from .pullback import MarkedMorphism, _marked
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,7 @@ def pushforward(hom: MonoidHom, g: MarkedGraph) -> tuple[MarkedGraph, MarkedMorp
         raise ValidationError([Violation("pushforward-unstable-source", "pushforward requires a stable graph")])
     relabeled = relabel_classes(g, hom)
     stable, a = stabilize(relabeled)
-    morphism = MarkedMorphism(
-        hom=hom,
-        comb=replace(a, target=g, hom=hom),
-        mid=stable,
-        contr=identity_contraction(stable),
-    )
-    return stable, morphism
+    return stable, _marked(hom, replace(a, target=g), identity_contraction(stable))
 
 
 def absolute_stabilization(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMorphism]:

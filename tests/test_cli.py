@@ -48,6 +48,32 @@ def test_invariants_match_contract():
     assert out == {"tails": 3, "edges": 0, "chi": 1, "genus": 0, "stable": True}
 
 
+def test_invariants_of_a_disconnected_graph_have_no_genus(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "in" / "invariants_tripod.json").read_text())
+    # a lone genus-1 vertex with one tail, next to the tripod
+    doc["vertices"].append({"id": 1, "genus": 1, "class": []})
+    doc["flags"].append(3)
+    doc["boundary"]["3"] = 1
+    doc["involution"]["3"] = 3
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    assert main(["invariants", "--in", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '"genus": null' in out
+    assert json.loads(out) == {"tails": 4, "edges": 0, "chi": 1, "genus": None, "stable": True}
+
+
+def test_pullback_refuses_a_rho_that_is_not_the_source_of_a(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "in" / "pullback_case2.json").read_text())
+    assert doc["rho"] == doc["a"]["source"]
+    doc["rho"]["vertices"][0]["genus"] += 1
+    path = tmp_path / "pullback.json"
+    path.write_text(json.dumps(doc))
+    assert main(["pullback", "--in", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "schema", "message": "'rho' must equal the source of 'a'"}
+
+
 def test_cartesian_degrees_match():
     out = json.loads((GOLDEN / "out" / "cartesian_case2.out").read_text())
     assert out["size"] == 3

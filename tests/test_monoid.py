@@ -9,6 +9,7 @@ from stablegraphs.monoid import (
     LinearForm,
     MonoidElement,
     MonoidHom,
+    _is_identity,
     _sum_classes,
     apply_hom,
     element,
@@ -182,3 +183,35 @@ def test_sum_classes_rejects_a_rank_mismatch_like_the_fold():
             _fold(classes, rank)
         with pytest.raises(RankMismatchError):
             _sum_classes(classes, rank)
+
+
+def test_is_identity_agrees_with_comparing_to_the_identity():
+    # seeded homs near the identity: the identity itself, a unit moved to
+    # another column, a row with an extra one, a row of zeros, and homs of
+    # a wrong source or target rank
+    rng = random.Random(131)
+    seen = set()
+    for _ in range(400):
+        rank = rng.randint(0, 4)
+        rows = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
+        change = rng.choice(("none", "extra", "move", "zero", "source", "target"))
+        if rank and change in ("extra", "move", "zero"):
+            row = rows[rng.randrange(rank)]
+            if change == "zero":
+                row[:] = [0] * rank
+            else:
+                if change == "move":
+                    row[:] = [0] * rank
+                row[rng.randrange(rank)] += 1
+        elif change == "source":
+            rows = [row + [rng.randint(0, 1)] for row in rows]
+        elif change == "target":
+            rows.append([rng.randint(0, 1) for _ in range(rank)])
+        source_rank = rank + (change == "source")
+        h = MonoidHom(tuple(map(tuple, rows)), source_rank)
+        for r in (rank - 1, rank, rank + 1):
+            if r >= 0:
+                expected = h == MonoidHom.identity(r)
+                assert _is_identity(h, r) == expected
+                seen.add(expected)
+    assert seen == {True, False}

@@ -3,7 +3,15 @@ import random
 import pytest
 
 from stablegraphs.errors import RankMismatchError, ValidationError
-from stablegraphs.graphs import euler_characteristic, marked_graph, modular_graph, relabel_classes
+from stablegraphs.graphs import (
+    edges,
+    euler_characteristic,
+    marked_graph,
+    modular_graph,
+    relabel_classes,
+    tails,
+    total_class,
+)
 from stablegraphs.monoid import LinearForm, MonoidHom
 from stablegraphs.profiles import (
     BUILTIN_PROFILES,
@@ -95,6 +103,25 @@ def test_dim_deg_identity_random():
         lhs = dim_graph(p, g) - dim_graph(POINT, stab)
         rhs = euler_characteristic(stab) * p.dimension - deg_graph(p, g)
         assert lhs == rhs
+
+
+def test_dim_and_deg_match_the_expanded_ledger():
+    # both share one dimension formula; here each is written out in full
+    quadric = VarietyProfile("quadric", 2, LinearForm((-2, -2)), LinearForm((1, 1)))
+    rng = random.Random(127)
+    for _ in range(150):
+        p = rng.choice((POINT, projective_space(1), projective_space(2), quadric))
+        g = rand_graph(rng, rank=p.rank, max_flags=10, stable=rng.random() < 0.5)
+        omega = p.canonical(total_class(g))
+        chi = euler_characteristic(g)
+        assert dim_graph(p, g) == chi * (p.dimension - 3) - omega + len(tails(g)) - len(edges(g))
+        gs, _ = absolute_stabilization(g)
+        assert deg_graph(p, g) == (
+            omega
+            + (p.dimension - 3) * (euler_characteristic(gs) - chi)
+            + (len(tails(gs)) - len(tails(g)))
+            - (len(edges(gs)) - len(edges(g)))
+        )
 
 
 def test_forget_marking_matches_point_profile():

@@ -109,7 +109,8 @@ def test_pullback_loop_requires_positive_genus():
     a = CombinatorialMorphism(
         source=bad_rho, target=tau, flagmap={}, vertexmap={0: 0}, hom=MonoidHom.identity(1)
     )
-    # the covering morphism itself is invalid (genus mismatch), so the
+    # the covering morphism itself is invalid: it is refused on its maps
+    # (flag 9 has no image), before its class or genus is compared, so the
     # construction refuses before the loop case is even reached
     with pytest.raises(ValidationError):
         stable_pullback(MonoidHom.identity(1), phi, a)
@@ -199,22 +200,54 @@ def test_one_pass_equals_staged_pullback():
     # the one pass over phi's edges gives literally the square that pulling
     # back across each factor of decompose_elementary gives, dict order included
     rng = random.Random(163)
-    cases = 0
+    cases = loops = 0
     for _ in range(80):
         phi = rand_contraction(rng, num_edges=(2, 4), rank=2, max_flags=12, max_vertices=5)
         xi = rand_hom(rng, 2, rng.randint(1, 2))
         a = rand_covering(rng, phi.target, xi)
+        # phi contracts a loop at some step, in every order, exactly when it
+        # contracts more edges than it merges vertices
+        loops += len(phi.contracted_edges()) > len(phi.source.vertices) - len(phi.target.vertices)
         orders = list(permutations(phi.contracted_edges()))
         for order in rng.sample(orders, min(6, len(orders))):
             pi, psi, b = stable_pullback(xi, phi, a, edge_order=order)
             staged_pi, staged_psi, staged_b = _staged_pullback(xi, phi, a, order)
+            # pi is not checked for stability where it is built
+            assert is_stable(pi)
             assert pi == staged_pi and list(pi.boundary) == list(staged_pi.boundary)
             assert list(psi.flagmap.items()) == list(staged_psi.flagmap.items())
             assert list(psi.vertexmap.items()) == list(staged_psi.vertexmap.items())
             assert list(b.flagmap.items()) == list(staged_b.flagmap.items())
             assert list(b.vertexmap.items()) == list(staged_b.vertexmap.items())
             cases += 1
-    assert cases > 300
+    assert cases > 300 and loops > 0
+
+
+def test_pullback_refuses_a_cover_that_lowers_the_genus_over_a_loop():
+    # rho's vertex has genus 0 over tau's genus-2 vertex, which a loop of
+    # sigma's genus-1 vertex contracts onto: the covering morphism's genus
+    # check refuses it, so no vertex over a contracted loop has genus 0
+    sigma = marked_graph(1, {0: (1, 1)}, tails={4: 0}, edges=[((0, 0), (1, 0))])
+    phi = contract_edges(sigma, [(0, 1)])
+    rho = marked_graph(1, {0: (0, 1)}, tails={4: 0})
+    ident = MonoidHom.identity(1)
+    a = CombinatorialMorphism(source=rho, target=phi.target, flagmap={4: 4}, vertexmap={0: 0}, hom=ident)
+    with pytest.raises(ValidationError) as err:
+        stable_pullback(ident, phi, a)
+    assert err.value.conditions == ("combinatorial-5-genus",)
+
+
+def test_pullback_reads_a_missing_hom_as_the_identity():
+    # a covering morphism with no hom covers exactly the identity of its rank
+    sigma = marked_graph(1, {0: (0, 1), 1: (0, 1)}, tails={0: 0, 1: 1}, edges=[((2, 0), (3, 1))])
+    phi = contract_edges(sigma, [(2, 3)])
+    a = identity_cover(phi.target, rank=1)
+    bare = CombinatorialMorphism(a.source, a.target, a.flagmap, a.vertexmap)
+    assert stable_pullback(MonoidHom.identity(1), phi, bare) == stable_pullback(MonoidHom.identity(1), phi, a)
+    for xi in (MonoidHom(((2,),), 1), MonoidHom(((1, 0),), 2), MonoidHom.identity(2)):
+        with pytest.raises(ValidationError) as err:
+            stable_pullback(xi, phi, bare)
+        assert err.value.conditions == ("pullback-hom",)
 
 
 def test_edge_order_must_permute_the_contracted_edges():

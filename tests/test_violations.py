@@ -1,0 +1,264 @@
+"""Every Violation id the package raises, raised by name.
+
+Each row of ``CASES`` is ``(id, call)``: calling ``call`` must raise a
+``ValidationError`` naming ``id``.  The table reaches the raise sites that
+the rest of the suite leaves idle, and names each id no other test names.
+Some rows hand-build an object whose recorded fields disagree with what it
+was built from (``dataclasses.replace`` on an ``ExtendedIsogeny``), since no
+constructor of the package makes such an object.
+
+``test_every_violation_id_is_named_in_a_test`` reads every ``Violation("...")``
+id in ``src/`` and requires each to appear in some ``tests/test_*.py``.
+"""
+
+import ast
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from stablegraphs.cartesian import (
+    CartesianMorphism,
+    CartesianObject,
+    ElementaryCartesianMorphism,
+    cartesian_pullback,
+    enumerate_stable_graphs,
+    oplus,
+    pullback_object,
+    validate_cartesian_morphism,
+    validate_cartesian_object,
+    validate_elementary_cartesian,
+)
+from stablegraphs.errors import ValidationError, ensure_valid
+from stablegraphs.graphs import marked_graph, modular_graph
+from stablegraphs.isogeny import (
+    compose_extended,
+    elementary_contraction_isogeny,
+    elementary_forget_isogeny,
+    extended_isogeny,
+    identity_extended,
+    stably_forget_tail,
+    validate_extended,
+)
+from stablegraphs.monoid import LinearForm, MonoidHom
+from stablegraphs.morphisms import (
+    CombinatorialMorphism,
+    Contraction,
+    compose_combinatorial,
+    compose_contractions,
+    contract_edges,
+    cut_edge,
+    forget_tail,
+    glue_tails,
+    identity_combinatorial,
+    identity_contraction,
+    inclusion,
+    validate_contraction,
+)
+from stablegraphs.profiles import BUILTIN_PROFILES, POINT, VarietyProfile
+from stablegraphs.pullback import (
+    MarkedMorphism,
+    compose_marked,
+    identity_marked,
+    lift_combinatorial,
+    lift_contraction,
+    stable_pullback,
+    validate_marked,
+)
+from stablegraphs.stabilize import pushforward
+
+P1, P2 = BUILTIN_PROFILES["P1"], BUILTIN_PROFILES["P2"]
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+TRIPOD = modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0})
+CURVE = modular_graph({0: 1}, tails={0: 0})  # stable, and not TRIPOD
+LONE_TAIL = modular_graph({0: 0}, tails={0: 0})  # unstable
+TWO_TAILS = modular_graph({0: 0}, tails={0: 0, 1: 0})  # unstable
+FOUR_TAILS = modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0, 3: 0})
+# a stable rank-1 graph with an edge; and a rank-1 graph whose vertex 5 is unstable
+BRIDGE_P1 = marked_graph(1, {0: (0, 1), 1: (0, 1)}, tails={0: 0, 1: 1}, edges=[((2, 0), (3, 1))])
+DANGLING_P1 = marked_graph(1, {0: (0, 0), 5: (0, 0)}, tails={0: 0, 1: 0, 2: 0, 3: 0}, edges=[((10, 0), (11, 5))])
+
+
+def _check(violations):
+    """Raise what a validator returns, as the package's callers do."""
+    ensure_valid(violations)
+
+
+def _identification(base, target):
+    """The identity-shaped stabilization identification base -> target."""
+    flagmap, vertexmap = {f: f for f in base.flags}, {v: v for v in base.vertices}
+    return CombinatorialMorphism(base, target, flagmap, vertexmap, MonoidHom.to_trivial(target.rank))
+
+
+def _member(base, genus, cls, tails):
+    graph = marked_graph(1, {0: (genus, cls)}, tails={t: 0 for t in tails})
+    return _identification(base, graph), graph
+
+
+# A bridge contracted onto a 4-tail vertex of class 2 (SIGMA), and the
+# elementary morphism from the pullback of the object over SIGMA: its
+# source family has 3 members, one per split of the class
+BRIDGE = modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 2: 1, 3: 1}, edges=[((4, 0), (5, 1))])
+PHI = elementary_contraction_isogeny(BRIDGE, (4, 5))
+SIGMA = PHI.target
+B, _ = _member(SIGMA, 0, 2, range(4))
+_, SPLIT = pullback_object(P2, PHI, CartesianObject(SIGMA, ((B, B.target),)))
+
+
+def _split_onto_class_one():
+    """SPLIT with its target member's class lowered to 1.
+
+    Each lift is rebuilt to land on the new member, so the members keep
+    their degree while the target's changes, and the splits of 2 do not
+    sum to 1.
+    """
+    b, graph = _member(SIGMA, 0, 1, range(4))
+    lifts = tuple(replace(lift, target=graph) for lift in SPLIT.lifts)
+    return replace(SPLIT, target=CartesianObject(SIGMA, ((b, graph),)), lifts=lifts)
+
+
+def _forget_fiber_of_two():
+    """A type I forget whose one target member has two source members."""
+    phi = elementary_forget_isogeny(FOUR_TAILS, 3)
+    target = CartesianObject(phi.target, (_member(phi.target, 0, 1, range(3)),))
+    source, m = pullback_object(P1, phi, target)
+    doubled = CartesianObject(source.base, source.family * 2)
+    return replace(m, source=doubled, index_map=(0, 0), lifts=m.lifts * 2)
+
+
+def _loop_onto_genus_zero():
+    """cartesian_pullback over a loop contraction whose recorded target is
+    a genus-0 tripod: the contraction it ran gives genus 1."""
+    tau = modular_graph({0: 0}, tails={2: 0, 3: 0, 4: 0}, edges=[((0, 0), (1, 0))])
+    phi = replace(elementary_contraction_isogeny(tau, (0, 1)), target=modular_graph({0: 0}, tails={2: 0, 3: 0, 4: 0}))
+    b, _ = _member(phi.target, 0, 1, (2, 3, 4))
+    return cartesian_pullback(P1, phi, b)
+
+
+def _lift_non_identity_hom():
+    tau = marked_graph(1, {0: (0, 1)}, tails={0: 0, 1: 0, 2: 0})
+    rho = marked_graph(1, {0: (0, 2)}, tails={0: 0, 1: 0, 2: 0})
+    return lift_combinatorial(replace(inclusion(rho, tau), hom=MonoidHom(((2,),), 1)))
+
+
+CASES = [
+    # cartesian objects and morphisms
+    ("cartesian-base-endpoints", lambda: _check(
+        validate_elementary_cartesian(P2, replace(SPLIT, base_isogeny=identity_extended(SIGMA))))),
+    # phi is checked before b, so b need not fit it
+    ("cartesian-base-rank", lambda: cartesian_pullback(P1, elementary_contraction_isogeny(BRIDGE_P1, (2, 3)), B)),
+    ("cartesian-base-rank", lambda: _check(validate_cartesian_object(P1, CartesianObject(BRIDGE_P1, ())))),
+    ("cartesian-base-unstable", lambda: _check(validate_cartesian_object(P1, CartesianObject(LONE_TAIL, ())))),
+    ("cartesian-chain", lambda: _check(validate_cartesian_morphism(P2, CartesianMorphism((SPLIT, SPLIT))))),
+    ("cartesian-empty", lambda: _check(validate_cartesian_morphism(P2, CartesianMorphism(())))),
+    ("cartesian-endpoints", lambda: cartesian_pullback(P1, PHI, _member(TRIPOD, 0, 1, range(3))[0])),
+    ("cartesian-endpoints", lambda: pullback_object(P2, PHI, CartesianObject(TRIPOD, ()))),
+    ("cartesian-family-shape", lambda: _check(validate_elementary_cartesian(P2, replace(SPLIT, index_map=(0, 0))))),
+    ("cartesian-family-shape", lambda: _check(validate_elementary_cartesian(P2, replace(SPLIT, index_map=(0, 0, 1))))),
+    ("cartesian-family-shape", lambda: _check(validate_elementary_cartesian(P1, _forget_fiber_of_two()))),
+    ("cartesian-loop-genus", _loop_onto_genus_zero),
+    ("cartesian-member-degree", lambda: _check(validate_elementary_cartesian(P2, _split_onto_class_one()))),
+    ("cartesian-member-endpoints", lambda: _check(validate_cartesian_object(
+        P1, CartesianObject(TRIPOD, ((_member(TRIPOD, 0, 1, range(3))[0], _member(TRIPOD, 0, 2, range(3))[1]),))))),
+    ("cartesian-member-lift", lambda: _check(
+        validate_elementary_cartesian(P2, replace(SPLIT, lifts=SPLIT.lifts[::-1])))),
+    ("cartesian-member-stabilization", lambda: _check(validate_cartesian_object(
+        P1, CartesianObject(CURVE, (_member(CURVE, 0, 1, range(1)),))))),
+    ("cartesian-member-unstable", lambda: _check(validate_cartesian_object(
+        P1, CartesianObject(FOUR_TAILS, ((_identification(FOUR_TAILS, DANGLING_P1), DANGLING_P1),))))),
+    ("cartesian-not-elementary", lambda: _check(validate_elementary_cartesian(
+        P1, ElementaryCartesianMorphism(CartesianObject(TRIPOD, ()), CartesianObject(TRIPOD, ()),
+                                        identity_extended(TRIPOD), (), ())))),
+    ("cartesian-profile-rank", lambda: _check(
+        validate_cartesian_object(P1, CartesianObject(TRIPOD, ((_identification(TRIPOD, TRIPOD), TRIPOD),))))),
+    ("cartesian-profile-rank", lambda: cartesian_pullback(POINT, PHI, B)),
+    ("cartesian-target-unstable", lambda: cartesian_pullback(P1, PHI, _identification(SIGMA, DANGLING_P1))),
+    ("cartesian-wrong-splits", lambda: _check(validate_elementary_cartesian(P2, _split_onto_class_one()))),
+    ("enumerate-bounds", lambda: enumerate_stable_graphs(POINT, -1, 0, 0, 1)),
+    ("oplus-base", lambda: oplus(CartesianObject(TRIPOD, ()), CartesianObject(CURVE, ()))),
+    # contractions and combinatorial morphisms
+    ("combinatorial-compose-endpoints", lambda: compose_combinatorial(
+        identity_combinatorial(TRIPOD), identity_combinatorial(CURVE))),
+    ("contraction-1-injective", lambda: _check(
+        validate_contraction(Contraction(TRIPOD, FOUR_TAILS, {0: 0, 1: 1, 2: 2, 3: 2}, {0: 0})))),
+    ("contraction-1-surjective", lambda: _check(validate_contraction(
+        Contraction(TRIPOD, modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 2: 0}), {0: 0, 1: 1, 2: 2}, {0: 0})))),
+    ("contraction-2-boundary", lambda: _check(validate_contraction(Contraction(
+        modular_graph({0: 0, 1: 1}, tails={0: 0, 1: 0, 2: 0, 3: 1}),
+        modular_graph({0: 0, 1: 1}, tails={0: 0, 1: 0, 2: 0, 3: 1}),
+        {0: 0, 1: 1, 2: 2, 3: 3}, {0: 1, 1: 0})))),
+    ("contraction-3-involution", lambda: _check(validate_contraction(Contraction(
+        modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 2: 1, 3: 1}, edges=[((4, 0), (5, 1))]),
+        modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 2: 1, 3: 1, 4: 0, 5: 1}),
+        {f: f for f in range(6)}, {0: 0, 1: 1})))),
+    ("contraction-4-tails", lambda: _check(
+        validate_contraction(Contraction(FOUR_TAILS, TRIPOD, {0: 0, 1: 1, 2: 2}, {0: 0})))),
+    ("contraction-5-fibers", lambda: _check(validate_contraction(Contraction(
+        modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 2: 1, 3: 1}), FOUR_TAILS,
+        {f: f for f in range(4)}, {0: 0, 1: 0})))),
+    ("contraction-compose-endpoints", lambda: compose_contractions(
+        identity_contraction(TRIPOD), identity_contraction(CURVE))),
+    ("contraction-edge-unknown", lambda: contract_edges(TRIPOD, [(0, 1)])),
+    ("contraction-maps-total", lambda: _check(validate_contraction(Contraction(TRIPOD, TRIPOD, {}, {0: 0})))),
+    ("contraction-rank", lambda: _check(validate_contraction(Contraction(
+        TRIPOD, marked_graph(1, {0: (0, 0)}, tails={0: 0, 1: 0, 2: 0}), {0: 0, 1: 1, 2: 2}, {0: 0})))),
+    ("cut-not-edge", lambda: cut_edge(TRIPOD, (0, 1))),
+    ("forget-not-tail", lambda: forget_tail(TRIPOD, 9)),
+    ("glue-not-tails", lambda: glue_tails(TRIPOD, 0, 0)),
+    # isogenies
+    ("forget-unstable", lambda: stably_forget_tail(TWO_TAILS, 0)),
+    ("isogeny-compose-endpoints", lambda: compose_extended(identity_extended(TRIPOD), identity_extended(CURVE))),
+    ("isogeny-pi0", lambda: _check(validate_extended(replace(
+        identity_extended(TRIPOD), target=modular_graph({0: 0, 1: 1}, tails={0: 0, 1: 0, 2: 0, 3: 1}))))),
+    ("isogeny-unstable-source", lambda: extended_isogeny(LONE_TAIL)),
+    # marked morphisms, the stable pullback and pushforward
+    ("lift-hom", _lift_non_identity_hom),
+    ("lift-unstable", lambda: lift_contraction(identity_contraction(TWO_TAILS))),
+    ("lift-unstable", lambda: lift_combinatorial(inclusion(TWO_TAILS, TRIPOD))),
+    ("marked-compose-endpoints", lambda: compose_marked(identity_marked(TRIPOD), identity_marked(CURVE))),
+    ("marked-middle", lambda: _check(validate_marked(replace(identity_marked(TRIPOD), mid=CURVE)))),
+    ("marked-middle-unstable", lambda: _check(validate_marked(MarkedMorphism(
+        MonoidHom.identity(0), identity_combinatorial(TWO_TAILS), TWO_TAILS, identity_contraction(TWO_TAILS))))),
+    ("marked-unstable", lambda: identity_marked(TWO_TAILS)),
+    ("pullback-endpoints", lambda: stable_pullback(
+        MonoidHom.identity(0), identity_contraction(TRIPOD), identity_combinatorial(CURVE))),
+    ("pullback-unstable-input", lambda: stable_pullback(
+        MonoidHom.identity(0), identity_contraction(TRIPOD), inclusion(TWO_TAILS, TRIPOD))),
+    ("pushforward-unstable-source", lambda: pushforward(MonoidHom.identity(0), TWO_TAILS)),
+    # profiles
+    ("profile-ample", lambda: VarietyProfile("flat", 1, LinearForm((-2,)), LinearForm((0,)))),
+    ("profile-dimension", lambda: VarietyProfile("negative", -1, LinearForm(()), LinearForm(()))),
+]
+
+
+def _row_ids():
+    seen: dict[str, int] = {}
+    for condition, _ in CASES:
+        seen[condition] = seen.get(condition, 0) + 1
+        yield condition if seen[condition] == 1 else f"{condition}-{seen[condition]}"
+
+
+@pytest.mark.parametrize("condition, call", CASES, ids=list(_row_ids()))
+def test_violation_is_raised_by_name(condition, call):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert condition in err.value.conditions
+
+
+def _raised_ids() -> set[str]:
+    ids = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Violation" and node.args:
+                first = node.args[0]
+                assert isinstance(first, ast.Constant) and isinstance(first.value, str), (path, node.lineno)
+                ids.add(first.value)
+    return ids
+
+
+def test_every_violation_id_is_named_in_a_test():
+    ids = _raised_ids()
+    assert len(ids) > 50
+    tests = "".join(path.read_text() for path in sorted(Path(__file__).parent.glob("test_*.py")))
+    assert sorted(i for i in ids if f'"{i}"' not in tests) == []
