@@ -105,38 +105,6 @@ class FamilyMember:
     lift: ExtendedIsogeny  # graph -> the target profile-graph
 
 
-def _member_violations(
-    p: VarietyProfile,
-    where: str,
-    graph: MarkedGraph,
-    base: MarkedGraph | None = None,
-    a: CombinatorialMorphism | None = None,
-    lift: ExtendedIsogeny | None = None,
-    lift_target: MarkedGraph | None = None,
-) -> list[Violation]:
-    """What is wrong with one family member; ``where`` names it in messages.
-
-    With ``base``, checks the identification a: base -> graph; with ``lift``,
-    checks the lift graph -> lift_target and the degree along it.
-    """
-    out: list[Violation] = []
-    if base is not None:
-        if graph.rank != p.rank:
-            return [Violation("cartesian-profile-rank", f"{where} has rank {graph.rank}")]
-        if a.source != base or a.target != graph:
-            return [Violation("cartesian-member-endpoints", f"{where}: identification endpoints wrong")]
-        if not is_stable(graph):
-            out.append(Violation("cartesian-member-unstable", f"{where} is unstable"))
-        if not is_stabilization_identification(a):
-            out.append(Violation("cartesian-member-stabilization", f"{where}: base is not its stabilization"))
-    if lift is not None:
-        if lift.source != graph or lift.target != lift_target:
-            out.append(Violation("cartesian-member-lift", f"{where}: lift endpoints wrong"))
-        elif deg_graph(p, graph) != deg_graph(p, lift_target):
-            out.append(Violation("cartesian-member-degree", f"{where}: degree not preserved along the lift"))
-    return out
-
-
 def _elementary_step(phi: ExtendedIsogeny) -> tuple[str, object]:
     """The one step of an elementary phi, as (kind, data).
 
@@ -188,9 +156,9 @@ def _pullback_contraction(phi: ExtendedIsogeny, b: CombinatorialMorphism, step) 
     w0 = b.vertexmap[v0]
     # each lift: (graph, the new edge (e1 at w0, e2), the vertex v2 goes to)
     if v1 == v2:
-        # one lift, hanging a loop at w0 and dropping its genus
-        if sigma_prime.genus[w0] < 1:
-            raise ValidationError([Violation("cartesian-loop-genus", "loop pullback needs genus >= 1 at the target vertex")])
+        # one lift, hanging a loop at w0 and dropping its genus, which is at
+        # least 1: the validated b keeps genus, and v0 has genus >= 1 since
+        # a loop was contracted into it
         lifts = [add_loop(sigma_prime, w0) + (w0,)]
     else:
         # one lift per class splitting, the flags from v2's side moving to the new vertex
@@ -320,7 +288,16 @@ def validate_cartesian_object(p: VarietyProfile, x: CartesianObject) -> list[Vio
     if not is_stable(x.base):
         out.append(Violation("cartesian-base-unstable", "base must be stable"))
     for i, (a, taui) in enumerate(x.family):
-        out.extend(_member_violations(p, f"member {i}", taui, x.base, a))
+        if taui.rank != p.rank:
+            out.append(Violation("cartesian-profile-rank", f"member {i} has rank {taui.rank}"))
+            continue
+        if a.source != x.base or a.target != taui:
+            out.append(Violation("cartesian-member-endpoints", f"member {i}: identification endpoints wrong"))
+            continue
+        if not is_stable(taui):
+            out.append(Violation("cartesian-member-unstable", f"member {i} is unstable"))
+        if not is_stabilization_identification(a):
+            out.append(Violation("cartesian-member-stabilization", f"member {i}: base is not its stabilization"))
     return out
 
 
@@ -374,7 +351,11 @@ def validate_elementary_cartesian(p: VarietyProfile, m: ElementaryCartesianMorph
         fiber = [i for i, target_index in enumerate(m.index_map) if target_index == j]
         for i in fiber:
             where = f"member {i} over target member {j}"
-            out.extend(_member_violations(p, where, m.source.family[i][1], lift=m.lifts[i], lift_target=sigma_j))
+            taui, lift = m.source.family[i][1], m.lifts[i]
+            if lift.source != taui or lift.target != sigma_j:
+                out.append(Violation("cartesian-member-lift", f"{where}: lift endpoints wrong"))
+            elif deg_graph(p, taui) != deg_graph(p, sigma_j):
+                out.append(Violation("cartesian-member-degree", f"{where}: degree not preserved along the lift"))
         if v1 != v2:
             expected = enumerate_pair_decompositions(sigma_j.classes[bj.vertexmap[v0]])
             members = [m.source.family[i] for i in fiber]

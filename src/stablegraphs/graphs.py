@@ -292,7 +292,7 @@ class FlagPartition:
     """Partition of the flag set; blocks sorted, each block a sorted tuple."""
 
     blocks: tuple[tuple[int, ...], ...]
-    _index: dict[int, int] = field(compare=False, default_factory=dict)
+    _index: dict[int, int] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         idx = {f: i for i, block in enumerate(self.blocks) for f in block}

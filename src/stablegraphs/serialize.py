@@ -309,7 +309,10 @@ def isogeny_from_json(doc: dict) -> ExtendedIsogeny:
             steps.append(ContractStep(int_pair(_need(s, "edge"), "edge flag")))
         else:
             raise SchemaError(f"unknown isogeny step {op!r}")
-    return extended_isogeny(source, glues, steps)
+    e = extended_isogeny(source, glues, steps)
+    if "target" in doc and graph_from_json(doc["target"]) != e.target:
+        raise SchemaError("'target' must be the graph the glues and steps give")
+    return e
 
 
 # -- DOT export -----------------------------------------------------------

@@ -10,10 +10,10 @@ import pytest
 
 from stablegraphs.canonical import canonical_key, is_isomorphic
 from stablegraphs.cartesian import (
-    _member_violations,
     CartesianMorphism,
     CartesianObject,
     DegreeBoundCriterion,
+    ElementaryCartesianMorphism,
     ForestCriterion,
     cartesian_pullback,
     enumerate_stable_graphs,
@@ -515,8 +515,9 @@ def test_cartesian_pullback_families_are_pinned():
 
 
 def test_cartesian_pullback_members_validate():
-    # cartesian_pullback does not re-check its members: on the pinned
-    # families, each identification, lift and degree must pass the checks
+    # cartesian_pullback does not re-check its members: on the seeded
+    # families, the object of the members and the morphism of their lifts
+    # onto b's target must pass the checks
     rng = random.Random(11)
     cases = members = 0
     while cases < 600:
@@ -529,10 +530,13 @@ def test_cartesian_pullback_members_validate():
             family = cartesian_pullback(p, phi, b)
         except ValidationError:
             continue
-        for i, m in enumerate(family):
-            assert validate_combinatorial(m.identification) == []
-            assert _member_violations(p, f"member {i}", m.graph, phi.source, m.identification, m.lift, b.target) == []
-            members += 1
+        # validate_elementary_cartesian runs validate_cartesian_object on both objects
+        source = CartesianObject(phi.source, tuple((m.identification, m.graph) for m in family))
+        target = CartesianObject(phi.target, ((b, b.target),))
+        lifts = tuple(m.lift for m in family)
+        morphism = ElementaryCartesianMorphism(source, target, phi, (0,) * len(family), lifts)
+        assert validate_elementary_cartesian(p, morphism) == []
+        members += len(family)
     assert members > 600
 
 

@@ -74,6 +74,32 @@ def test_pullback_refuses_a_rho_that_is_not_the_source_of_a(tmp_path, capsys):
     assert error == {"type": "schema", "message": "'rho' must equal the source of 'a'"}
 
 
+# each golden isogeny document, and the verb that reads it
+ISOGENY_DOCUMENTS = [
+    ("validate", "compose_isogenies", "first"),
+    ("compose", "compose_isogenies", "second"),
+    ("cartesian", "cartesian_case2", "phi"),
+]
+
+
+@pytest.mark.parametrize("verb,stem,key", ISOGENY_DOCUMENTS)
+def test_isogeny_with_a_target_its_steps_do_not_give_is_refused(verb, stem, key, tmp_path, capsys):
+    doc = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
+    iso = doc[key]
+    iso["target"]["vertices"][0]["genus"] += 1
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(iso if verb == "validate" else doc))
+    assert main([verb, "--in", str(path)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "schema", "message": "'target' must be the graph the glues and steps give"}
+    # the target may be left out: the steps give it
+    del iso["target"]
+    path.write_text(json.dumps(iso if verb == "validate" else doc))
+    assert main([verb, "--in", str(path), "--out", str(tmp_path / "out")]) == 0
+    if verb != "validate":
+        assert (tmp_path / "out").read_bytes() == (GOLDEN / "out" / f"{stem}.out").read_bytes()
+
+
 def test_cartesian_degrees_match():
     out = json.loads((GOLDEN / "out" / "cartesian_case2.out").read_text())
     assert out["size"] == 3

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from stablegraphs.graphs import (
 )
 from stablegraphs.isogeny import (
     ContractStep,
+    ExtendedIsogeny,
     ForgetStep,
     compose_extended,
     elementary_glue_isogeny,
@@ -136,6 +138,48 @@ def test_validate_rejects_type_iv():
     assert e.forget_kinds == ("IV",)
     assert set(e.target.vertices) == {1}
     assert any(v.condition == "isogeny-pi0" for v in validate_extended(e))
+
+
+def test_recorded_fields_cannot_be_passed_in():
+    g = modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 2: 1, 3: 1}, edges=[((4, 0), (5, 1))])
+    e = extended_isogeny(g, (), (ContractStep((4, 5)),))
+    for name in ("glued_graph", "target", "step_results", "forget_kinds"):
+        with pytest.raises(ValueError, match="init=False"):
+            replace(e, **{name: getattr(e, name)})
+    # replacing what the isogeny is made of runs the new steps
+    forget = replace(e, steps=(ForgetStep(0),))
+    assert forget.target == stably_forget_tail(g, 0).graph
+    assert forget.forget_kinds == ("II",)
+    assert replace(forget, steps=()).target == g
+
+
+def test_construction_refuses_an_unstable_source():
+    with pytest.raises(ValidationError) as err:
+        ExtendedIsogeny(modular_graph({0: 0}, tails={0: 0}), (), ())
+    assert err.value.conditions == ("isogeny-unstable-source",)
+
+
+def test_constructor_records_what_extended_isogeny_records():
+    # lists for glued and steps are normalised to tuples, and each step's
+    # result starts where the one before it ended
+    rng = random.Random(149)
+    seen = set()
+    for _ in range(60):
+        e = rand_isogeny(rng, rand_graph(rng, rank=1, max_flags=12, stable=True))
+        built = ExtendedIsogeny(e.source, [list(p) for p in e.glued], list(e.steps))
+        assert built == e and repr(built) == repr(e)
+        for name in ("glued_graph", "target", "step_results", "forget_kinds"):
+            assert getattr(built, name) == getattr(e, name)
+        current = built.glued_graph
+        for kind, result in built.step_results:
+            start, end = (result.morphism.target, result.graph) if kind == "forget" else (result.source, result.target)
+            assert start == current
+            current = end
+            seen.add(kind)
+        assert current == built.target
+        if built.glued:
+            seen.add("glue")
+    assert seen == {"glue", "forget", "contract"}
 
 
 def test_compose_identity():

@@ -4,8 +4,10 @@ dicts or on their ids.
 Every mapping of every input is rebuilt in a shuffled key order; the rebuilt
 inputs are equal to the originals, so each construction must give equal
 outputs (compared field by field, computed fields included) and raise the
-same violations in the same order.  Inputs whose ids are renamed are
-isomorphic to the originals, so the outputs must be isomorphic too.
+same violations in the same order.  CLI documents, golden and random,
+must give byte-identical output with their JSON keys shuffled.  Inputs
+whose ids are renamed are isomorphic to the originals, so the outputs must
+be isomorphic too.
 """
 
 import json
@@ -16,9 +18,9 @@ import pytest
 
 from stablegraphs.canonical import canonical_key
 from stablegraphs.cartesian import CartesianObject, cartesian_pullback, pullback_object
-from stablegraphs.cli import main
+from stablegraphs.cli import VERBS, main
 from stablegraphs.errors import StableGraphsError, ValidationError
-from stablegraphs.graphs import disjoint_union_with_maps, marked_graph
+from stablegraphs.graphs import disjoint_union_with_maps, edges, marked_graph, tails
 from stablegraphs.isogeny import compose_extended, extended_isogeny, validate_extended
 from stablegraphs.monoid import MonoidHom
 from stablegraphs.morphisms import (
@@ -29,6 +31,14 @@ from stablegraphs.morphisms import (
     validate_contraction,
 )
 from stablegraphs.pullback import compose_marked, pullback_diagram_key, stable_pullback, validate_marked
+from stablegraphs.serialize import (
+    combinatorial_to_json,
+    contraction_to_json,
+    graph_to_json,
+    hom_to_json,
+    isogeny_to_json,
+    marked_to_json,
+)
 from stablegraphs.stabilize import (
     _default_source_pool,
     enumerate_combinatorial_morphisms,
@@ -214,6 +224,64 @@ def test_golden_inputs_with_shuffled_keys_give_the_golden_output(stem, tmp_path)
         path.write_text(json.dumps(shuffled(doc, rng)))
         assert main([verb, "--in", str(path), "--out", str(out)]) == expected_exit
         assert out.read_bytes() == golden
+
+
+def random_documents(rng):
+    """Random input documents from the strategies, as (verb, document), at
+    least one for each verb of the CLI."""
+    g = rand_graph(rng, rank=1, max_flags=10, stable=True)
+    graph = graph_to_json(g)
+    inner = rand_isogeny(rng, g)
+    first = rand_marked_morphism(rng)
+    phi = rand_contraction(rng, num_edges=(1, 3), rank=2, max_flags=10, max_vertices=4)
+    xi = rand_hom(rng, 2, rng.randint(1, 2))
+    a = rand_covering(rng, phi.target, xi)
+    yield from [("validate", graph), ("invariants", graph), ("export-dot", graph)]
+    yield from [("validate", contraction_to_json(phi)), ("validate", combinatorial_to_json(a))]
+    yield from [("validate", marked_to_json(first)), ("validate", isogeny_to_json(inner))]
+    yield "stabilize", graph_to_json(rand_unstable_graph(rng))
+    yield "pushforward", {"xi": hom_to_json(rand_hom(rng, 1, rng.randint(0, 2))), "graph": graph}
+    chosen = rng.sample(edges(g), rng.randint(0, len(edges(g))))
+    yield "contract", {"graph": graph, "edges": [list(e) for e in chosen]}
+    if edges(g):
+        yield "cut", {"graph": graph, "edge": list(rng.choice(edges(g)))}
+    if len(tails(g)) >= 2:
+        yield "glue", {"graph": graph, "tails": rng.sample(tails(g), 2)}
+    if tails(g):
+        yield "forget", {"graph": graph, "tail": rng.choice(tails(g))}
+    outer = rand_isogeny(rng, inner.target)
+    yield "compose", {"first": isogeny_to_json(inner), "second": isogeny_to_json(outer)}
+    second = rand_marked_morphism(rng, source=first.target_graph)
+    yield "compose", {"first": marked_to_json(first), "second": marked_to_json(second)}
+    yield "pullback", {"xi": hom_to_json(xi), "phi": contraction_to_json(phi), "a": combinatorial_to_json(a)}
+    case = seeded_pullback_case(rng)
+    if case is not None:
+        _, p, base_phi, b = case
+        profile = {"name": p.name, "dim": p.dimension}
+        profile.update(canonical=list(p.canonical.coeffs), ample=list(p.ample.coeffs))
+        yield "cartesian", {"profile": profile, "phi": isogeny_to_json(base_phi), "b": combinatorial_to_json(b)}
+    for verb in ("dim", "deg"):
+        yield verb, {"profile": rng.choice(("P1", "P2")), "graph": graph}
+    bounds = {"genus": rng.randint(0, 1), "tails": rng.randint(0, 3), "ample_bound": rng.randint(0, 1)}
+    yield "boundary", {"profile": rng.choice(("point", "P1", "P2")), "max_vertices": rng.randint(1, 2), **bounds}
+
+
+def test_random_documents_with_shuffled_keys_give_the_same_output(tmp_path, capsys):
+    rng = random.Random(239)
+    path = tmp_path / "doc.json"
+    answered = set()
+    for _ in range(10):
+        for verb, doc in random_documents(rng):
+            path.write_text(json.dumps(doc))
+            code = main([verb, "--in", str(path)])
+            out = capsys.readouterr().out
+            for _ in range(3):
+                path.write_text(json.dumps(shuffled(doc, rng)))
+                assert main([verb, "--in", str(path)]) == code
+                assert capsys.readouterr().out == out, (verb, doc)
+            if code == 0:
+                answered.add(verb)
+    assert answered == set(VERBS)
 
 
 def renamed(rng, g):
