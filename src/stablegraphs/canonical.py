@@ -14,9 +14,10 @@ space is cut down in three ways:
   which fixes which encoding is minimal;
 * for a fixed vertex ordering the flag numbering is forced by a
   deterministic grouping rule, so no search happens at flag level.  Each
-  vertex's tails, loops and edge halves are grouped and sorted once per
-  component from the graph's cached ``flags_at``; an ordering only splits
-  the edge halves into those pointing back and those pointing forward.
+  vertex's tails, loops and edge halves come from the graph's per-vertex
+  table (``MarkedGraph._flag_kinds``), kept on the graph; a colored search
+  sorts copies of them once per component.  An ordering only splits the
+  edge halves into those pointing back and those pointing forward.
 
 Flags and vertices may additionally carry "colors" (arbitrary hashable
 decorations).  Colors participate in the refinement and in the final
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 from math import factorial, prod
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 from .errors import SizeCapError
 from .graphs import MarkedGraph, connected_components
@@ -51,35 +52,30 @@ Labeling = tuple[dict[int, int], dict[int, int]]  # flag -> slot, vertex -> slot
 # color strings by flag or vertex id; None when nothing is colored, which
 # gives the same result as mapping every id to _NO_COLOR
 _Reprs = Mapping[int, str] | None
-# per vertex: tails, loop halves, and (flag, partner, partner's vertex) for
-# the halves of edges to other vertices, each in encoding order
-_FlagGroups = tuple[list[int], list[int], list[tuple[int, int, int]]]
+# per vertex: tails, loops as (f, p) pairs, and (flag, partner, partner's
+# vertex) for the halves of edges to other vertices, each in encoding order
+_FlagGroups = tuple[Sequence[int], Sequence[Sequence[int]], Sequence[tuple[int, int, int]]]
 
 
-def _flag_groups(g: MarkedGraph, v: int, frepr: _Reprs) -> _FlagGroups:
-    """The order-independent part of the flag numbering at v.
+def _flag_groups(g: MarkedGraph, comp: list[int], frepr: _Reprs) -> Mapping[int, _FlagGroups]:
+    """The order-independent part of the flag numbering at each vertex of comp.
 
-    Tails sort by color, loops pair their halves adjacently and sort by the
-    halves' colors, and edge halves sort by their own and their partner's
-    color; ties go to the smaller flag id.  ``flags_at`` is sorted, so
-    without colors every group is already in order.
+    Without colors it is the graph's shared ``_flag_kinds``, in flag order.
+    Colors sort copies: tails by color, each loop's halves and then the loops
+    by color, and edge halves by their own and their partner's color; ties
+    go to the smaller flag id.
     """
-    tails, loops, ends = [], [], []
-    for f in g.flags_at(v):
-        p = g.involution[f]
-        w = g.boundary[p]
-        if p == f:
-            tails.append(f)
-        elif w != v:
-            ends.append((f, p, w))
-        elif f < p:
-            loops.append((f, p))
-    if frepr is not None:
+    kinds = g._flag_kinds
+    if frepr is None:
+        return kinds
+    groups = {}
+    for v in comp:
+        tails, loops, ends = kinds[v]
         loops = [sorted(pair, key=lambda x: (frepr[x], x)) for pair in loops]
-        tails.sort(key=lambda f: (frepr[f], f))
         loops.sort(key=lambda pair: (frepr[pair[0]], frepr[pair[1]]))
-        ends.sort(key=lambda e: (frepr[e[0]], frepr[e[1]], e[0]))
-    return tails, [x for pair in loops for x in pair], ends
+        ends = sorted(ends, key=lambda e: (frepr[e[0]], frepr[e[1]], e[0]))
+        groups[v] = (sorted(tails, key=lambda f: (frepr[f], f)), loops, ends)
+    return groups
 
 
 def _vertex_classes(
@@ -90,17 +86,15 @@ def _vertex_classes(
     vrepr: _Reprs,
 ) -> list[list[int]]:
     """Partition a component's vertices into invariant classes, refined to a
-    fixed point; classes come sorted by the repr of their invariant."""
+    fixed point; classes come sorted by the repr of their invariant.  The
+    first is the ``_vertex_invariants`` entry, the color and the flag colors."""
     if len(comp) == 1:
         return [comp]
-    inv = {}
+    sigma = g._vertex_invariants
+    key = {}
     for v in comp:
-        tails, loops, ends = groups[v]
-        at_v = tails + loops + [e[0] for e in ends]
-        fcols = (_NO_COLOR,) * len(at_v) if frepr is None else tuple(sorted(frepr[f] for f in at_v))
-        vcol = _NO_COLOR if vrepr is None else vrepr[v]
-        inv[v] = (g.genus[v], g.classes[v].coords, len(at_v), len(tails), len(loops), vcol, fcols)
-    key = {v: repr(inv[v]) for v in comp}
+        fcols = (_NO_COLOR,) * sigma[v][2] if frepr is None else tuple(sorted(frepr[f] for f in g.flags_at(v)))
+        key[v] = repr((*sigma[v], _NO_COLOR if vrepr is None else vrepr[v], fcols))
     # a round cannot merge classes, so it stops once all are singletons; the
     # repr of (invariant, neighbour keys) is spelled out from the invariant's
     # repr, which is its key
@@ -155,11 +149,12 @@ def _encode_with_vertex_order(
             fslot[f] = len(fslot)
         for f in tails:
             fslot[f] = len(fslot)
-        for f in loops:
+        for f, p in loops:
             fslot[f] = len(fslot)
+            fslot[p] = len(fslot)
         for _, _, f in forward:
             fslot[f] = len(fslot)
-        boundary += [i] * (len(tails) + len(loops) + len(ends))
+        boundary += [i] * (len(tails) + 2 * len(loops) + len(ends))
     involution = g.involution
     enc = (
         len(order),
@@ -175,7 +170,7 @@ def _encode_with_vertex_order(
 
 def _component_best(g: MarkedGraph, comp: list[int], frepr: _Reprs, vrepr: _Reprs) -> tuple[Encoding, Labeling]:
     """Minimal encoding of one connected component, first witness on ties."""
-    groups = {v: _flag_groups(g, v, frepr) for v in comp}
+    groups = _flag_groups(g, comp, frepr)
     classes = _vertex_classes(g, comp, groups, frepr, vrepr)
     if prod(factorial(len(c)) for c in classes) > _MAX_ORDERINGS:
         raise SizeCapError(f"canonical labelling search space exceeds {_MAX_ORDERINGS} orderings")

@@ -84,14 +84,12 @@ def is_stabilization_identification(b: CombinatorialMorphism) -> bool:
         return False
     if validate_combinatorial(b):
         return False
-    if len(set(b.flagmap.values())) != len(b.flagmap):
-        return False
-    if len(set(b.vertexmap.values())) != len(b.vertexmap):
-        return False
     stab, _ = absolute_stabilization(tgt)
-    if set(b.flagmap.values()) != set(stab.flags):
+    # a valid b is total on src, so images that sort to stab's sorted ids
+    # make it injective with image exactly the stable part
+    if sorted(b.flagmap.values()) != list(stab.flags):
         return False
-    if set(b.vertexmap.values()) != set(stab.vertices):
+    if sorted(b.vertexmap.values()) != list(stab.vertices):
         return False
     return all(stab.involution[b.flagmap[f]] == b.flagmap[src.involution[f]] for f in src.flags)
 
@@ -538,7 +536,7 @@ def _splittings(g: MarkedGraph, max_vertices: int):
         if len(g.vertices) >= max_vertices:
             continue
         at_v = g.flags_at(v)
-        tails_at_v = [f for f in at_v if g.involution[f] == f]
+        tails_at_v = g._flag_kinds[v][0]
         halves = [f for f in at_v if g.involution[f] != f]
         counts = range(len(tails_at_v) + 1 if halves else len(tails_at_v) // 2 + 1)
         half_sets = [s for k in range(len(halves)) for s in combinations(halves[1:], k)] or [()]
@@ -546,7 +544,7 @@ def _splittings(g: MarkedGraph, max_vertices: int):
         data = [(g1, c1, gv - g1, c2) for g1 in range(gv + 1) for c1, c2 in pairs]
         for k in counts:
             for half_set in half_sets:
-                moved = tails_at_v[:k] + list(half_set)
+                moved = tails_at_v[:k] + half_set
                 kept_valence, new_valence = len(at_v) - len(moved) + 1, len(moved) + 1
                 for g1, c1, g2, c2 in data:
                     if (c1 or 2 * g1 + kept_valence >= 3) and (c2 or 2 * g2 + new_valence >= 3):
@@ -554,20 +552,10 @@ def _splittings(g: MarkedGraph, max_vertices: int):
 
 
 def _invariants(g: MarkedGraph) -> tuple[dict[int, tuple], dict[tuple[int, int], tuple]]:
-    """sigma per vertex: (genus, class coordinates, valence, tail count, loop
-    count); and iota per edge (f, p): (is it a loop, the smaller sigma of
-    its ends, the larger)."""
-    sigma = {}
-    for v in g.vertices:
-        at_v = g.flags_at(v)
-        tails = loop_halves = 0
-        for f in at_v:
-            p = g.involution[f]
-            if p == f:
-                tails += 1
-            elif g.boundary[p] == v:
-                loop_halves += 1
-        sigma[v] = (g.genus[v], g.classes[v].coords, len(at_v), tails, loop_halves // 2)
+    """sigma per vertex, the graph's ``_vertex_invariants``: (genus, class
+    coordinates, valence, tail count, loop half count); and iota per edge
+    (f, p): (is it a loop, the smaller sigma of its ends, the larger)."""
+    sigma = g._vertex_invariants
     iota = {}
     for f, p in edges(g):
         u, x = g.boundary[f], g.boundary[p]
@@ -590,17 +578,9 @@ def _parent_tables(g: MarkedGraph) -> dict[int, tuple]:
     """
     sigma, iota = _invariants(g)
     tables = {}
-    for v in g.vertices:
-        loops, others = [], []
-        for f in g.flags_at(v):
-            p = g.involution[f]
-            x = g.boundary[p]
-            if x != v:
-                others.append((f, sigma[x]))
-            elif f < p:
-                loops.append((f, p))
+    for v, (_, loops, ends) in g._flag_kinds.items():
         away = max((i for (f, p), i in iota.items() if v != g.boundary[f] and v != g.boundary[p]), default=())
-        tables[v] = (sigma[v], loops, others, away)
+        tables[v] = (sigma[v], loops, [(f, sigma[x]) for f, _, x in ends], away)
     return tables
 
 
@@ -613,9 +593,9 @@ def _new_edge_verdict(g: MarkedGraph, tables, v: int, moved, kept, new) -> bool 
     every edge with the new edge's iota joins the new edge's ends.  None:
     some edge with that iota joins other ends, and the built child decides.
     """
-    (genus, coords, valence, tails, loop_count), loops, others, rival = tables[v]
+    (genus, coords, valence, tails, loop_halves), loops, others, rival = tables[v]
     if moved is None:
-        s = (genus - 1, coords, valence + 2, tails, loop_count + 1)
+        s = (genus - 1, coords, valence + 2, tails, loop_halves + 2)
         # v's loops share the new loop's iota and ends; its other edges are
         # not loops, so they rank below it
         top = (True, s, s)
@@ -673,8 +653,9 @@ def enumerate_stable_graphs(
     Each class is accepted only from its canonical parent (McKay's canonical
     augmentation, "Isomorph-free exhaustive generation", J. Algorithms 26,
     1998).  A vertex has the invariant sigma = (genus, class coordinates,
-    valence, tail count, loop count); an edge has iota = (is it a loop, the
-    smaller sigma of its ends, the larger).  A child C with new edge e is
+    valence, tail count, loop half count), the graph's
+    ``_vertex_invariants``; an edge has iota = (is it a loop, the smaller
+    sigma of its ends, the larger).  A child C with new edge e is
     accepted only when (a) iota(e) is the greatest iota of an edge of C, and
     (b) either every edge with that iota joins the ends of e (parallel edges
     are swapped by an automorphism, and so are loops at one vertex), or
@@ -703,10 +684,6 @@ def enumerate_stable_graphs(
     """
     if genus_total < 0 or num_tails < 0 or ample_bound < 0 or max_vertices < 1:
         raise ValidationError([Violation("enumerate-bounds", "bounds must be non-negative (and at least one vertex)")])
-    if num_tails + 2 * genus_total > DEFAULT_MAX_FLAGS:
-        # the rose (all genus as loops at one vertex, class zero) is stable
-        # and is output here, and canonical labelling refuses it
-        raise SizeCapError(f"graph has {num_tails + 2 * genus_total} flags, cap is {DEFAULT_MAX_FLAGS}")
     # Summed over the vertices, 2*g_v - 2 + val_v equals 2g - 2 + n.  With two
     # or more vertices every vertex has an edge, so a stable class-zero vertex
     # adds at least 1 and a vertex with a nonzero class adds at least -1.  A

@@ -12,12 +12,14 @@ returns fresh graphs.
 
 The flag and vertex id sets are built once, at construction, where the
 structure check needs them.  Other derived structure (flags per vertex,
-tails, edges, connected components and the flag partition) is computed on
-first use and kept on the instance, so a graph validated against many times
-pays for it once.  These values are not dataclass fields: ``==``, ``repr``
-and ``dataclasses.replace`` ignore them.  This is sound only because the dict
-fields (``boundary``, ``involution``, ``genus``, ``classes``) are never
-mutated after construction; code must build a new graph instead.
+each split into tails, loops and edge halves, vertex invariants, tails,
+edges, connected components and the flag partition) is computed on first
+use and kept on the instance, shared by every caller, so a graph validated
+or labelled many times pays for it once.  These values are not dataclass
+fields: ``==``, ``repr`` and ``dataclasses.replace`` ignore them.  This is
+sound only because the dict fields (``boundary``, ``involution``,
+``genus``, ``classes``) are never mutated after construction; code must
+build a new graph instead.
 ``stabilize.absolute_stabilization`` and the uncolored canonical labelling
 (``canonical.canonical_encoding``) keep their results on the instance the
 same way.
@@ -118,6 +120,30 @@ class MarkedGraph:
         for f in self.flags:
             at.setdefault(self.boundary[f], []).append(f)
         return {v: tuple(fs) for v, fs in at.items()}
+
+    @_memo
+    def _flag_kinds(self) -> dict[int, tuple[tuple, tuple, tuple]]:
+        """Per vertex, each in flag order: its tails, its loops as (f, p) with
+        f < p, and (f, p, w) for each half f of an edge to another vertex w."""
+        kinds = {v: ([], [], []) for v in self.vertices}
+        for f in self.flags:
+            p = self.involution[f]
+            v, w = self.boundary[f], self.boundary[p]
+            if p == f:
+                kinds[v][0].append(f)
+            elif w != v:
+                kinds[v][2].append((f, p, w))
+            elif f < p:
+                kinds[v][1].append((f, p))
+        return {v: (tuple(t), tuple(l), tuple(e)) for v, (t, l, e) in kinds.items()}
+
+    @_memo
+    def _vertex_invariants(self) -> dict[int, tuple]:
+        """Per vertex: (genus, class coordinates, valence, tail count, loop half count)."""
+        return {
+            v: (self.genus[v], self.classes[v].coords, len(t) + 2 * len(l) + len(e), len(t), 2 * len(l))
+            for v, (t, l, e) in self._flag_kinds.items()
+        }
 
     @_memo
     def _tails(self) -> tuple[int, ...]:

@@ -41,6 +41,7 @@ from .graphs import (
     is_stable,
     is_stable_vertex,
     relabel_classes,
+    tails,
 )
 from .monoid import MonoidHom
 from .morphisms import (
@@ -244,11 +245,10 @@ def _default_source_pool(stable: MarkedGraph, limit: int) -> list[MarkedGraph]:
         pool.extend(component_of(stable, min(comp)) for comp in components)
     for e in edges(stable):
         pool.append(cut_edge(stable, e)[0])
-    for f in stable.flags:
-        if stable.involution[f] == f:
-            smaller, _ = forget_tail(stable, f)
-            if is_stable(smaller):
-                pool.append(smaller)
+    for f in tails(stable):
+        smaller, _ = forget_tail(stable, f)
+        if is_stable(smaller):
+            pool.append(smaller)
     return pool[:limit]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -229,6 +230,25 @@ def test_colored_keys_skip_the_memo():
     assert same != diagram_key(g, {0: "x", 1: "x"}, {})
     assert same != plain
     assert canonical_key(g) == plain
+
+
+def test_colored_keys_leave_the_flag_tables_unchanged():
+    # two components with loops, tails and parallel edges; colors that
+    # reverse flag order make a colored search reorder every group
+    g = marked_graph(
+        0,
+        {0: (1, None), 1: (0, None), 2: (0, None), 3: (1, None)},
+        tails={0: 0, 1: 0, 2: 1, 3: 2},
+        edges=[((4, 0), (5, 0)), ((6, 0), (7, 1)), ((8, 0), (9, 1)), ((10, 2), (11, 3)), ((12, 3), (13, 3))],
+    )
+    kinds, invariants = g._flag_kinds, g._vertex_invariants
+    expected = (dict(kinds), dict(invariants))
+    plain = canonical_key(g)
+    diagram_key(g, {f: -f for f in g.flags}, {v: -v for v in g.vertices})
+    diagram_key(g, {f: f % 2 for f in g.flags}, {})
+    assert g._flag_kinds is kinds and g._vertex_invariants is invariants
+    assert (kinds, invariants) == expected
+    assert canonical_key(dataclasses.replace(g)) == plain
 
 
 def test_flag_cap_is_checked_before_the_memo():

@@ -738,13 +738,18 @@ def test_enumerate_output_is_pinned(profile, genus, tails, bound, max_vertices, 
     assert (len(graphs), hashlib.sha256(text.encode()).hexdigest()[:16]) == (count, digest)
 
 
-@pytest.mark.parametrize("genus,tails", [(40, 0), (0, 10**8)])
-def test_enumerate_refuses_the_rose_over_the_flag_cap(genus, tails, monkeypatch):
+@pytest.mark.parametrize(
+    "genus,tails,flags",
+    # the flag bound n + 2(g + V - 1) refuses the rose (all genus as loops at
+    # one vertex), since the clamped vertex bound V is at least 1
+    [pytest.param(40, 0, 82, id="40-0"), pytest.param(0, 10**8, 10**8, id="0-100000000")],
+)
+def test_enumerate_refuses_the_rose_over_the_flag_cap(genus, tails, flags, monkeypatch):
     def no_graph(self):
         raise AssertionError("a graph was built")
 
     monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
-    with pytest.raises(SizeCapError, match=f"^graph has {tails + 2 * genus} flags, cap is 16$"):
+    with pytest.raises(SizeCapError, match=f"^graphs within the bounds have up to {flags} flags, cap is 16$"):
         enumerate_stable_graphs(BUILTIN_PROFILES["point"], genus, tails, 0, 2 if genus else 1)
 
 

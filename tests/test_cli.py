@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import random
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stablegraphs.cli import _check_size, build_parser, main
+from stablegraphs.cli import VERBS, _check_size, build_parser, main
 from stablegraphs.errors import SizeCapError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -358,6 +359,69 @@ def test_mutated_golden_inputs_keep_the_exit_contract(tmp_path, capsys):
             assert isinstance(payload, dict), (stem, edit)
             if code:
                 assert payload["error"]["type"] in EXIT_TYPES[code], (stem, edit, payload)
+
+
+FUZZ_VALUES = (None, True, 7, 2.5, "x", [], {}, [0, 1])
+
+
+def _fuzzed(rng, doc):
+    """doc with one seeded mutation: a value swapped for one of FUZZ_VALUES,
+    a key or array entry dropped, an entry appended to an array, or an int
+    moved by one."""
+    out = copy.deepcopy(doc)
+    path, in_list = rng.choice(list(_value_paths(out)))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    change = rng.choice(("swap", "drop") + ("append",) * in_list + ("nudge",) * (type(value) is int))
+    if change == "swap":
+        parent[path[-1]] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    elif change == "drop":
+        del parent[path[-1]]
+    elif change == "append":
+        parent.append(copy.deepcopy(rng.choice((value,) + FUZZ_VALUES)))
+    else:
+        parent[path[-1]] = value + rng.choice((-1, 1))
+    return out
+
+
+def test_fuzzed_golden_inputs_keep_the_output_contract(monkeypatch, capsys):
+    """2,000 seeded mutations of the golden inputs, read from stdin: every
+    exit code is 0, 2, 3 or 4; stdout is one JSON document (DOT text for a
+    successful export-dot); an error is {"error": {"type", "message"}} with
+    a sorted "conditions" list exactly when its type is "validation"; and
+    every verb both succeeds and fails.  Validate's own golden input is an
+    invalid graph that no one mutation makes valid, so validate also reads
+    the mutants of every other golden graph document."""
+    rng = random.Random(2024)
+    codes = {verb: set() for verb in VERBS}
+    for stem, (verb, _) in sorted(CASES.items()):
+        golden = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
+        verbs = (verb, "validate") if "flags" in golden and verb != "validate" else (verb,)
+        for _ in range(100):
+            text = json.dumps(_fuzzed(rng, golden))
+            for run_verb in verbs:
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                code = main([run_verb])
+                out = capsys.readouterr().out
+                codes[run_verb].add(code)
+                assert code in (0, 2, 3, 4), (stem, run_verb, text, code)
+                if code == 0 and run_verb == "export-dot":
+                    assert out.startswith("graph ") and out.endswith("}\n"), (stem, text)
+                    continue
+                payload = json.loads(out)
+                if not code:
+                    continue
+                assert set(payload) == {"error"}, (stem, run_verb, text, payload)
+                error = payload["error"]
+                assert error["type"] in EXIT_TYPES[code] and isinstance(error["message"], str), (stem, text, error)
+                if error["type"] == "validation":
+                    assert set(error) == {"type", "message", "conditions"}, (stem, text, error)
+                    assert error["conditions"] == sorted(error["conditions"]), (stem, text, error)
+                else:
+                    assert set(error) == {"type", "message"}, (stem, text, error)
+    assert all(0 in seen and seen - {0} for seen in codes.values()), codes
 
 
 def test_compose_rejects_an_invalid_marked_input(tmp_path, capsys):

@@ -407,10 +407,51 @@ def test_cached_indices_match_recomputation(seed, rank):
     assert g == cold and repr(g) == repr(cold)
 
 
+def _flag_kinds_by_edges(g):
+    """Each vertex's tails, loops and edge halves, read from ``tails`` and
+    ``edges`` rather than from the flags at each vertex."""
+    kinds = {v: ([], [], []) for v in g.vertices}
+    for f in tails(g):
+        kinds[g.boundary[f]][0].append(f)
+    for f, p in edges(g):
+        u, w = g.boundary[f], g.boundary[p]
+        if u == w:
+            kinds[u][1].append((f, p))
+        else:
+            kinds[u][2].append((f, p, w))
+            kinds[w][2].append((p, f, u))
+    return {v: (tuple(t), tuple(l), tuple(sorted(e))) for v, (t, l, e) in kinds.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=2))
+def test_flag_tables_match_a_classification_by_edges(seed, rank):
+    rng = random.Random(seed)
+    # a vertex with no flags, a vertex with a loop and two parallel edges,
+    # and a second loop, in every example
+    fixed = marked_graph(
+        rank,
+        {0: (0, None), 1: (1, None), 2: (0, None), 3: (2, None)},
+        tails={6: 2},
+        edges=[((0, 1), (1, 1)), ((2, 1), (3, 2)), ((4, 1), (5, 2)), ((8, 3), (7, 3))],
+    )
+    g = relabelled(rng, disjoint_union(rand_graph(rng, rank=rank, max_flags=10), fixed))
+    kinds = _flag_kinds_by_edges(g)
+    assert g._flag_kinds == kinds
+    assert any(kinds[v] == ((), (), ()) for v in g.vertices)
+    for v, (t, loops, ends) in g._flag_kinds.items():
+        assert isinstance(t, tuple) and isinstance(loops, tuple) and isinstance(ends, tuple)
+        expected = (g.genus[v], g.classes[v].coords, valence(g, v), len(t), 2 * len(loops))
+        assert g._vertex_invariants[v] == expected
+
+
 def test_memoised_indices_are_kept_on_the_instance_but_not_compared():
     g = marked_graph(1, {0: (0, 1), 1: (1, 0)}, tails={0: 0}, edges=[((1, 0), (2, 1))])
     cold = dataclasses.replace(g)
-    names = ("_flags_at", "_tails", "_edges", "_connected_components", "_flag_partition")
+    names = (
+        "_flags_at", "_flag_kinds", "_vertex_invariants", "_tails", "_edges", "_connected_components",
+        "_flag_partition",
+    )
     for name in names:
         assert name not in vars(g)
         first = getattr(g, name)
