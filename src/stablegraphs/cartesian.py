@@ -510,13 +510,21 @@ def _classes_up_to(p: VarietyProfile, bound: int):
 
 def _splittings(g: MarkedGraph, max_vertices: int):
     """The elementary splittings of the stable graph g whose children are
-    stable with at most max_vertices vertices, as (v, moved, kept, new).
-    Nothing is built here.
+    stable with at most max_vertices vertices, as (v, moved, kept, new,
+    verdict).  Nothing is built here.
 
     A splitting at v hangs a loop (``moved`` is None, and v loses one genus)
     or moves the flags in ``moved`` from v to a new vertex joined to v by a
     new edge, with ``kept`` and ``new`` the (genus, class) of v and of the
     new vertex.
+
+    ``verdict`` is tests (a) and the same-ends half of (b) of the
+    canonical-parent rule (see ``enumerate_stable_graphs``) for the child,
+    read from g and the splitting alone.  False: an edge of the child has a
+    greater iota than the new edge.  True: every edge with the new edge's
+    iota joins the new edge's ends.  None: some edge with that iota joins
+    other ends, and the built child decides.  A splitting at v leaves the
+    edges away from v and their ends as they are.
 
     Completeness: for every stable child C within the bounds and every edge
     e of C whose contraction gives g, some splitting gives a child
@@ -528,39 +536,65 @@ def _splittings(g: MarkedGraph, max_vertices: int):
     takes the new edge to itself, so the first edge half at v stays, or,
     with no edge half at v, at most half of the tails move.
     """
+    sigma, iota = g._vertex_invariants, _edge_invariants(g)
+    split = len(g.vertices) < max_vertices
     for v in g.vertices:
-        gv, cv = g.genus[v], g.classes[v]
-        if gv >= 1:
-            # 2 * genus + valence does not change, so v stays stable
-            yield v, None, None, None
-        if len(g.vertices) >= max_vertices:
+        genus, coords, valence, tails, loop_halves = sigma[v]
+        if not (genus or split):
             continue
-        at_v = g.flags_at(v)
-        tails_at_v = g._flag_kinds[v][0]
-        halves = [f for f in at_v if g.involution[f] != f]
-        counts = range(len(tails_at_v) + 1 if halves else len(tails_at_v) // 2 + 1)
+        # the greatest iota of an edge away from v; () is below every iota
+        rival = max((i for (f, p), i in iota.items() if v != g.boundary[f] and v != g.boundary[p]), default=())
+        if genus:
+            # 2 * genus + valence does not change, so v stays stable; v's
+            # loops share the new loop's iota and ends, and its other edges
+            # are not loops, so they rank below it
+            s = (genus - 1, coords, valence + 2, tails, loop_halves + 2)
+            yield v, None, None, None, _verdict((True, s, s), rival)
+        if not split:
+            continue
+        tails_at_v, loops, ends = g._flag_kinds[v]
+        halves = [f for f in g.flags_at(v) if g.involution[f] != f]
+        counts = range(tails + 1 if halves else tails // 2 + 1)
         half_sets = [s for k in range(len(halves)) for s in combinations(halves[1:], k)] or [()]
-        pairs = enumerate_pair_decompositions(cv)
-        data = [(g1, c1, gv - g1, c2) for g1 in range(gv + 1) for c1, c2 in pairs]
+        pairs = enumerate_pair_decompositions(g.classes[v])
+        data = [(g1, c1, genus - g1, c2) for g1 in range(genus + 1) for c1, c2 in pairs]
         for k in counts:
             for half_set in half_sets:
                 moved = tails_at_v[:k] + half_set
-                kept_valence, new_valence = len(at_v) - len(moved) + 1, len(moved) + 1
-                for g1, c1, g2, c2 in data:
-                    if (c1 or 2 * g1 + kept_valence >= 3) and (c2 or 2 * g2 + new_valence >= 3):
-                        yield v, moved, (g1, c1), (g2, c2)
+                kept_valence, new_valence = valence - len(moved) + 1, len(moved) + 1
+                stable = [
+                    (g1, c1, g2, c2)
+                    for g1, c1, g2, c2 in data
+                    if (c1 or 2 * g1 + kept_valence >= 3) and (c2 or 2 * g2 + new_valence >= 3)
+                ]
+                if not stable:
+                    continue
+                inside = set(moved)
+                # a loop kept whole at v, or moved whole, outranks the new
+                # edge, which is not a loop; a loop split in two joins the
+                # new edge's ends
+                refused = any((f in inside) == (p in inside) for f, p in loops)
+                far = [(f in inside, sigma[x]) for f, _, x in ends]
+                for g1, c1, g2, c2 in stable:
+                    verdict = False
+                    if not refused:
+                        # with every loop split, neither end keeps one
+                        sv = (g1, c1.coords, kept_valence, tails - k, 0)
+                        sw = (g2, c2.coords, new_valence, k, 0)
+                        near = [_edge_invariant(False, sw if m else sv, sx) for m, sx in far]
+                        verdict = _verdict(_edge_invariant(False, sv, sw), max([rival, *near]))
+                    yield v, moved, (g1, c1), (g2, c2), verdict
 
 
-def _invariants(g: MarkedGraph) -> tuple[dict[int, tuple], dict[tuple[int, int], tuple]]:
-    """sigma per vertex, the graph's ``_vertex_invariants``: (genus, class
-    coordinates, valence, tail count, loop half count); and iota per edge
-    (f, p): (is it a loop, the smaller sigma of its ends, the larger)."""
+def _edge_invariants(g: MarkedGraph) -> dict[tuple[int, int], tuple]:
+    """iota per edge (f, p): (is it a loop, the smaller sigma of its ends,
+    the larger), with sigma the graph's ``_vertex_invariants``."""
     sigma = g._vertex_invariants
     iota = {}
     for f, p in edges(g):
         u, x = g.boundary[f], g.boundary[p]
         iota[f, p] = _edge_invariant(u == x, sigma[u], sigma[x])
-    return sigma, iota
+    return iota
 
 
 def _edge_invariant(is_loop: bool, s: tuple, t: tuple) -> tuple:
@@ -568,62 +602,16 @@ def _edge_invariant(is_loop: bool, s: tuple, t: tuple) -> tuple:
     return (is_loop, s, t) if s <= t else (is_loop, t, s)
 
 
-def _parent_tables(g: MarkedGraph) -> dict[int, tuple]:
-    """What ``_new_edge_verdict`` reads from a parent, once per parent.
-
-    Per vertex v: its sigma, the loops at v, the halves at v of edges to
-    other vertices with the far end's sigma, and the greatest iota of an
-    edge away from v (``()``, below every iota, when there is none).  A
-    splitting at v leaves the edges away from v and their ends as they are.
-    """
-    sigma, iota = _invariants(g)
-    tables = {}
-    for v, (_, loops, ends) in g._flag_kinds.items():
-        away = max((i for (f, p), i in iota.items() if v != g.boundary[f] and v != g.boundary[p]), default=())
-        tables[v] = (sigma[v], loops, [(f, sigma[x]) for f, _, x in ends], away)
-    return tables
-
-
-def _new_edge_verdict(g: MarkedGraph, tables, v: int, moved, kept, new) -> bool | None:
-    """Tests (a) and the same-ends half of (b) of the canonical-parent rule
-    (see ``enumerate_stable_graphs``) for the child of g that a splitting
-    builds, read from g and the splitting alone.
-
-    False: an edge of the child has a greater iota than the new edge.  True:
-    every edge with the new edge's iota joins the new edge's ends.  None:
-    some edge with that iota joins other ends, and the built child decides.
-    """
-    (genus, coords, valence, tails, loop_halves), loops, others, rival = tables[v]
-    if moved is None:
-        s = (genus - 1, coords, valence + 2, tails, loop_halves + 2)
-        # v's loops share the new loop's iota and ends; its other edges are
-        # not loops, so they rank below it
-        top = (True, s, s)
-    else:
-        inside = set(moved)
-        # a loop kept whole at v, or moved whole, outranks the new edge, which
-        # is not a loop; a loop split in two joins the new edge's ends
-        if any((f in inside) == (p in inside) for f, p in loops):
-            return False
-        # with every loop split, neither end keeps one
-        k = sum(1 for f in moved if g.involution[f] == f)
-        sv = (kept[0], kept[1].coords, valence - len(moved) + 1, tails - k, 0)
-        sw = (new[0], new[1].coords, len(moved) + 1, k, 0)
-        top = _edge_invariant(False, sv, sw)
-        for f, sx in others:
-            i = _edge_invariant(False, sw if f in inside else sv, sx)
-            if i > rival:
-                rival = i
-    if rival > top:
-        return False
-    return None if rival == top else True
+def _verdict(top: tuple, rival: tuple) -> bool | None:
+    """False when the greatest other iota outranks the new edge's, None on a tie."""
+    return False if rival > top else None if rival == top else True
 
 
 def _contracts_to_parent(c: MarkedGraph, parent_key: tuple) -> bool:
     """The rest of test (b): contracting m, the edge of greatest iota whose
     flags take the least slot in c's canonical labelling, gives the parent's
     class.  c must be keyed already, so its labelling is kept on it."""
-    _, iota = _invariants(c)
+    iota = _edge_invariants(c)
     top = max(iota.values())
     _, (slot, _) = canonical_encoding(c)
     m = min((e for e, i in iota.items() if i == top), key=lambda e: min(slot[e[0]], slot[e[1]]))
@@ -661,8 +649,9 @@ def enumerate_stable_graphs(
     are swapped by an automorphism, and so are loops at one vertex), or
     contracting m gives the parent's class, where m is the edge of greatest
     iota whose flags take the least slot in C's canonical labelling.  (a)
-    and the first half of (b) are read from the parent and the splitting,
-    so most rejected children are never built or keyed.  C/m is the same
+    and the first half of (b) are the verdict ``_splittings`` yields with
+    each splitting, read from the parent and the splitting alone, so most
+    rejected children are never built or keyed.  C/m is the same
     class whichever canonical labelling is taken, so each class of C is
     accepted from the one representative of the class of C/m, and accepted
     siblings are deduplicated by key; no other lookup is needed.
@@ -707,13 +696,10 @@ def enumerate_stable_graphs(
     while level:
         children: dict[tuple, MarkedGraph] = {}
         for parent_key, g in level.items():
-            tables = None  # made at the first splitting: many parents have none
-            for v, moved, kept, new in _splittings(g, max_vertices):
+            for v, moved, kept, new, verdict in _splittings(g, max_vertices):
                 considered += 1
                 if considered > cap:
                     raise SizeCapError(f"enumeration exceeded {cap} candidates")
-                tables = tables or _parent_tables(g)
-                verdict = _new_edge_verdict(g, tables, v, moved, kept, new)
                 if verdict is False:
                     continue
                 child = add_loop(g, v)[0] if moved is None else split_vertex(g, v, moved, kept, new)[0]

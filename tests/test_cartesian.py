@@ -15,6 +15,7 @@ from stablegraphs.cartesian import (
     DegreeBoundCriterion,
     ElementaryCartesianMorphism,
     ForestCriterion,
+    _splittings,
     cartesian_pullback,
     enumerate_stable_graphs,
     homogeneous_decomposition,
@@ -100,6 +101,13 @@ def test_stabilization_identification_detects():
     assert is_stabilization_identification(identification(base, sigma_prime))
     wrong_base = modular_graph({0: 1}, tails={0: 0, 1: 0, 2: 0, 3: 0})
     assert not is_stabilization_identification(identification(wrong_base, sigma_prime))
+    # a source that carries classes is no absolute stabilization
+    assert not is_stabilization_identification(identification(sigma_prime, sigma_prime))
+    # both flagless genus-2 vertices of the target are stable, and the one
+    # vertex of a valid b reaches only the first of them
+    b = identification(modular_graph({0: 2}), marked_graph(1, {0: (2, 0), 1: (2, 1)}))
+    assert validate_combinatorial(b) == []
+    assert not is_stabilization_identification(b)
 
 
 def test_case_ii_family_matches_splits():
@@ -253,6 +261,20 @@ def test_pullback_object_and_validation():
     assert len(source.family) == 3
     assert validate_elementary_cartesian(P2, morphism) == []
     assert validate_cartesian_morphism(P2, CartesianMorphism((morphism,))) == []
+
+
+def test_cartesian_morphism_ends_and_invalid_end_objects():
+    _, phi, sigma, b = four_tail_setup(P2, element(2))
+    _, morphism = pullback_object(P2, phi, CartesianObject(base=sigma, family=((b, b.target),)))
+    chain = CartesianMorphism((morphism, morphism))
+    assert chain.source is morphism.source and chain.target is morphism.target
+    # over the point profile every member has the wrong rank; those object
+    # violations are all that is reported, so the wrong index map is not read
+    point = BUILTIN_PROFILES["point"]
+    broken = replace(morphism, index_map=())
+    expected = validate_cartesian_object(point, broken.source) + validate_cartesian_object(point, broken.target)
+    assert {v.condition for v in expected} == {"cartesian-profile-rank"}
+    assert validate_elementary_cartesian(point, broken) == expected
 
 
 def test_pullback_object_stabilizes_each_graph_once(monkeypatch):
@@ -793,6 +815,67 @@ def test_enumerate_cap_counts_the_splittings(monkeypatch):
     with pytest.raises(SizeCapError, match="^enumeration exceeded 10 candidates$"):
         enumerate_stable_graphs(BUILTIN_PROFILES["point"], 2, 0, 0, 2, cap=10)
     assert 0 < len(built) < 10
+
+
+def child_edge_invariants(c):
+    """iota of every edge of c, worked out from c's flags alone: (is it a
+    loop, the smaller end invariant, the larger), where a vertex's invariant
+    is (genus, class coordinates, valence, tail count, loop half count)."""
+
+    def sigma(v):
+        at = c.flags_at(v)
+        tail_count = sum(c.involution[f] == f for f in at)
+        loop_halves = sum(c.involution[f] != f and c.boundary[c.involution[f]] == v for f in at)
+        return (c.genus[v], c.classes[v].coords, len(at), tail_count, loop_halves)
+
+    iota = {}
+    for f, p in edges(c):
+        u, x = c.boundary[f], c.boundary[p]
+        iota[f, p] = (u == x, *sorted((sigma(u), sigma(x))))
+    return iota
+
+
+# the seven cells of the benchmark's enumeration grid, then one of rank 2
+VERDICT_CELLS = [
+    ("point", 2, 0, 0, 2),
+    ("point", 3, 0, 0, 4),
+    ("point", 1, 4, 0, 4),
+    ("point", 2, 2, 0, 4),
+    ("P2", 1, 2, 2, 3),
+    ("P1", 0, 4, 3, 3),
+    ("P2", 0, 8, 0, 4),
+    ("quadric", 0, 4, 1, 3),
+]
+
+
+def test_splitting_verdicts_match_the_built_children():
+    # each verdict is read from the parent and the splitting alone; building
+    # the child and reading every edge's iota from it must give the same one
+    verdicts = []
+    for profile, genus, tails_, bound, max_vertices in VERDICT_CELLS:
+        cell = []
+        for g in enumerate_stable_graphs(ORACLE_PROFILES[profile], genus, tails_, bound, max_vertices):
+            for v, moved, kept, new, verdict in _splittings(g, max_vertices):
+                if moved is None:
+                    child, new_edge = add_loop(g, v)
+                else:
+                    child, new_edge, _ = split_vertex(g, v, moved, kept, new)
+                iota = child_edge_invariants(child)
+                top = iota[new_edge]
+                ends = {child.boundary[f] for f in new_edge}
+                if any(i > top for i in iota.values()):
+                    expected = False
+                elif all({child.boundary[f], child.boundary[p]} == ends for (f, p), i in iota.items() if i == top):
+                    expected = True
+                else:
+                    expected = None
+                assert verdict is expected, (profile, genus, tails_, bound, max_vertices, v, moved, kept, new)
+                cell.append(verdict)
+        verdicts.append(cell)
+    grid = [verdict for cell in verdicts[:7] for verdict in cell]
+    counts = (len(grid), grid.count(False), grid.count(True), grid.count(None))
+    assert counts == (874, 470, 338, 66)
+    assert {None, True, False} <= set(verdicts[7])
 
 
 def test_enumerate_start_classes_at_a_high_rank():

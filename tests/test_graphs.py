@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablegraphs.errors import ValidationError
+from stablegraphs.errors import RankMismatchError, ValidationError
 from stablegraphs.graphs import (
     MarkedGraph,
     add_loop,
@@ -72,6 +72,13 @@ def test_empty_graph_counts():
 def test_valence_unknown_vertex():
     with pytest.raises(KeyError):
         valence(tripod(), 99)
+
+
+def test_integer_classes_at_rank_zero():
+    # the integer 0 is the one class of a rank-0 vertex; any other integer is refused
+    assert marked_graph(0, {0: (1, 0)}).classes[0].coords == ()
+    with pytest.raises(RankMismatchError, match="^non-zero class on a rank-0 graph$"):
+        marked_graph(0, {0: (1, 2)})
 
 
 def test_involution_must_be_involution():
@@ -262,6 +269,11 @@ def test_disjoint_union_with_empty():
     assert u == t
 
 
+def test_disjoint_union_refuses_mixed_ranks():
+    with pytest.raises(RankMismatchError, match="^cannot union graphs of rank 0 and 1$"):
+        disjoint_union(tripod(), empty_graph(1))
+
+
 def test_disjoint_union_additive_invariants():
     rng = random.Random(3)
     for _ in range(30):
@@ -304,6 +316,11 @@ def test_component_of_keeps_the_involution():
             assert validate_combinatorial(component_inclusion(g, c)) == []
             components += 1
     assert components > 80
+
+
+def test_component_of_unknown_vertex():
+    with pytest.raises(KeyError, match="unknown vertex id 99"):
+        component_of(tripod(), 99)
 
 
 def test_flag_count_identities():

@@ -159,6 +159,13 @@ def test_construction_refuses_an_unstable_source():
     assert err.value.conditions == ("isogeny-unstable-source",)
 
 
+def test_construction_refuses_a_step_of_neither_kind():
+    # an edge given as a bare pair, not as a ContractStep
+    tripod = modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0})
+    with pytest.raises(TypeError, match=r"^unknown step \(0, 1\)$"):
+        extended_isogeny(tripod, (), ((0, 1),))
+
+
 def test_constructor_records_what_extended_isogeny_records():
     # lists for glued and steps are normalised to tuples, and each step's
     # result starts where the one before it ended

@@ -21,7 +21,7 @@ from stablegraphs.cartesian import CartesianObject, cartesian_pullback, pullback
 from stablegraphs.cli import VERBS, main
 from stablegraphs.errors import StableGraphsError, ValidationError
 from stablegraphs.graphs import disjoint_union_with_maps, edges, marked_graph, tails
-from stablegraphs.isogeny import compose_extended, extended_isogeny, validate_extended
+from stablegraphs.isogeny import ContractStep, ForgetStep, compose_extended, extended_isogeny, validate_extended
 from stablegraphs.monoid import MonoidHom
 from stablegraphs.morphisms import (
     CombinatorialMorphism,
@@ -30,6 +30,7 @@ from stablegraphs.morphisms import (
     validate_combinatorial,
     validate_contraction,
 )
+from stablegraphs.profiles import deg_graph
 from stablegraphs.pullback import compose_marked, pullback_diagram_key, stable_pullback, validate_marked
 from stablegraphs.serialize import (
     combinatorial_to_json,
@@ -291,6 +292,29 @@ def renamed(rng, g):
     return r.target, {old: new for new, old in r.flagmap.items()}, r.vertexmap
 
 
+def renamed_isogeny(e, source, fmap):
+    """e's glues and steps, with every flag id sent through fmap, run from
+    source.  Glues, forgets and contractions keep the ids of the flags they
+    keep, so fmap also renames every graph the steps pass through."""
+    steps = [
+        ForgetStep(fmap[s.tail]) if isinstance(s, ForgetStep) else ContractStep((fmap[s.edge[0]], fmap[s.edge[1]]))
+        for s in e.steps
+    ]
+    return extended_isogeny(source, [(fmap[x], fmap[y]) for x, y in e.glued], steps)
+
+
+def vertex_images(a, b, fmap):
+    """The vertex map of the isomorphism a -> b that sends each flag x to
+    fmap[x].  Flagless vertices, each a component of its own, are paired in
+    order of genus, class and id."""
+    vmap = {a.boundary[x]: b.boundary[fmap[x]] for x in a.flags}
+    hit = set(vmap.values())
+    lone_a = sorted((a.genus[v], a.classes[v].coords, v) for v in a.vertices if v not in vmap)
+    lone_b = sorted((b.genus[w], b.classes[w].coords, w) for w in b.vertices if w not in hit)
+    vmap.update((v[-1], w[-1]) for v, w in zip(lone_a, lone_b))
+    return vmap
+
+
 def test_outputs_do_not_depend_on_ids():
     # stabilize_with_trace gives isomorphic graphs, and stable_pullback gives
     # squares with equal keys once the maps out of pi are read back in the
@@ -326,3 +350,47 @@ def test_outputs_do_not_depend_on_ids():
             pi2, phi.source, {x: sf_back[y] for x, y in b2.flagmap.items()}, {v: sv_back[w] for v, w in b2.vertexmap.items()}
         )
         assert pullback_diagram_key(pi2, psi_back, b_back) == pullback_diagram_key(pi, psi, b)
+    # pushforward gives isomorphic stable graphs
+    for _ in range(60):
+        stable = rand_graph(rng, rank=1, max_flags=8, max_vertices=3, stable=True)
+        xi = rand_hom(rng, 1, rng.randint(0, 2))
+        copy, _, _ = renamed(rng, stable)
+        assert canonical_key(pushforward(xi, copy)[0]) == canonical_key(pushforward(xi, stable)[0])
+    # an isogeny run from a renamed source, with its flag ids renamed to
+    # match, and its composite with a renamed outer isogeny, reach isomorphic
+    # targets through the same forget types
+    for _ in range(50):
+        g = rand_graph(rng, rank=1, max_flags=10, stable=True)
+        inner = rand_isogeny(rng, g)
+        outer = rand_isogeny(rng, inner.target)
+        copy, gf, _ = renamed(rng, g)
+        inner2 = renamed_isogeny(inner, copy, gf)
+        outer2 = renamed_isogeny(outer, inner2.target, gf)
+        for e, e2 in ((inner, inner2), (compose_extended(outer, inner), compose_extended(outer2, inner2))):
+            assert canonical_key(e2.target) == canonical_key(e.target)
+            assert e2.forget_kinds == e.forget_kinds
+    # cartesian_pullback over a renamed phi, with b renamed at both ends,
+    # gives as many members, isomorphic ones, of the same degrees
+    lifted = 0
+    for case in filter(None, (seeded_pullback_case(rng) for _ in range(200))):
+        _, p, phi, b = case
+        tau, tf, _ = renamed(rng, phi.source)
+        phi2 = renamed_isogeny(phi, tau, tf)
+        target, pf, pv = renamed(rng, b.target)
+        sv = vertex_images(phi.target, phi2.target, tf)
+        b2 = CombinatorialMorphism(
+            phi2.target,
+            target,
+            {tf[x]: pf[y] for x, y in b.flagmap.items()},
+            {sv[v]: pv[w] for v, w in b.vertexmap.items()},
+            b.hom,
+        )
+        expected, got = outcome(cartesian_pullback, (p, phi, b)), outcome(cartesian_pullback, (p, phi2, b2))
+        assert got[0] == expected[0]
+        if expected[0] == "value":
+            members, members2 = expected[1], got[1]
+            assert len(members2) == len(members)
+            assert sorted(canonical_key(m.graph) for m in members2) == sorted(canonical_key(m.graph) for m in members)
+            assert sorted(deg_graph(p, m.graph) for m in members2) == sorted(deg_graph(p, m.graph) for m in members)
+            lifted += len(members)
+    assert lifted > 100

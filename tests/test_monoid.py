@@ -93,6 +93,17 @@ def test_hom_compose():
     assert h2.compose(h1)(element(1, 2)) == element(6, 9)
 
 
+def test_hom_compose_rank_mismatch():
+    # inner lands in N^1, outer starts at N^2
+    with pytest.raises(RankMismatchError, match="^cannot compose: inner target rank 1 != source rank 2$"):
+        MonoidHom.identity(2).compose(MonoidHom.identity(1))
+
+
+def test_hom_negative_entry_rejected():
+    with pytest.raises(ValueError, match="^monoid homomorphism matrix must be non-negative$"):
+        MonoidHom(((1, -1),), 2)
+
+
 def test_pair_decompositions_rank1():
     pairs = enumerate_pair_decompositions(element(2))
     assert pairs == [

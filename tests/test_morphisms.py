@@ -105,6 +105,8 @@ def test_contracted_piece():
     assert len(edges(piece)) == 1
     lonely = contracted_piece(c, 2)
     assert lonely.vertices == (2,) and lonely.flags == ()
+    with pytest.raises(KeyError, match="unknown target vertex id 1"):
+        contracted_piece(c, 1)  # merged into 0
 
 
 def test_contracted_pieces_partition_the_contracted_flags():
@@ -229,6 +231,16 @@ def test_component_inclusion_complete():
     a = component_inclusion(g, comp)
     assert validate_combinatorial(a) == []
     assert a.is_complete()
+
+
+def test_inclusion_missing_a_tail_is_not_complete():
+    # a tripod into a vertex with a fourth tail: valid, but the fourth
+    # tail at the image vertex has no preimage
+    src = modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0})
+    tgt = modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0, 3: 0})
+    a = CombinatorialMorphism(source=src, target=tgt, flagmap={0: 0, 1: 1, 2: 2}, vertexmap={0: 0})
+    assert validate_combinatorial(a) == []
+    assert not a.is_complete()
 
 
 def test_genus_mismatch_detected():

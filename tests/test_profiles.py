@@ -41,6 +41,11 @@ def test_ample_must_be_positive():
         VarietyProfile("bad", 1, LinearForm((-2,)), LinearForm((0,)))
 
 
+def test_forms_must_share_a_rank():
+    with pytest.raises(RankMismatchError, match="^canonical and ample forms must share a rank$"):
+        VarietyProfile("bad", 2, LinearForm((-2,)), LinearForm((1, 1)))
+
+
 def test_dim_projective_plane_three_pointed():
     p = BUILTIN_PROFILES["P2"]
     for d in range(4):

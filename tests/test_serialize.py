@@ -1,10 +1,12 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablegraphs.cli import main
 from stablegraphs.graphs import empty_graph, marked_graph, modular_graph
 from stablegraphs.isogeny import ContractStep, ForgetStep, extended_isogeny
 from stablegraphs.monoid import MonoidHom
@@ -32,6 +34,8 @@ from stablegraphs.serialize import (
 
 from strategies import rand_graph
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def test_graph_round_trip():
     rng = random.Random(151)
@@ -57,6 +61,20 @@ def test_empty_graph_round_trip():
 def test_graph_missing_key():
     with pytest.raises(SchemaError):
         graph_from_json({"flags": []})
+
+
+def test_blank_input_reads_as_an_empty_document(tmp_path, capsys):
+    # blank text is read as {}, so it is refused for its missing keys and
+    # not as text that is not JSON
+    outputs = []
+    for text in (" \n\t", "{}"):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code = main(["validate", "--in", str(path)])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 2
+    assert json.loads(outputs[0][1]) == {"error": {"type": "schema", "message": "missing key 'flags'"}}
 
 
 def test_hom_round_trip():
@@ -97,6 +115,16 @@ def test_marked_round_trip():
     back = marked_from_json(marked_to_json(m))
     assert back.hom == m.hom and back.mid == m.mid
     assert back.comb.flagmap == m.comb.flagmap
+
+
+def test_compose_refuses_a_second_document_that_is_not_marked(tmp_path, capsys):
+    # both documents are read as the first one's kind
+    doc = json.loads((GOLDEN / "in" / "compose_marked.json").read_text())
+    doc["second"]["kind"] = "extended-isogeny"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compose", "--in", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": {"type": "schema", "message": "expected kind 'marked'"}}
 
 
 def test_isogeny_round_trip():

@@ -272,6 +272,17 @@ def test_universal_property_stable_graph():
     assert report.ok and report.sources_checked > 0
 
 
+def test_universal_property_flag_cap_and_unstable_pool_members():
+    g = marked_graph(1, {0: (1, 1)}, tails={0: 0})
+    with pytest.raises(SizeCapError, match="^universal property oracle capped at 0 flags$"):
+        check_universal_property(g, max_flags=0)
+    # a pool member that is not stable is skipped, not checked
+    unstable = marked_graph(1, {0: (0, 0)}, tails={0: 0})
+    report = check_universal_property(g, pool=[unstable, g])
+    assert report.ok and report.sources_checked == 1
+    assert check_universal_property(g, pool=[g]).morphisms_checked == report.morphisms_checked
+
+
 def test_universal_property_case_ii_instance():
     g = marked_graph(1, {0: (0, 0), 1: (1, 0)}, tails={0: 0}, edges=[((1, 0), (2, 1))])
     sigma = marked_graph(1, {0: (1, 0)}, tails={0: 0})
