@@ -12,14 +12,15 @@ returns fresh graphs.
 
 The flag and vertex id sets are built once, at construction, where the
 structure check needs them.  Other derived structure (flags per vertex,
-each split into tails, loops and edge halves, vertex invariants, tails,
-edges, connected components and the flag partition) is computed on first
-use and kept on the instance, shared by every caller, so a graph validated
-or labelled many times pays for it once.  These values are not dataclass
-fields: ``==``, ``repr`` and ``dataclasses.replace`` ignore them.  This is
-sound only because the dict fields (``boundary``, ``involution``,
-``genus``, ``classes``) are never mutated after construction; code must
-build a new graph instead.
+each split into tails, loops and edge halves, vertex invariants, the
+vertices of each genus and class with their valences in
+``_vertices_by_kind``, tails, edges, connected components and the flag
+partition) is computed on first use and kept on the instance, shared by
+every caller, so a graph validated or labelled many times pays for it
+once.  These values are not dataclass fields: ``==``, ``repr`` and
+``dataclasses.replace`` ignore them.  This is sound only because the dict
+fields (``boundary``, ``involution``, ``genus``, ``classes``) are never
+mutated after construction; code must build a new graph instead.
 ``stabilize.absolute_stabilization`` and the uncolored canonical labelling
 (``canonical.canonical_encoding``) keep their results on the instance the
 same way.
@@ -144,6 +145,14 @@ class MarkedGraph:
             v: (self.genus[v], self.classes[v].coords, len(t) + 2 * len(l) + len(e), len(t), 2 * len(l))
             for v, (t, l, e) in self._flag_kinds.items()
         }
+
+    @_memo
+    def _vertices_by_kind(self) -> dict[tuple, tuple[tuple[int, int], ...]]:
+        """Per (genus, class coordinates): that kind's (vertex, valence) pairs, in vertex order."""
+        kinds: dict[tuple, list[tuple[int, int]]] = {}
+        for v, (genus, coords, val, _, _) in self._vertex_invariants.items():
+            kinds.setdefault((genus, coords), []).append((v, val))
+        return {kind: tuple(pairs) for kind, pairs in kinds.items()}
 
     @_memo
     def _tails(self) -> tuple[int, ...]:

@@ -152,10 +152,13 @@ def absolute_stabilization(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMo
 #
 # The enumerator is a backtracking search that meets conditions 1, 2, 4 and
 # 5 by construction and checks condition 3 as each edge closes; every result
-# is still validated in full.  The oracle keys each composite a o c straight
-# from the maps and validates none of them: it compares the composites'
-# keys with those of the direct morphisms, all validated, so a composite
-# that is not a morphism matches none and shows as a difference of hom-sets.
+# is still validated in full.  It takes each source vertex's candidates from
+# the target's (genus, class) index, and a search in which some source
+# vertex has none returns before it builds any table.  The oracle keys each
+# composite a o c straight from the maps and validates none of them: it
+# compares the composites' keys with those of the direct morphisms, all
+# validated, so a composite that is not a morphism matches none and shows
+# as a difference of hom-sets.
 
 
 def enumerate_combinatorial_morphisms(
@@ -163,34 +166,37 @@ def enumerate_combinatorial_morphisms(
 ) -> list[CombinatorialMorphism]:
     """All combinatorial morphisms src -> tgt over a common monoid.
 
-    Vertex maps run over the genus/class/valence compatible targets, so
-    class and genus hold by construction.  For each, a depth-first search
-    over ``src.vertices`` in order injects the flags at each source vertex
-    into the flags at its image, so boundary and injectivity at each vertex
-    hold too.  Condition 3 is checked against the target's flag partition
-    as each edge closes, at the later of its endpoints, and a failing branch
-    is dropped there.  Every complete flag map is still validated in full.
-    Results come in the order of the product of per-vertex permutations.
-    ``cap`` bounds the search nodes visited (flag picks tried).  Intended
-    for oracle use on very small graphs.
+    Each source vertex's candidates are the target vertices of its genus and
+    class with at least its valence, read from the target's index
+    ``_vertices_by_kind``, so class and genus hold by construction.  A
+    search in which some source vertex has no candidate returns ``[]``
+    before it builds any table or visits any node.  For each vertex map, a
+    depth-first search over ``src.vertices`` in order injects the flags at
+    each source vertex into the flags at its image, so boundary and
+    injectivity at each vertex hold too.  Condition 3 is checked against
+    the target's flag partition as each edge closes, at the later of its
+    endpoints, and a failing branch is dropped there.  Every complete flag
+    map is still validated in full.  Results come in the order of the
+    product of per-vertex permutations.  ``cap`` bounds the search nodes
+    visited (flag picks tried).  Intended for oracle use on very small
+    graphs.
     """
     if src.rank != tgt.rank:
         return []
     svs = src.vertices
-    src_at = [src.flags_at(v) for v in svs]
-    tgt_at = {w: tgt.flags_at(w) for w in tgt.vertices}  # and so each valence, once per call
+    if not svs:
+        empty = CombinatorialMorphism(source=src, target=tgt, flagmap={}, vertexmap={})
+        return [] if validate_combinatorial(empty) else [empty]
+    kinds = tgt._vertices_by_kind
     candidates: list[list[int]] = []
-    for v, at_v in zip(svs, src_at):
-        genus, cls = src.genus[v], src.classes[v]
-        opts = [
-            w
-            for w in tgt.vertices
-            if tgt.genus[w] == genus and tgt.classes[w] == cls and len(tgt_at[w]) >= len(at_v)
-        ]
+    for genus, coords, val, _, _ in src._vertex_invariants.values():  # in vertex order
+        opts = [w for w, w_val in kinds.get((genus, coords), ()) if w_val >= val]
         if not opts:
             return []
         candidates.append(opts)
 
+    tgt_at = tgt._flags_at  # a flagless vertex has no entry
+    src_at = [src._flags_at.get(v, ()) for v in svs]
     block = flag_partition(tgt)._index
     # closing[i]: the source edges whose later endpoint in the search order is svs[i]
     depth = {v: i for i, v in enumerate(svs)}
@@ -201,23 +207,27 @@ def enumerate_combinatorial_morphisms(
     results: list[CombinatorialMorphism] = []
     fmap: dict[int, int] = {}
     nodes = 0
+    last = len(svs) - 1
 
     def extend(i: int, vmap: dict[int, int]) -> None:
         nonlocal nodes
-        if i == len(svs):
-            # the constructor copies both maps, so fmap is reused as scratch
-            cand = CombinatorialMorphism(source=src, target=tgt, flagmap=fmap, vertexmap=vmap)
-            if not validate_combinatorial(cand):
-                results.append(cand)
-            return
         at_v, shut = src_at[i], closing[i]
-        for pick in permutations(tgt_at[vmap[svs[i]]], len(at_v)):
+        for pick in permutations(tgt_at.get(vmap[svs[i]], ()), len(at_v)):
             nodes += 1
             if nodes > cap:
                 raise SizeCapError(f"morphism enumeration exceeded {cap} candidates")
             fmap.update(zip(at_v, pick))
-            if not shut or all(block[fmap[f1]] == block[fmap[f2]] for f1, f2 in shut):
-                extend(i + 1, vmap)
+            for f1, f2 in shut:
+                if block[fmap[f1]] != block[fmap[f2]]:
+                    break
+            else:
+                if i < last:
+                    extend(i + 1, vmap)
+                else:
+                    # the constructor copies both maps, so fmap is reused as scratch
+                    cand = CombinatorialMorphism(source=src, target=tgt, flagmap=fmap, vertexmap=vmap)
+                    if not validate_combinatorial(cand):
+                        results.append(cand)
 
     for assignment in product(*candidates):
         extend(0, dict(zip(svs, assignment)))

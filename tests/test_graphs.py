@@ -462,6 +462,20 @@ def test_flag_tables_match_a_classification_by_edges(seed, rank):
         assert g._vertex_invariants[v] == expected
 
 
+def test_vertices_by_kind_lists_each_kind_in_vertex_order():
+    rng = random.Random(19)
+    for i in range(60):
+        rank = i % 3
+        lonely = marked_graph(rank, {0: (2, None)})
+        g = relabelled(rng, disjoint_union(rand_graph(rng, rank=rank, max_flags=8), lonely))
+        expected = {}
+        for v in g.vertices:
+            expected.setdefault((g.genus[v], g.classes[v].coords), []).append((v, valence(g, v)))
+        assert g._vertices_by_kind == {kind: tuple(pairs) for kind, pairs in expected.items()}
+        assert vars(g)["_vertices_by_kind"] is g._vertices_by_kind
+        assert any(val == 0 for pairs in expected.values() for _, val in pairs)
+
+
 def test_memoised_indices_are_kept_on_the_instance_but_not_compared():
     g = marked_graph(1, {0: (0, 1), 1: (1, 0)}, tails={0: 0}, edges=[((1, 0), (2, 1))])
     cold = dataclasses.replace(g)

@@ -16,7 +16,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
-from stablegraphs.canonical import canonical_key
+from stablegraphs.canonical import canonical_key, diagram_key
 from stablegraphs.cartesian import CartesianObject, cartesian_pullback, pullback_object
 from stablegraphs.cli import VERBS, main
 from stablegraphs.errors import StableGraphsError, ValidationError
@@ -31,7 +31,14 @@ from stablegraphs.morphisms import (
     validate_contraction,
 )
 from stablegraphs.profiles import deg_graph
-from stablegraphs.pullback import compose_marked, pullback_diagram_key, stable_pullback, validate_marked
+from stablegraphs.pullback import (
+    MarkedMorphism,
+    compose_marked,
+    marked_key,
+    pullback_diagram_key,
+    stable_pullback,
+    validate_marked,
+)
 from stablegraphs.serialize import (
     combinatorial_to_json,
     contraction_to_json,
@@ -292,6 +299,62 @@ def renamed(rng, g):
     return r.target, {old: new for new, old in r.flagmap.items()}, r.vertexmap
 
 
+def carried(m, source, target, s_ids, t_ids):
+    """m, a combinatorial morphism or a contraction, moved onto source and
+    target: s_ids and t_ids are the (flag, vertex) renamings of its two ends,
+    each from an old id to its new one."""
+    (sf, sv), (tf, tv) = s_ids, t_ids
+    vertexmap = {sv[v]: tv[w] for v, w in m.vertexmap.items()}
+    if isinstance(m, Contraction):
+        return Contraction(source, target, {tf[x]: sf[y] for x, y in m.flagmap.items()}, vertexmap)
+    return CombinatorialMorphism(source, target, {sf[x]: tf[y] for x, y in m.flagmap.items()}, vertexmap, m.hom)
+
+
+def inverse(ids):
+    return tuple({new: old for old, new in d.items()} for d in ids)
+
+
+def same(g):
+    return {f: f for f in g.flags}, {v: v for v in g.vertices}
+
+
+def member_keys(source, m, base_ids, target_flags):
+    """Per member of a pulled-back object, in order: its index in the target
+    family, its lift's forget kinds and a key of its graph.  The key
+    decorates each flag with the base flag the identification sends to it
+    and the flag of the lift's target it is kept as, and each vertex with the
+    base vertices sent to it, all read through base_ids and target_flags."""
+    bf, bv = base_ids
+    keys = []
+    for (a, graph), lift, j in zip(source.family, m.lifts, m.index_map):
+        onto = {y: bf[x] for x, y in a.flagmap.items()}
+        kept = lift.target._flag_set
+        over = {w: [] for w in graph.vertices}
+        for v, w in a.vertexmap.items():
+            over[w].append(bv[v])
+        key = diagram_key(
+            graph,
+            {f: (onto.get(f), target_flags[f] if f in kept else None) for f in graph.flags},
+            {w: tuple(sorted(vs)) for w, vs in over.items()},
+        )
+        keys.append((j, lift.forget_kinds, key))
+    return keys
+
+
+def spliced_into_chain(phi, b):
+    """phi forgets a tail t at a vertex with two edge halves, and the images
+    in b.target of their far halves are not the two halves of one edge: the
+    edge phi leaves behind runs through vertices that only b.target has."""
+    if not phi.steps or not isinstance(phi.steps[0], ForgetStep):
+        return False
+    tau, t = phi.source, phi.steps[0].tail
+    halves = [x for x in tau.flags_at(tau.boundary[t]) if x != t and tau.involution[x] != x]
+    if len(halves) != 2:
+        return False
+    r, r2 = (b.flagmap[tau.involution[x]] for x in halves)
+    return b.target.involution[r] != r2
+
+
 def renamed_isogeny(e, source, fmap):
     """e's glues and steps, with every flag id sent through fmap, run from
     source.  Glues, forgets and contractions keep the ids of the flags they
@@ -303,16 +366,23 @@ def renamed_isogeny(e, source, fmap):
     return extended_isogeny(source, [(fmap[x], fmap[y]) for x, y in e.glued], steps)
 
 
-def vertex_images(a, b, fmap):
-    """The vertex map of the isomorphism a -> b that sends each flag x to
-    fmap[x].  Flagless vertices, each a component of its own, are paired in
-    order of genus, class and id."""
-    vmap = {a.boundary[x]: b.boundary[fmap[x]] for x in a.flags}
-    hit = set(vmap.values())
-    lone_a = sorted((a.genus[v], a.classes[v].coords, v) for v in a.vertices if v not in vmap)
-    lone_b = sorted((b.genus[w], b.classes[w].coords, w) for w in b.vertices if w not in hit)
-    vmap.update((v[-1], w[-1]) for v, w in zip(lone_a, lone_b))
-    return vmap
+def vertex_renaming(e, e2, vmap):
+    """The vertex map of the isomorphism e.target -> e2.target, where e2 runs
+    e's glues and steps from a copy of e.source whose vertices vmap renames.
+    Glues and forgets keep the ids of the vertices they keep, and a
+    contraction sends each vertex to its fiber's id."""
+
+    def trace(x):
+        out = {v: v for v in x.source.vertices}
+        for kind, res in x.step_results:
+            if kind == "contract":
+                out = {v: res.vertexmap[w] for v, w in out.items()}
+            else:
+                out = {v: w for v, w in out.items() if w in res.graph.genus}
+        return out
+
+    t2 = trace(e2)
+    return {w: t2[vmap[v]] for v, w in trace(e).items()}
 
 
 def test_outputs_do_not_depend_on_ids():
@@ -328,27 +398,15 @@ def test_outputs_do_not_depend_on_ids():
         phi = rand_contraction(rng, num_edges=(1, 3), rank=2, max_flags=10, max_vertices=4)
         xi = rand_hom(rng, 2, rng.randint(1, 2))
         a = rand_covering(rng, phi.target, xi)
-        sigma, sf, sv = renamed(rng, phi.source)
-        tau, tf, tv = renamed(rng, phi.target)
-        rho, rf, rv = renamed(rng, a.source)
-        phi2 = Contraction(
-            sigma, tau, {tf[x]: sf[y] for x, y in phi.flagmap.items()}, {sv[v]: tv[w] for v, w in phi.vertexmap.items()}
-        )
-        a2 = CombinatorialMorphism(
-            rho, tau, {rf[x]: tf[y] for x, y in a.flagmap.items()}, {rv[v]: tv[w] for v, w in a.vertexmap.items()}, a.hom
-        )
+        sigma, *s_ids = renamed(rng, phi.source)
+        tau, *t_ids = renamed(rng, phi.target)
+        rho, *r_ids = renamed(rng, a.source)
+        phi2 = carried(phi, sigma, tau, s_ids, t_ids)
+        a2 = carried(a, rho, tau, r_ids, t_ids)
         pi, psi, b = stable_pullback(xi, phi, a)
         pi2, psi2, b2 = stable_pullback(xi, phi2, a2)
-        rf_back = {new: old for old, new in rf.items()}
-        rv_back = {new: old for old, new in rv.items()}
-        sf_back = {new: old for old, new in sf.items()}
-        sv_back = {new: old for old, new in sv.items()}
-        psi_back = Contraction(
-            pi2, a.source, {rf_back[x]: y for x, y in psi2.flagmap.items()}, {v: rv_back[w] for v, w in psi2.vertexmap.items()}
-        )
-        b_back = CombinatorialMorphism(
-            pi2, phi.source, {x: sf_back[y] for x, y in b2.flagmap.items()}, {v: sv_back[w] for v, w in b2.vertexmap.items()}
-        )
+        psi_back = carried(psi2, pi2, a.source, same(pi2), inverse(r_ids))
+        b_back = carried(b2, pi2, phi.source, same(pi2), inverse(s_ids))
         assert pullback_diagram_key(pi2, psi_back, b_back) == pullback_diagram_key(pi, psi, b)
     # pushforward gives isomorphic stable graphs
     for _ in range(60):
@@ -374,17 +432,10 @@ def test_outputs_do_not_depend_on_ids():
     lifted = 0
     for case in filter(None, (seeded_pullback_case(rng) for _ in range(200))):
         _, p, phi, b = case
-        tau, tf, _ = renamed(rng, phi.source)
+        tau, tf, tv = renamed(rng, phi.source)
         phi2 = renamed_isogeny(phi, tau, tf)
         target, pf, pv = renamed(rng, b.target)
-        sv = vertex_images(phi.target, phi2.target, tf)
-        b2 = CombinatorialMorphism(
-            phi2.target,
-            target,
-            {tf[x]: pf[y] for x, y in b.flagmap.items()},
-            {sv[v]: pv[w] for v, w in b.vertexmap.items()},
-            b.hom,
-        )
+        b2 = carried(b, phi2.target, target, (tf, vertex_renaming(phi, phi2, tv)), (pf, pv))
         expected, got = outcome(cartesian_pullback, (p, phi, b)), outcome(cartesian_pullback, (p, phi2, b2))
         assert got[0] == expected[0]
         if expected[0] == "value":
@@ -394,3 +445,56 @@ def test_outputs_do_not_depend_on_ids():
             assert sorted(deg_graph(p, m.graph) for m in members2) == sorted(deg_graph(p, m.graph) for m in members)
             lifted += len(members)
     assert lifted > 100
+    # compose_marked of two morphisms renamed at all five of their graphs
+    # gives a composite whose key, with its maps read back into the original
+    # ids of its two ends, is the original composite's
+    for _ in range(40):
+        inner = rand_marked_morphism(rng, source_rank=2, target_rank=rng.randint(1, 2), max_flags=8)
+        sigma = inner.target_graph
+        outer = rand_marked_morphism(rng, source=sigma, source_rank=sigma.rank, target_rank=1, max_flags=8)
+        (a, *a_ids), (m1, *m1_ids), (b, *b_ids), (m2, *m2_ids), (c, *c_ids) = (
+            renamed(rng, g) for g in (inner.source_graph, inner.mid, sigma, outer.mid, outer.target_graph)
+        )
+        inner2 = MarkedMorphism(
+            inner.hom, carried(inner.comb, m1, a, m1_ids, a_ids), m1, carried(inner.contr, m1, b, m1_ids, b_ids)
+        )
+        outer2 = MarkedMorphism(
+            outer.hom, carried(outer.comb, m2, b, m2_ids, b_ids), m2, carried(outer.contr, m2, c, m2_ids, c_ids)
+        )
+        both, both2 = compose_marked(outer, inner), compose_marked(outer2, inner2)
+        mid = both2.mid
+        back = MarkedMorphism(
+            both2.hom,
+            carried(both2.comb, mid, inner.source_graph, same(mid), inverse(a_ids)),
+            mid,
+            carried(both2.contr, mid, outer.target_graph, same(mid), inverse(c_ids)),
+        )
+        assert marked_key(back) == marked_key(both)
+    # pullback_object over a renamed phi and a renamed member gives members
+    # with the same keys once the identifications are read back into the
+    # base's original ids and the lifts' kept flags into the member's
+    pulled = chains = 0
+    for case in filter(None, (seeded_pullback_case(rng) for _ in range(200))):
+        _, p, phi, b = case
+        tau, *t_ids = renamed(rng, phi.source)
+        phi2 = renamed_isogeny(phi, tau, t_ids[0])
+        target, *p_ids = renamed(rng, b.target)
+        b2 = carried(b, phi2.target, target, (t_ids[0], vertex_renaming(phi, phi2, t_ids[1])), p_ids)
+        obj = CartesianObject(base=phi.target, family=((b, b.target),))
+        obj2 = CartesianObject(base=phi2.target, family=((b2, target),))
+        expected, got = outcome(pullback_object, (p, phi, obj)), outcome(pullback_object, (p, phi2, obj2))
+        assert got[0] == expected[0]
+        if expected[0] != "value":
+            continue
+        members, members2 = expected[1][0].family, got[1][0].family
+        pulled += len(members)
+        if spliced_into_chain(phi, b):
+            # the new vertex goes next to the far end of the forgotten
+            # vertex's edge half with the smaller flag id, so which edge of
+            # the chain it splits depends on ids; only the graphs agree
+            chains += 1
+            assert sorted(canonical_key(g) for _, g in members2) == sorted(canonical_key(g) for _, g in members)
+            continue
+        keys = member_keys(*expected[1], same(phi.source), same(b.target)[0])
+        assert sorted(member_keys(*got[1], inverse(t_ids), inverse(p_ids)[0])) == sorted(keys)
+    assert pulled > 100 and chains >= 1

@@ -453,6 +453,63 @@ def test_cap_counts_search_nodes(monkeypatch):
         assert validations <= cap
 
 
+def _search_and_oracle(sigma, tgt, **kw):
+    found = enumerate_combinatorial_morphisms(sigma, tgt, **kw)
+    assert _keys(found) == _keys(enumerate_combinatorial_morphisms_by_product(sigma, tgt))
+    return found
+
+
+def test_empty_source_maps_by_the_empty_map_alone():
+    rng = random.Random(41)
+    for rank in (0, 1, 2):
+        targets = [empty_graph(rank), marked_graph(rank, {3: (2, None)})]
+        targets += [rand_graph(rng, rank=rank, max_flags=6, max_genus=1, max_class=1) for _ in range(6)]
+        for tgt in targets:
+            assert _keys(_search_and_oracle(empty_graph(rank), tgt)) == [({}, {})]
+    assert _search_and_oracle(empty_graph(0), empty_graph(1)) == []
+
+
+def test_flagless_source_vertex_maps_onto_flagless_target_vertex():
+    # target vertex 0 is a lonely genus-2 vertex; vertex 1 has genus 2 too,
+    # but an edge half, so the lonely source vertex has two candidates
+    tgt = modular_graph({0: 2, 1: 2, 2: 1}, tails={7: 2}, edges=[((4, 1), (5, 2))])
+    lonely = modular_graph({9: 2})
+    assert _keys(_search_and_oracle(lonely, tgt)) == [({}, {9: 0}), ({}, {9: 1})]
+    assert _keys(_search_and_oracle(lonely, lonely)) == [({}, {9: 9})]
+    # the flagless vertex and a vertex with a tail, searched together
+    sigma = modular_graph({8: 2, 9: 1}, tails={1: 9})
+    found = _search_and_oracle(sigma, tgt)
+    assert _keys(found) == [
+        ({1: 5}, {8: 0, 9: 2}),
+        ({1: 7}, {8: 0, 9: 2}),
+        ({1: 5}, {8: 1, 9: 2}),
+        ({1: 7}, {8: 1, 9: 2}),
+    ]
+    assert lonely.flags_at(9) == () and 9 not in lonely._flags_at
+
+
+def test_search_without_candidates_visits_no_node():
+    """A source vertex whose genus and class no target vertex has, or whose
+    valence every such vertex falls short of, ends the search before its
+    first node, so even ``cap=0`` gives ``[]``."""
+    tgt = marked_graph(1, {0: (1, 1), 1: (0, 2), 2: (2, 0)}, tails={0: 0, 1: 1, 2: 1, 3: 1})
+    no_kind = [
+        marked_graph(1, {0: (1, 2)}, tails={0: 0}),  # class 2 only at genus 0
+        marked_graph(1, {0: (3, 0)}),  # no genus-3 vertex
+        marked_graph(1, {0: (1, 1), 1: (1, 0)}, edges=[((0, 0), (1, 1))]),  # no genus-1 class-0 vertex
+    ]
+    short = [
+        marked_graph(1, {0: (1, 1)}, tails={0: 0, 1: 0}),  # valence 2 > 1
+        marked_graph(1, {0: (2, 0)}, tails={0: 0}),  # the genus-2 vertex is flagless
+        marked_graph(1, {0: (0, 2), 1: (1, 1)}, tails={0: 0, 1: 0, 2: 0, 3: 1}, edges=[((4, 0), (5, 1))]),
+    ]
+    for sigma in no_kind + short:
+        assert _search_and_oracle(sigma, tgt, cap=0) == []
+    # with a candidate, the first pick is one node over cap=0
+    with pytest.raises(SizeCapError):
+        enumerate_combinatorial_morphisms(marked_graph(1, {0: (1, 1)}, tails={0: 0}), tgt, cap=0)
+
+
 def test_default_pool_stabilizes_once(monkeypatch):
     calls = 0
     real = stabilize_module.stabilize_with_trace
