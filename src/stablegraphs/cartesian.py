@@ -128,16 +128,16 @@ def _member(
     lift: ExtendedIsogeny,
     flags: dict[int, int],
     vertices: dict[int, int],
-    forget_kinds: tuple[str, ...] = (),
 ) -> FamilyMember:
     """The member (a, graph, lift) over b's target; a covers the trivial hom.
 
     a sends the flags and vertices of tau that ``flags`` and ``vertices``
     list where they say, and every other one where b sends it: phi's step
     keeps the ids of what survives it, so those are ids of b's source too.
+    Nothing is checked here, as the module docstring says: each builder adds
+    to b's target only what the lift's one step removes, so the lift ends at
+    b's target with the forget type it made; seeded tests pin every kind.
     """
-    if lift.target != b.target or lift.forget_kinds != forget_kinds:
-        raise AssertionError("the lift does not reduce back onto the target")
     a = CombinatorialMorphism(
         source=tau,
         target=graph,
@@ -182,7 +182,7 @@ def _pullback_forget(phi: ExtendedIsogeny, b: CombinatorialMorphism, res) -> lis
     fresh = next_id(sigma_prime.flags)
     if res.kind == "I":
         tau0 = edit_graph(sigma_prime, attach={fresh: b.vertexmap[v]})
-        return [_member(tau, b, tau0, elementary_forget_isogeny(tau0, fresh), {t: fresh}, {}, ("I",))]
+        return [_member(tau, b, tau0, elementary_forget_isogeny(tau0, fresh), {t: fresh}, {})]
     # types II and III; phi's check refuses every type IV forget as isogeny-pi0
     # v lifts to a new genus-zero, class-zero vertex u carrying copies of
     # its flags: t as fresh, the other two (tails first) as fresh + 1, + 2
@@ -195,18 +195,16 @@ def _pullback_forget(phi: ExtendedIsogeny, b: CombinatorialMorphism, res) -> lis
     (other,) = (x for x in others if x != anchor)
     r = b.flagmap[tau.involution[anchor]]
     pair = {extra_flags[anchor]: r, r: extra_flags[anchor]}
-    kind = "II"
     if sigma_prime.involution[r] != r:
         c = sigma_prime.involution[r]
         pair.update({extra_flags[other]: c, c: extra_flags[other]})
-        kind = "III"
     tau0 = edit_graph(
         sigma_prime,
         attach={fresh: u, fresh + 1: u, fresh + 2: u},
         vertices={u: (0, MonoidElement.zero(sigma_prime.rank))},
         pair=pair,
     )
-    return [_member(tau, b, tau0, elementary_forget_isogeny(tau0, fresh), extra_flags, {v: u}, (kind,))]
+    return [_member(tau, b, tau0, elementary_forget_isogeny(tau0, fresh), extra_flags, {v: u})]
 
 
 def _pullback_glue(phi: ExtendedIsogeny, b: CombinatorialMorphism, pair: tuple[int, int]) -> list[FamilyMember]:

@@ -194,17 +194,12 @@ def stable_pullback(
                 bf[e1], bf[e2] = f, fbar
                 bv[w], bv[w2] = v1, v2
                 origin[w2] = origin.get(w, w)
-            elif stable1:
-                # re-contract: keep w whole and map it to the stable side
-                bv[w] = v1
-                for x in side2:
-                    bf[x] = f
             else:
-                # both sides unstable would contradict rho being stable
-                assert stable2, "both split halves unstable contradicts stability of the source"
-                bv[w] = v2
-                for x in side1:
-                    bf[x] = fbar
+                # re-contract: w is stable, so one side is; keep w whole on
+                # it and send the other side's flags to the kept side's half
+                bv[w], half, other = (v1, f, side2) if stable1 else (v2, fbar, side1)
+                for x in other:
+                    bf[x] = half
     # with nothing inserted pi is rho itself, and no graph is built
     pi = edit_graph(rho, attach=attach, pair=pair, vertices=data) if attach else rho
     psi = Contraction(
@@ -219,8 +214,15 @@ def compose_marked(outer: MarkedMorphism, inner: MarkedMorphism) -> MarkedMorphi
     The middle graph of the composite is the stable pullback of the outer
     middle across the inner contraction, which ``stable_pullback`` checks is
     stable; ``compose_combinatorial`` and ``compose_contractions`` validate
-    the two parts, so for valid inputs the composite is valid.
+    the two parts, so for valid inputs the composite is valid.  Of each
+    input, only that comb covers hom and that comb and contr start at mid
+    are checked here, raising what ``validate_marked`` gives; the rest of
+    ``validate_marked`` is the caller's: all of ``inner.comb`` and
+    ``outer.contr``, and whether ``inner.mid`` is stable.
     """
+    for m in (inner, outer):
+        if m.comb.hom != m.hom or m.comb.source != m.mid or m.contr.source != m.mid:
+            ensure_valid(validate_marked(m), "compose_marked: invalid input")
     if inner.target_graph != outer.source_graph:
         raise ValidationError([Violation("marked-compose-endpoints", "inner target differs from outer source")])
     pi, chi, c = stable_pullback(outer.hom, inner.contr, outer.comb)

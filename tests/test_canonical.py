@@ -274,3 +274,52 @@ def test_enumeration_searches_once_per_keyed_graph(monkeypatch):
     # enumerated graphs are connected: one component, so one search each
     assert len(searched) == len(keyed) > len(out)
     assert {id(g) for g in searched} == {id(g) for g in keyed}
+
+
+# -- symmetric families: today's minimum, pinned for a faster search --------
+
+
+def simple_graph(genus: dict, pairs) -> MarkedGraph:
+    """A rank-0 graph with one edge per pair of vertices, halves 2i and 2i + 1."""
+    return modular_graph(genus, edges=[((2 * i, a), (2 * i + 1, b)) for i, (a, b) in enumerate(pairs)])
+
+
+def necklace(k: int) -> MarkedGraph:
+    return simple_graph({v: 1 for v in range(k)}, [(v, (v + 1) % k) for v in range(k)])
+
+
+def star(k: int) -> MarkedGraph:
+    return simple_graph({0: 0, **{v: 1 for v in range(1, k + 1)}}, [(0, v) for v in range(1, k + 1)])
+
+
+K33 = simple_graph({v: 0 for v in range(6)}, [(a, b) for a in range(3) for b in range(3, 6)])
+PRISM = simple_graph(
+    {v: 0 for v in range(6)}, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+)
+
+
+def test_symmetric_families_key_by_isomorphism_and_are_pinned():
+    # necklaces and stars of genus-1 vertices, K_{3,3} and the prism: one
+    # refinement class holds (nearly) every vertex, so the labelling search
+    # runs over many orderings; a pruned search must give the same minimum
+    from oracles import isomorphic_brute_force
+
+    rng = random.Random(41)
+    lines = []
+    for g in [necklace(k) for k in range(4, 8)] + [star(k) for k in range(4, 8)] + [K33, PRISM]:
+        h = shuffle_ids(rng, g)
+        key = canonical_key(g, max_flags=18)
+        assert canonical_key(h, max_flags=18) == key
+        assert isomorphic_brute_force(g, h)
+        lines.append(repr(key))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == "02082b82bf688e15"
+
+
+def test_k33_and_the_prism_key_apart():
+    # both cubic on six genus-0 vertices, so every count the refinement
+    # reads is equal; only the search tells them apart
+    from oracles import isomorphic_brute_force
+
+    assert (len(K33.flags), K33.genus) == (len(PRISM.flags), PRISM.genus)
+    assert not is_isomorphic(K33, PRISM, max_flags=18)
+    assert not isomorphic_brute_force(K33, PRISM)

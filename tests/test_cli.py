@@ -44,6 +44,13 @@ def test_golden_output_and_exit_code(stem, tmp_path):
     assert first.read_bytes() == second.read_bytes() == golden
 
 
+def test_cases_list_every_golden_file():
+    # CI runs the installed script on CASES, so a golden file CASES misses
+    # would go unchecked there
+    for side, suffix in (("in", ".json"), ("out", ".out")):
+        assert sorted(p.name for p in (GOLDEN / side).iterdir()) == sorted(stem + suffix for stem in CASES)
+
+
 def test_invariants_match_contract():
     out = json.loads((GOLDEN / "out" / "invariants_tripod.out").read_text())
     assert out == {"tails": 3, "edges": 0, "chi": 1, "genus": 0, "stable": True}

@@ -1,6 +1,9 @@
+import json
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,7 @@ from stablegraphs.pullback import (
     stable_pullback,
     validate_marked,
 )
+from stablegraphs.serialize import marked_from_json
 
 from strategies import (
     rand_contraction,
@@ -492,6 +496,54 @@ def test_associativity_sample():
         assert left.hom == right.hom
         assert marked_key(left) == marked_key(right)
         done += 1
+
+
+@pytest.mark.parametrize(
+    "edit, condition",
+    [
+        (lambda doc: doc["first"]["xi"].update(rows=[[2]]), "marked-hom"),
+        (lambda doc: doc["second"]["xi"].update(rows=[[2]]), "marked-hom"),
+        (lambda doc: doc["first"].update(mid=doc["second"]["mid"]), "marked-middle"),
+    ],
+    ids=["first-hom", "second-hom", "first-mid"],
+)
+def test_compose_marked_refuses_the_golden_pair_with_a_broken_relation(edit, condition):
+    # the golden compose_marked pair with one input's hom or middle graph
+    # replaced: the composite would be invalid, so the call refuses it
+    doc = json.loads((Path(__file__).parent / "golden" / "in" / "compose_marked.json").read_text())
+    edit(doc)
+    outer, inner = marked_from_json(doc["second"]), marked_from_json(doc["first"])
+    with pytest.raises(ValidationError) as err:
+        compose_marked(outer, inner)
+    assert err.value.conditions == (condition,)
+
+
+def test_compose_marked_refuses_random_inputs_with_a_broken_relation():
+    # seeded composable pairs, one input given another hom or another middle
+    # graph: the call raises exactly what validate_marked gives for that input
+    rng = random.Random(113)
+    seen = Counter()
+    while sum(seen.values()) < 60:
+        inner = rand_marked_morphism(rng, max_flags=8)
+        outer = rand_marked_morphism(rng, source=inner.target_graph, target_rank=rng.randint(1, 2), max_flags=8)
+        side = rng.choice(["inner", "outer"])
+        m, other = (inner, outer) if side == "inner" else (outer, inner)
+        if rng.random() < 0.5:
+            bad = replace(m, hom=MonoidHom(tuple(tuple(x + 1 for x in row) for row in m.hom.rows), m.hom.source_rank))
+            condition = "marked-hom"
+        else:
+            mids = [g for g in (other.mid, m.comb.target, m.contr.target) if g != m.mid]
+            if not mids:
+                continue
+            bad = replace(m, mid=mids[0])
+            condition = "marked-middle"
+        expected = tuple(v.condition for v in validate_marked(bad))
+        assert condition in expected
+        with pytest.raises(ValidationError) as err:
+            compose_marked(*((outer, bad) if side == "inner" else (bad, inner)))
+        assert err.value.conditions == expected
+        seen[side, condition] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 8
 
 
 def test_lift_contraction():

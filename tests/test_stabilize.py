@@ -345,6 +345,27 @@ def test_broken_stabilization_shows_as_differing_hom_sets(monkeypatch):
     assert check_universal_property(g).ok
 
 
+def test_stabilization_that_merges_flags_shows_as_a_non_unique_factorization(monkeypatch):
+    # a stabilization morphism of the tripod that sends two tails to one: the
+    # six automorphisms of the tripod compose to three maps, each factored
+    # twice, and the oracle reports it instead of raising
+    tripod = modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0})
+    real = stabilize_module.stabilize
+
+    def broken(graph):
+        stable, a = real(graph)
+        return stable, replace(a, flagmap={**a.flagmap, 1: 0})
+
+    monkeypatch.setattr(stabilize_module, "stabilize", broken)
+    report = check_universal_property(tripod)
+    assert "factorization not unique for source with 3 flags" in report.counterexamples
+    assert "hom-sets differ through stabilization for source with 3 flags: 3 composed vs 6 direct" in (
+        report.counterexamples
+    )
+    monkeypatch.setattr(stabilize_module, "stabilize", real)
+    assert check_universal_property(tripod).ok
+
+
 # -- the pruned morphism search against the product oracle -------------------
 
 
