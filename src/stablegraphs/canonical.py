@@ -44,6 +44,10 @@ from .errors import SizeCapError
 from .graphs import MarkedGraph, connected_components
 
 DEFAULT_MAX_FLAGS = 16
+# A connected component with V vertices has at least V - 1 edges, so at least
+# 2V - 2 flags: at the default 16-flag cap V <= 9, and a search tries at most
+# 9! = 362,880 orderings.  So this cap fires only on calls that raise
+# max_flags (test_ordering_cap_fires_before_search does, to 20).
 _MAX_ORDERINGS = 2_000_000
 _NO_COLOR = repr(None)  # the color string of every flag and vertex without colors
 

@@ -264,22 +264,17 @@ def _default_source_pool(stable: MarkedGraph, limit: int) -> list[MarkedGraph]:
 
 def _hom_keys(
     sigma: MarkedGraph, morphisms: list[CombinatorialMorphism], outer: CombinatorialMorphism | None = None
-) -> list[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]:
-    """One key per morphism from sigma, or per composite ``outer o m``: its
-    (flag, image) pairs over ``sigma.flags`` and (vertex, image) pairs over
-    ``sigma.vertices``, both in sigma's ascending order."""
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """One key per morphism from sigma, or per composite ``outer o m``: the
+    images of ``sigma.flags`` and of ``sigma.vertices``, both in sigma's
+    ascending order.  Every key of one comparison runs over the same ids in
+    the same order, so the images alone tell two morphisms apart."""
     flags, vertices = sigma.flags, sigma.vertices
     if outer is None:
-        return [
-            (tuple([(f, m.flagmap[f]) for f in flags]), tuple([(v, m.vertexmap[v]) for v in vertices]))
-            for m in morphisms
-        ]
+        return [(tuple([m.flagmap[f] for f in flags]), tuple([m.vertexmap[v] for v in vertices])) for m in morphisms]
     ofmap, ovmap = outer.flagmap, outer.vertexmap
     return [
-        (
-            tuple([(f, ofmap[m.flagmap[f]]) for f in flags]),
-            tuple([(v, ovmap[m.vertexmap[v]]) for v in vertices]),
-        )
+        (tuple([ofmap[m.flagmap[f]] for f in flags]), tuple([ovmap[m.vertexmap[v]] for v in vertices]))
         for m in morphisms
     ]
 

@@ -488,6 +488,13 @@ def test_subprocess_entry_point():
     assert json.loads(proc.stdout)["tails"] == 3
 
 
+@pytest.mark.parametrize("module", ["stablegraphs", "stablegraphs.cli"])
+def test_module_entry_points_print_help(module):
+    proc = subprocess.run([sys.executable, "-m", module, "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: stablegraphs")
+
+
 def test_repeated_calls_in_one_process_match_calls_made_alone(tmp_path, capsys):
     graph = json.loads((GOLDEN / "in" / "deg_p2_d2.json").read_text())["graph"]
     doc = tmp_path / "graph.json"

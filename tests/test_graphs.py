@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stablegraphs.errors import RankMismatchError, ValidationError
 from stablegraphs.graphs import (
     MarkedGraph,
+    _memo,
     add_loop,
     betti1,
     component_of,
@@ -474,6 +475,11 @@ def test_vertices_by_kind_lists_each_kind_in_vertex_order():
         assert g._vertices_by_kind == {kind: tuple(pairs) for kind, pairs in expected.items()}
         assert vars(g)["_vertices_by_kind"] is g._vertices_by_kind
         assert any(val == 0 for pairs in expected.values() for _, val in pairs)
+
+
+def test_memoised_index_read_on_the_class_is_its_descriptor():
+    descriptor = vars(MarkedGraph)["_flags_at"]
+    assert isinstance(descriptor, _memo) and MarkedGraph._flags_at is descriptor
 
 
 def test_memoised_indices_are_kept_on_the_instance_but_not_compared():

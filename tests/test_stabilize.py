@@ -305,7 +305,7 @@ def test_universal_property_random_unstable():
 
 
 def _sorted_key(m):
-    return tuple(sorted(m.flagmap.items())), tuple(sorted(m.vertexmap.items()))
+    return tuple(m.flagmap[f] for f in sorted(m.flagmap)), tuple(m.vertexmap[v] for v in sorted(m.vertexmap))
 
 
 def test_composite_keys_match_compose_combinatorial():

@@ -1,0 +1,92 @@
+"""Exact per-layer counts of each benchmark workload.
+
+Each case runs one traced round of ``perfbench/run.py`` at seed 1 (some
+counts differ at other seeds) and compares the counts it reads with the
+pins below; CI runs it on Python 3.10-3.13.  A pin that moves means a layer
+does more or less work than it did: change the pin only together with the
+reason next to it.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PINS = {
+    "certify": {
+        # both hom-set searches of every source validate what they find, 2 x 9,125
+        "morphisms.validate_combinatorial.calls": 18_250,
+        # the morphism search validates only candidates that pass
+        "morphisms.validate_combinatorial.rejected": 0,
+        # the hom-set sizes summed over the round's sources
+        "stabilize.check_universal_property.morphisms_checked": 9_125,
+        # stabilization builds one graph however many vertices it removes, and the pool lists a source once
+        "graphs.MarkedGraph.calls": 375,
+        # the search reads flags from each graph's own tables, so every call is outside it
+        "graphs.flags_at.calls": 4_637,
+    },
+    "calculus": {
+        # only inputs and composites of passed-in morphisms are validated
+        "morphisms.validate_contraction.calls": 272,
+        # as for contractions: morphisms built from checked inputs are not checked again
+        "morphisms.validate_combinatorial.calls": 282,
+        # every input is valid
+        "morphisms.validate_combinatorial.rejected": 0,
+        # stabilization and the stable pullback each build one graph however many surgeries they make
+        "graphs.MarkedGraph.calls": 435,
+        # the stable pullback reads its elementary steps from phi's own ids
+        "morphisms.decompose_elementary.calls": 0,
+        # the stable pullback builds no factor graph per contracted edge
+        "morphisms.contract_edges.calls": 79,
+        # the stable pullback checks its input, not its output, which is stable because its input is
+        "graphs.is_stable.calls": 433,
+        # mostly is_stable's valence reads and the stable pullback's flag lists per vertex of rho
+        "graphs.flags_at.calls": 903,
+    },
+    "enumerate": {
+        # one per key (12 starts, 404 built children, 47 contractions), per labelling (47) and per output (345)
+        "canonical.canonical_encoding.calls": 855,
+        # 345 outputs of 463 keys; 470 of the 874 splittings are refused before any graph is built
+        "cartesian.enum.unique_ratio": 345 / 463,
+        # 12 starts, 404 children, 47 contractions and 345 canonical forms
+        "graphs.MarkedGraph.calls": 808,
+        # each graph splits its flags by kind once, in a table the labeller and the enumerator both read
+        "graphs.flags_at.calls": 380,
+    },
+    "cli": {
+        # four passes over the 16 golden cases: 75 graphs a pass, read from documents or built by the verbs
+        "graphs.MarkedGraph.calls": 300,
+        # 45 a pass, 28 of them in compose of isogenies and cartesian
+        "graphs.flags_at.calls": 180,
+        # only boundary labels graphs: 13 a pass
+        "canonical.canonical_encoding.calls": 52,
+        # the inputs of compose on marked morphisms (4 a pass), pullback and cartesian (1 each)
+        "morphisms.validate_combinatorial.calls": 24,
+        # the contractions compose on marked morphisms (4 a pass) and pullback (1) take as input
+        "morphisms.validate_contraction.calls": 20,
+        # cartesian (4 a pass) and contract (1)
+        "morphisms.contract_edges.calls": 20,
+        # 19 a pass: 5 each in cartesian and compose of isogenies, 3 in compose on marked morphisms
+        "graphs.is_stable.calls": 76,
+        # 136 a pass, reading and writing the documents' graphs and maps
+        "serialize.calls": 544,
+        # one per op
+        "cli.main.calls": 64,
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINS))
+def test_traced_counts_match_the_pins(workload):
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, timeout=180)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["correct"] is True, proc.stdout
+    read = {name: m["value"] for name, m in report["metrics"].items()}
+    mismatches = {name: (pinned, read[name]) for name, pinned in PINS[workload].items() if read[name] != pinned}
+    assert not mismatches, f"{workload}: (pinned, read) per metric: {mismatches}"
