@@ -16,10 +16,11 @@ read the graphs and maps they check; they construct no graph.
 
 Inputs, and composites of morphisms a caller passed in, are validated.  A
 morphism that a construction builds from checked inputs (a contraction, cut,
-forget, glue, stabilization, stable forget, or stable pullback square with
-its composite contraction) is valid by the argument in its docstring; seeded
-tests validate every such construction's output instead.  Those that keep
-every flag and vertex id build their morphism with ``inclusion``.
+forget, glue, stabilization, stable forget, stable pullback square with its
+composite contraction, or result of ``enumerate_combinatorial_morphisms``) is
+valid by the argument in its docstring; seeded tests validate every such
+construction's output instead.  Those that keep every flag and vertex id
+build their morphism with ``inclusion``.
 """
 
 from __future__ import annotations

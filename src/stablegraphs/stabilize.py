@@ -151,14 +151,13 @@ def absolute_stabilization(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMo
 # -- exhaustive morphism enumeration and the universal property oracle ----
 #
 # The enumerator is a backtracking search that meets conditions 1, 2, 4 and
-# 5 by construction and checks condition 3 as each edge closes; every result
-# is still validated in full.  It takes each source vertex's candidates from
-# the target's (genus, class) index, and a search in which some source
-# vertex has none returns before it builds any table.  The oracle keys each
-# composite a o c straight from the maps and validates none of them: it
-# compares the composites' keys with those of the direct morphisms, all
-# validated, so a composite that is not a morphism matches none and shows
-# as a difference of hom-sets.
+# 5 by construction and checks condition 3 as each edge closes, so every
+# result is a morphism and none is validated.  It takes each source
+# vertex's candidates from the target's (genus, class) index, and a search
+# in which some source vertex has none returns before it builds any table.
+# The oracle validates the stabilization once and keys each composite a o c
+# straight from the maps: a composite that is not a morphism matches no
+# direct morphism's key and shows as a difference of hom-sets.
 
 
 def enumerate_combinatorial_morphisms(
@@ -175,18 +174,15 @@ def enumerate_combinatorial_morphisms(
     each source vertex into the flags at its image, so boundary and
     injectivity at each vertex hold too.  Condition 3 is checked against
     the target's flag partition as each edge closes, at the later of its
-    endpoints, and a failing branch is dropped there.  Every complete flag
-    map is still validated in full.  Results come in the order of the
-    product of per-vertex permutations.  ``cap`` bounds the search nodes
-    visited (flag picks tried).  Intended for oracle use on very small
-    graphs.
+    endpoints, and a failing branch is dropped there.  So every complete
+    flag map is a morphism and is returned unvalidated; an empty source
+    gets the empty map alone.  Results come in the order of the product of
+    per-vertex permutations.  ``cap`` bounds the search nodes visited (flag
+    picks tried).  Intended for oracle use on very small graphs.
     """
     if src.rank != tgt.rank:
         return []
     svs = src.vertices
-    if not svs:
-        empty = CombinatorialMorphism(source=src, target=tgt, flagmap={}, vertexmap={})
-        return [] if validate_combinatorial(empty) else [empty]
     kinds = tgt._vertices_by_kind
     candidates: list[list[int]] = []
     for genus, coords, val, _, _ in src._vertex_invariants.values():  # in vertex order
@@ -207,10 +203,13 @@ def enumerate_combinatorial_morphisms(
     results: list[CombinatorialMorphism] = []
     fmap: dict[int, int] = {}
     nodes = 0
-    last = len(svs) - 1
 
     def extend(i: int, vmap: dict[int, int]) -> None:
         nonlocal nodes
+        if i == len(svs):
+            # the constructor copies both maps, so fmap is reused as scratch
+            results.append(CombinatorialMorphism(source=src, target=tgt, flagmap=fmap, vertexmap=vmap))
+            return
         at_v, shut = src_at[i], closing[i]
         for pick in permutations(tgt_at.get(vmap[svs[i]], ()), len(at_v)):
             nodes += 1
@@ -221,13 +220,7 @@ def enumerate_combinatorial_morphisms(
                 if block[fmap[f1]] != block[fmap[f2]]:
                     break
             else:
-                if i < last:
-                    extend(i + 1, vmap)
-                else:
-                    # the constructor copies both maps, so fmap is reused as scratch
-                    cand = CombinatorialMorphism(source=src, target=tgt, flagmap=fmap, vertexmap=vmap)
-                    if not validate_combinatorial(cand):
-                        results.append(cand)
+                extend(i + 1, vmap)
 
     for assignment in product(*candidates):
         extend(0, dict(zip(svs, assignment)))
@@ -245,7 +238,7 @@ class UniversalPropertyReport:
         return not self.counterexamples
 
 
-def _default_source_pool(stable: MarkedGraph, limit: int) -> list[MarkedGraph]:
+def _default_source_pool(stable: MarkedGraph) -> list[MarkedGraph]:
     """Stable graphs derived from a graph's stabilization ``stable``: the
     stabilization itself, its components when it has two or more (a single
     component is ``stable`` again), edge cuts and stable tail forgets."""
@@ -259,7 +252,7 @@ def _default_source_pool(stable: MarkedGraph, limit: int) -> list[MarkedGraph]:
         smaller, _ = forget_tail(stable, f)
         if is_stable(smaller):
             pool.append(smaller)
-    return pool[:limit]
+    return pool
 
 
 def _hom_keys(
@@ -289,17 +282,21 @@ def check_universal_property(
 
     For every stable graph in the pool, composition with the stabilization
     morphism must be a bijection between morphisms into the stabilization and
-    morphisms into g.  Both hom-sets are enumerated exhaustively, and every
-    morphism in them is validated.  The composites are keyed from the maps
-    and not validated: the set comparison against the validated direct
-    morphisms certifies them, since a composite that is not a morphism
-    matches none of them and is reported as a difference of hom-sets.
+    morphisms into g.  The stabilization morphism is validated once, and
+    both hom-sets are enumerated exhaustively by a search whose results are
+    morphisms by construction.  The composites are keyed from the maps and
+    not validated: the set comparison against the direct morphisms certifies
+    them, since a composite that is not a morphism matches none of them and
+    is reported as a difference of hom-sets.
     """
     if len(g.flags) > max_flags:
         raise SizeCapError(f"universal property oracle capped at {max_flags} flags")
     stable, a = stabilize(g)
     report = UniversalPropertyReport()
-    sources = list(pool) if pool is not None else _default_source_pool(stable, pool_limit)
+    broken = validate_combinatorial(a)
+    if broken:
+        report.counterexamples.append("stabilization morphism invalid: " + ", ".join(v.condition for v in broken))
+    sources = list(pool) if pool is not None else _default_source_pool(stable)
     for sigma in sources[:pool_limit]:
         if not is_stable(sigma):
             continue

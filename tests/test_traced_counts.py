@@ -18,16 +18,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PINS = {
     "certify": {
-        # both hom-set searches of every source validate what they find, 2 x 9,125
-        "morphisms.validate_combinatorial.calls": 18_250,
-        # the morphism search validates only candidates that pass
+        # one per certificate, of its stabilization morphism; the search builds morphisms and validates none
+        "morphisms.validate_combinatorial.calls": 120,
+        # every stabilization morphism is valid
         "morphisms.validate_combinatorial.rejected": 0,
         # the hom-set sizes summed over the round's sources
         "stabilize.check_universal_property.morphisms_checked": 9_125,
         # stabilization builds one graph however many vertices it removes, and the pool lists a source once
         "graphs.MarkedGraph.calls": 375,
-        # the search reads flags from each graph's own tables, so every call is outside it
-        "graphs.flags_at.calls": 4_637,
+        # the search reads flags from each graph's own tables, so every call is outside it; validating the
+        # stabilization computes g's flag partition in the 2 certificates whose searches all stop before building one
+        "graphs.flags_at.calls": 4_639,
     },
     "calculus": {
         # only inputs and composites of passed-in morphisms are validated
