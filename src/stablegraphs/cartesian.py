@@ -3,10 +3,12 @@
 Objects pair a stable rank-0 base graph with a finite family of stable
 profile-marked graphs, each exhibiting the base as its absolute
 stabilization.  Pulling such a family back along an elementary isogeny of
-base graphs produces the family of all compatible lifts; for a non-loop
-edge contraction these are indexed by all ways of splitting the class at
-the contracted vertex, which is the combinatorial shadow of the splitting
-axiom.  Degrees are preserved along every pullback.
+base graphs produces the family of all compatible lifts over a contraction;
+over a forget or glue whose edge runs through a chain of class vertices of
+the profile-graph, it gives one lift chosen by flag ids, or a refusal.  For
+a non-loop edge contraction the lifts are indexed by all ways of splitting
+the class at the contracted vertex, which is the combinatorial shadow of the
+splitting axiom.  Degrees are preserved along every pullback.
 
 The lifts of a profile-graph sigma' over each kind of elementary isogeny,
 where w0 is the vertex of sigma' over the base vertex the step acts at:

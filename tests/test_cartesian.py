@@ -236,8 +236,11 @@ def test_case_iv_glue():
 
 
 def test_case_iv_needs_literal_edge():
-    # sigma's glued edge is realized through a collapsed chain in sigma', so
-    # no canonical pullback exists: the construction must refuse
+    # sigma's glued edge runs in sigma' through the class vertex 9, so no
+    # literal edge of sigma' is there to cut. Cutting (0, 8) or (7, 1) would
+    # give a stable lift that glues back to sigma', keeps deg -1 and
+    # stabilizes to tau; the refusal is today's contract, which ROADMAP
+    # item 2 replaces
     tau = modular_graph({0: 1, 1: 1}, tails={0: 0, 1: 1, 2: 0, 3: 1})
     phi = elementary_glue_isogeny(tau, (0, 1))
     sigma = phi.target
@@ -252,6 +255,52 @@ def test_case_iv_needs_literal_edge():
     with pytest.raises(ValidationError) as err:
         cartesian_pullback(P1, phi, b)
     assert "cartesian-glue-no-edge" in err.value.conditions
+
+
+def chain_forget_case(halves):
+    """Forgetting tail 40 at vertex 9 of A -(5, h1)- 9 -(h2, 8)- B, over the P2
+    graph sigma' = A -(5, 20)- C -(21, 8)- B, where C has genus 0 and class 1.
+
+    Returns sigma' and the spliced chain edges of each lift: the edges of
+    sigma' that the lift no longer has.
+    """
+    sigma_prime = marked_graph(
+        1,
+        {0: (0, 0), 1: (0, 0), 2: (0, 1)},
+        tails={1: 0, 2: 0, 3: 1, 4: 1},
+        edges=[((5, 0), (20, 2)), ((21, 2), (8, 1))],
+    )
+    sigma, stab = absolute_stabilization(sigma_prime)
+    b = CombinatorialMorphism(sigma, sigma_prime, stab.flagmap, stab.vertexmap, MonoidHom.to_trivial(1))
+    h1, h2 = halves
+    tau = modular_graph(
+        {0: 0, 1: 0, 9: 0},
+        tails={1: 0, 2: 0, 3: 1, 4: 1, 40: 9},
+        edges=[((5, 0), (h1, 9)), ((h2, 9), (8, 1))],
+    )
+    members = cartesian_pullback(P2, elementary_forget_isogeny(tau, 40), b)
+    spliced = [set(edges(sigma_prime)) - set(edges(m.graph)) for m in members]
+    return sigma_prime, members, spliced
+
+
+@pytest.mark.parametrize("halves,edge", [((30, 31), (5, 20)), ((31, 30), (8, 21))])
+def test_forget_over_a_chain_splices_one_edge_chosen_by_flag_ids(halves, edge):
+    # the type III forget lifts to one member, spliced into the chain edge
+    # that the order of the dying vertex's two halves picks
+    sigma_prime, members, spliced = chain_forget_case(halves)
+    assert deg_graph(P2, sigma_prime) == -2
+    assert [m.lift.forget_kinds for m in members] == [("III",)]
+    assert [deg_graph(P2, m.graph) for m in members] == [-2]
+    assert spliced == [{edge}]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("halves", [(30, 31), (31, 30)])
+def test_forget_over_a_chain_splices_every_chain_edge(halves):
+    # splicing the new vertex into either chain edge keeps deg sigma', so
+    # the family holds both lifts whatever the flag ids
+    _, _, spliced = chain_forget_case(halves)
+    assert sorted(map(sorted, spliced)) == [[(5, 20)], [(8, 21)]]
 
 
 def test_pullback_object_and_validation():

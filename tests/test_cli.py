@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,20 +34,39 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("stem", sorted(CASES))
-def test_golden_output_and_exit_code(stem, tmp_path):
+def installed_script():
+    """The path of the ``stablegraphs`` console script; skips when it is not on PATH."""
+    script = shutil.which("stablegraphs")
+    if script is None:
+        pytest.skip("the stablegraphs console script is not on PATH; install the package to test it")
+    return script
+
+
+def run_console_script(argv):
+    return subprocess.run([installed_script(), *argv], stdin=subprocess.DEVNULL).returncode
+
+
+GOLDEN_RUNS = [
+    pytest.param(stem, run, id=stem + suffix)
+    for stem in sorted(CASES)
+    for run, suffix in ((main, ""), (run_console_script, "-script"))
+]
+
+
+@pytest.mark.parametrize("stem,run", GOLDEN_RUNS)
+def test_golden_output_and_exit_code(stem, run, tmp_path):
     verb, expected_exit = CASES[stem]
     golden = (GOLDEN / "out" / f"{stem}.out").read_bytes()
     first = tmp_path / "first.out"
     second = tmp_path / "second.out"
-    assert main([verb, "--in", str(GOLDEN / "in" / f"{stem}.json"), "--out", str(first)]) == expected_exit
-    assert main([verb, "--in", str(GOLDEN / "in" / f"{stem}.json"), "--out", str(second)]) == expected_exit
+    assert run([verb, "--in", str(GOLDEN / "in" / f"{stem}.json"), "--out", str(first)]) == expected_exit
+    assert run([verb, "--in", str(GOLDEN / "in" / f"{stem}.json"), "--out", str(second)]) == expected_exit
     assert first.read_bytes() == second.read_bytes() == golden
 
 
 def test_cases_list_every_golden_file():
-    # CI runs the installed script on CASES, so a golden file CASES misses
-    # would go unchecked there
+    # the golden test, in process and through the installed script, runs
+    # CASES, so a golden file CASES misses would go unchecked
     for side, suffix in (("in", ".json"), ("out", ".out")):
         assert sorted(p.name for p in (GOLDEN / side).iterdir()) == sorted(stem + suffix for stem in CASES)
 
@@ -488,11 +508,15 @@ def test_subprocess_entry_point():
     assert json.loads(proc.stdout)["tails"] == 3
 
 
-@pytest.mark.parametrize("module", ["stablegraphs", "stablegraphs.cli"])
-def test_module_entry_points_print_help(module):
-    proc = subprocess.run([sys.executable, "-m", module, "--help"], capture_output=True, text=True)
+@pytest.mark.parametrize("entry", ["stablegraphs", "stablegraphs.cli", "script"])
+def test_module_entry_points_print_help(entry):
+    command = [installed_script()] if entry == "script" else [sys.executable, "-m", entry]
+    proc = subprocess.run([*command, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: stablegraphs")
+    proc = subprocess.run([*command, "no-such-verb"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "invalid choice: 'no-such-verb'" in proc.stderr
 
 
 def test_repeated_calls_in_one_process_match_calls_made_alone(tmp_path, capsys):
