@@ -14,16 +14,16 @@ The flag and vertex id sets are built once, at construction, where the
 structure check needs them.  Other derived structure (flags per vertex,
 each split into tails, loops and edge halves, vertex invariants, the
 vertices of each genus and class with their valences in
-``_vertices_by_kind``, tails, edges, connected components and the flag
-partition) is computed on first use and kept on the instance, shared by
-every caller, so a graph validated or labelled many times pays for it
-once.  These values are not dataclass fields: ``==``, ``repr`` and
-``dataclasses.replace`` ignore them.  This is sound only because the dict
-fields (``boundary``, ``involution``, ``genus``, ``classes``) are never
-mutated after construction; code must build a new graph instead.
-``stabilize.absolute_stabilization`` and the uncolored canonical labelling
-(``canonical.canonical_encoding``) keep their results on the instance the
-same way.
+``_vertices_by_kind``, tails, edges, connected components, the flag
+partition and stability) is computed on first use and kept on the
+instance, shared by every caller, so a graph validated or labelled many
+times pays for it once.  These values are not dataclass fields: ``==``,
+``repr`` and ``dataclasses.replace`` ignore them.  This is sound only
+because the dict fields (``boundary``, ``involution``, ``genus``,
+``classes``) are never mutated after construction; code must build a new
+graph instead.  ``stabilize.absolute_stabilization`` and the uncolored
+canonical labelling (``canonical.canonical_encoding``) keep their results
+on the instance the same way.
 """
 
 from __future__ import annotations
@@ -172,6 +172,10 @@ class MarkedGraph:
     def _flag_partition(self) -> FlagPartition:
         return _partition_flags(self, self.classes)
 
+    @_memo
+    def _is_stable(self) -> bool:
+        return all(is_stable_vertex(self, v) for v in self.vertices)
+
 
 def marked_graph(
     rank: int,
@@ -314,7 +318,7 @@ def is_stable_vertex(g: MarkedGraph, v: int) -> bool:
 
 
 def is_stable(g: MarkedGraph) -> bool:
-    return all(is_stable_vertex(g, v) for v in g.vertices)
+    return g._is_stable
 
 
 def is_forest(g: MarkedGraph) -> bool:

@@ -150,20 +150,25 @@ def absolute_stabilization(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMo
 
 # -- exhaustive morphism enumeration and the universal property oracle ----
 #
-# The enumerator is a backtracking search that meets conditions 1, 2, 4 and
-# 5 by construction and checks condition 3 as each edge closes, so every
+# The search is a backtracking search that meets conditions 1, 2, 4 and 5
+# by construction and checks condition 3 as each edge closes, so every
 # result is a morphism and none is validated.  It takes each source
 # vertex's candidates from the target's (genus, class) index, and a search
 # in which some source vertex has none returns before it builds any table.
-# The oracle validates the stabilization once and keys each composite a o c
-# straight from the maps: a composite that is not a morphism matches no
-# direct morphism's key and shows as a difference of hom-sets.
+# It gives each morphism as its image tuples alone, and the public
+# enumerator builds morphism objects from them.  The oracle validates the
+# stabilization once and compares hom-sets as image tuples, mapping the
+# images of each composite a o c through a's maps: a composite that is not
+# a morphism matches no direct morphism's images and shows as a difference
+# of hom-sets.
 
 
-def enumerate_combinatorial_morphisms(
+def _morphism_images(
     src: MarkedGraph, tgt: MarkedGraph, cap: int = 200_000
-) -> list[CombinatorialMorphism]:
-    """All combinatorial morphisms src -> tgt over a common monoid.
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All combinatorial morphisms src -> tgt, each as (vertex images, flag
+    images).  The vertex images run over ``src.vertices``; the flag images
+    over those vertices' flags, each vertex's in ``_flags_at`` order.
 
     Each source vertex's candidates are the target vertices of its genus and
     class with at least its valence, read from the target's index
@@ -175,10 +180,9 @@ def enumerate_combinatorial_morphisms(
     injectivity at each vertex hold too.  Condition 3 is checked against
     the target's flag partition as each edge closes, at the later of its
     endpoints, and a failing branch is dropped there.  So every complete
-    flag map is a morphism and is returned unvalidated; an empty source
-    gets the empty map alone.  Results come in the order of the product of
-    per-vertex permutations.  ``cap`` bounds the search nodes visited (flag
-    picks tried).  Intended for oracle use on very small graphs.
+    flag map is a morphism; an empty source gets the empty map alone.
+    Results come in the order of the product of per-vertex permutations.
+    ``cap`` bounds the search nodes visited (flag picks tried).
     """
     if src.rank != tgt.rank:
         return []
@@ -194,37 +198,63 @@ def enumerate_combinatorial_morphisms(
     tgt_at = tgt._flags_at  # a flagless vertex has no entry
     src_at = [src._flags_at.get(v, ()) for v in svs]
     block = flag_partition(tgt)._index
-    # closing[i]: the source edges whose later endpoint in the search order is svs[i]
+    # each source flag's position in the flag images
+    position = {f: k for k, f in enumerate(f for at_v in src_at for f in at_v)}
+    # closing[i]: the positions of the source edges whose later endpoint in the search order is svs[i]
     depth = {v: i for i, v in enumerate(svs)}
     closing: list[list[tuple[int, int]]] = [[] for _ in svs]
     for f1, f2 in edges(src):
-        closing[max(depth[src.boundary[f1]], depth[src.boundary[f2]])].append((f1, f2))
+        closing[max(depth[src.boundary[f1]], depth[src.boundary[f2]])].append((position[f1], position[f2]))
 
-    results: list[CombinatorialMorphism] = []
-    fmap: dict[int, int] = {}
+    results: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     nodes = 0
 
-    def extend(i: int, vmap: dict[int, int]) -> None:
+    def extend(i: int, assignment: tuple[int, ...], images: tuple[int, ...]) -> None:
         nonlocal nodes
         if i == len(svs):
-            # the constructor copies both maps, so fmap is reused as scratch
-            results.append(CombinatorialMorphism(source=src, target=tgt, flagmap=fmap, vertexmap=vmap))
+            results.append((assignment, images))
             return
         at_v, shut = src_at[i], closing[i]
-        for pick in permutations(tgt_at.get(vmap[svs[i]], ()), len(at_v)):
+        for pick in permutations(tgt_at.get(assignment[i], ()), len(at_v)):
             nodes += 1
             if nodes > cap:
                 raise SizeCapError(f"morphism enumeration exceeded {cap} candidates")
-            fmap.update(zip(at_v, pick))
-            for f1, f2 in shut:
-                if block[fmap[f1]] != block[fmap[f2]]:
+            grown = images + pick
+            for k1, k2 in shut:
+                if block[grown[k1]] != block[grown[k2]]:
                     break
             else:
-                extend(i + 1, vmap)
+                extend(i + 1, assignment, grown)
 
     for assignment in product(*candidates):
-        extend(0, dict(zip(svs, assignment)))
+        extend(0, assignment, ())
     return results
+
+
+def enumerate_combinatorial_morphisms(
+    src: MarkedGraph, tgt: MarkedGraph, cap: int = 200_000
+) -> list[CombinatorialMorphism]:
+    """All combinatorial morphisms src -> tgt over a common monoid.
+
+    Each is built from the images that the search ``_morphism_images``
+    finds and is returned unvalidated, since every complete flag map of
+    that search is a morphism (see its docstring).  The flag map's keys run
+    over ``src.vertices`` in order, each vertex's flags in ``_flags_at``
+    order.  An empty source gets the empty map alone, and a source vertex
+    with no target vertex of its genus and class and at least its valence
+    gives ``[]`` before any node is visited.  Results come in the order of
+    the product of per-vertex permutations.  ``cap`` bounds the search
+    nodes visited (flag picks tried).  Intended for oracle use on very
+    small graphs.
+    """
+    svs = src.vertices
+    flags = [f for v in svs for f in src._flags_at.get(v, ())]
+    return [
+        CombinatorialMorphism(
+            source=src, target=tgt, flagmap=dict(zip(flags, flag_images)), vertexmap=dict(zip(svs, vertex_images))
+        )
+        for vertex_images, flag_images in _morphism_images(src, tgt, cap)
+    ]
 
 
 @dataclass
@@ -255,21 +285,13 @@ def _default_source_pool(stable: MarkedGraph) -> list[MarkedGraph]:
     return pool
 
 
-def _hom_keys(
-    sigma: MarkedGraph, morphisms: list[CombinatorialMorphism], outer: CombinatorialMorphism | None = None
+def _composite_images(
+    a: CombinatorialMorphism, images: list[tuple[tuple[int, ...], tuple[int, ...]]]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """One key per morphism from sigma, or per composite ``outer o m``: the
-    images of ``sigma.flags`` and of ``sigma.vertices``, both in sigma's
-    ascending order.  Every key of one comparison runs over the same ids in
-    the same order, so the images alone tell two morphisms apart."""
-    flags, vertices = sigma.flags, sigma.vertices
-    if outer is None:
-        return [(tuple([m.flagmap[f] for f in flags]), tuple([m.vertexmap[v] for v in vertices])) for m in morphisms]
-    ofmap, ovmap = outer.flagmap, outer.vertexmap
-    return [
-        (tuple([ofmap[m.flagmap[f]] for f in flags]), tuple([ovmap[m.vertexmap[v]] for v in vertices]))
-        for m in morphisms
-    ]
+    """The images of each composite ``a o c``, given the images of each c as
+    ``_morphism_images`` gives them: both tuples mapped through a's maps."""
+    fmap, vmap = a.flagmap, a.vertexmap
+    return [(tuple([vmap[v] for v in vs]), tuple([fmap[f] for f in fs])) for vs, fs in images]
 
 
 def check_universal_property(
@@ -284,10 +306,12 @@ def check_universal_property(
     morphism must be a bijection between morphisms into the stabilization and
     morphisms into g.  The stabilization morphism is validated once, and
     both hom-sets are enumerated exhaustively by a search whose results are
-    morphisms by construction.  The composites are keyed from the maps and
-    not validated: the set comparison against the direct morphisms certifies
-    them, since a composite that is not a morphism matches none of them and
-    is reported as a difference of hom-sets.
+    morphisms by construction.  The hom-sets are compared as image tuples,
+    and no morphism object is built per map: a composite's images are those
+    of a map into the stabilization sent through the stabilization's maps.
+    The composites are not validated: the set comparison against the direct
+    images certifies them, since a composite that is not a morphism matches
+    none of them and is reported as a difference of hom-sets.
     """
     if len(g.flags) > max_flags:
         raise SizeCapError(f"universal property oracle capped at {max_flags} flags")
@@ -301,11 +325,11 @@ def check_universal_property(
         if not is_stable(sigma):
             continue
         report.sources_checked += 1
-        into_stable = enumerate_combinatorial_morphisms(sigma, stable)
-        into_g = enumerate_combinatorial_morphisms(sigma, g)
+        into_stable = _morphism_images(sigma, stable)
+        into_g = _morphism_images(sigma, g)
         report.morphisms_checked += len(into_g)
-        composed_keys = set(_hom_keys(sigma, into_stable, a))
-        direct_keys = set(_hom_keys(sigma, into_g))
+        composed_keys = set(_composite_images(a, into_stable))
+        direct_keys = set(into_g)
         if len(composed_keys) != len(into_stable):
             report.counterexamples.append(
                 f"factorization not unique for source with {len(sigma.flags)} flags"

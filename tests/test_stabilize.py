@@ -22,11 +22,12 @@ from stablegraphs.graphs import (
     total_class,
 )
 from stablegraphs.monoid import MonoidHom
-from stablegraphs.morphisms import compose_combinatorial, cut_edge, validate_combinatorial
+from stablegraphs.morphisms import CombinatorialMorphism, compose_combinatorial, cut_edge, validate_combinatorial
 from stablegraphs.pullback import validate_marked
 from stablegraphs.stabilize import (
+    _composite_images,
     _default_source_pool,
-    _hom_keys,
+    _morphism_images,
     _remove_vertex,
     check_universal_property,
     enumerate_combinatorial_morphisms,
@@ -304,15 +305,21 @@ def test_universal_property_random_unstable():
         done += 1
 
 
-def _sorted_key(m):
-    return tuple(m.flagmap[f] for f in sorted(m.flagmap)), tuple(m.vertexmap[v] for v in sorted(m.vertexmap))
+def _images(m):
+    """A morphism's images in the search's layout: its source's vertices in
+    order, then their flags, each vertex's in ``_flags_at`` order."""
+    vertices = m.source.vertices
+    return (
+        tuple(m.vertexmap[v] for v in vertices),
+        tuple(m.flagmap[f] for v in vertices for f in m.source.flags_at(v)),
+    )
 
 
 def test_composite_keys_match_compose_combinatorial():
-    # the oracle keys each composite a o c from the maps; the keys must be
-    # those of the composite that compose_combinatorial builds and validates.
-    # The search validates nothing, so every morphism of both hom-sets is
-    # validated here.
+    # the oracle maps the images of each c through a; they must be the
+    # images of the composite that compose_combinatorial builds and
+    # validates.  The search validates nothing, so every morphism of both
+    # hom-sets is validated here.
     rng = random.Random(89)
     composites = directs = 0
     for _ in range(40):
@@ -322,11 +329,44 @@ def test_composite_keys_match_compose_combinatorial():
             into_stable = enumerate_combinatorial_morphisms(sigma, stable)
             into_g = enumerate_combinatorial_morphisms(sigma, g)
             assert all(validate_combinatorial(m) == [] for m in into_stable + into_g)
-            assert _hom_keys(sigma, into_stable, a) == [_sorted_key(compose_combinatorial(a, c)) for c in into_stable]
-            assert _hom_keys(sigma, into_g) == [_sorted_key(b) for b in into_g]
+            images = _morphism_images(sigma, stable)
+            assert images == [_images(c) for c in into_stable]
+            assert _composite_images(a, images) == [_images(compose_combinatorial(a, c)) for c in into_stable]
+            assert _morphism_images(sigma, g) == [_images(b) for b in into_g]
             composites += len(into_stable)
             directs += len(into_g)
     assert composites > 200 and directs > 200
+
+
+def test_certificate_builds_only_the_stabilization_morphism(monkeypatch):
+    # a tripod against a genus-0 vertex with four tails and a dangling edge
+    # (case I): 5 * 4 * 3 maps into each side, and no morphism object is
+    # built for any of them
+    g = marked_graph(1, {0: (0, 0), 1: (0, 0)}, tails={0: 0, 1: 0, 2: 0, 3: 0}, edges=[((4, 0), (5, 1))])
+    sigma = marked_graph(1, {0: (0, 0)}, tails={0: 0, 1: 0, 2: 0})
+    built = []
+    real = CombinatorialMorphism.__post_init__
+    monkeypatch.setattr(CombinatorialMorphism, "__post_init__", lambda self: built.append(self) or real(self))
+    report = check_universal_property(g, pool=[sigma])
+    assert report.ok and report.morphisms_checked == 60
+    assert len(built) == 1 and built[0].target is g
+
+
+def test_morphisms_checked_counts_the_product_oracle():
+    # the product oracle builds and validates every candidate on its own,
+    # so it counts the hom-sets into g independently of the search
+    rng = random.Random(101)
+    checked = 0
+    for _ in range(15):
+        g = rand_unstable_graph(rng, rank=1, max_flags=7)
+        stable, _ = stabilize(g)
+        pool = [sigma for sigma in _default_source_pool(stable)[:50] if is_stable(sigma)]
+        report = check_universal_property(g)
+        assert report.ok, report.counterexamples
+        assert report.sources_checked == len(pool)
+        assert report.morphisms_checked == sum(len(enumerate_combinatorial_morphisms_by_product(s, g)) for s in pool)
+        checked += report.morphisms_checked
+    assert checked > 100
 
 
 def test_broken_stabilization_shows_as_differing_hom_sets(monkeypatch):
@@ -482,6 +522,18 @@ def test_cap_counts_search_nodes():
         with pytest.raises(SizeCapError) as err:
             enumerate_combinatorial_morphisms(sigma, tgt, cap=cap)
         assert str(err.value) == f"morphism enumeration exceeded {cap} candidates"
+
+
+def test_maps_run_in_vertex_then_flag_order():
+    # the wrapper keys each map as the search lays out its images
+    found = 0
+    for sigma, tgt in _morphism_pairs():
+        order = [f for v in sigma.vertices for f in sigma._flags_at.get(v, ())]
+        for m in enumerate_combinatorial_morphisms(sigma, tgt):
+            assert list(m.flagmap) == order
+            assert list(m.vertexmap) == list(sigma.vertices)
+            found += 1
+    assert found >= 150
 
 
 def _search_and_oracle(sigma, tgt, **kw):

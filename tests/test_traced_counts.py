@@ -26,9 +26,10 @@ PINS = {
         "stabilize.check_universal_property.morphisms_checked": 9_125,
         # stabilization builds one graph however many vertices it removes, and the pool lists a source once
         "graphs.MarkedGraph.calls": 375,
-        # the search reads flags from each graph's own tables, so every call is outside it; validating the
-        # stabilization computes g's flag partition in the 2 certificates whose searches all stop before building one
-        "graphs.flags_at.calls": 4_639,
+        # the search reads flags from each graph's own tables, so every call is outside it: 481 valence reads for
+        # stability, which each graph works out once however many certificates list it, 146 by the surgeries and
+        # 146 computing flag partitions, once per graph
+        "graphs.flags_at.calls": 773,
     },
     "calculus": {
         # only inputs and composites of passed-in morphisms are validated
@@ -45,8 +46,8 @@ PINS = {
         "morphisms.contract_edges.calls": 79,
         # the stable pullback checks its input, not its output, which is stable because its input is
         "graphs.is_stable.calls": 433,
-        # mostly is_stable's valence reads and the stable pullback's flag lists per vertex of rho
-        "graphs.flags_at.calls": 903,
+        # mostly is_stable's valence reads, once per graph, and the stable pullback's flag lists per vertex of rho
+        "graphs.flags_at.calls": 810,
     },
     "enumerate": {
         # one per key (12 starts, 404 built children, 47 contractions), per labelling (47) and per output (345)
@@ -61,8 +62,8 @@ PINS = {
     "cli": {
         # four passes over the 16 golden cases: 75 graphs a pass, read from documents or built by the verbs
         "graphs.MarkedGraph.calls": 300,
-        # 45 a pass, 28 of them in compose of isogenies and cartesian
-        "graphs.flags_at.calls": 180,
+        # 41 a pass, 24 of them in compose of isogenies and cartesian; each graph checks its stability once
+        "graphs.flags_at.calls": 164,
         # only boundary labels graphs: 13 a pass
         "canonical.canonical_encoding.calls": 52,
         # the inputs of compose on marked morphisms (4 a pass), pullback and cartesian (1 each)
