@@ -6,7 +6,9 @@ flag-equivalence condition, a raw product enumeration for boundary graph
 listings and for combinatorial morphisms, the two morphism validators written the way that builds
 graphs (each contracted piece, and the relabelled target), an
 automorphism count that backtracks over vertex bijections, and sums over
-whole enumerator outputs by a Feynman expansion that builds no graph.
+whole enumerator outputs by a Feynman expansion that builds no graph, and
+the cartesian lifts over a forget or glue as every candidate graph that
+passes the lift's conditions.
 None of them call the code paths they certify.  At the end are two checked
 helpers that only the tests call.
 """
@@ -18,20 +20,24 @@ from fractions import Fraction
 from math import factorial, prod
 from operator import add, le
 
-from stablegraphs.canonical import canonical_form, canonical_key
+from stablegraphs.canonical import canonical_encoding, canonical_form, canonical_key
+from stablegraphs.cartesian import FamilyMember, is_stabilization_identification
 from stablegraphs.errors import SizeCapError, Violation, ensure_valid
 from stablegraphs.graphs import (
     MarkedGraph,
     edges,
+    edit_graph,
     equivalence_classes,
     euler_characteristic,
     flag_partition,
     is_stable,
+    next_id,
     relabel_classes,
+    tails,
     valence,
 )
-from stablegraphs.isogeny import ExtendedIsogeny
-from stablegraphs.monoid import MonoidElement
+from stablegraphs.isogeny import ExtendedIsogeny, elementary_forget_isogeny, elementary_glue_isogeny
+from stablegraphs.monoid import MonoidElement, MonoidHom
 from stablegraphs.morphisms import (
     CombinatorialMorphism,
     Contraction,
@@ -39,7 +45,8 @@ from stablegraphs.morphisms import (
     inclusion,
     validate_combinatorial,
 )
-from stablegraphs.profiles import VarietyProfile
+from stablegraphs.profiles import VarietyProfile, deg_graph
+from stablegraphs.stabilize import absolute_stabilization
 
 
 def betti1_gf2(g: MarkedGraph) -> int:
@@ -102,10 +109,6 @@ def chain_condition_holds(a: CombinatorialMorphism, f: int, fbar: int) -> bool:
                     new_frontier.append(partner)
         frontier = new_frontier
     return goal in seen
-
-
-def chain_condition_all_edges(a: CombinatorialMorphism) -> dict[tuple[int, int], bool]:
-    return {e: chain_condition_holds(a, e[0], e[1]) for e in edges(a.source)}
 
 
 def validate_contraction_by_pieces(c: Contraction) -> list[Violation]:
@@ -562,6 +565,74 @@ def _assemble(rank, genera, classes, tail_split, edge_combo) -> MarkedGraph:
         classes={v: classes[v] for v in range(nv)},
         rank=rank,
     )
+
+
+def cartesian_lifts_by_candidates(
+    p: VarietyProfile, phi: ExtendedIsogeny, b: CombinatorialMorphism
+) -> list[FamilyMember]:
+    """Every lift (a, X, lift) of b's target sigma' across an elementary
+    forget or glue phi: tau -> tau', found among candidate graphs X.
+
+    A forget of t has as candidates t on each vertex of sigma'; a new
+    genus-0, class-0 vertex u carrying t spliced into each edge; and u
+    carrying t, a half paired with each tail of sigma' and a new tail.  A
+    glue has each edge of sigma', cut.  X is kept when it is stable, its
+    elementary forget of t or glue of the cut edge ends exactly at sigma',
+    deg X = deg sigma', and some a: tau -> X identifies tau as the absolute
+    stabilization of X, agreeing with b on the flags and vertices that tau
+    shares with tau' and, for a forget, sending t to the tail the lift
+    forgets.  a comes from equal encodings of tau and of X's absolute
+    stabilization, with those flags and vertices colored by their image.
+    """
+    tau, sigma_prime = phi.source, b.target
+    fresh, u = next_id(sigma_prime.flags), next_id(sigma_prime.vertices)
+    if phi.glued:
+        tau_mark = x_mark = {}
+        cuts = [(edit_graph(sigma_prime, pair={y: y, ybar: ybar}), (y, ybar)) for y, ybar in edges(sigma_prime)]
+        candidates = [elementary_glue_isogeny(x, pair) for x, pair in cuts if is_stable(x)]
+    else:
+        tau_mark, x_mark = {phi.steps[0].tail: "forgotten"}, {fresh: "forgotten"}
+        new_vertex = {
+            "attach": {fresh: u, fresh + 1: u, fresh + 2: u},
+            "vertices": {u: (0, MonoidElement.zero(sigma_prime.rank))},
+        }
+        graphs = [edit_graph(sigma_prime, attach={fresh: w}) for w in sigma_prime.vertices]
+        graphs += [
+            edit_graph(sigma_prime, pair={fresh + 1: r, r: fresh + 1, fresh + 2: c, c: fresh + 2}, **new_vertex)
+            for r, c in edges(sigma_prime)
+        ]
+        graphs += [edit_graph(sigma_prime, pair={fresh + 1: s, s: fresh + 1}, **new_vertex) for s in tails(sigma_prime)]
+        candidates = [elementary_forget_isogeny(x, fresh) for x in graphs if is_stable(x)]
+    shared_flags = set(tau.flags) & set(phi.target.flags)
+    shared_vertices = set(tau.vertices) & set(phi.target.vertices)
+    tau_encoding, (tau_flags, tau_vertices) = canonical_encoding(
+        tau, {x: b.flagmap[x] for x in shared_flags} | tau_mark, {v: b.vertexmap[v] for v in shared_vertices}
+    )
+    image_flags = {b.flagmap[x] for x in shared_flags}
+    image_vertices = {b.vertexmap[v] for v in shared_vertices}
+    members = []
+    for lift in candidates:
+        x = lift.source
+        if lift.target != sigma_prime or deg_graph(p, x) != deg_graph(p, sigma_prime):
+            continue
+        stable, _ = absolute_stabilization(x)
+        encoding, (flag_slots, vertex_slots) = canonical_encoding(
+            stable, {f: f for f in stable.flags if f in image_flags} | x_mark, {w: w for w in image_vertices}
+        )
+        if encoding != tau_encoding:
+            continue
+        flag_at = {slot: f for f, slot in flag_slots.items()}
+        vertex_at = {slot: w for w, slot in vertex_slots.items()}
+        a = CombinatorialMorphism(
+            tau,
+            x,
+            {f: flag_at[slot] for f, slot in tau_flags.items()},
+            {v: vertex_at[slot] for v, slot in tau_vertices.items()},
+            MonoidHom.to_trivial(sigma_prime.rank),
+        )
+        if is_stabilization_identification(a):
+            members.append(FamilyMember(a, x, lift))
+    return members
 
 
 # -- checked helpers that only the tests use -------------------------------

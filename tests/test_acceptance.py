@@ -6,7 +6,6 @@ them.
 
 import random
 from itertools import permutations
-from pathlib import Path
 
 from stablegraphs.canonical import canonical_key
 from stablegraphs.cartesian import (
@@ -37,8 +36,7 @@ from strategies import (
     rand_marked_morphism,
     rand_unstable_graph,
 )
-
-GOLDEN = Path(__file__).parent / "golden"
+from test_cli import CASES, GOLDEN
 
 
 def report(number: int, message: str) -> None:
@@ -311,32 +309,15 @@ def test_criterion_10_enumeration_matches_brute_force():
 
 
 def test_criterion_11_cli_determinism(tmp_path):
-    cases = {
-        "invariants_tripod": "invariants",
-        "validate_bad_involution": "validate",
-        "stabilize_case2": "stabilize",
-        "pushforward_absolute": "pushforward",
-        "contract_bridge": "contract",
-        "cut_bridge": "cut",
-        "glue_loop": "glue",
-        "forget_type2": "forget",
-        "compose_isogenies": "compose",
-        "compose_marked": "compose",
-        "pullback_case2": "pullback",
-        "cartesian_case2": "cartesian",
-        "boundary_tree4": "boundary",
-        "dim_p2_d2": "dim",
-        "deg_p2_d2": "deg",
-        "export_dot": "export-dot",
-    }
     verbs = 0
-    for stem, verb in sorted(cases.items()):
+    for stem, (verb, expected_exit) in sorted(CASES.items()):
         golden = (GOLDEN / "out" / f"{stem}.out").read_bytes()
         runs = []
         for run in (1, 2):
             out = tmp_path / f"{stem}.{run}"
-            cli_main([verb, "--in", str(GOLDEN / "in" / f"{stem}.json"), "--out", str(out)])
+            code = cli_main([verb, "--in", str(GOLDEN / "in" / f"{stem}.json"), "--out", str(out)])
+            assert code == expected_exit, f"{stem} exited {code}, expected {expected_exit}"
             runs.append(out.read_bytes())
         assert runs[0] == runs[1] == golden, f"{stem} output not byte-stable"
         verbs += 1
-    report(11, f"{verbs} golden verbs byte-identical across runs and against committed outputs")
+    report(11, f"{verbs} golden verbs byte-identical across runs and against committed outputs, with their exit codes")

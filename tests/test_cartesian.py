@@ -1,3 +1,5 @@
+import collections
+import functools
 import hashlib
 import importlib
 import json
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from stablegraphs.canonical import canonical_key, is_isomorphic
+from stablegraphs.canonical import canonical_key, diagram_key, is_isomorphic
 from stablegraphs.cartesian import (
     CartesianMorphism,
     CartesianObject,
@@ -64,7 +66,7 @@ from stablegraphs.serialize import (
 )
 from stablegraphs.stabilize import absolute_stabilization
 
-from oracles import enumerate_by_shapes
+from oracles import cartesian_lifts_by_candidates, enumerate_by_shapes
 from strategies import rand_graph, rand_renaming
 
 P1 = BUILTIN_PROFILES["P1"]
@@ -552,6 +554,47 @@ def seeded_pullback_case(rng):
     return kind, p, phi, b
 
 
+def same(g):
+    return {f: f for f in g.flags}, {v: v for v in g.vertices}
+
+
+def member_keys(source, m, base_ids, target_flags):
+    """Per member of a pulled-back object, in order: its index in the target
+    family, its lift's forget kinds and a key of its graph.  The key
+    decorates each flag with the base flag the identification sends to it
+    and the flag of the lift's target it is kept as, and each vertex with the
+    base vertices sent to it, all read through base_ids and target_flags."""
+    bf, bv = base_ids
+    keys = []
+    for (a, graph), lift, j in zip(source.family, m.lifts, m.index_map):
+        onto = {y: bf[x] for x, y in a.flagmap.items()}
+        kept = lift.target._flag_set
+        over = {w: [] for w in graph.vertices}
+        for v, w in a.vertexmap.items():
+            over[w].append(bv[v])
+        key = diagram_key(
+            graph,
+            {f: (onto.get(f), target_flags[f] if f in kept else None) for f in graph.flags},
+            {w: tuple(sorted(vs)) for w, vs in over.items()},
+        )
+        keys.append((j, lift.forget_kinds, key))
+    return keys
+
+
+def spliced_into_chain(phi, b):
+    """phi forgets a tail t at a vertex with two edge halves, and the images
+    in b.target of their far halves are not the two halves of one edge: the
+    edge phi leaves behind runs through vertices that only b.target has."""
+    if not phi.steps or not isinstance(phi.steps[0], ForgetStep):
+        return False
+    tau, t = phi.source, phi.steps[0].tail
+    halves = [x for x in tau.flags_at(tau.boundary[t]) if x != t and tau.involution[x] != x]
+    if len(halves) != 2:
+        return False
+    r, r2 = (b.flagmap[tau.involution[x]] for x in halves)
+    return b.target.involution[r] != r2
+
+
 def test_cartesian_pullback_families_are_pinned():
     # every lift kind, serialized: a rewrite of the lift builders must
     # reproduce the families (ids, order, maps) exactly
@@ -609,6 +652,61 @@ def test_cartesian_pullback_members_validate():
         assert validate_elementary_cartesian(p, morphism) == []
         members += len(family)
     assert members > 600
+
+
+def family_keys(phi, b, members):
+    """member_keys of members lifting b's target across phi, in ids as given."""
+    source = CartesianObject(phi.source, tuple((m.identification, m.graph) for m in members))
+    target = CartesianObject(phi.target, ((b, b.target),))
+    morphism = ElementaryCartesianMorphism(source, target, phi, (0,) * len(members), tuple(m.lift for m in members))
+    return set(member_keys(source, morphism, same(phi.source), same(b.target)[0]))
+
+
+@functools.cache
+def forget_and_glue_families():
+    """(kind, phi, b, library keys, oracle keys) for each forget or glue case
+    among the 600 seeded cases of the pinned families; a refusal is no member."""
+    rng = random.Random(11)
+    out, cases = [], 0
+    while cases < 600:
+        case = seeded_pullback_case(rng)
+        if case is None:
+            continue
+        cases += 1
+        kind, p, phi, b = case
+        if kind in ("loop", "split"):
+            continue
+        try:
+            family = cartesian_pullback(p, phi, b)
+        except ValidationError:
+            family = []
+        oracle = cartesian_lifts_by_candidates(p, phi, b)
+        out.append((kind, phi, b, family_keys(phi, b, family), family_keys(phi, b, oracle)))
+    return out
+
+
+def test_cartesian_pullback_is_among_the_oracle_lifts():
+    # every member the library builds is a lift the oracle finds; where the
+    # base edge or tail runs in sigma' through a chain of class vertices, the
+    # oracle finds two and the library builds one (forget II and III) or
+    # refuses (glue): the pinned gap that ROADMAP item 2 closes
+    cases, differing = collections.Counter(), collections.Counter()
+    for kind, phi, b, library, oracle in forget_and_glue_families():
+        cases[kind] += 1
+        assert library <= oracle, kind
+        if library != oracle:
+            differing[kind] += 1
+            assert (len(library), len(oracle)) == ((0 if kind == "glue" else 1), 2), kind
+        if kind == "forget III":
+            # the library splices one chain edge, chosen by ids
+            assert (library != oracle) == spliced_into_chain(phi, b)
+    assert cases == {"forget I": 131, "forget II": 109, "forget III": 98, "glue": 106}
+    assert differing == {"forget II": 1, "forget III": 4, "glue": 4}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_cartesian_pullback_gives_every_oracle_lift():
+    assert [kind for kind, _, _, library, oracle in forget_and_glue_families() if library != oracle] == []
 
 
 def test_stabilization_identification_rejects_moved_boundary_or_genus():

@@ -65,8 +65,9 @@ def test_golden_output_and_exit_code(stem, run, tmp_path):
 
 
 def test_cases_list_every_golden_file():
-    # the golden test, in process and through the installed script, runs
-    # CASES, so a golden file CASES misses would go unchecked
+    # the golden test, in process and through the installed script, and
+    # acceptance criterion 11 run CASES, so a golden file CASES misses would
+    # go unchecked
     for side, suffix in (("in", ".json"), ("out", ".out")):
         assert sorted(p.name for p in (GOLDEN / side).iterdir()) == sorted(stem + suffix for stem in CASES)
 

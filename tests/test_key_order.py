@@ -16,7 +16,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
-from stablegraphs.canonical import canonical_key, diagram_key
+from stablegraphs.canonical import canonical_key
 from stablegraphs.cartesian import CartesianObject, cartesian_pullback, pullback_object
 from stablegraphs.cli import VERBS, main
 from stablegraphs.errors import StableGraphsError, ValidationError
@@ -65,7 +65,7 @@ from strategies import (
     rand_renaming,
     rand_unstable_graph,
 )
-from test_cartesian import seeded_pullback_case
+from test_cartesian import member_keys, same, seeded_pullback_case, spliced_into_chain
 from test_cli import CASES, GOLDEN
 
 
@@ -312,47 +312,6 @@ def carried(m, source, target, s_ids, t_ids):
 
 def inverse(ids):
     return tuple({new: old for old, new in d.items()} for d in ids)
-
-
-def same(g):
-    return {f: f for f in g.flags}, {v: v for v in g.vertices}
-
-
-def member_keys(source, m, base_ids, target_flags):
-    """Per member of a pulled-back object, in order: its index in the target
-    family, its lift's forget kinds and a key of its graph.  The key
-    decorates each flag with the base flag the identification sends to it
-    and the flag of the lift's target it is kept as, and each vertex with the
-    base vertices sent to it, all read through base_ids and target_flags."""
-    bf, bv = base_ids
-    keys = []
-    for (a, graph), lift, j in zip(source.family, m.lifts, m.index_map):
-        onto = {y: bf[x] for x, y in a.flagmap.items()}
-        kept = lift.target._flag_set
-        over = {w: [] for w in graph.vertices}
-        for v, w in a.vertexmap.items():
-            over[w].append(bv[v])
-        key = diagram_key(
-            graph,
-            {f: (onto.get(f), target_flags[f] if f in kept else None) for f in graph.flags},
-            {w: tuple(sorted(vs)) for w, vs in over.items()},
-        )
-        keys.append((j, lift.forget_kinds, key))
-    return keys
-
-
-def spliced_into_chain(phi, b):
-    """phi forgets a tail t at a vertex with two edge halves, and the images
-    in b.target of their far halves are not the two halves of one edge: the
-    edge phi leaves behind runs through vertices that only b.target has."""
-    if not phi.steps or not isinstance(phi.steps[0], ForgetStep):
-        return False
-    tau, t = phi.source, phi.steps[0].tail
-    halves = [x for x in tau.flags_at(tau.boundary[t]) if x != t and tau.involution[x] != x]
-    if len(halves) != 2:
-        return False
-    r, r2 = (b.flagmap[tau.involution[x]] for x in halves)
-    return b.target.involution[r] != r2
 
 
 def renamed_isogeny(e, source, fmap):

@@ -1,10 +1,12 @@
-"""Exact per-layer counts of each benchmark workload.
+"""Exact per-layer counts and correct outputs of each benchmark workload.
 
-Each case runs one traced round of ``perfbench/run.py`` at seed 1 (some
-counts differ at other seeds) and compares the counts it reads with the
-pins below; CI runs it on Python 3.10-3.13.  A pin that moves means a layer
-does more or less work than it did: change the pin only together with the
-reason next to it.
+Each traced case runs one traced round of ``perfbench/run.py`` at seed 1
+(some counts differ at other seeds) and compares the counts it reads with
+the pins below.  A pin that moves means a layer does more or less work than
+it did: change the pin only together with the reason next to it.  Each
+untraced case runs a workload's op list in process at seed 1 or 2 (certify
+relabels its graphs by seed) and requires every output check to pass.  CI
+runs both on Python 3.10-3.13.
 """
 
 import json
@@ -15,6 +17,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
 
 PINS = {
     "certify": {
@@ -92,3 +97,16 @@ def test_traced_counts_match_the_pins(workload):
     read = {name: m["value"] for name, m in report["metrics"].items()}
     mismatches = {name: (pinned, read[name]) for name, pinned in PINS[workload].items() if read[name] != pinned}
     assert not mismatches, f"{workload}: (pinned, read) per metric: {mismatches}"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_untraced_outputs_are_correct(workload, seed):
+    # two passes, as a benchmark run repeats its op list: what the first pass
+    # memoizes on graphs it keeps, such as certify's pool, must still give
+    # outputs that check in the second
+    w = workloads.WORKLOADS[workload]()
+    for _ in range(2):
+        for spec in w.specs(seed):
+            args = w.prepare(spec)
+            assert w.check(spec, args, w.op(spec, args)) == [], spec[0]
