@@ -431,61 +431,6 @@ def graph_sums(genus: int, tails: int, max_degree: int, max_vertices: int, weigh
     }
 
 
-def brute_force_boundary_rank1(max_class_total: int) -> list:
-    """Independent listing for: genus 0, four tails, rank-1 class bound,
-    at most two vertices, connected and stable.
-
-    Enumerates raw labelled graphs directly (tail distributions, tree edge
-    for the two-vertex case, class assignments) and deduplicates by
-    canonical key.  Used only to cross-check the library's enumerator.
-    """
-    from stablegraphs.canonical import canonical_form, canonical_key
-
-    found = {}
-
-    def consider(g: MarkedGraph) -> None:
-        from stablegraphs.graphs import connected_components, is_stable
-
-        if len(connected_components(g)) != 1 or not is_stable(g):
-            return
-        key = canonical_key(g)
-        if key not in found:
-            found[key] = canonical_form(g)
-
-    # one vertex, four tails, no edges
-    for c in range(max_class_total + 1):
-        consider(
-            MarkedGraph(
-                flags=(0, 1, 2, 3),
-                vertices=(0,),
-                boundary={0: 0, 1: 0, 2: 0, 3: 0},
-                involution={0: 0, 1: 1, 2: 2, 3: 3},
-                genus={0: 0},
-                classes={0: MonoidElement((c,))},
-                rank=1,
-            )
-        )
-    # two vertices, one connecting edge, tails split in every labelled way
-    for assignment in product((0, 1), repeat=4):
-        for c0 in range(max_class_total + 1):
-            for c1 in range(max_class_total + 1 - c0):
-                boundary = {i: assignment[i] for i in range(4)}
-                boundary[4], boundary[5] = 0, 1
-                involution = {0: 0, 1: 1, 2: 2, 3: 3, 4: 5, 5: 4}
-                consider(
-                    MarkedGraph(
-                        flags=(0, 1, 2, 3, 4, 5),
-                        vertices=(0, 1),
-                        boundary=boundary,
-                        involution=involution,
-                        genus={0: 0, 1: 0},
-                        classes={0: MonoidElement((c0,)), 1: MonoidElement((c1,))},
-                        rank=1,
-                    )
-                )
-    return [found[k] for k in sorted(found)]
-
-
 def enumerate_by_shapes(
     p: VarietyProfile, genus_total: int, num_tails: int, ample_bound: int, max_vertices: int
 ) -> list:

@@ -17,6 +17,7 @@ from stablegraphs.graphs import (
     edges,
     is_stable,
     is_stable_vertex,
+    next_id,
     relabel_classes,
 )
 from stablegraphs.monoid import MonoidElement, MonoidHom
@@ -111,7 +112,7 @@ def make_stable(rng: random.Random, g: MarkedGraph) -> MarkedGraph:
     involution = dict(g.involution)
     classes = dict(g.classes)
     genus = dict(g.genus)
-    nxt = (max(g.flags) + 1) if g.flags else 0
+    nxt = next_id(g.flags)
     for v in g.vertices:
         current = MarkedGraph(
             flags=tuple(boundary),
@@ -281,8 +282,8 @@ def rand_unstable_graph(rng: random.Random, rank: int = 1, max_flags: int = 8) -
             return g
     # fall back: bolt an unstable two-tail vertex onto a random stable graph
     g = rand_graph(rng, rank=rank, max_flags=max_flags - 2, stable=True)
-    nxt = (max(g.flags) + 1) if g.flags else 0
-    nv = (max(g.vertices) + 1) if g.vertices else 0
+    nxt = next_id(g.flags)
+    nv = next_id(g.vertices)
     return MarkedGraph(
         flags=g.flags + (nxt, nxt + 1),
         vertices=g.vertices + (nv,),

@@ -28,7 +28,7 @@ from stablegraphs.profiles import POINT, VarietyProfile, deg_graph, dim_graph, p
 from stablegraphs.pullback import compose_marked, marked_key, pullback_diagram_key, stable_pullback, validate_marked
 from stablegraphs.stabilize import absolute_stabilization, check_universal_property, stabilize
 
-from oracles import betti1_gf2, brute_force_boundary_rank1, chain_condition_holds
+from oracles import betti1_gf2, chain_condition_holds, enumerate_by_shapes
 from strategies import (
     rand_covering,
     rand_graph,
@@ -302,9 +302,9 @@ def test_criterion_10_enumeration_matches_brute_force():
     mine = enumerate_stable_graphs(
         projective_space(1), genus_total=0, num_tails=4, ample_bound=1, max_vertices=2
     )
-    oracle = brute_force_boundary_rank1(max_class_total=1)
-    assert {canonical_key(g) for g in mine} == {canonical_key(g) for g in oracle}
-    assert len(mine) == len(oracle) == 6
+    oracle = enumerate_by_shapes(projective_space(1), 0, 4, 1, 2)
+    assert mine == oracle
+    assert len(mine) == 6
     report(10, f"{len(mine)} boundary graphs match the generate-filter-dedup oracle exactly")
 
 

@@ -897,6 +897,8 @@ def test_enumerate_published_counts(genus, count):
         ("point", 1, 4, 0, 4, 30, "6aa6a5d2db2fd7d1"),
         ("P2", 1, 2, 2, 3, 109, "bbdfab625736d8be"),
         ("P1", 0, 4, 3, 3, 77, "c12a0a0c63bb687b"),
+        # no vertex carries a class at rank 0, so 6 vertices clamp to 5 and 17 flags to 15
+        ("point", 0, 7, 0, 6, 13, "b70581b083a6b5c9"),
     ],
 )
 def test_enumerate_output_is_pinned(profile, genus, tails, bound, max_vertices, count, digest):

@@ -2,8 +2,6 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stablegraphs.errors import RankMismatchError, ValidationError
 from stablegraphs.graphs import (
@@ -208,6 +206,9 @@ def test_total_class():
     assert total_class(empty_graph(2)) == element(0, 0)
     zero = marked_graph(1, {0: (0, 0), 1: (1, 0)}, tails={0: 0, 1: 1})
     assert total_class(zero) == element(0)
+    # an int class is the first coordinate, padded with zeros to the rank
+    assert total_class(marked_graph(2, {0: (0, 3)})) == element(3, 0)
+    assert total_class(marked_graph(3, {0: (0, 3)})) == element(3, 0, 0)
 
 
 def test_stability():
@@ -400,29 +401,29 @@ def _flag_blocks_by_merging(g):
     return tuple(sorted(tuple(sorted(b)) for b in merged))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=2))
-def test_cached_indices_match_recomputation(seed, rank):
-    rng = random.Random(seed)
-    g = relabelled(rng, rand_graph(rng, rank=rank, max_flags=10))
-    cold = MarkedGraph(
-        g.flags, g.vertices, dict(g.boundary), dict(g.involution), dict(g.genus), dict(g.classes), g.rank
-    )
-    for v in g.vertices:
-        assert g.flags_at(v) == tuple(f for f in g.flags if g.boundary[f] == v)
-        assert g.flags_at(v) is g.flags_at(v)
-    with pytest.raises(KeyError):
-        g.flags_at(max(g.vertices) + 1)
-    assert tails(g) == tuple(f for f in g.flags if g.involution[f] == f)
-    pairs = {tuple(sorted((f, g.involution[f]))) for f in g.flags if g.involution[f] != f}
-    assert edges(g) == tuple(sorted(pairs))
-    components = _components_by_search(g)
-    assert connected_components(g) == components
-    assert len(pairs) - len(g.vertices) + len(components) == betti1_gf2(g)
-    assert flag_partition(g).blocks == _flag_blocks_by_merging(g)
-    for accessor in (tails, edges, connected_components, flag_partition):
-        assert accessor(g) is accessor(g)
-    assert g == cold and repr(g) == repr(cold)
+def test_cached_indices_match_recomputation():
+    for seed in range(80):
+        rng = random.Random(seed)
+        rank = seed % 3
+        g = relabelled(rng, rand_graph(rng, rank=rank, max_flags=10))
+        cold = MarkedGraph(
+            g.flags, g.vertices, dict(g.boundary), dict(g.involution), dict(g.genus), dict(g.classes), g.rank
+        )
+        for v in g.vertices:
+            assert g.flags_at(v) == tuple(f for f in g.flags if g.boundary[f] == v)
+            assert g.flags_at(v) is g.flags_at(v)
+        with pytest.raises(KeyError):
+            g.flags_at(max(g.vertices) + 1)
+        assert tails(g) == tuple(f for f in g.flags if g.involution[f] == f)
+        pairs = {tuple(sorted((f, g.involution[f]))) for f in g.flags if g.involution[f] != f}
+        assert edges(g) == tuple(sorted(pairs))
+        components = _components_by_search(g)
+        assert connected_components(g) == components
+        assert len(pairs) - len(g.vertices) + len(components) == betti1_gf2(g)
+        assert flag_partition(g).blocks == _flag_blocks_by_merging(g)
+        for accessor in (tails, edges, connected_components, flag_partition):
+            assert accessor(g) is accessor(g)
+        assert g == cold and repr(g) == repr(cold)
 
 
 def _flag_kinds_by_edges(g):
@@ -441,26 +442,26 @@ def _flag_kinds_by_edges(g):
     return {v: (tuple(t), tuple(l), tuple(sorted(e))) for v, (t, l, e) in kinds.items()}
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=2))
-def test_flag_tables_match_a_classification_by_edges(seed, rank):
-    rng = random.Random(seed)
-    # a vertex with no flags, a vertex with a loop and two parallel edges,
-    # and a second loop, in every example
-    fixed = marked_graph(
-        rank,
-        {0: (0, None), 1: (1, None), 2: (0, None), 3: (2, None)},
-        tails={6: 2},
-        edges=[((0, 1), (1, 1)), ((2, 1), (3, 2)), ((4, 1), (5, 2)), ((8, 3), (7, 3))],
-    )
-    g = relabelled(rng, disjoint_union(rand_graph(rng, rank=rank, max_flags=10), fixed))
-    kinds = _flag_kinds_by_edges(g)
-    assert g._flag_kinds == kinds
-    assert any(kinds[v] == ((), (), ()) for v in g.vertices)
-    for v, (t, loops, ends) in g._flag_kinds.items():
-        assert isinstance(t, tuple) and isinstance(loops, tuple) and isinstance(ends, tuple)
-        expected = (g.genus[v], g.classes[v].coords, valence(g, v), len(t), 2 * len(loops))
-        assert g._vertex_invariants[v] == expected
+def test_flag_tables_match_a_classification_by_edges():
+    for seed in range(80):
+        rng = random.Random(seed)
+        rank = seed % 3
+        # a vertex with no flags, a vertex with a loop and two parallel edges,
+        # and a second loop, in every example
+        fixed = marked_graph(
+            rank,
+            {0: (0, None), 1: (1, None), 2: (0, None), 3: (2, None)},
+            tails={6: 2},
+            edges=[((0, 1), (1, 1)), ((2, 1), (3, 2)), ((4, 1), (5, 2)), ((8, 3), (7, 3))],
+        )
+        g = relabelled(rng, disjoint_union(rand_graph(rng, rank=rank, max_flags=10), fixed))
+        kinds = _flag_kinds_by_edges(g)
+        assert g._flag_kinds == kinds
+        assert any(kinds[v] == ((), (), ()) for v in g.vertices)
+        for v, (t, loops, ends) in g._flag_kinds.items():
+            assert isinstance(t, tuple) and isinstance(loops, tuple) and isinstance(ends, tuple)
+            expected = (g.genus[v], g.classes[v].coords, valence(g, v), len(t), 2 * len(loops))
+            assert g._vertex_invariants[v] == expected
 
 
 def test_vertices_by_kind_lists_each_kind_in_vertex_order():

@@ -1,10 +1,10 @@
 import json
 import random
+import struct
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stablegraphs.cli import main
 from stablegraphs.graphs import empty_graph, marked_graph, modular_graph
@@ -153,23 +153,45 @@ def test_export_dot_deterministic():
 
 
 # keys and strings that need escapes: quotes, backslashes, control and non-ASCII characters
-json_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'))
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**60), max_value=10**60)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | json_text
-)
-json_values = st.recursive(
-    json_scalars,
-    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(json_text, inner),
-    max_leaves=20,
-)
+SPECIAL_CHARS = '"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'
+SPECIAL_FLOATS = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, sys.float_info.max)
 
 
-@settings(max_examples=150, deadline=None)
-@given(json_values)
-def test_dump_json_writes_what_json_dumps_writes(value):
-    assert _dump_json(value) == json.dumps(value, sort_keys=True, indent=2)
+def _json_text(rng):
+    """Up to 8 characters, each a special one or a code point from any of the 17 planes."""
+    return "".join(
+        rng.choice(SPECIAL_CHARS) if rng.random() < 0.5 else chr(rng.randrange(0x110000))
+        for _ in range(rng.randint(0, 8))
+    )
+
+
+def _json_scalar(rng):
+    """None or a bool, an int, a float, or (two times in five) a string."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice((None, True, False))
+    if kind == 1:
+        return rng.choice((10**60, -(10**60), rng.randint(-(10**60), 10**60), rng.randint(-1000, 1000)))
+    if kind == 2:
+        return rng.choice(SPECIAL_FLOATS + struct.unpack("<d", rng.randbytes(8)))
+    return _json_text(rng)
+
+
+def _json_value(rng, leaves=20):
+    """A scalar, or a list, tuple or string-keyed dict (empty ones included) of at most ``leaves`` scalars."""
+    if rng.random() < 0.3:
+        return _json_scalar(rng)
+    sizes = []
+    while leaves and rng.random() < 0.75:
+        sizes.append(rng.randint(1, leaves))
+        leaves -= sizes[-1]
+    children = [_json_value(rng, n) for n in sizes]
+    kind = rng.randrange(3)
+    return children if kind == 0 else tuple(children) if kind == 1 else {_json_text(rng): c for c in children}
+
+
+def test_dump_json_writes_what_json_dumps_writes():
+    rng = random.Random(0)
+    for _ in range(150):
+        value = _json_value(rng)
+        assert _dump_json(value) == json.dumps(value, sort_keys=True, indent=2)
