@@ -36,7 +36,7 @@ from strategies import (
     rand_marked_morphism,
     rand_unstable_graph,
 )
-from test_cli import CASES, GOLDEN
+from test_cli import CASES, check_golden_case
 
 
 def report(number: int, message: str) -> None:
@@ -309,15 +309,6 @@ def test_criterion_10_enumeration_matches_brute_force():
 
 
 def test_criterion_11_cli_determinism(tmp_path):
-    verbs = 0
-    for stem, (verb, expected_exit) in sorted(CASES.items()):
-        golden = (GOLDEN / "out" / f"{stem}.out").read_bytes()
-        runs = []
-        for run in (1, 2):
-            out = tmp_path / f"{stem}.{run}"
-            code = cli_main([verb, "--in", str(GOLDEN / "in" / f"{stem}.json"), "--out", str(out)])
-            assert code == expected_exit, f"{stem} exited {code}, expected {expected_exit}"
-            runs.append(out.read_bytes())
-        assert runs[0] == runs[1] == golden, f"{stem} output not byte-stable"
-        verbs += 1
-    report(11, f"{verbs} golden verbs byte-identical across runs and against committed outputs, with their exit codes")
+    for stem in sorted(CASES):
+        check_golden_case(stem, cli_main, tmp_path)
+    report(11, f"{len(CASES)} golden verbs byte-identical across runs and against committed outputs, with their exit codes")

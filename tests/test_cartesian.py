@@ -915,34 +915,24 @@ def test_enumerate_output_is_pinned(profile, genus, tails, bound, max_vertices, 
     # one vertex), since the clamped vertex bound V is at least 1
     [pytest.param(40, 0, 82, id="40-0"), pytest.param(0, 10**8, 10**8, id="0-100000000")],
 )
-def test_enumerate_refuses_the_rose_over_the_flag_cap(genus, tails, flags, monkeypatch):
-    def no_graph(self):
-        raise AssertionError("a graph was built")
-
-    monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
+def test_enumerate_refuses_the_rose_over_the_flag_cap(genus, tails, flags, forbid_graphs):
+    forbid_graphs()
     with pytest.raises(SizeCapError, match=f"^graphs within the bounds have up to {flags} flags, cap is 16$"):
         enumerate_stable_graphs(BUILTIN_PROFILES["point"], genus, tails, 0, 2 if genus else 1)
 
 
 @pytest.mark.parametrize("max_vertices,flags", [(8, 17), (20, 27)])
-def test_enumerate_refuses_bounds_over_the_flag_cap_up_front(max_vertices, flags, monkeypatch):
-    def no_graph(self):
-        raise AssertionError("a graph was built")
-
-    monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
+def test_enumerate_refuses_bounds_over_the_flag_cap_up_front(max_vertices, flags, forbid_graphs):
+    forbid_graphs()
     with pytest.raises(SizeCapError, match=f"^graphs within the bounds have up to {flags} flags, cap is 16$"):
         enumerate_stable_graphs(BUILTIN_PROFILES["P2"], 0, 3, 6, max_vertices)
 
 
-def test_enumerate_cap_counts_the_start_graphs(monkeypatch):
+def test_enumerate_cap_counts_the_start_graphs(forbid_graphs):
     # P1, 3 tails, one vertex: one stable start graph per degree 0..5 and no
     # children, so a cap of 6 admits them and a cap of 5 refuses before any
     assert len(enumerate_stable_graphs(BUILTIN_PROFILES["P1"], 0, 3, 5, 1, cap=6)) == 6
-
-    def no_graph(self):
-        raise AssertionError("a graph was built")
-
-    monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
+    forbid_graphs()
     with pytest.raises(SizeCapError, match="^enumeration exceeded 5 candidates$"):
         enumerate_stable_graphs(BUILTIN_PROFILES["P1"], 0, 3, 5, 1, cap=5)
 

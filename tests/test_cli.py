@@ -9,8 +9,12 @@ from pathlib import Path
 
 import pytest
 
+import stablegraphs as sg
 from stablegraphs.cli import VERBS, _check_size, build_parser, main
 from stablegraphs.errors import SizeCapError
+from stablegraphs.graphs import MarkedGraph
+from stablegraphs.isogeny import ForgetStep, elementary_forget_isogeny, extended_isogeny, identity_extended
+from stablegraphs.serialize import contraction_to_json, isogeny_to_json, marked_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,6 +38,37 @@ CASES = {
 }
 
 
+def _parent(doc, path):
+    """The array or object in ``doc`` that holds the value at ``path``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def golden_input(stem, *path_and_value):
+    """A fresh copy of the golden input ``stem``; given a path and a value,
+    with the value at that path replaced."""
+    doc = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
+    if path_and_value:
+        *path, value = path_and_value
+        _parent(doc, path)[path[-1]] = value
+    return doc
+
+
+def check_golden_case(stem, run, tmp_path):
+    """Run the golden case ``stem`` twice through ``run`` (``main``, or one
+    that starts a process): both runs exit with the case's code and write
+    the golden output, byte for byte."""
+    verb, expected_exit = CASES[stem]
+    outputs = []
+    for name in ("first", "second"):
+        out = tmp_path / f"{stem}.{name}"
+        code = run([verb, "--in", str(GOLDEN / "in" / f"{stem}.json"), "--out", str(out)])
+        assert code == expected_exit, f"{stem} exited {code}, expected {expected_exit}"
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == (GOLDEN / "out" / f"{stem}.out").read_bytes(), f"{stem} output not byte-stable"
+
+
 def installed_script():
     """The path of the ``stablegraphs`` console script; skips when it is not on PATH."""
     script = shutil.which("stablegraphs")
@@ -55,13 +90,7 @@ GOLDEN_RUNS = [
 
 @pytest.mark.parametrize("stem,run", GOLDEN_RUNS)
 def test_golden_output_and_exit_code(stem, run, tmp_path):
-    verb, expected_exit = CASES[stem]
-    golden = (GOLDEN / "out" / f"{stem}.out").read_bytes()
-    first = tmp_path / "first.out"
-    second = tmp_path / "second.out"
-    assert run([verb, "--in", str(GOLDEN / "in" / f"{stem}.json"), "--out", str(first)]) == expected_exit
-    assert run([verb, "--in", str(GOLDEN / "in" / f"{stem}.json"), "--out", str(second)]) == expected_exit
-    assert first.read_bytes() == second.read_bytes() == golden
+    check_golden_case(stem, run, tmp_path)
 
 
 def test_cases_list_every_golden_file():
@@ -77,30 +106,24 @@ def test_invariants_match_contract():
     assert out == {"tails": 3, "edges": 0, "chi": 1, "genus": 0, "stable": True}
 
 
-def test_invariants_of_a_disconnected_graph_have_no_genus(tmp_path, capsys):
-    doc = json.loads((GOLDEN / "in" / "invariants_tripod.json").read_text())
+def test_invariants_of_a_disconnected_graph_have_no_genus(cli, tmp_path):
+    doc = golden_input("invariants_tripod")
     # a lone genus-1 vertex with one tail, next to the tripod
     doc["vertices"].append({"id": 1, "genus": 1, "class": []})
     doc["flags"].append(3)
     doc["boundary"]["3"] = 1
     doc["involution"]["3"] = 3
-    path = tmp_path / "two.json"
-    path.write_text(json.dumps(doc))
-    assert main(["invariants", "--in", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert '"genus": null' in out
-    assert json.loads(out) == {"tails": 4, "edges": 0, "chi": 1, "genus": None, "stable": True}
+    out = tmp_path / "out.json"
+    assert cli("invariants", doc, "--out", str(out)) == (0, None)
+    assert '"genus": null' in out.read_text()
+    assert json.loads(out.read_text()) == {"tails": 4, "edges": 0, "chi": 1, "genus": None, "stable": True}
 
 
-def test_pullback_refuses_a_rho_that_is_not_the_source_of_a(tmp_path, capsys):
-    doc = json.loads((GOLDEN / "in" / "pullback_case2.json").read_text())
+def test_pullback_refuses_a_rho_that_is_not_the_source_of_a(cli):
+    doc = golden_input("pullback_case2")
     assert doc["rho"] == doc["a"]["source"]
     doc["rho"]["vertices"][0]["genus"] += 1
-    path = tmp_path / "pullback.json"
-    path.write_text(json.dumps(doc))
-    assert main(["pullback", "--in", str(path)]) == 2
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error == {"type": "schema", "message": "'rho' must equal the source of 'a'"}
+    assert cli("pullback", doc) == (2, {"error": {"type": "schema", "message": "'rho' must equal the source of 'a'"}})
 
 
 # each golden isogeny document, and the verb that reads it
@@ -112,19 +135,15 @@ ISOGENY_DOCUMENTS = [
 
 
 @pytest.mark.parametrize("verb,stem,key", ISOGENY_DOCUMENTS)
-def test_isogeny_with_a_target_its_steps_do_not_give_is_refused(verb, stem, key, tmp_path, capsys):
-    doc = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
+def test_isogeny_with_a_target_its_steps_do_not_give_is_refused(verb, stem, key, cli, tmp_path):
+    doc = golden_input(stem)
     iso = doc[key]
     iso["target"]["vertices"][0]["genus"] += 1
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(iso if verb == "validate" else doc))
-    assert main([verb, "--in", str(path)]) == 2
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error == {"type": "schema", "message": "'target' must be the graph the glues and steps give"}
+    message = "'target' must be the graph the glues and steps give"
+    assert cli(verb, iso if verb == "validate" else doc) == (2, {"error": {"type": "schema", "message": message}})
     # the target may be left out: the steps give it
     del iso["target"]
-    path.write_text(json.dumps(iso if verb == "validate" else doc))
-    assert main([verb, "--in", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert cli(verb, iso if verb == "validate" else doc, "--out", str(tmp_path / "out")) == (0, None)
     if verb != "validate":
         assert (tmp_path / "out").read_bytes() == (GOLDEN / "out" / f"{stem}.out").read_bytes()
 
@@ -135,71 +154,46 @@ def test_cartesian_degrees_match():
     assert all(member["deg"] == out["deg"] for member in out["family"])
 
 
-def test_validate_accepts_all_kinds(tmp_path):
-    import stablegraphs as sg
-    from stablegraphs.isogeny import ForgetStep, extended_isogeny
-    from stablegraphs.serialize import isogeny_to_json, marked_to_json
-
+def test_validate_accepts_all_kinds(cli, tmp_path):
     g = sg.marked_graph(1, {0: (1, 1)}, tails={0: 0, 1: 0})
-    docs = [
-        marked_to_json(sg.identity_marked(g)),
-        isogeny_to_json(extended_isogeny(g, (), (ForgetStep(1),))),
-    ]
-    for i, doc in enumerate(docs):
-        path = tmp_path / f"doc{i}.json"
-        path.write_text(json.dumps(doc))
-        assert main(["validate", "--in", str(path), "--out", str(tmp_path / "o")]) == 0
+    for doc in (marked_to_json(sg.identity_marked(g)), isogeny_to_json(extended_isogeny(g, (), (ForgetStep(1),)))):
+        assert cli("validate", doc, "--out", str(tmp_path / "o")) == (0, None)
 
 
-def test_validate_rejects_type_iv_isogeny(tmp_path, capsys):
-    import stablegraphs as sg
-    from stablegraphs.isogeny import ForgetStep, extended_isogeny
-    from stablegraphs.serialize import isogeny_to_json
-
+def test_validate_rejects_type_iv_isogeny(cli):
     tripod = sg.modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0})
-    doc = isogeny_to_json(extended_isogeny(tripod, (), (ForgetStep(0),)))
-    path = tmp_path / "iv.json"
-    path.write_text(json.dumps(doc))
-    assert main(["validate", "--in", str(path)]) == 3
-    payload = json.loads(capsys.readouterr().out)
+    code, payload = cli("validate", isogeny_to_json(extended_isogeny(tripod, (), (ForgetStep(0),))))
+    assert code == 3
     assert "isogeny-pi0" in payload["error"]["conditions"]
 
 
-def test_malformed_json_is_schema_error(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["invariants", "--in", str(bad)]) == 2
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["error"]["type"] == "schema"
+def test_malformed_json_is_schema_error(cli):
+    code, payload = cli("invariants", "{not json")
+    assert (code, payload["error"]["type"]) == (2, "schema")
 
 
-def test_deeply_nested_document_is_schema_error(tmp_path, capsys):
+def test_deeply_nested_document_is_schema_error(cli):
     # the JSON reader gives up on deep nesting with a RecursionError
-    deep = tmp_path / "deep.json"
-    deep.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
-    assert main(["invariants", "--in", str(deep)]) == 2
-    assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+    code, payload = cli("invariants", '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert (code, payload["error"]["type"]) == (2, "schema")
 
 
 @pytest.mark.parametrize("where", ["document", "option"])
-def test_deeply_nested_profile_file_is_schema_error(where, tmp_path, capsys):
+def test_deeply_nested_profile_file_is_schema_error(where, cli, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text('{"dim": ' + "[" * 100_000 + "]" * 100_000 + "}")
-    doc = json.loads((GOLDEN / "in" / "dim_p2_d2.json").read_text())
+    doc = golden_input("dim_p2_d2")
     del doc["profile"]
-    argv = ["dim", "--in", str(tmp_path / "doc.json")]
+    argv = ()
     if where == "document":
         doc["profile"] = str(deep)
     else:
-        argv += ["--profile", str(deep)]
-    (tmp_path / "doc.json").write_text(json.dumps(doc))
-    assert main(argv) == 2
-    assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+        argv = ("--profile", str(deep))
+    code, payload = cli("dim", doc, *argv)
+    assert (code, payload["error"]["type"]) == (2, "schema")
 
 
 def test_size_check_walks_deeply_nested_documents():
-    from stablegraphs.cli import _check_size
-
     doc = [{"flags": list(range(3))}, {"flags": list(range(17))}, {"flags": list(range(18))}]
     for _ in range(100_000):
         doc = [doc]
@@ -221,18 +215,14 @@ def test_size_check_reports_the_first_oversized_graph_in_document_order():
     _check_size("not a container", 0)
 
 
-def _tripod_with_vertex(**fields):
-    doc = json.loads((GOLDEN / "in" / "invariants_tripod.json").read_text())
-    doc["vertices"][0].update(fields)
-    return doc
-
-
-def test_missing_key_is_schema_error(tmp_path, capsys):
-    doc = tmp_path / "doc.json"
-    for bad in ({"flags": [0]}, _tripod_with_vertex(**{"class": [-1]}), _tripod_with_vertex(id="v0")):
-        doc.write_text(json.dumps(bad))
-        assert main(["invariants", "--in", str(doc)]) == 2
-        assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+def test_missing_key_is_schema_error(cli):
+    for bad in (
+        {"flags": [0]},
+        golden_input("invariants_tripod", "vertices", 0, "class", [-1]),
+        golden_input("invariants_tripod", "vertices", 0, "id", "v0"),
+    ):
+        code, payload = cli("invariants", bad)
+        assert (code, payload["error"]["type"]) == (2, "schema")
 
 
 NON_DECIMAL_KEY_CASES = [
@@ -246,33 +236,26 @@ NON_DECIMAL_KEY_CASES = [
 
 
 @pytest.mark.parametrize("field,keyed", NON_DECIMAL_KEY_CASES)
-def test_non_decimal_object_key_is_schema_error(field, keyed, tmp_path, capsys):
-    bad = json.loads((GOLDEN / "in" / "invariants_tripod.json").read_text())
-    bad[field] = keyed
-    doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps(bad))
-    assert main(["invariants", "--in", str(doc)]) == 2
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["error"]["type"] == "schema"
+def test_non_decimal_object_key_is_schema_error(field, keyed, cli):
+    code, payload = cli("invariants", golden_input("invariants_tripod", field, keyed))
+    assert (code, payload["error"]["type"]) == (2, "schema")
     assert "decimal form" in payload["error"]["message"]
 
 
-def test_negative_object_key_is_accepted(tmp_path, capsys):
-    good = json.loads((GOLDEN / "in" / "invariants_tripod.json").read_text())
+def test_negative_object_key_is_accepted(cli):
+    good = golden_input("invariants_tripod")
     good["flags"] = [-1, 1, 2]
     good["boundary"] = {"-1": 0, "1": 0, "2": 0}
     good["involution"] = {"-1": -1, "1": 1, "2": 2}
-    doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps(good))
-    assert main(["invariants", "--in", str(doc)]) == 0
-    assert json.loads(capsys.readouterr().out)["tails"] == 3
+    code, out = cli("invariants", good)
+    assert (code, out["tails"]) == (0, 3)
 
 
 NON_INTEGER_CASES = [
     (verb, doc)
     for value in (1.9, True, "1")
     for verb, doc in (
-        ("invariants", _tripod_with_vertex(genus=value)),
+        ("invariants", golden_input("invariants_tripod", "vertices", 0, "genus", value)),
         ("boundary", {"genus": value}),
         ("boundary", {"genus": 0, "tails": value}),
     )
@@ -280,12 +263,9 @@ NON_INTEGER_CASES = [
 
 
 @pytest.mark.parametrize("verb,bad", NON_INTEGER_CASES)
-def test_non_integer_value_is_schema_error(verb, bad, tmp_path, capsys):
-    doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps(bad))
-    assert main([verb, "--profile", "point", "--in", str(doc)]) == 2
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["error"]["type"] == "schema"
+def test_non_integer_value_is_schema_error(verb, bad, cli):
+    code, payload = cli(verb, bad, "--profile", "point")
+    assert (code, payload["error"]["type"]) == (2, "schema")
     assert "must be an integer" in payload["error"]["message"]
 
 
@@ -295,30 +275,27 @@ NON_OBJECT_CASES = [
 
 
 @pytest.mark.parametrize("verb,bad", NON_OBJECT_CASES)
-def test_non_object_document_is_schema_error(verb, bad, tmp_path, capsys):
-    doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps(bad))
-    assert main([verb, "--profile", "point", "--in", str(doc)]) == 2
-    assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+def test_non_object_document_is_schema_error(verb, bad, cli):
+    # dumped here, so that the string "x" is written as a JSON string
+    code, payload = cli(verb, json.dumps(bad), "--profile", "point")
+    assert (code, payload["error"]["type"]) == (2, "schema")
 
 
-def test_duplicate_vertex_id_is_domain_error(tmp_path, capsys):
-    bad = json.loads((GOLDEN / "in" / "invariants_tripod.json").read_text())
+def test_duplicate_vertex_id_is_domain_error(cli):
+    bad = golden_input("invariants_tripod")
     bad["vertices"].append({"id": 0, "genus": 1, "class": []})
-    doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps(bad))
     for verb in ("validate", "invariants"):
-        assert main([verb, "--in", str(doc)]) == 3
-        assert "vertex-duplicate" in json.loads(capsys.readouterr().out)["error"]["conditions"]
+        code, payload = cli(verb, bad)
+        assert code == 3
+        assert "vertex-duplicate" in payload["error"]["conditions"]
 
 
-def test_rank_mismatch_stays_domain_error(capsys):
-    tripod = GOLDEN / "in" / "invariants_tripod.json"
-    assert main(["deg", "--profile", "P2", "--in", str(tripod)]) == 3
-    assert json.loads(capsys.readouterr().out)["error"]["type"] == "domain"
+def test_rank_mismatch_stays_domain_error(cli):
+    code, payload = cli("deg", golden_input("invariants_tripod"), "--profile", "P2")
+    assert (code, payload["error"]["type"]) == (3, "domain")
 
 
-def test_size_cap_exit(tmp_path, capsys):
+def test_size_cap_exit(cli):
     g = {
         "rank": 0,
         "flags": list(range(20)),
@@ -326,16 +303,13 @@ def test_size_cap_exit(tmp_path, capsys):
         "boundary": {str(i): 0 for i in range(20)},
         "involution": {str(i): i for i in range(20)},
     }
-    doc = tmp_path / "big.json"
-    doc.write_text(json.dumps(g))
-    assert main(["invariants", "--in", str(doc)]) == 4
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["error"]["type"] == "size-cap"
+    code, payload = cli("invariants", g)
+    assert (code, payload["error"]["type"]) == (4, "size-cap")
     # a raised cap admits the same document
-    assert main(["invariants", "--in", str(doc), "--max-flags", "32"]) == 0
+    assert cli("invariants", g, "--max-flags", "32")[0] == 0
 
 
-REPLACEMENT_VALUES = (None, -1, 1.5, True, "x", [], {})
+REPLACEMENT_VALUES = (None, -1, 7, 1.5, True, "x", [], {}, [0, 1])
 EXIT_TYPES = {2: {"schema"}, 3: {"validation", "domain"}, 4: {"size-cap"}}
 
 
@@ -347,88 +321,44 @@ def _value_paths(node, path=()):
         yield from _value_paths(value, path + (key,))
 
 
-def _edits(doc):
-    """Every one-edit change: delete a key, repeat a list entry, or replace a value."""
-    for path, in_list in _value_paths(doc):
-        for change in ("repeat" if in_list else "delete",) + REPLACEMENT_VALUES:
-            yield path, change
-
-
-def _edited(doc, path, change):
-    out = copy.deepcopy(doc)
-    parent = out
-    for key in path[:-1]:
-        parent = parent[key]
-    if change == "delete":
-        del parent[path[-1]]
-    elif change == "repeat":
-        parent.insert(path[-1], parent[path[-1]])
-    else:
-        parent[path[-1]] = change
-    return out
-
-
-def test_mutated_golden_inputs_keep_the_exit_contract(tmp_path, capsys):
-    """Seeded one-edit mutations of every golden input exit 0, 2, 3 or 4, never
-    with a traceback, and print one JSON object whose error type fits the exit code."""
-    doc = tmp_path / "doc.json"
-    for stem, (verb, _) in sorted(CASES.items()):
-        golden = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
-        edits = list(_edits(golden))
-        for edit in random.Random(stem).sample(edits, min(45, len(edits))):
-            doc.write_text(json.dumps(_edited(golden, *edit)))
-            code = main([verb, "--in", str(doc)])
-            out = capsys.readouterr().out
-            assert code in (0, 2, 3, 4), (stem, edit, code)
-            if code == 0 and verb == "export-dot":
-                assert out.startswith("graph "), (stem, edit)
-                continue
-            payload = json.loads(out)
-            assert isinstance(payload, dict), (stem, edit)
-            if code:
-                assert payload["error"]["type"] in EXIT_TYPES[code], (stem, edit, payload)
-
-
-FUZZ_VALUES = (None, True, 7, 2.5, "x", [], {}, [0, 1])
-
-
-def _fuzzed(rng, doc):
-    """doc with one seeded mutation: a value swapped for one of FUZZ_VALUES,
-    a key or array entry dropped, an entry appended to an array, or an int
-    moved by one."""
+def _mutant(rng, doc):
+    """doc with one seeded change at a seeded path: the value dropped, an
+    array entry repeated in place, an entry appended to its array, the value
+    replaced with one of REPLACEMENT_VALUES, or an int moved by one."""
     out = copy.deepcopy(doc)
     path, in_list = rng.choice(list(_value_paths(out)))
-    parent = out
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _parent(out, path)
     value = parent[path[-1]]
-    change = rng.choice(("swap", "drop") + ("append",) * in_list + ("nudge",) * (type(value) is int))
-    if change == "swap":
-        parent[path[-1]] = copy.deepcopy(rng.choice(FUZZ_VALUES))
-    elif change == "drop":
+    change = rng.choice(("drop", "replace") + ("repeat", "append") * in_list + ("nudge",) * (type(value) is int))
+    if change == "drop":
         del parent[path[-1]]
+    elif change == "repeat":
+        parent.insert(path[-1], value)
     elif change == "append":
-        parent.append(copy.deepcopy(rng.choice((value,) + FUZZ_VALUES)))
+        parent.append(copy.deepcopy(rng.choice((value,) + REPLACEMENT_VALUES)))
+    elif change == "replace":
+        parent[path[-1]] = copy.deepcopy(rng.choice(REPLACEMENT_VALUES))
     else:
         parent[path[-1]] = value + rng.choice((-1, 1))
     return out
 
 
 def test_fuzzed_golden_inputs_keep_the_output_contract(monkeypatch, capsys):
-    """2,000 seeded mutations of the golden inputs, read from stdin: every
-    exit code is 0, 2, 3 or 4; stdout is one JSON document (DOT text for a
-    successful export-dot); an error is {"error": {"type", "message"}} with
-    a sorted "conditions" list exactly when its type is "validation"; and
-    every verb both succeeds and fails.  Validate's own golden input is an
-    invalid graph that no one mutation makes valid, so validate also reads
-    the mutants of every other golden graph document."""
+    """145 seeded mutants of each golden input, read from stdin: every exit
+    code is 0, 2, 3 or 4, never a traceback; stdout is one JSON object (DOT
+    text for a successful export-dot); an error is {"error": {"type",
+    "message"}} with a type that fits the exit code and a sorted
+    "conditions" list exactly when its type is "validation"; and every verb
+    both succeeds and fails.  Validate's own golden input is an invalid
+    graph that no one change makes valid, so validate also reads the
+    mutants of every other golden graph document."""
     rng = random.Random(2024)
     codes = {verb: set() for verb in VERBS}
     for stem, (verb, _) in sorted(CASES.items()):
-        golden = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
+        golden = golden_input(stem)
         verbs = (verb, "validate") if "flags" in golden and verb != "validate" else (verb,)
-        for _ in range(100):
-            text = json.dumps(_fuzzed(rng, golden))
+        for _ in range(145):
+            text = json.dumps(_mutant(rng, golden))
             for run_verb in verbs:
                 monkeypatch.setattr("sys.stdin", io.StringIO(text))
                 code = main([run_verb])
@@ -439,6 +369,7 @@ def test_fuzzed_golden_inputs_keep_the_output_contract(monkeypatch, capsys):
                     assert out.startswith("graph ") and out.endswith("}\n"), (stem, text)
                     continue
                 payload = json.loads(out)
+                assert isinstance(payload, dict), (stem, run_verb, text)
                 if not code:
                     continue
                 assert set(payload) == {"error"}, (stem, run_verb, text, payload)
@@ -452,15 +383,11 @@ def test_fuzzed_golden_inputs_keep_the_output_contract(monkeypatch, capsys):
     assert all(0 in seen and seen - {0} for seen in codes.values()), codes
 
 
-def test_compose_rejects_an_invalid_marked_input(tmp_path, capsys):
+def test_compose_rejects_an_invalid_marked_input(cli):
     # compose_marked does not re-check its composite, so the verb validates
     # the morphisms it reads: here the first one's hom is not its part's hom
-    doc = json.loads((GOLDEN / "in" / "compose_marked.json").read_text())
-    doc["first"]["xi"]["rows"] = [[2]]
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    assert main(["compose", "--in", str(path)]) == 3
-    assert json.loads(capsys.readouterr().out)["error"]["conditions"] == ["marked-hom"]
+    code, payload = cli("compose", golden_input("compose_marked", "first", "xi", "rows", [[2]]))
+    assert (code, payload["error"]["conditions"]) == (3, ["marked-hom"])
 
 
 OPTIONAL_ARRAY_CASES = [
@@ -471,30 +398,19 @@ OPTIONAL_ARRAY_CASES = [
 
 
 @pytest.mark.parametrize("verb,stem,where,bad", OPTIONAL_ARRAY_CASES)
-def test_non_array_where_an_array_goes_is_schema_error(verb, stem, where, bad, tmp_path, capsys):
+def test_non_array_where_an_array_goes_is_schema_error(verb, stem, where, bad, cli):
     # an object once read as an empty array: the glue or the steps were dropped
-    doc = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
-    doc[where[0]][where[1]] = bad
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    assert main([verb, "--in", str(path)]) == 2
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["error"]["type"] == "schema"
+    code, payload = cli(verb, golden_input(stem, *where, bad))
+    assert (code, payload["error"]["type"]) == (2, "schema")
     assert "must be an array" in payload["error"]["message"]
 
 
-def test_validate_names_an_unknown_kind(tmp_path, capsys):
-    import stablegraphs as sg
-    from stablegraphs.serialize import contraction_to_json
-
+def test_validate_names_an_unknown_kind(cli):
     g = sg.modular_graph({0: 1, 1: 1}, edges=[((0, 0), (1, 1))])
     doc = contraction_to_json(sg.contract_edges(g, [(0, 1)]))
     doc["kind"] = "contraktion"
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    assert main(["validate", "--in", str(path)]) == 2
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["error"]["type"] == "schema"
+    code, payload = cli("validate", doc)
+    assert (code, payload["error"]["type"]) == (2, "schema")
     for name in ("contraktion", "contraction", "combinatorial", "marked", "extended-isogeny"):
         assert repr(name) in payload["error"]["message"]
 
@@ -521,7 +437,7 @@ def test_module_entry_points_print_help(entry):
 
 
 def test_repeated_calls_in_one_process_match_calls_made_alone(tmp_path, capsys):
-    graph = json.loads((GOLDEN / "in" / "deg_p2_d2.json").read_text())["graph"]
+    graph = golden_input("deg_p2_d2")["graph"]
     doc = tmp_path / "graph.json"
     doc.write_text(json.dumps({"graph": graph}))
     calls = [
@@ -586,59 +502,35 @@ def test_unreadable_input_file_is_schema_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("where", ["document", "option"])
-def test_unreadable_profile_file_is_schema_error(where, tmp_path, capsys):
+def test_unreadable_profile_file_is_schema_error(where, cli, tmp_path):
     # an existing directory passes the profile lookup but cannot be read
-    doc = tmp_path / "doc.json"
     if where == "document":
-        doc.write_text(json.dumps({"profile": str(tmp_path), "genus": 2}))
-        argv = ["boundary", "--in", str(doc)]
+        code, payload = cli("boundary", {"profile": str(tmp_path), "genus": 2})
     else:
-        doc.write_text(json.dumps({"genus": 2}))
-        argv = ["boundary", "--profile", str(tmp_path), "--in", str(doc)]
-    assert main(argv) == 2
-    assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+        code, payload = cli("boundary", {"genus": 2}, "--profile", str(tmp_path))
+    assert (code, payload["error"]["type"]) == (2, "schema")
 
 
-def test_unwritable_output_file_reports_on_stdout(tmp_path, capsys):
+def test_unwritable_output_file_reports_on_stdout(cli, tmp_path):
     out = tmp_path / "no" / "such" / "dir.out"
-    assert main(["invariants", "--in", str(GOLDEN / "in" / "invariants_tripod.json"), "--out", str(out)]) == 2
-    assert json.loads(capsys.readouterr().out)["error"]["type"] == "schema"
+    code, payload = cli("invariants", golden_input("invariants_tripod"), "--out", str(out))
+    assert (code, payload["error"]["type"]) == (2, "schema")
     assert not out.exists()
 
 
-def test_oversized_cartesian_family_exits_before_building_it(tmp_path, capsys, monkeypatch):
+def test_oversized_cartesian_family_exits_before_building_it(cli, monkeypatch):
     # the golden cartesian input with the class raised from [2] to [100000]:
     # contracting the edge would lift to 100001 members
-    doc = json.loads((GOLDEN / "in" / "cartesian_case2.json").read_text())
-    doc["b"]["target"]["vertices"][0]["class"] = [100000]
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(doc))
-    from stablegraphs.graphs import MarkedGraph
-
+    doc = golden_input("cartesian_case2", "b", "target", "vertices", 0, "class", [100000])
     built = []
     original = MarkedGraph.__post_init__
     monkeypatch.setattr(MarkedGraph, "__post_init__", lambda self: built.append(1) or original(self))
-    assert main(["cartesian", "--in", str(path)]) == 4
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["error"] == {"type": "size-cap", "message": "cartesian family has 100001 members, cap is 1000"}
+    message = "cartesian family has 100001 members, cap is 1000"
+    assert cli("cartesian", doc) == (4, {"error": {"type": "size-cap", "message": message}})
     assert len(built) < 10  # the 3-member golden family builds 14
 
 
-def _identity_capped(monkeypatch, largest):
-    """Make ``MonoidHom.identity`` fail above rank ``largest``."""
-    from stablegraphs.monoid import MonoidHom
-
-    real = MonoidHom.identity
-
-    def capped(rank):
-        if rank > largest:
-            raise AssertionError(f"identity hom of rank {rank} built")
-        return real(rank)
-
-    monkeypatch.setattr(MonoidHom, "identity", staticmethod(capped))
-
-
-def test_pullback_hom_check_builds_no_identity_of_the_declared_rank(tmp_path, capsys, monkeypatch):
+def test_pullback_hom_check_builds_no_identity_of_the_declared_rank(cli, identity_capped):
     # empty graphs that declare rank 3000, a covering morphism with no hom
     # (the identity) and a rank-0 xi: the answer is in xi's own rows
     empty = {"flags": [], "vertices": [], "boundary": {}, "involution": {}, "rank": 3000}
@@ -647,116 +539,70 @@ def test_pullback_hom_check_builds_no_identity_of_the_declared_rank(tmp_path, ca
         "phi": {"kind": "contraction", "source": empty, "target": empty, "flagmap": {}, "vertexmap": {}},
         "a": {"kind": "combinatorial", "source": empty, "target": empty, "flagmap": {}, "vertexmap": {}},
     }
-    path = tmp_path / "pullback.json"
-    path.write_text(json.dumps(doc))
-    _identity_capped(monkeypatch, 4)
-    assert main(["pullback", "--in", str(path)]) == 3
-    assert json.loads(capsys.readouterr().out)["error"]["conditions"] == ["pullback-hom"]
+    code, payload = cli("pullback", doc)
+    assert (code, payload["error"]["conditions"]) == (3, ["pullback-hom"])
 
 
-def test_cartesian_hom_check_builds_no_identity_of_the_profile_rank(tmp_path, capsys, monkeypatch):
+def test_cartesian_hom_check_builds_no_identity_of_the_profile_rank(cli, identity_capped):
     # the golden cartesian input over a rank-3000 profile, with b's hom left
     # out: the identity of a positive rank forgets no class
     rank = 3000
-    doc = json.loads((GOLDEN / "in" / "cartesian_case2.json").read_text())
-    doc["profile"] = {"dim": 2, "canonical": [-3] * rank, "ample": [1] * rank}
+    doc = golden_input("cartesian_case2", "profile", {"dim": 2, "canonical": [-3] * rank, "ample": [1] * rank})
     del doc["b"]["hom"]
     doc["b"]["target"]["rank"] = rank
     doc["b"]["target"]["vertices"][0]["class"] = [2] + [0] * (rank - 1)
-    path = tmp_path / "cartesian.json"
-    path.write_text(json.dumps(doc))
-    _identity_capped(monkeypatch, 4)
-    assert main(["cartesian", "--in", str(path)]) == 3
-    conditions = json.loads(capsys.readouterr().out)["error"]["conditions"]
-    assert conditions == ["cartesian-not-stabilization"]
+    code, payload = cli("cartesian", doc)
+    assert (code, payload["error"]["conditions"]) == (3, ["cartesian-not-stabilization"])
 
 
 @pytest.mark.parametrize("max_vertices", [8, 20])
-def test_boundary_over_the_flag_cap_exits_before_building_a_graph(max_vertices, tmp_path, capsys, monkeypatch):
-    from stablegraphs.graphs import MarkedGraph
-
-    def no_graph(self):
-        raise AssertionError("a graph was built")
-
-    path = tmp_path / "boundary.json"
-    path.write_text(json.dumps({"profile": "P2", "genus": 0, "tails": 3, "ample_bound": 6, "max_vertices": max_vertices}))
-    monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
-    assert main(["boundary", "--in", str(path)]) == 4
-    assert json.loads(capsys.readouterr().out)["error"]["type"] == "size-cap"
+def test_boundary_over_the_flag_cap_exits_before_building_a_graph(max_vertices, cli, forbid_graphs):
+    forbid_graphs()
+    code, payload = cli("boundary", {"profile": "P2", "genus": 0, "tails": 3, "ample_bound": 6, "max_vertices": max_vertices})
+    assert (code, payload["error"]["type"]) == (4, "size-cap")
 
 
-def test_boundary_with_too_many_start_classes_exits_before_building_a_graph(tmp_path, capsys, monkeypatch):
+def test_boundary_with_too_many_start_classes_exits_before_building_a_graph(cli, forbid_graphs):
     # P2 has one start graph per degree up to the ample bound: 10**9 + 1 of
     # them, more than the 500,000 graphs the enumeration may build
-    from stablegraphs.graphs import MarkedGraph
-
-    def no_graph(self):
-        raise AssertionError("a graph was built")
-
-    path = tmp_path / "boundary.json"
-    path.write_text(json.dumps({"profile": "P2", "genus": 0, "tails": 3, "ample_bound": 10**9, "max_vertices": 1}))
-    monkeypatch.setattr(MarkedGraph, "__post_init__", no_graph)
-    assert main(["boundary", "--in", str(path)]) == 4
-    assert json.loads(capsys.readouterr().out)["error"] == {
-        "type": "size-cap",
-        "message": "enumeration exceeded 500000 candidates",
-    }
-
-
-def _golden_edited(stem, *path_and_value):
-    """The golden input ``stem`` with the value at the given path replaced."""
-    doc = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
-    *path, value = path_and_value
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return doc
+    forbid_graphs()
+    doc = {"profile": "P2", "genus": 0, "tails": 3, "ample_bound": 10**9, "max_vertices": 1}
+    message = "enumeration exceeded 500000 candidates"
+    assert cli("boundary", doc) == (4, {"error": {"type": "size-cap", "message": message}})
 
 
 MALFORMED_PAIR_CASES = [
-    ("contract", _golden_edited("contract_bridge", "edges", [[0, 1, 99]])),
-    ("glue", _golden_edited("glue_loop", "tails", [0, 1, 77])),
-    ("cut", _golden_edited("cut_bridge", "edge", [0])),
-    ("cut", _golden_edited("cut_bridge", "edge", [0, 1, 2])),
-    ("compose", _golden_edited("compose_isogenies", "second", "glues", [[11, 10, 9]])),
-    ("compose", _golden_edited("compose_isogenies", "first", "steps", [{"op": "contract", "edge": [1, 2, 3]}])),
-    ("cartesian", _golden_edited("cartesian_case2", "phi", "glues", [[0, 1, 2]])),
-    ("cartesian", _golden_edited("cartesian_case2", "phi", "steps", 0, "edge", [4, 5, 6])),
+    ("contract", golden_input("contract_bridge", "edges", [[0, 1, 99]])),
+    ("glue", golden_input("glue_loop", "tails", [0, 1, 77])),
+    ("cut", golden_input("cut_bridge", "edge", [0])),
+    ("cut", golden_input("cut_bridge", "edge", [0, 1, 2])),
+    ("compose", golden_input("compose_isogenies", "second", "glues", [[11, 10, 9]])),
+    ("compose", golden_input("compose_isogenies", "first", "steps", [{"op": "contract", "edge": [1, 2, 3]}])),
+    ("cartesian", golden_input("cartesian_case2", "phi", "glues", [[0, 1, 2]])),
+    ("cartesian", golden_input("cartesian_case2", "phi", "steps", 0, "edge", [4, 5, 6])),
 ]
 
 
 @pytest.mark.parametrize("verb,bad", MALFORMED_PAIR_CASES)
-def test_pair_that_is_not_two_integers_is_schema_error(verb, bad, tmp_path, capsys):
-    doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps(bad))
-    assert main([verb, "--in", str(doc)]) == 2
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["error"]["type"] == "schema"
+def test_pair_that_is_not_two_integers_is_schema_error(verb, bad, cli):
+    code, payload = cli(verb, bad)
+    assert (code, payload["error"]["type"]) == (2, "schema")
     assert "must be an array of exactly two integers" in payload["error"]["message"]
 
 
 @pytest.mark.parametrize("forget_side", ["first", "second"])
-def test_compose_rejects_an_invalid_isogeny_input(forget_side, tmp_path, capsys):
+def test_compose_rejects_an_invalid_isogeny_input(forget_side, cli):
     # the type-IV forget of a lonely tripod kills its component, so it is
     # no isogeny; composed with an identity on either side it is refused as
     # validate refuses it
-    import stablegraphs as sg
-    from stablegraphs.isogeny import elementary_forget_isogeny, identity_extended
-    from stablegraphs.serialize import isogeny_to_json
-
     forget = elementary_forget_isogeny(sg.modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0}), 0)
     if forget_side == "first":
         doc = {"first": isogeny_to_json(forget), "second": isogeny_to_json(identity_extended(forget.target))}
     else:
         doc = {"first": isogeny_to_json(identity_extended(forget.source)), "second": isogeny_to_json(forget)}
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    assert main(["compose", "--in", str(path)]) == 3
-    assert json.loads(capsys.readouterr().out)["error"]["conditions"] == ["isogeny-pi0"]
-    path.write_text(json.dumps(doc[forget_side]))
-    assert main(["validate", "--in", str(path)]) == 3
-    assert json.loads(capsys.readouterr().out)["error"]["conditions"] == ["isogeny-pi0"]
+    for verb, read in (("compose", doc), ("validate", doc[forget_side])):
+        code, payload = cli(verb, read)
+        assert (code, payload["error"]["conditions"]) == (3, ["isogeny-pi0"])
 
 
 REQUIRED_KEYS = [
@@ -783,12 +629,9 @@ REQUIRED_KEYS = [
 
 
 @pytest.mark.parametrize("stem,key", REQUIRED_KEYS)
-def test_missing_required_key_is_named(stem, key, tmp_path, capsys):
-    doc = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
+def test_missing_required_key_is_named(stem, key, cli):
+    doc = golden_input(stem)
     del doc[key]
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    assert main([CASES[stem][0], "--in", str(path)]) == 2
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error["type"] == "schema"
-    assert repr(key) in error["message"]
+    code, payload = cli(CASES[stem][0], doc)
+    assert (code, payload["error"]["type"]) == (2, "schema")
+    assert repr(key) in payload["error"]["message"]

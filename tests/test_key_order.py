@@ -66,7 +66,7 @@ from strategies import (
     rand_unstable_graph,
 )
 from test_cartesian import member_keys, same, seeded_pullback_case, spliced_into_chain
-from test_cli import CASES, GOLDEN
+from test_cli import CASES, GOLDEN, golden_input
 
 
 def shuffled(x, rng):
@@ -225,7 +225,7 @@ def test_cartesian_pullbacks_are_key_order_free():
 def test_golden_inputs_with_shuffled_keys_give_the_golden_output(stem, tmp_path):
     verb, expected_exit = CASES[stem]
     golden = (GOLDEN / "out" / f"{stem}.out").read_bytes()
-    doc = json.loads((GOLDEN / "in" / f"{stem}.json").read_text())
+    doc = golden_input(stem)
     rng = random.Random(stem)
     for i in range(5):
         path, out = tmp_path / f"in{i}.json", tmp_path / f"out{i}"

@@ -7,7 +7,6 @@ import pytest
 from stablegraphs.canonical import canonical_key, is_isomorphic
 from stablegraphs.errors import RankMismatchError, ValidationError
 from stablegraphs.graphs import (
-    MarkedGraph,
     edges,
     edit_graph,
     empty_graph,
@@ -446,14 +445,10 @@ def test_validators_agree_with_the_graph_building_references(validator_cases):
     assert {"combinatorial-3-equivalence", "combinatorial-4-class", "contraction-genus"} <= conditions
 
 
-def test_validators_construct_no_graph(validator_cases, monkeypatch):
+def test_validators_construct_no_graph(validator_cases, forbid_graphs):
     covers, contractions = validator_cases
     before = [validate_combinatorial(a) for a in covers] + [validate_contraction(c) for c in contractions]
-
-    def refuse(self):
-        raise AssertionError("a validator built a MarkedGraph")
-
-    monkeypatch.setattr(MarkedGraph, "__post_init__", refuse)
+    forbid_graphs()
     after = [validate_combinatorial(a) for a in covers] + [validate_contraction(c) for c in contractions]
     assert after == before
 
@@ -633,18 +628,6 @@ def test_contraction_class_check_agrees_with_the_fold():
 
 def _empty_morphism(source_rank, target_rank, hom=None):
     return CombinatorialMorphism(empty_graph(source_rank), empty_graph(target_rank), {}, {}, hom)
-
-
-@pytest.fixture
-def identity_capped(monkeypatch):
-    real = MonoidHom.identity
-
-    def capped(rank):
-        if rank > 4:
-            raise AssertionError(f"identity hom of rank {rank} built")
-        return real(rank)
-
-    monkeypatch.setattr(MonoidHom, "identity", staticmethod(capped))
 
 
 @pytest.mark.parametrize("missing", ["inner", "outer"])

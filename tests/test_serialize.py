@@ -2,7 +2,6 @@ import json
 import random
 import struct
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -33,8 +32,7 @@ from stablegraphs.serialize import (
 )
 
 from strategies import rand_graph
-
-GOLDEN = Path(__file__).parent / "golden"
+from test_cli import golden_input
 
 
 def test_graph_round_trip():
@@ -117,14 +115,10 @@ def test_marked_round_trip():
     assert back.comb.flagmap == m.comb.flagmap
 
 
-def test_compose_refuses_a_second_document_that_is_not_marked(tmp_path, capsys):
+def test_compose_refuses_a_second_document_that_is_not_marked(cli):
     # both documents are read as the first one's kind
-    doc = json.loads((GOLDEN / "in" / "compose_marked.json").read_text())
-    doc["second"]["kind"] = "extended-isogeny"
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    assert main(["compose", "--in", str(path)]) == 2
-    assert json.loads(capsys.readouterr().out) == {"error": {"type": "schema", "message": "expected kind 'marked'"}}
+    doc = golden_input("compose_marked", "second", "kind", "extended-isogeny")
+    assert cli("compose", doc) == (2, {"error": {"type": "schema", "message": "expected kind 'marked'"}})
 
 
 def test_isogeny_round_trip():
