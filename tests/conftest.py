@@ -29,6 +29,20 @@ def cli(tmp_path, capsys):
 
 
 @pytest.fixture
+def constructed(monkeypatch):
+    """``constructed(cls)`` returns a list that records, in order, each
+    instance of ``cls`` built from then on in the test."""
+
+    def record(cls):
+        built = []
+        real = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self) or real(self))
+        return built
+
+    return record
+
+
+@pytest.fixture
 def forbid_graphs(monkeypatch):
     """A callable: once called, building a ``MarkedGraph`` raises for the
     rest of the test."""

@@ -15,8 +15,8 @@ from stablegraphs.graphs import (
     component_of,
     connected_components,
     edges,
+    edit_graph,
     is_stable,
-    is_stable_vertex,
     next_id,
     relabel_classes,
 )
@@ -114,24 +114,15 @@ def make_stable(rng: random.Random, g: MarkedGraph) -> MarkedGraph:
     genus = dict(g.genus)
     nxt = next_id(g.flags)
     for v in g.vertices:
-        current = MarkedGraph(
-            flags=tuple(boundary),
-            vertices=g.vertices,
-            boundary=boundary,
-            involution=involution,
-            genus=genus,
-            classes=classes,
-            rank=g.rank,
-        )
-        if is_stable_vertex(current, v):
+        valence = sum(1 for f in boundary if boundary[f] == v)
+        if not classes[v].is_zero() or 2 * genus[v] + valence >= 3:
             continue
         if g.rank > 0 and rng.random() < 0.5:
             coords = [0] * g.rank
             coords[rng.randrange(g.rank)] = rng.randint(1, 2)
             classes[v] = MonoidElement(tuple(coords))
         else:
-            need = 3 - 2 * genus[v] - sum(1 for f in boundary if boundary[f] == v)
-            for _ in range(max(need, 0)):
+            for _ in range(3 - 2 * genus[v] - valence):
                 boundary[nxt] = v
                 involution[nxt] = nxt
                 nxt += 1
@@ -284,12 +275,4 @@ def rand_unstable_graph(rng: random.Random, rank: int = 1, max_flags: int = 8) -
     g = rand_graph(rng, rank=rank, max_flags=max_flags - 2, stable=True)
     nxt = next_id(g.flags)
     nv = next_id(g.vertices)
-    return MarkedGraph(
-        flags=g.flags + (nxt, nxt + 1),
-        vertices=g.vertices + (nv,),
-        boundary={**g.boundary, nxt: nv, nxt + 1: nv},
-        involution={**g.involution, nxt: nxt, nxt + 1: nxt + 1},
-        genus={**g.genus, nv: 0},
-        classes={**g.classes, nv: MonoidElement.zero(g.rank)},
-        rank=g.rank,
-    )
+    return edit_graph(g, attach={nxt: nv, nxt + 1: nv}, vertices={nv: (0, MonoidElement.zero(g.rank))})

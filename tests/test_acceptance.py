@@ -6,11 +6,13 @@ them.
 
 import random
 from itertools import permutations
+from math import prod
 
 from stablegraphs.canonical import canonical_key
 from stablegraphs.cartesian import (
     cartesian_pullback,
     enumerate_stable_graphs,
+    is_stabilization_identification,
 )
 from stablegraphs.cli import main as cli_main
 from stablegraphs.graphs import (
@@ -19,14 +21,17 @@ from stablegraphs.graphs import (
     euler_characteristic,
     is_stable,
     marked_graph,
-    modular_graph,
 )
-from stablegraphs.isogeny import ContractStep, extended_isogeny
-from stablegraphs.monoid import LinearForm, MonoidHom, element, enumerate_pair_decompositions
-from stablegraphs.morphisms import CombinatorialMorphism, contract_edges
-from stablegraphs.profiles import POINT, VarietyProfile, deg_graph, dim_graph, projective_space
+from stablegraphs.monoid import element, enumerate_pair_decompositions
+from stablegraphs.morphisms import CombinatorialMorphism, contract_edges, validate_combinatorial
+from stablegraphs.profiles import POINT, deg_graph, dim_graph, projective_space
 from stablegraphs.pullback import compose_marked, marked_key, pullback_diagram_key, stable_pullback, validate_marked
-from stablegraphs.stabilize import absolute_stabilization, check_universal_property, stabilize
+from stablegraphs.stabilize import (
+    absolute_stabilization,
+    check_universal_property,
+    stabilize,
+    stabilize_with_trace,
+)
 
 from oracles import betti1_gf2, chain_condition_holds, enumerate_by_shapes
 from strategies import (
@@ -36,6 +41,7 @@ from strategies import (
     rand_marked_morphism,
     rand_unstable_graph,
 )
+from test_cartesian import P2, SURFACE, four_tail_setup
 from test_cli import CASES, check_golden_case
 
 
@@ -55,7 +61,7 @@ def test_criterion_1_stable_pullback_order_independence():
         chosen = rng.sample(pool, rng.randint(2, min(3, len(pool))))
         phi = contract_edges(g, chosen)
         xi = rand_hom(rng, 2, rng.randint(1, 2))
-        a = rand_covering(rng, phi.target, xi, extra_ops=1)
+        a = rand_covering(rng, phi.target, xi)
         keys = set()
         for order in permutations(phi.contracted_edges()):
             pi, psi, b = stable_pullback(xi, phi, a, edge_order=order)
@@ -68,7 +74,7 @@ def test_criterion_1_stable_pullback_order_independence():
 
 def test_criterion_2_marked_composition_associative():
     rng = random.Random(2024_02)
-    triples = 0
+    triples = composites = 0
     while triples < 100:
         m1 = rand_marked_morphism(rng, source_rank=2, target_rank=rng.randint(1, 2), max_flags=9)
         m2 = rand_marked_morphism(
@@ -77,32 +83,20 @@ def test_criterion_2_marked_composition_associative():
         m3 = rand_marked_morphism(
             rng, source=m2.target_graph, target_rank=rng.randint(1, 2), max_flags=9
         )
-        left = compose_marked(m3, compose_marked(m2, m1))
-        right = compose_marked(compose_marked(m3, m2), m1)
+        inner_left, inner_right = compose_marked(m2, m1), compose_marked(m3, m2)
+        left, right = compose_marked(m3, inner_left), compose_marked(inner_right, m1)
+        # compose_marked does not re-check its composite
+        for m in (inner_left, inner_right, left, right):
+            assert validate_marked(m) == [], f"invalid composite at triple {triples}"
+            composites += 1
         assert left.hom == right.hom
         assert marked_key(left) == marked_key(right), f"associativity failed at triple {triples}"
         triples += 1
-    report(2, f"{triples} composable triples associate up to isomorphism")
-
-
-def test_criterion_2_composites_validate():
-    # compose_marked does not re-check its composite: on the criterion 2
-    # triples, every composite built there must be a valid marked morphism
-    rng = random.Random(2024_02)
-    composites = 0
-    while composites < 400:
-        m1 = rand_marked_morphism(rng, source_rank=2, target_rank=rng.randint(1, 2), max_flags=9)
-        m2 = rand_marked_morphism(
-            rng, source=m1.target_graph, target_rank=rng.randint(1, 2), max_flags=9
-        )
-        m3 = rand_marked_morphism(
-            rng, source=m2.target_graph, target_rank=rng.randint(1, 2), max_flags=9
-        )
-        inner_left, inner_right = compose_marked(m2, m1), compose_marked(m3, m2)
-        for m in (inner_left, inner_right, compose_marked(m3, inner_left), compose_marked(inner_right, m1)):
-            assert validate_marked(m) == []
-            composites += 1
-    report(2, f"{composites} composites of the criterion 2 triples are valid marked morphisms")
+    report(
+        2,
+        f"{triples} composable triples associate up to isomorphism; "
+        f"their {composites} composites are valid marked morphisms",
+    )
 
 
 def test_criterion_3_stabilization_universal_property():
@@ -145,7 +139,10 @@ def test_criterion_4_idempotence_and_pushforward_functoriality():
 
     for i in range(200):
         g = rand_graph(rng, rank=2, max_flags=12)
-        s, _ = stabilize(g)
+        s, a, steps = stabilize_with_trace(g)
+        assert is_stable(s) and validate_combinatorial(a) == [], f"invalid stabilization at instance {i}"
+        # each surgery removes exactly one vertex
+        assert len(steps) == len(g.vertices) - len(s.vertices), f"surgery count wrong at instance {i}"
         again, _ = stabilize(s)
         assert again == s, f"idempotence failed at instance {i}"
         stable_g = rand_graph(rng, rank=2, max_flags=10, stable=True)
@@ -154,7 +151,11 @@ def test_criterion_4_idempotence_and_pushforward_functoriality():
         one_shot, _ = pushforward(eta.compose(xi), stable_g)
         staged, _ = pushforward(eta, pushforward(xi, stable_g)[0])
         assert canonical_key(one_shot) == canonical_key(staged), f"functoriality failed at instance {i}"
-    report(4, "200 instances: stabilization idempotent, pushforward functorial")
+    report(
+        4,
+        "200 instances: stabilization valid, one surgery per removed vertex and idempotent; "
+        "pushforward functorial",
+    )
 
 
 def test_criterion_5_betti_oracle_agreement():
@@ -220,20 +221,15 @@ def test_criterion_7_dimension_degree_ledger():
 
 
 def test_criterion_8_cartesian_case_ii_families():
+    # the splitting family of a four-tail vertex of class b, over P2 (rank 1,
+    # b in 0..4) and over a quadric (rank 2, b in {0..2}^2)
+    rows = [(P2, element(b)) for b in range(5)]
+    rows += [(SURFACE, element(b1, b2)) for b1 in range(3) for b2 in range(3)]
     checked = 0
-    # rank 1: classes (b) for b in 0..4
-    for b_val in range(5):
-        p = projective_space(2)
-        tau = modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 2: 1, 3: 1}, edges=[((4, 0), (5, 1))])
-        phi = extended_isogeny(tau, (), (ContractStep((4, 5)),))
-        sigma_prime = marked_graph(1, {0: (0, b_val)}, tails={0: 0, 1: 0, 2: 0, 3: 0})
-        b = CombinatorialMorphism(
-            source=phi.target, target=sigma_prime,
-            flagmap={f: f for f in phi.target.flags}, vertexmap={0: 0},
-            hom=MonoidHom.to_trivial(1),
-        )
-        members = cartesian_pullback(p, phi, b)
-        assert len(members) == b_val + 1
+    for profile, cls in rows:
+        _, phi, _, b = four_tail_setup(profile, cls)
+        members = cartesian_pullback(profile, phi, b)
+        assert len(members) == prod(c + 1 for c in cls.coords)
         splits = [
             (
                 m.graph.classes[m.identification.vertexmap[0]],
@@ -241,40 +237,18 @@ def test_criterion_8_cartesian_case_ii_families():
             )
             for m in members
         ]
-        assert splits == enumerate_pair_decompositions(element(b_val))
+        assert splits == enumerate_pair_decompositions(cls)
         assert len(set(splits)) == len(splits)
         for m in members:
             assert is_stable(m.graph)
-            assert deg_graph(p, m.graph) == deg_graph(p, sigma_prime)
+            assert deg_graph(profile, m.graph) == deg_graph(profile, b.target)
+            assert is_stabilization_identification(m.identification)
         checked += len(members)
-    # rank 2: classes (b1, b2) in {0..2}^2
-    surface = VarietyProfile("surface", 2, LinearForm((-2, -2)), LinearForm((1, 1)))
-    for b1 in range(3):
-        for b2 in range(3):
-            tau = modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 2: 1, 3: 1}, edges=[((4, 0), (5, 1))])
-            phi = extended_isogeny(tau, (), (ContractStep((4, 5)),))
-            sigma_prime = marked_graph(2, {0: (0, (b1, b2))}, tails={0: 0, 1: 0, 2: 0, 3: 0})
-            b = CombinatorialMorphism(
-                source=phi.target, target=sigma_prime,
-                flagmap={f: f for f in phi.target.flags}, vertexmap={0: 0},
-                hom=MonoidHom.to_trivial(2),
-            )
-            members = cartesian_pullback(surface, phi, b)
-            assert len(members) == (b1 + 1) * (b2 + 1)
-            splits = [
-                (
-                    m.graph.classes[m.identification.vertexmap[0]],
-                    m.graph.classes[m.identification.vertexmap[1]],
-                )
-                for m in members
-            ]
-            assert splits == enumerate_pair_decompositions(element(b1, b2))
-            assert len(set(splits)) == len(splits)
-            for m in members:
-                assert is_stable(m.graph)
-                assert deg_graph(surface, m.graph) == deg_graph(surface, sigma_prime)
-            checked += len(members)
-    report(8, f"{checked} family members across rank-1 and rank-2 class splits, complete and degree-preserving")
+    report(
+        8,
+        f"{checked} family members over {len(rows)} rank-1 and rank-2 class splits, "
+        "complete, degree-preserving and stabilization identifications",
+    )
 
 
 def test_criterion_9_chi_invariance_under_isogenies():

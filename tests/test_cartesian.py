@@ -937,20 +937,13 @@ def test_enumerate_cap_counts_the_start_graphs(forbid_graphs):
         enumerate_stable_graphs(BUILTIN_PROFILES["P1"], 0, 3, 5, 1, cap=5)
 
 
-def test_enumerate_cap_counts_the_splittings(monkeypatch):
+def test_enumerate_cap_counts_the_splittings(constructed):
     # point, genus 2, no tails, two vertices: one start class, then 10
     # splittings, so a cap of 11 admits them all and a cap of 10 refuses at
     # the last; rejected splittings count toward the cap but are not built,
     # so fewer graphs are built than the cap
     assert len(enumerate_stable_graphs(BUILTIN_PROFILES["point"], 2, 0, 0, 2, cap=11)) == 7
-    built = []
-    check = MarkedGraph.__post_init__
-
-    def counted(self):
-        built.append(self)
-        check(self)
-
-    monkeypatch.setattr(MarkedGraph, "__post_init__", counted)
+    built = constructed(MarkedGraph)
     with pytest.raises(SizeCapError, match="^enumeration exceeded 10 candidates$"):
         enumerate_stable_graphs(BUILTIN_PROFILES["point"], 2, 0, 0, 2, cap=10)
     assert 0 < len(built) < 10

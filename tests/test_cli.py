@@ -518,13 +518,11 @@ def test_unwritable_output_file_reports_on_stdout(cli, tmp_path):
     assert not out.exists()
 
 
-def test_oversized_cartesian_family_exits_before_building_it(cli, monkeypatch):
+def test_oversized_cartesian_family_exits_before_building_it(cli, constructed):
     # the golden cartesian input with the class raised from [2] to [100000]:
     # contracting the edge would lift to 100001 members
     doc = golden_input("cartesian_case2", "b", "target", "vertices", 0, "class", [100000])
-    built = []
-    original = MarkedGraph.__post_init__
-    monkeypatch.setattr(MarkedGraph, "__post_init__", lambda self: built.append(1) or original(self))
+    built = constructed(MarkedGraph)
     message = "cartesian family has 100001 members, cap is 1000"
     assert cli("cartesian", doc) == (4, {"error": {"type": "size-cap", "message": message}})
     assert len(built) < 10  # the 3-member golden family builds 14

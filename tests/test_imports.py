@@ -1,8 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package or test module imports is used in that module.
 
-``__init__.py`` is exempt: its imports are the public re-exports.  A name
-counts as used when it is read anywhere in the module, in code or in a
-quoted annotation.
+The package's ``__init__.py`` is exempt: its imports are the public
+re-exports.  A name counts as used when it is read anywhere in the module,
+in code or in a quoted annotation.
 """
 
 import ast
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stablegraphs"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "stablegraphs"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -48,7 +50,9 @@ def _used(tree: ast.Module) -> set[str]:
     return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}"
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)
@@ -58,3 +62,4 @@ def test_no_unused_imports(path):
 
 def test_modules_found():
     assert any(p.name == "stabilize.py" for p in MODULES)
+    assert any(p.name == "test_imports.py" for p in TEST_MODULES)

@@ -158,7 +158,7 @@ def test_pullback_psi_over_long_chains_validates():
     assert split_twice >= 10
 
 
-def test_pullback_builds_one_graph(monkeypatch):
+def test_pullback_builds_one_graph(constructed):
     # a chain of three vertices contracted to one, and two vertices of rho
     # over it: each splits at both steps, and pi is the only graph built;
     # the steps are read from phi's ids, so no factor graph is built
@@ -172,9 +172,7 @@ def test_pullback_builds_one_graph(monkeypatch):
         source=rho, target=phi.target, flagmap={0: 0, 1: 1, 2: 2, 3: 1}, vertexmap={0: v0, 1: v0},
         hom=MonoidHom.identity(1),
     )
-    built = []
-    real = MarkedGraph.__post_init__
-    monkeypatch.setattr(MarkedGraph, "__post_init__", lambda self: built.append(self) or real(self))
+    built = constructed(MarkedGraph)
     pi, psi, b = stable_pullback(MonoidHom.identity(1), phi, a)
     assert built == [pi] and built[0] is pi
     assert len(pi.vertices) == 6 and len(edges(pi)) == 4

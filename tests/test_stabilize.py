@@ -186,7 +186,7 @@ def test_stabilize_chi_per_case():
             current = nxt
 
 
-def test_stabilize_builds_one_graph(monkeypatch):
+def test_stabilize_builds_one_graph(constructed):
     # a chain of three unstable vertices between two stable ends, and a
     # stable graph: one graph built for the first, none for the second
     chain = modular_graph(
@@ -195,9 +195,7 @@ def test_stabilize_builds_one_graph(monkeypatch):
         edges=[((0, 0), (1, 1)), ((2, 1), (3, 2)), ((4, 2), (5, 3)), ((6, 3), (7, 4))],
     )
     stable = marked_graph(1, {0: (1, 1)}, tails={0: 0})
-    built = []
-    real = MarkedGraph.__post_init__
-    monkeypatch.setattr(MarkedGraph, "__post_init__", lambda self: built.append(self) or real(self))
+    built = constructed(MarkedGraph)
     s, _, steps = stabilize_with_trace(chain)
     assert [st.case for st in steps] == ["III", "III", "III"]
     assert built == [s] and s.vertices == (0, 4) and edges(s) == ((0, 7),)
@@ -338,15 +336,13 @@ def test_composite_keys_match_compose_combinatorial():
     assert composites > 200 and directs > 200
 
 
-def test_certificate_builds_only_the_stabilization_morphism(monkeypatch):
+def test_certificate_builds_only_the_stabilization_morphism(constructed):
     # a tripod against a genus-0 vertex with four tails and a dangling edge
     # (case I): 5 * 4 * 3 maps into each side, and no morphism object is
     # built for any of them
     g = marked_graph(1, {0: (0, 0), 1: (0, 0)}, tails={0: 0, 1: 0, 2: 0, 3: 0}, edges=[((4, 0), (5, 1))])
     sigma = marked_graph(1, {0: (0, 0)}, tails={0: 0, 1: 0, 2: 0})
-    built = []
-    real = CombinatorialMorphism.__post_init__
-    monkeypatch.setattr(CombinatorialMorphism, "__post_init__", lambda self: built.append(self) or real(self))
+    built = constructed(CombinatorialMorphism)
     report = check_universal_property(g, pool=[sigma])
     assert report.ok and report.morphisms_checked == 60
     assert len(built) == 1 and built[0].target is g

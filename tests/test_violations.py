@@ -65,6 +65,8 @@ from stablegraphs.pullback import (
 )
 from stablegraphs.stabilize import pushforward
 
+from test_cartesian import identification
+
 P1, P2 = BUILTIN_PROFILES["P1"], BUILTIN_PROFILES["P2"]
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -83,15 +85,9 @@ def _check(violations):
     ensure_valid(violations)
 
 
-def _identification(base, target):
-    """The identity-shaped stabilization identification base -> target."""
-    flagmap, vertexmap = {f: f for f in base.flags}, {v: v for v in base.vertices}
-    return CombinatorialMorphism(base, target, flagmap, vertexmap, MonoidHom.to_trivial(target.rank))
-
-
 def _member(base, genus, cls, tails):
     graph = marked_graph(1, {0: (genus, cls)}, tails={t: 0 for t in tails})
-    return _identification(base, graph), graph
+    return identification(base, graph), graph
 
 
 # A bridge contracted onto a 4-tail vertex of class 2 (SIGMA), and the
@@ -158,14 +154,14 @@ CASES = [
     ("cartesian-member-stabilization", lambda: _check(validate_cartesian_object(
         P1, CartesianObject(CURVE, (_member(CURVE, 0, 1, range(1)),))))),
     ("cartesian-member-unstable", lambda: _check(validate_cartesian_object(
-        P1, CartesianObject(FOUR_TAILS, ((_identification(FOUR_TAILS, DANGLING_P1), DANGLING_P1),))))),
+        P1, CartesianObject(FOUR_TAILS, ((identification(FOUR_TAILS, DANGLING_P1), DANGLING_P1),))))),
     ("cartesian-not-elementary", lambda: _check(validate_elementary_cartesian(
         P1, ElementaryCartesianMorphism(CartesianObject(TRIPOD, ()), CartesianObject(TRIPOD, ()),
                                         identity_extended(TRIPOD), (), ())))),
     ("cartesian-profile-rank", lambda: _check(
-        validate_cartesian_object(P1, CartesianObject(TRIPOD, ((_identification(TRIPOD, TRIPOD), TRIPOD),))))),
+        validate_cartesian_object(P1, CartesianObject(TRIPOD, ((identification(TRIPOD, TRIPOD), TRIPOD),))))),
     ("cartesian-profile-rank", lambda: cartesian_pullback(POINT, PHI, B)),
-    ("cartesian-target-unstable", lambda: cartesian_pullback(P1, PHI, _identification(SIGMA, DANGLING_P1))),
+    ("cartesian-target-unstable", lambda: cartesian_pullback(P1, PHI, identification(SIGMA, DANGLING_P1))),
     ("cartesian-wrong-splits", lambda: _check(validate_elementary_cartesian(P2, _split_of_two_contracted_edges()))),
     ("enumerate-bounds", lambda: enumerate_stable_graphs(POINT, -1, 0, 0, 1)),
     ("oplus-base", lambda: oplus(CartesianObject(TRIPOD, ()), CartesianObject(CURVE, ()))),
