@@ -19,25 +19,36 @@ from stablegraphs.graphs import (
     betti1,
     edges,
     euler_characteristic,
+    flag_partition,
     is_stable,
     marked_graph,
 )
+from stablegraphs.isogeny import compose_extended
 from stablegraphs.monoid import element, enumerate_pair_decompositions
 from stablegraphs.morphisms import CombinatorialMorphism, contract_edges, validate_combinatorial
 from stablegraphs.profiles import POINT, deg_graph, dim_graph, projective_space
 from stablegraphs.pullback import compose_marked, marked_key, pullback_diagram_key, stable_pullback, validate_marked
 from stablegraphs.stabilize import (
+    _default_source_pool,
     absolute_stabilization,
     check_universal_property,
+    pushforward,
     stabilize,
     stabilize_with_trace,
 )
 
-from oracles import betti1_gf2, chain_condition_holds, enumerate_by_shapes
+from oracles import (
+    betti1_gf2,
+    chain_condition_holds,
+    chi_drop,
+    enumerate_by_shapes,
+    enumerate_combinatorial_morphisms_by_product,
+)
 from strategies import (
     rand_covering,
     rand_graph,
     rand_hom,
+    rand_isogeny,
     rand_marked_morphism,
     rand_unstable_graph,
 )
@@ -120,23 +131,30 @@ def test_criterion_3_stabilization_universal_property():
         if key in seen:
             continue
         seen.add(key)
-        report_obj = check_universal_property(g, pool=None, max_flags=8)
-        assert report_obj.ok, report_obj.counterexamples
-        report_extra = check_universal_property(g, pool=enumerated, pool_limit=len(enumerated), max_flags=8)
-        assert report_extra.ok, report_extra.counterexamples
-        morphisms += report_obj.morphisms_checked + report_extra.morphisms_checked
+        default = [s for s in _default_source_pool(stabilize(g)[0])[:50] if is_stable(s)]
+        for pool, report_obj in (
+            (default, check_universal_property(g, pool=None, max_flags=8)),
+            (enumerated, check_universal_property(g, pool=enumerated, pool_limit=len(enumerated), max_flags=8)),
+        ):
+            assert report_obj.ok, report_obj.counterexamples
+            # the certifier counts the hom-sets into g with the search it
+            # certifies with; the product oracle builds and validates every
+            # candidate on its own
+            assert report_obj.sources_checked == len(pool)
+            assert report_obj.morphisms_checked == sum(
+                len(enumerate_combinatorial_morphisms_by_product(s, g)) for s in pool
+            ), f"hom-set count differs from the product oracle at graph {pool_size}"
+            morphisms += report_obj.morphisms_checked
         pool_size += 1
     report(
         3,
-        f"{pool_size} unstable graphs x {len(enumerated)} enumerated stable sources, "
-        f"{morphisms} exhaustively enumerated morphisms, zero counterexamples",
+        f"{pool_size} unstable graphs x default and {len(enumerated)} enumerated stable sources, "
+        f"{morphisms} exhaustively enumerated morphisms, as many as the product oracle counts, zero counterexamples",
     )
 
 
 def test_criterion_4_idempotence_and_pushforward_functoriality():
     rng = random.Random(2024_04)
-    from stablegraphs.stabilize import pushforward
-
     for i in range(200):
         g = rand_graph(rng, rank=2, max_flags=12)
         s, a, steps = stabilize_with_trace(g)
@@ -168,8 +186,6 @@ def test_criterion_5_betti_oracle_agreement():
 
 def test_criterion_6_equivalence_check_agrees_with_chain_search():
     rng = random.Random(2024_06)
-    from stablegraphs.graphs import flag_partition
-
     candidates = 0
     comparisons = 0
     while candidates < 300:
@@ -253,23 +269,26 @@ def test_criterion_8_cartesian_case_ii_families():
 
 def test_criterion_9_chi_invariance_under_isogenies():
     rng = random.Random(2024_09)
-    from strategies import rand_isogeny
-    from stablegraphs.isogeny import compose_extended
-
     checked = 0
     while checked < 200:
         g = rand_graph(rng, rank=1, max_flags=12, stable=True)
         iso1 = rand_isogeny(rng, g, allow_glue=False)
         if not iso1.is_isogeny():
             continue
+        assert chi_drop(iso1) == 0
         assert euler_characteristic(iso1.source) == euler_characteristic(iso1.target)
         iso2 = rand_isogeny(rng, iso1.target, allow_glue=False)
         if iso2.is_isogeny():
             comp = compose_extended(iso2, iso1)
+            assert chi_drop(comp) == 0
             assert euler_characteristic(comp.source) == euler_characteristic(comp.target)
             checked += 1
         checked += 1
-    report(9, f"{checked} isogenies and composites preserve the Euler characteristic")
+    report(
+        9,
+        f"{checked} isogenies and composites preserve the Euler characteristic, "
+        "from the glued source and from the source",
+    )
 
 
 def test_criterion_10_enumeration_matches_brute_force():

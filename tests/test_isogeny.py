@@ -8,7 +8,6 @@ from stablegraphs.graphs import (
     connected_components,
     edges,
     empty_graph,
-    euler_characteristic,
     marked_graph,
     modular_graph,
     tails,
@@ -220,19 +219,6 @@ def test_compose_chain_of_contractions():
     comp = compose_extended(e2, e1)
     assert len(comp.target.vertices) == 1
     assert comp.target == e2.target
-
-
-def test_chi_invariance_random():
-    rng = random.Random(131)
-    done = 0
-    while done < 60:
-        g = rand_graph(rng, rank=1, max_flags=12, stable=True)
-        iso = rand_isogeny(rng, g, allow_glue=False)
-        if not iso.is_isogeny():
-            continue
-        assert chi_drop(iso) == 0
-        assert euler_characteristic(iso.source) == euler_characteristic(iso.target)
-        done += 1
 
 
 def test_pi0_preserved_by_isogenies():
