@@ -14,16 +14,18 @@ The flag and vertex id sets are built once, at construction, where the
 structure check needs them.  Other derived structure (flags per vertex,
 each split into tails, loops and edge halves, vertex invariants, the
 vertices of each genus and class with their valences in
-``_vertices_by_kind``, tails, edges, connected components, the flag
-partition and stability) is computed on first use and kept on the
-instance, shared by every caller, so a graph validated or labelled many
-times pays for it once.  These values are not dataclass fields: ``==``,
-``repr`` and ``dataclasses.replace`` ignore them.  This is sound only
-because the dict fields (``boundary``, ``involution``, ``genus``,
-``classes``) are never mutated after construction; code must build a new
-graph instead.  ``stabilize.absolute_stabilization`` and the uncolored
-canonical labelling (``canonical.canonical_encoding``) keep their results
-on the instance the same way.
+``_vertices_by_kind``, the morphism search's source tables
+``_kind_valences`` and ``_closing_edges``, tails, edges, connected
+components, the flag partition and stability) is computed on first use
+and kept on the instance, shared by every caller, so a graph validated,
+labelled or searched from many times pays for it once.  These values are
+not dataclass fields: ``==``, ``repr`` and ``dataclasses.replace`` ignore
+them.  This is sound only because the dict fields (``boundary``,
+``involution``, ``genus``, ``classes``) are never mutated after
+construction; code must build a new graph instead.
+``stabilize.absolute_stabilization`` and the uncolored canonical labelling
+(``canonical.canonical_encoding``) keep their results on the instance the
+same way.
 """
 
 from __future__ import annotations
@@ -153,6 +155,24 @@ class MarkedGraph:
         for v, (genus, coords, val, _, _) in self._vertex_invariants.items():
             kinds.setdefault((genus, coords), []).append((v, val))
         return {kind: tuple(pairs) for kind, pairs in kinds.items()}
+
+    @_memo
+    def _kind_valences(self) -> tuple[tuple[tuple, int], ...]:
+        """Per vertex, in vertex order: ((genus, class coordinates), valence)."""
+        return tuple(((genus, coords), val) for genus, coords, val, _, _ in self._vertex_invariants.values())
+
+    @_memo
+    def _closing_edges(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[tuple[int, int], ...], ...]]:
+        """The flags at each vertex in vertex order, and per vertex the edges
+        whose later endpoint in vertex order it is, each edge as the
+        positions of its halves when the flags are listed vertex by vertex."""
+        at = tuple(self._flags_at.get(v, ()) for v in self.vertices)
+        position = {f: k for k, f in enumerate(f for at_v in at for f in at_v)}
+        depth = {v: i for i, v in enumerate(self.vertices)}
+        closing: list[list[tuple[int, int]]] = [[] for _ in at]
+        for f1, f2 in self._edges:
+            closing[max(depth[self.boundary[f1]], depth[self.boundary[f2]])].append((position[f1], position[f2]))
+        return at, tuple(map(tuple, closing))
 
     @_memo
     def _tails(self) -> tuple[int, ...]:

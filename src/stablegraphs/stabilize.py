@@ -27,7 +27,7 @@ the same graph, since surviving ids never change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import Iterable
 
 from .errors import SizeCapError, ValidationError, Violation
@@ -155,12 +155,18 @@ def absolute_stabilization(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMo
 # result is a morphism and none is validated.  It takes each source
 # vertex's candidates from the target's (genus, class) index, and a search
 # in which some source vertex has none returns before it builds any table.
-# It gives each morphism as its image tuples alone, and the public
-# enumerator builds morphism objects from them.  The oracle validates the
-# stabilization once and compares hom-sets as image tuples, mapping the
-# images of each composite a o c through a's maps: a composite that is not
-# a morphism matches no direct morphism's images and shows as a difference
-# of hom-sets.
+# The source's tables live on the source, as its other derived structure
+# does: the kind list ``_kind_valences`` that every search reads, and the
+# flag lists and closing positions ``_closing_edges`` that the first search
+# past the candidate check builds, so a pool source listed by many
+# certificates pays for them once.  It gives each morphism as its image
+# tuples alone, and the public enumerator builds morphism objects from
+# them.  The oracle validates the stabilization once and compares hom-sets
+# as image tuples.  A stabilization that keeps every id, as ``stabilize``
+# does, has composites a o c with the images of c, so those are used as
+# they are; any other a maps the images of each c through its maps.  A
+# composite that is not a morphism matches no direct morphism's images and
+# shows as a difference of hom-sets.
 
 
 def _morphism_images(
@@ -180,41 +186,34 @@ def _morphism_images(
     injectivity at each vertex hold too.  Condition 3 is checked against
     the target's flag partition as each edge closes, at the later of its
     endpoints, and a failing branch is dropped there.  So every complete
-    flag map is a morphism; an empty source gets the empty map alone.
+    flag map is a morphism; an empty source gets the empty map alone.  The
+    source's flag lists and closing positions come from its memo
+    ``_closing_edges``, built by the first search that gets this far.
     Results come in the order of the product of per-vertex permutations.
     ``cap`` bounds the search nodes visited (flag picks tried).
     """
     if src.rank != tgt.rank:
         return []
-    svs = src.vertices
     kinds = tgt._vertices_by_kind
     candidates: list[list[int]] = []
-    for genus, coords, val, _, _ in src._vertex_invariants.values():  # in vertex order
-        opts = [w for w, w_val in kinds.get((genus, coords), ()) if w_val >= val]
+    for kind, val in src._kind_valences:  # in vertex order
+        opts = [w for w, w_val in kinds.get(kind, ()) if w_val >= val]
         if not opts:
             return []
         candidates.append(opts)
+    if not candidates:
+        return [((), ())]
 
+    src_at, closing = src._closing_edges
     tgt_at = tgt._flags_at  # a flagless vertex has no entry
-    src_at = [src._flags_at.get(v, ()) for v in svs]
     block = flag_partition(tgt)._index
-    # each source flag's position in the flag images
-    position = {f: k for k, f in enumerate(f for at_v in src_at for f in at_v)}
-    # closing[i]: the positions of the source edges whose later endpoint in the search order is svs[i]
-    depth = {v: i for i, v in enumerate(svs)}
-    closing: list[list[tuple[int, int]]] = [[] for _ in svs]
-    for f1, f2 in edges(src):
-        closing[max(depth[src.boundary[f1]], depth[src.boundary[f2]])].append((position[f1], position[f2]))
-
+    last = len(candidates) - 1
     results: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     nodes = 0
 
     def extend(i: int, assignment: tuple[int, ...], images: tuple[int, ...]) -> None:
         nonlocal nodes
-        if i == len(svs):
-            results.append((assignment, images))
-            return
-        at_v, shut = src_at[i], closing[i]
+        at_v, shut, leaf = src_at[i], closing[i], i == last
         for pick in permutations(tgt_at.get(assignment[i], ()), len(at_v)):
             nodes += 1
             if nodes > cap:
@@ -224,7 +223,10 @@ def _morphism_images(
                 if block[grown[k1]] != block[grown[k2]]:
                     break
             else:
-                extend(i + 1, assignment, grown)
+                if leaf:
+                    results.append((assignment, grown))
+                else:
+                    extend(i + 1, assignment, grown)
 
     for assignment in product(*candidates):
         extend(0, assignment, ())
@@ -294,6 +296,18 @@ def _composite_images(
     return [(tuple([vmap[v] for v in vs]), tuple([fmap[f] for f in fs])) for vs, fs in images]
 
 
+def _keeps_ids(a: CombinatorialMorphism, stable: MarkedGraph) -> bool:
+    """Whether a's maps are the identity on the flags and vertices of
+    ``stable``, so that every composite ``a o c`` has the images of c."""
+    fmap, vmap = a.flagmap, a.vertexmap
+    return (
+        fmap.keys() == stable._flag_set
+        and vmap.keys() == stable._vertex_set
+        and all(f == x for f, x in fmap.items())
+        and all(v == x for v, x in vmap.items())
+    )
+
+
 def check_universal_property(
     g: MarkedGraph,
     pool: Iterable[MarkedGraph] | None = None,
@@ -309,9 +323,14 @@ def check_universal_property(
     morphisms by construction.  The hom-sets are compared as image tuples,
     and no morphism object is built per map: a composite's images are those
     of a map into the stabilization sent through the stabilization's maps.
+    Whether those maps keep every id is decided once per certificate; when
+    they do, as for every stabilization that ``stabilize`` returns, the
+    images into the stabilization are the composites' images as they are.
     The composites are not validated: the set comparison against the direct
     images certifies them, since a composite that is not a morphism matches
-    none of them and is reported as a difference of hom-sets.
+    none of them and is reported as a difference of hom-sets.  Only the
+    first ``pool_limit`` sources are drawn from the pool, so an iterator
+    pool is read no further; unstable ones among them are skipped.
     """
     if len(g.flags) > max_flags:
         raise SizeCapError(f"universal property oracle capped at {max_flags} flags")
@@ -320,15 +339,16 @@ def check_universal_property(
     broken = validate_combinatorial(a)
     if broken:
         report.counterexamples.append("stabilization morphism invalid: " + ", ".join(v.condition for v in broken))
-    sources = list(pool) if pool is not None else _default_source_pool(stable)
-    for sigma in sources[:pool_limit]:
+    keeps_ids = _keeps_ids(a, stable)
+    sources = pool if pool is not None else _default_source_pool(stable)
+    for sigma in islice(sources, pool_limit):
         if not is_stable(sigma):
             continue
         report.sources_checked += 1
         into_stable = _morphism_images(sigma, stable)
         into_g = _morphism_images(sigma, g)
         report.morphisms_checked += len(into_g)
-        composed_keys = set(_composite_images(a, into_stable))
+        composed_keys = set(into_stable if keeps_ids else _composite_images(a, into_stable))
         direct_keys = set(into_g)
         if len(composed_keys) != len(into_stable):
             report.counterexamples.append(

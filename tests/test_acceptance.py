@@ -155,24 +155,28 @@ def test_criterion_3_stabilization_universal_property():
 
 def test_criterion_4_idempotence_and_pushforward_functoriality():
     rng = random.Random(2024_04)
-    for i in range(200):
-        g = rand_graph(rng, rank=2, max_flags=12)
+    # rank 1 first, then rank 2, where each instance also checks a pushforward
+    for rank, i in [(rank, i) for rank in (1, 2) for i in range(200)]:
+        where = f"rank {rank} instance {i}"
+        g = rand_graph(rng, rank=rank, max_flags=12)
         s, a, steps = stabilize_with_trace(g)
-        assert is_stable(s) and validate_combinatorial(a) == [], f"invalid stabilization at instance {i}"
+        assert is_stable(s) and validate_combinatorial(a) == [], f"invalid stabilization at {where}"
         # each surgery removes exactly one vertex
-        assert len(steps) == len(g.vertices) - len(s.vertices), f"surgery count wrong at instance {i}"
+        assert len(steps) == len(g.vertices) - len(s.vertices), f"surgery count wrong at {where}"
         again, _ = stabilize(s)
-        assert again == s, f"idempotence failed at instance {i}"
+        assert again == s, f"idempotence failed at {where}"
+        if rank == 1:
+            continue
         stable_g = rand_graph(rng, rank=2, max_flags=10, stable=True)
         xi = rand_hom(rng, 2, rng.randint(0, 2))
         eta = rand_hom(rng, xi.target_rank, rng.randint(0, 2))
         one_shot, _ = pushforward(eta.compose(xi), stable_g)
         staged, _ = pushforward(eta, pushforward(xi, stable_g)[0])
-        assert canonical_key(one_shot) == canonical_key(staged), f"functoriality failed at instance {i}"
+        assert canonical_key(one_shot) == canonical_key(staged), f"functoriality failed at {where}"
     report(
         4,
-        "200 instances: stabilization valid, one surgery per removed vertex and idempotent; "
-        "pushforward functorial",
+        "200 instances at rank 1 and 200 at rank 2: stabilization valid, one surgery per removed vertex and "
+        "idempotent; 200 rank-2 pushforwards functorial",
     )
 
 

@@ -1,10 +1,10 @@
 import importlib
 import random
 from dataclasses import replace
+from itertools import cycle, islice
 
 import pytest
 
-from stablegraphs.canonical import canonical_key
 from stablegraphs.errors import SizeCapError, ValidationError
 from stablegraphs.graphs import (
     MarkedGraph,
@@ -27,6 +27,7 @@ from stablegraphs.pullback import validate_marked
 from stablegraphs.stabilize import (
     _composite_images,
     _default_source_pool,
+    _keeps_ids,
     _morphism_images,
     _remove_vertex,
     check_universal_property,
@@ -37,7 +38,7 @@ from stablegraphs.stabilize import (
 )
 
 from oracles import enumerate_combinatorial_morphisms_by_product
-from strategies import rand_graph, rand_hom, rand_unstable_graph, relabelled
+from strategies import rand_graph, rand_hom, rand_renaming, rand_unstable_graph, relabelled
 
 # the package re-exports the function stabilize under the module's name
 stabilize_module = importlib.import_module("stablegraphs.stabilize")
@@ -111,19 +112,6 @@ def test_cascade_chain():
     assert set(s.vertices) == {0, 3}
     assert len(edges(s)) == 1
     assert validate_combinatorial(a) == []
-
-
-def test_stabilize_idempotent_random():
-    rng = random.Random(61)
-    for _ in range(60):
-        g = rand_graph(rng, rank=1, max_flags=12)
-        s, a, steps = stabilize_with_trace(g)
-        assert is_stable(s)
-        assert validate_combinatorial(a) == []
-        # each surgery removes exactly one vertex
-        assert len(steps) == len(g.vertices) - len(s.vertices)
-        again, _ = stabilize(s)
-        assert again == s
 
 
 def _stabilize_in_random_order(g, rng):
@@ -237,18 +225,6 @@ def test_pushforward_requires_stable():
     g = marked_graph(1, {0: (0, 0)}, tails={0: 0})
     with pytest.raises(ValidationError):
         pushforward(MonoidHom.identity(1), g)
-
-
-def test_pushforward_functorial_sample():
-    rng = random.Random(79)
-    for _ in range(40):
-        g = rand_graph(rng, rank=2, max_flags=10, stable=True)
-        xi = rand_hom(rng, 2, rng.randint(0, 2))
-        eta = rand_hom(rng, xi.target_rank, rng.randint(0, 2))
-        one_shot, _ = pushforward(eta.compose(xi), g)
-        first, _ = pushforward(xi, g)
-        second, _ = pushforward(eta, first)
-        assert canonical_key(one_shot) == canonical_key(second)
 
 
 def test_pushforward_morphisms_validate():
@@ -401,6 +377,96 @@ def test_stabilization_that_merges_flags_shows_as_a_non_unique_factorization(mon
     )
     monkeypatch.setattr(stabilize_module, "stabilize", real)
     assert check_universal_property(tripod).ok
+
+
+def test_pool_limit_bounds_the_sources_drawn():
+    # an endless pool is read no further than pool_limit sources, and the
+    # report is the one for those sources listed; an unstable member drawn
+    # among them counts against the limit and is skipped
+    rng = random.Random(163)
+    g = rand_unstable_graph(rng, rank=1, max_flags=8)
+    members = _default_source_pool(stabilize(g)[0]) + [g]
+    drawn = 0
+
+    def endless():
+        nonlocal drawn
+        for sigma in cycle(members):
+            drawn += 1
+            assert drawn <= 1000, "the certifier drains the pool"
+            yield sigma
+
+    for limit in (0, 1, 3, len(members) + 2):
+        drawn = 0
+        report = check_universal_property(g, pool=endless(), pool_limit=limit)
+        assert drawn <= limit
+        listed = list(islice(cycle(members), limit))
+        assert report == check_universal_property(g, pool=listed, pool_limit=limit)
+        assert report.ok and report.sources_checked == sum(is_stable(s) for s in listed)
+
+
+def test_renamed_stabilization_gives_the_same_certificate(monkeypatch):
+    # stabilize keeps ids, so the certifier uses the images into the
+    # stabilization as the composites' images; a valid stabilization with
+    # renamed ids goes through its maps instead, and must certify alike
+    rng = random.Random(167)
+    real = stabilize_module.stabilize
+    renamed = 0
+
+    def renaming(graph):
+        stable, a = real(graph)
+        r = rand_renaming(rng, stable)
+        b = CombinatorialMorphism(
+            source=r.target,
+            target=graph,
+            flagmap={new: a.flagmap[old] for new, old in r.flagmap.items()},
+            vertexmap={new: a.vertexmap[old] for old, new in r.vertexmap.items()},
+        )
+        assert validate_combinatorial(b) == [] and _keeps_ids(a, stable)
+        nonlocal renamed
+        renamed += not _keeps_ids(b, r.target)
+        return r.target, b
+
+    for _ in range(40):
+        g = rand_unstable_graph(rng, rank=1, max_flags=8)
+        monkeypatch.setattr(stabilize_module, "stabilize", real)
+        kept = check_universal_property(g)
+        monkeypatch.setattr(stabilize_module, "stabilize", renaming)
+        moved = check_universal_property(g)
+        assert (moved.sources_checked, moved.morphisms_checked, moved.ok) == (
+            kept.sources_checked,
+            kept.morphisms_checked,
+            kept.ok,
+        )
+        assert kept.ok
+    assert renamed >= 30
+
+
+def test_search_tables_stay_private_to_each_graph():
+    rng = random.Random(173)
+    graphs = [rand_unstable_graph(rng, rank=1, max_flags=8) for _ in range(12)]
+    shared = [s for g in graphs[:4] for s in _default_source_pool(stabilize(g)[0])]
+    # a shared pool: the first certificate builds the sources' tables, and
+    # every later one reads them; fresh copies of the pool build their own
+    for g in graphs:
+        fresh = [replace(s) for s in shared]
+        assert check_universal_property(g, pool=shared, pool_limit=len(shared)) == check_universal_property(
+            g, pool=fresh, pool_limit=len(fresh)
+        )
+    searched = [s for s in shared if "_closing_edges" in s.__dict__]
+    assert len(searched) >= 10
+    for s in searched:
+        copy = replace(s)
+        assert "_kind_valences" in s.__dict__ and "_kind_valences" not in copy.__dict__
+        assert "_closing_edges" not in copy.__dict__
+        assert copy == s and repr(copy) == repr(s)
+    # a search that fails the candidate check reads the kind list only
+    tgt = marked_graph(1, {0: (1, 1), 1: (0, 2)}, tails={0: 0, 1: 1, 2: 1, 3: 1})
+    sigma = marked_graph(1, {0: (1, 1), 1: (3, 0)}, tails={0: 0})
+    assert _morphism_images(sigma, tgt) == []
+    assert "_kind_valences" in sigma.__dict__ and "_closing_edges" not in sigma.__dict__
+    one = marked_graph(1, {0: (1, 1)}, tails={0: 0})
+    assert _morphism_images(one, tgt) == [((0,), (0,))]
+    assert one._closing_edges == (((0,),), ((),))
 
 
 # -- the pruned morphism search against the product oracle -------------------
@@ -587,7 +653,7 @@ def test_default_pool_lists_each_graph_once():
     for _ in range(200):
         g = rand_graph(rng, rank=1, max_flags=8, max_vertices=3, stable=True, connected=rng.random() < 0.5)
         pool = _default_source_pool(g)
-        assert pool[0] is g
+        assert pool[0] is g and all(is_stable(h) for h in pool)
         assert all(x != y for i, x in enumerate(pool) for y in pool[i + 1 :])
         components = len(connected_components(g))
         seen["connected" if components == 1 else "disconnected"] += 1
