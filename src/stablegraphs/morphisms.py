@@ -21,6 +21,15 @@ composite contraction, or result of ``enumerate_combinatorial_morphisms``) is
 valid by the argument in its docstring; seeded tests validate every such
 construction's output instead.  Those that keep every flag and vertex id
 build their morphism with ``inclusion``.
+
+A morphism's maps are copied at construction and never mutated after it, so
+checking one instance twice cannot give another answer.  Where a function of
+this package requires a valid input or composite, a passed check is kept on
+the instance (not as a field: ``==``, ``repr`` and ``dataclasses.replace``
+ignore it, and a replaced morphism starts unchecked), and later calls with
+that instance skip it.  A failed check is never kept, so an invalid morphism
+is refused on every call.  The public validators keep nothing and read
+nothing kept: they always check in full.
 """
 
 from __future__ import annotations
@@ -189,10 +198,21 @@ def identity_contraction(g: MarkedGraph) -> Contraction:
     return Contraction(source=g, target=g, flagmap={f: f for f in g.flags}, vertexmap={v: v for v in g.vertices})
 
 
+def _ensure_checked(m: Contraction | CombinatorialMorphism, validate, message: str) -> None:
+    """``ensure_valid(validate(m), message)``, skipped once m has passed.
+
+    The pass is kept in ``m.__dict__`` only after the check, the way
+    ``MarkedGraph`` keeps its derived structure.
+    """
+    if "_checked" not in m.__dict__:
+        ensure_valid(validate(m), message)
+        m.__dict__["_checked"] = True
+
+
 def _contraction_order(c: Contraction, order: Iterable[tuple[int, int]] | None) -> list[tuple[int, int]]:
     """Validate c and list its contracted edges as (f, fbar), f < fbar, in
     ascending order or in ``order``, which must permute them."""
-    ensure_valid(validate_contraction(c), "cannot decompose an invalid contraction")
+    _ensure_checked(c, validate_contraction, "cannot decompose an invalid contraction")
     if order is None:
         return sorted(c.contracted_edges())
     remaining = [tuple(sorted(e)) for e in order]
@@ -240,7 +260,7 @@ def compose_contractions(outer: Contraction, inner: Contraction) -> Contraction:
         flagmap={f: inner.flagmap[outer.flagmap[f]] for f in outer.target.flags},
         vertexmap={v: outer.vertexmap[inner.vertexmap[v]] for v in inner.source.vertices},
     )
-    ensure_valid(validate_contraction(composite), "composite contraction invalid")
+    _ensure_checked(composite, validate_contraction, "composite contraction invalid")
     return composite
 
 
@@ -369,7 +389,7 @@ def compose_combinatorial(outer: CombinatorialMorphism, inner: CombinatorialMorp
         vertexmap={v: outer.vertexmap[inner.vertexmap[v]] for v in inner.source.vertices},
         hom=hom,
     )
-    ensure_valid(validate_combinatorial(composite), "composite combinatorial morphism invalid")
+    _ensure_checked(composite, validate_combinatorial, "composite combinatorial morphism invalid")
     return composite
 
 

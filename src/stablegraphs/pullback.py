@@ -33,6 +33,7 @@ from .morphisms import (
     CombinatorialMorphism,
     Contraction,
     _contraction_order,
+    _ensure_checked,
     compose_combinatorial,
     compose_contractions,
     identity_combinatorial,
@@ -124,12 +125,14 @@ def stable_pullback(
     both halves are stable, and a re-contraction keeps the vertex whole, so
     pi is stable because rho is.
 
-    phi and a are validated; psi and b are valid by construction.  psi keeps
+    phi and a are validated, each at its first call only: a passed check is
+    kept on the instance, so pulling one (phi, a) back in every edge order
+    checks each once.  psi and b are valid by construction.  psi keeps
     rho's flags and sends each vertex of pi to the vertex of rho it was
     split from; b maps every flag and vertex not inserted through a and phi.
     """
     order = _contraction_order(phi, edge_order)  # validates phi first
-    ensure_valid(validate_combinatorial(a), "stable_pullback: invalid covering morphism")
+    _ensure_checked(a, validate_combinatorial, "stable_pullback: invalid covering morphism")
     # a missing hom is the identity; xi is compared with it without building it
     covers = a.hom == xi if a.hom is not None else _is_identity(xi, a.source.rank)
     if not covers:
@@ -214,7 +217,10 @@ def compose_marked(outer: MarkedMorphism, inner: MarkedMorphism) -> MarkedMorphi
     The middle graph of the composite is the stable pullback of the outer
     middle across the inner contraction, which ``stable_pullback`` checks is
     stable; ``compose_combinatorial`` and ``compose_contractions`` validate
-    the two parts, so for valid inputs the composite is valid.  Of each
+    the two parts, so for valid inputs the composite is valid.  Each of
+    ``inner.contr``, ``outer.comb`` and the two composite parts is validated
+    once per instance, and a composite's parts pass when it is built, so
+    composing a composite again does not check them again.  Of each
     input, only that comb covers hom and that comb and contr start at mid
     are checked here, raising what ``validate_marked`` gives; the rest of
     ``validate_marked`` is the caller's: all of ``inner.comb`` and
@@ -265,7 +271,7 @@ def lift_contraction(phi: Contraction) -> MarkedMorphism:
     """A contraction of stable graphs as a morphism in the same direction."""
     if not is_stable(phi.source) or not is_stable(phi.target):
         raise ValidationError([Violation("lift-unstable", "lifting requires stable endpoints")])
-    ensure_valid(validate_contraction(phi), "cannot lift an invalid contraction")
+    _ensure_checked(phi, validate_contraction, "cannot lift an invalid contraction")
     return _marked(MonoidHom.identity(phi.source.rank), identity_combinatorial(phi.source), phi)
 
 
@@ -274,7 +280,7 @@ def lift_combinatorial(a: CombinatorialMorphism) -> MarkedMorphism:
     opposite direction: from its target object to its source object."""
     if not is_stable(a.source) or not is_stable(a.target):
         raise ValidationError([Violation("lift-unstable", "lifting requires stable endpoints")])
-    ensure_valid(validate_combinatorial(a), "cannot lift an invalid combinatorial morphism")
+    _ensure_checked(a, validate_combinatorial, "cannot lift an invalid combinatorial morphism")
     if a.hom is not None and not _is_identity(a.hom, a.target.rank):
         raise ValidationError([Violation("lift-hom", "only same-monoid morphisms lift directly")])
     return _marked(MonoidHom.identity(a.source.rank), a, identity_contraction(a.source))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from stablegraphs import morphisms, pullback
 from stablegraphs.cli import main
 from stablegraphs.graphs import MarkedGraph
 from stablegraphs.monoid import MonoidHom
@@ -40,6 +41,25 @@ def constructed(monkeypatch):
         return built
 
     return record
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """A list that records, in order, each morphism handed to
+    ``validate_contraction`` or ``validate_combinatorial`` from then on in
+    the test, through the names that ``morphisms`` and ``pullback`` look up
+    at their call sites."""
+    checked = []
+    for name in ("validate_contraction", "validate_combinatorial"):
+        real = getattr(morphisms, name)
+
+        def counting(m, _real=real):
+            checked.append(m)
+            return _real(m)
+
+        for module in (morphisms, pullback):
+            monkeypatch.setattr(module, name, counting)
+    return checked
 
 
 @pytest.fixture

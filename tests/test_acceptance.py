@@ -182,10 +182,11 @@ def test_criterion_4_idempotence_and_pushforward_functoriality():
 
 def test_criterion_5_betti_oracle_agreement():
     rng = random.Random(2024_05)
-    for i in range(500):
-        g = rand_graph(rng, rank=1, max_flags=12, max_vertices=6)
-        assert betti1(g) == betti1_gf2(g), f"betti1 disagrees with GF(2) oracle at instance {i}"
-    report(5, "500 random graphs: betti1 equals the GF(2) incidence-rank oracle")
+    for rank, count in ((0, 100), (1, 500)):
+        for i in range(count):
+            g = rand_graph(rng, rank=rank, max_flags=12, max_vertices=6)
+            assert betti1(g) == betti1_gf2(g), f"betti1 disagrees with GF(2) oracle at rank-{rank} instance {i}"
+    report(5, "100 rank-0 and 500 rank-1 random graphs: betti1 equals the GF(2) incidence-rank oracle")
 
 
 def test_criterion_6_equivalence_check_agrees_with_chain_search():

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
@@ -202,8 +203,6 @@ def test_decompose_order_invariance_of_composite():
     for _ in range(20):
         c = rand_contraction(rng, num_edges=(2, 3), rank=1, max_flags=10)
         base = None
-        from itertools import permutations
-
         for order in permutations(c.contracted_edges()):
             factors = decompose_elementary(c, order)
             composite = factors[0]
@@ -213,6 +212,19 @@ def test_decompose_order_invariance_of_composite():
             if base is None:
                 base = key
             assert key == base
+
+
+def test_a_composite_is_checked_once_as_it_is_built(validated):
+    # decomposing the composite in every order does not check it again
+    rng = random.Random(53)
+    for _ in range(20):
+        c = rand_contraction(rng, num_edges=(2, 3), rank=1, max_flags=10)
+        renaming = rand_renaming(rng, c.target)
+        validated.clear()
+        composite = compose_contractions(renaming, c)
+        for order in permutations(composite.contracted_edges()):
+            decompose_elementary(composite, order)
+        assert len(validated) == 1 and validated[0] is composite
 
 
 def test_compose_with_identity():

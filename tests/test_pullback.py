@@ -605,3 +605,111 @@ def test_marked_key_separates_different_morphisms():
     m2 = lift_contraction(contract_edges(g, [(2, 3)]))
     assert marked_key(m1) != marked_key(m2)
     assert marked_key(m1) == marked_key(lift_contraction(contract_edges(g, [(0, 1)])))
+
+
+# -- a passed check is kept on the morphism ---------------------------------
+
+
+def _bridge_contraction():
+    # two class-1 vertices joined by a bridge, contracted onto one stable vertex 0
+    sigma = marked_graph(1, {0: (0, 1), 1: (0, 1)}, tails={0: 0, 1: 1}, edges=[((2, 0), (3, 1))])
+    return contract_edges(sigma, [(2, 3)])
+
+
+def _fresh(m):
+    # the same marked morphism, with parts that no call has checked yet
+    return replace(m, comb=replace(m.comb), contr=replace(m.contr))
+
+
+def test_pullback_in_every_order_checks_phi_and_a_once(validated):
+    rng = random.Random(131)
+    for _ in range(20):
+        phi = rand_contraction(rng, num_edges=(2, 3), rank=2, max_flags=12, max_vertices=5)
+        xi = rand_hom(rng, 2, rng.randint(1, 2))
+        a = replace(rand_covering(rng, phi.target, xi))
+        validated.clear()
+        for order in permutations(phi.contracted_edges()):
+            stable_pullback(xi, phi, a, edge_order=order)
+        assert len(validated) == 2 and validated[0] is phi and validated[1] is a
+
+
+def test_both_bracketings_check_each_input_and_composite_once(validated):
+    # of the inputs, compose_marked checks the inner contraction and the
+    # outer covering; each composite part passes as it is built, and no
+    # instance is checked twice
+    rng = random.Random(137)
+
+    def compose(outer, inner):
+        m = compose_marked(outer, inner)
+        assert validated[-2] is m.comb and validated[-1] is m.contr
+        return m
+
+    for _ in range(10):
+        m1 = _fresh(rand_marked_morphism(rng, source_rank=2, target_rank=rng.randint(1, 2), max_flags=8))
+        m2 = _fresh(rand_marked_morphism(rng, source=m1.target_graph, source_rank=m1.target_graph.rank,
+                                         target_rank=rng.randint(1, 2), max_flags=8))
+        m3 = _fresh(rand_marked_morphism(rng, source=m2.target_graph, source_rank=m2.target_graph.rank,
+                                         target_rank=rng.randint(1, 2), max_flags=8))
+        validated.clear()
+        inner_left, inner_right = compose(m2, m1), compose(m3, m2)
+        built = [inner_left, compose(m3, inner_left), inner_right, compose(inner_right, m1)]
+        expected = [m1.contr, m2.contr, m2.comb, m3.comb] + [part for m in built for part in (m.comb, m.contr)]
+        assert sorted(map(id, validated)) == sorted(map(id, expected))
+        assert marked_key(built[1]) == marked_key(built[3])
+
+
+@pytest.mark.parametrize(
+    "call, condition",
+    [
+        (lambda phi, a: decompose_elementary(phi), "contraction-genus"),
+        (lambda phi, a: stable_pullback(MonoidHom.identity(1), phi, identity_cover(phi.target)), "contraction-genus"),
+        (lambda phi, a: lift_contraction(phi), "contraction-genus"),
+        (lambda phi, a: stable_pullback(MonoidHom.identity(1), _bridge_contraction(), a), "combinatorial-2-injective"),
+        (lambda phi, a: lift_combinatorial(a), "combinatorial-2-injective"),
+    ],
+    ids=["decompose", "pullback-phi", "lift-contraction", "pullback-a", "lift-combinatorial"],
+)
+def test_invalid_morphisms_are_refused_on_every_call(call, condition):
+    # a failed check is not kept: the same instance is refused again
+    phi = _bridge_contraction()
+    bad_phi = replace(phi, target=marked_graph(1, {0: (1, 2)}, tails={0: 0, 1: 0}))
+    bad_a = replace(identity_cover(phi.target), flagmap={0: 0, 1: 0})
+    for _ in range(2):
+        with pytest.raises(ValidationError) as err:
+            call(bad_phi, bad_a)
+        assert err.value.conditions == (condition,)
+
+
+def test_public_validators_check_a_passed_morphism_in_full():
+    # breaking a passed instance's maps in place, which no code may do,
+    # shows in the validators and in validate_marked at once
+    phi = _bridge_contraction()
+    a = identity_cover(phi.target)
+    stable_pullback(MonoidHom.identity(1), phi, a)
+    m = lift_contraction(phi)
+    assert m.contr is phi
+    phi.flagmap[1] = phi.flagmap[0]
+    a.flagmap[1] = a.flagmap[0]
+    assert "contraction-1-injective" in [v.condition for v in validate_contraction(phi)]
+    assert "contraction-1-injective" in [v.condition for v in validate_marked(m)]
+    assert [v.condition for v in validate_combinatorial(a)] == ["combinatorial-2-injective"]
+
+
+def test_the_kept_pass_is_not_part_of_the_morphism(validated):
+    # ==, repr and replace see only the fields: a replaced morphism starts
+    # unchecked, so a broken replacement of a passed one is refused
+    xi, phi = MonoidHom.identity(1), _bridge_contraction()
+    a = identity_cover(phi.target)
+    twins = (replace(phi), replace(a))
+    stable_pullback(xi, phi, a)
+    assert (phi, a) == twins and repr((phi, a)) == repr(twins)
+    copies = (replace(phi), replace(a))
+    validated.clear()
+    stable_pullback(xi, *copies)
+    assert len(validated) == 2 and validated[0] is copies[0] and validated[1] is copies[1]
+    with pytest.raises(ValidationError) as err:
+        stable_pullback(xi, phi, replace(a, vertexmap={0: 5}))
+    assert err.value.conditions == ("combinatorial-maps-total",)
+    with pytest.raises(ValidationError) as err:
+        stable_pullback(xi, replace(phi, flagmap={0: 0, 1: 0}), a)
+    assert "contraction-1-injective" in err.value.conditions

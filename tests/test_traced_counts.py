@@ -37,10 +37,12 @@ PINS = {
         "graphs.flags_at.calls": 773,
     },
     "calculus": {
-        # only inputs and composites of passed-in morphisms are validated
-        "morphisms.validate_contraction.calls": 272,
-        # as for contractions: morphisms built from checked inputs are not checked again
-        "morphisms.validate_combinatorial.calls": 282,
+        # each input and each composite instance once, as a passed check is kept on it (272 before): 30 pullback
+        # inputs (one phi per task, however many edge orders), and per compose task its two inputs and four composites
+        "morphisms.validate_contraction.calls": 150,
+        # likewise 150 (282 before): 30 pullback coverings, two inputs and four composites per compose task; plus
+        # the 10 coverings cartesian takes as input
+        "morphisms.validate_combinatorial.calls": 160,
         # every input is valid
         "morphisms.validate_combinatorial.rejected": 0,
         # stabilization and the stable pullback each build one graph however many surgeries they make
@@ -51,8 +53,10 @@ PINS = {
         "morphisms.contract_edges.calls": 79,
         # the stable pullback checks its input, not its output, which is stable because its input is
         "graphs.is_stable.calls": 433,
-        # mostly is_stable's valence reads, once per graph, and the stable pullback's flag lists per vertex of rho
-        "graphs.flags_at.calls": 810,
+        # mostly is_stable's valence reads, once per graph, and the stable pullback's flag lists per vertex of rho;
+        # 810 before: a combinatorial check under a marking hom builds its flag partition anew, reading flags_at at
+        # each genus-0 target vertex whose pushed class is 0, and the checks no longer repeated read 5
+        "graphs.flags_at.calls": 805,
     },
     "enumerate": {
         # one per key (12 starts, 404 built children, 47 contractions), per labelling (47) and per output (345)
