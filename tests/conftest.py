@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from stablegraphs import morphisms, pullback
 from stablegraphs.cli import main
 from stablegraphs.graphs import MarkedGraph
 from stablegraphs.monoid import MonoidHom
@@ -44,22 +43,29 @@ def constructed(monkeypatch):
 
 
 @pytest.fixture
-def validated(monkeypatch):
-    """A list that records, in order, each morphism handed to
-    ``validate_contraction`` or ``validate_combinatorial`` from then on in
-    the test, through the names that ``morphisms`` and ``pullback`` look up
-    at their call sites."""
-    checked = []
-    for name in ("validate_contraction", "validate_combinatorial"):
-        real = getattr(morphisms, name)
+def calls(monkeypatch):
+    """``calls(*functions)`` returns a list that records, in call order, the
+    first positional argument of each call to any of ``functions`` from then
+    on in the test.  Each function is replaced in every ``stablegraphs``
+    module that binds it, so a call is recorded whichever module makes it;
+    each call of ``calls`` starts a list of its own."""
 
-        def counting(m, _real=real):
-            checked.append(m)
-            return _real(m)
+    def record(*functions):
+        seen = []
+        modules = [m for n, m in sys.modules.items() if n == "stablegraphs" or n.startswith("stablegraphs.")]
+        for fn in functions:
 
-        for module in (morphisms, pullback):
-            monkeypatch.setattr(module, name, counting)
-    return checked
+            def recording(*args, _fn=fn, **kwargs):
+                seen.append(args[0])
+                return _fn(*args, **kwargs)
+
+            bindings = [(m, name) for m in modules for name, value in vars(m).items() if value is fn]
+            assert bindings, f"no stablegraphs module binds {fn.__qualname__}"
+            for m, name in bindings:
+                monkeypatch.setattr(m, name, recording)
+        return seen
+
+    return record
 
 
 @pytest.fixture

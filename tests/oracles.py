@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, permutations, product
 from fractions import Fraction
 from math import factorial, prod
-from operator import add, le
+from operator import add, le, mul
 
 from stablegraphs.canonical import canonical_encoding, canonical_form, canonical_key
 from stablegraphs.cartesian import FamilyMember, is_stabilization_identification
@@ -366,68 +366,77 @@ def _times(a: dict, b: dict, limits: tuple) -> dict:
 
 
 def _reachable(series: dict, aim: int, most: int) -> dict:
-    """The terms of a series in (grade, degree, x, y, w) from which some
-    term with grade - 3 degree = aim and at most ``most`` vertices can grow.
-    Each vertex more adds 2g - 2 + k + j >= -2 to grade - 3 degree."""
-    return {key: c for key, c in series.items() if key[0] - 3 * key[1] - 2 * (most - key[4]) <= aim}
+    """The terms of a series in (grade, degree, class, x, y, w) from which
+    some term with grade - 3 degree = aim and at most ``most`` vertices can
+    grow.  Each vertex more adds 2g - 2 + k + j >= -2 to grade - 3 degree."""
+    return {key: c for key, c in series.items() if key[0] - 3 * key[1] - 2 * (most - key[-1]) <= aim}
 
 
-def graph_sums(genus: int, tails: int, max_degree: int, max_vertices: int, weight=lambda g, m: 1) -> dict:
-    """degree d -> per vertex count V up to max_vertices, the sum over the
-    connected stable graphs with the genus, the tails, total degree d (a
-    rank-1 class, or 0 at rank 0) and V vertices of
-    prod_v weight(genus_v, valence_v) / |Aut|, tails unlabelled, in exact
-    fractions; ``weight`` gives integers.
+def graph_sums(
+    genus: int, tails: int, bound: int, max_vertices: int, weight=lambda g, m: 1, ample: tuple = (1,)
+) -> dict:
+    """class vector c -> per vertex count V up to max_vertices, the sum over
+    the connected stable graphs with the genus, the tails, total class c and
+    V vertices of prod_v weight(genus_v, valence_v) / |Aut|, tails
+    unlabelled, in exact fractions; ``weight`` gives integers.  The classes
+    are those of rank r = len(ample) whose degree under the ample form
+    ``ample`` is at most ``bound``; at rank 0 the one class is ().
 
     A Feynman expansion that builds no graph (Bessis, Itzykson and Zuber,
     "Quantum field theory techniques in graphical enumeration", Adv. Appl.
-    Math. 1, 1980): the sum is the coefficient of h^(g-1) q^d y^n w^V in the
+    Math. 1, 1980): the sum is the coefficient of h^(g-1) q^c y^n w^V in the
     log of the Gaussian average, <x^2m> = (2m-1)!! h^m, of exp of the sum
-    over stable (g, d, k, j) of weight h^(g-1) q^d w x^k y^j / (k! j!).
-    Every stable vertex has the grade e = 2g - 2 + k + j + 3d >= 1, and e
-    sums to 2g - 2 + n + 3d over a graph, so the series are cut at that
-    grade.  The power of h follows from the grade, the degree and the tails,
-    so the series carry exponents of (grade, degree, x, y, w) only.  They
-    hold integer numerators over one denominator per series.
+    over stable (g, c, k, j) of weight h^(g-1) q^c w x^k y^j / (k! j!).
+    With d the ample degree of c, every stable vertex has the grade
+    e = 2g - 2 + k + j + 3d >= 1, and e sums to 2g - 2 + n + 3d over a
+    graph, so the series are cut at that grade.  The power of h follows
+    from the grade, the degree and the tails, so the series carry exponents
+    of (grade, d, c_1..c_r, x, y, w) only.  They hold integer numerators
+    over one denominator per series.
     """
-    top = 2 * genus - 2 + tails + 3 * max_degree
+    classes = {c: sum(map(mul, ample, c)) for c in product(*(range(bound // a + 1) for a in ample))}
+    classes = {c: d for c, d in classes.items() if d <= bound}
+    aim = 2 * genus - 2 + tails
+    top = aim + 3 * max(classes.values())
     # no graph has more vertices than grade
     most = max(0, min(max_vertices, top))
-    limits = (top, max_degree, 2 * top + 4 * most, tails, most)
+    limits = (top, bound, *(bound // a for a in ample), 2 * top + 4 * most, tails, most)
     # the vertex terms over `scale`, so their m-th power is over scale^m
     scale = factorial(top + 2) * factorial(tails)
     vertex = {}
-    for d in range(max_degree + 1):
+    for c, d in classes.items():
         for j in range(tails + 1):
             for g in range(top // 2 + 2):
                 for k in range(top + 3):
                     e = 2 * g - 2 + k + j + 3 * d
                     if 1 <= e <= top:
-                        vertex[e, d, k, j, 1] = weight(g, k + j) * scale // (factorial(k) * factorial(j))
+                        vertex[(e, d, *c, k, j, 1)] = weight(g, k + j) * scale // (factorial(k) * factorial(j))
     # z, the average of exp less its constant term, over z_scale: each
     # x^k goes to its (k-1)!! pairings, and V^m comes with 1/m!
     z_scale = scale**most * factorial(most)
     z: dict = {}
-    power = {(0, 0, 0, 0, 0): 1}
+    one = {(0,) * len(limits): 1}
+    power = one
     for m in range(1, most + 1):
-        power = _reachable(_times(power, vertex, limits), 2 * genus - 2 + tails, most)
+        power = _reachable(_times(power, vertex, limits), aim, most)
         lift = scale ** (most - m) * factorial(most) // factorial(m)
-        for (e, d, k, j, w), c in power.items():
+        for (*head, k, j, w), coeff in power.items():
             if k % 2 == 0:
-                z[e, d, 0, j, w] = z.get((e, d, 0, j, w), 0) + c * prod(range(k - 1, 0, -2)) * lift
+                key = (*head, 0, j, w)
+                z[key] = z.get(key, 0) + coeff * prod(range(k - 1, 0, -2)) * lift
     # log(1 + z) over z_scale^most most!: each term of z has w >= 1, so
     # `most` terms suffice
     log: dict = {}
-    power = {(0, 0, 0, 0, 0): 1}
+    power = one
     for r in range(1, most + 1):
-        power = _reachable(_times(power, z, limits), 2 * genus - 2 + tails, most)
+        power = _reachable(_times(power, z, limits), aim, most)
         lift = (-1) ** (r + 1) * factorial(most) // r * z_scale ** (most - r)
-        for key, c in power.items():
-            log[key] = log.get(key, 0) + c * lift
+        for key, coeff in power.items():
+            log[key] = log.get(key, 0) + coeff * lift
     denominator = z_scale**most * factorial(most)
     return {
-        d: [Fraction(log.get((2 * genus - 2 + tails + 3 * d, d, 0, tails, w), 0), denominator) for w in range(most + 1)]
-        for d in range(max_degree + 1)
+        c: [Fraction(log.get((aim + 3 * d, d, *c, 0, tails, w), 0), denominator) for w in range(most + 1)]
+        for c, d in classes.items()
     }
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from stablegraphs.canonical import (
+    _component_best,
     canonical_encoding,
     canonical_form,
     canonical_key,
@@ -12,25 +13,12 @@ from stablegraphs.canonical import (
     diagram_key,
     is_isomorphic,
 )
+from stablegraphs.cartesian import enumerate_stable_graphs
 from stablegraphs.errors import SizeCapError
 from stablegraphs.graphs import MarkedGraph, modular_graph, marked_graph
+from stablegraphs.profiles import BUILTIN_PROFILES
 
-from strategies import rand_graph
-
-
-def shuffle_ids(rng, g: MarkedGraph) -> MarkedGraph:
-    """Random relabelling of flag and vertex ids."""
-    fperm = {f: nf for f, nf in zip(g.flags, rng.sample(range(100, 100 + len(g.flags)), len(g.flags)))}
-    vperm = {v: nv for v, nv in zip(g.vertices, rng.sample(range(50, 50 + len(g.vertices)), len(g.vertices)))}
-    return MarkedGraph(
-        flags=tuple(fperm[f] for f in g.flags),
-        vertices=tuple(vperm[v] for v in g.vertices),
-        boundary={fperm[f]: vperm[v] for f, v in g.boundary.items()},
-        involution={fperm[f]: fperm[p] for f, p in g.involution.items()},
-        genus={vperm[v]: gv for v, gv in g.genus.items()},
-        classes={vperm[v]: c for v, c in g.classes.items()},
-        rank=g.rank,
-    )
+from strategies import rand_graph, relabelled
 
 
 def test_relabelled_tripod_isomorphic():
@@ -71,7 +59,7 @@ def test_random_relabellings_share_keys():
     rng = random.Random(23)
     for _ in range(80):
         g = rand_graph(rng, rank=1, max_flags=10)
-        h = shuffle_ids(rng, g)
+        h = relabelled(rng, g)
         assert canonical_key(g) == canonical_key(h)
         assert canonical_form(g) == canonical_form(h)
 
@@ -133,7 +121,7 @@ def test_canonical_key_agrees_with_brute_force_oracle():
     while pairs < 120:
         a = rand_graph(rng, rank=1, max_flags=7, max_vertices=3)
         # half the time check a true relabelling, half an independent graph
-        b = shuffle_ids(rng, a) if rng.random() < 0.5 else rand_graph(rng, rank=1, max_flags=7, max_vertices=3)
+        b = relabelled(rng, a) if rng.random() < 0.5 else rand_graph(rng, rank=1, max_flags=7, max_vertices=3)
         expected = isomorphic_brute_force(a, b)
         assert is_isomorphic(a, b) == expected
         agreements += expected
@@ -149,10 +137,10 @@ def test_canonical_symmetric_shapes():
     )  # theta graph: two vertices, three parallel edges
     rng = random.Random(37)
     for _ in range(10):
-        assert canonical_form(shuffle_ids(rng, base)) == canonical_form(base)
+        assert canonical_form(relabelled(rng, base)) == canonical_form(base)
     double_loop = modular_graph({0: 0}, edges=[((0, 0), (1, 0)), ((2, 0), (3, 0))])
     for _ in range(10):
-        assert canonical_form(shuffle_ids(rng, double_loop)) == canonical_form(double_loop)
+        assert canonical_form(relabelled(rng, double_loop)) == canonical_form(double_loop)
 
 
 def test_canonical_encoding_is_pinned():
@@ -187,19 +175,9 @@ def test_ordering_cap_fires_before_search(monkeypatch):
 # -- the uncolored labelling is kept on the graph instance -----------------
 
 
-def test_second_call_on_a_graph_runs_no_search(monkeypatch):
+def test_second_call_on_a_graph_runs_no_search(calls):
     # one component, so one search; every later uncolored call reads the memo
-    import stablegraphs.canonical as canonical
-
-    original, calls = canonical._component_best, []
-
-    def once(*args):
-        if calls:
-            raise AssertionError("the labelling search ran twice")
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(canonical, "_component_best", once)
+    searched = calls(_component_best)
     g = modular_graph({0: 1, 1: 0}, tails={0: 0, 1: 1, 2: 1}, edges=[((3, 0), (4, 1))])
     key = canonical_key(g)
     assert canonical_key(g) == key
@@ -207,7 +185,7 @@ def test_second_call_on_a_graph_runs_no_search(monkeypatch):
     assert canonicalize(g)[0] == form
     assert is_isomorphic(g, g)
     assert canonical_encoding(g, {}, {})[0] == key  # empty colors count as none
-    assert len(calls) == 1
+    assert len(searched) == 1
 
 
 def test_mutating_returned_maps_leaves_the_memo_intact():
@@ -260,16 +238,9 @@ def test_flag_cap_is_checked_before_the_memo():
         canonical_form(g, max_flags=4)
 
 
-def test_enumeration_searches_once_per_keyed_graph(monkeypatch):
-    import stablegraphs.canonical as canonical
-    import stablegraphs.cartesian as cartesian
-    from stablegraphs.profiles import BUILTIN_PROFILES
-
-    keyed, searched = [], []
-    key, best = canonical.canonical_key, canonical._component_best
-    monkeypatch.setattr(cartesian, "canonical_key", lambda g, *a: keyed.append(g) or key(g, *a))
-    monkeypatch.setattr(canonical, "_component_best", lambda g, *a: searched.append(g) or best(g, *a))
-    out = cartesian.enumerate_stable_graphs(BUILTIN_PROFILES["P1"], 0, 4, 3, 3)
+def test_enumeration_searches_once_per_keyed_graph(calls):
+    keyed, searched = calls(canonical_key), calls(_component_best)
+    out = enumerate_stable_graphs(BUILTIN_PROFILES["P1"], 0, 4, 3, 3)
     assert len(out) == 77
     # enumerated graphs are connected: one component, so one search each
     assert len(searched) == len(keyed) > len(out)
@@ -307,7 +278,7 @@ def test_symmetric_families_key_by_isomorphism_and_are_pinned():
     rng = random.Random(41)
     lines = []
     for g in [necklace(k) for k in range(4, 8)] + [star(k) for k in range(4, 8)] + [K33, PRISM]:
-        h = shuffle_ids(rng, g)
+        h = relabelled(rng, g)
         key = canonical_key(g, max_flags=18)
         assert canonical_key(h, max_flags=18) == key
         assert isomorphic_brute_force(g, h)

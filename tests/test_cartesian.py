@@ -1,12 +1,9 @@
 import collections
 import functools
 import hashlib
-import importlib
 import json
 import random
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -64,10 +61,11 @@ from stablegraphs.serialize import (
     isogeny_from_json,
     isogeny_to_json,
 )
-from stablegraphs.stabilize import absolute_stabilization
+from stablegraphs.stabilize import absolute_stabilization, stabilize_with_trace
 
 from oracles import cartesian_lifts_by_candidates, enumerate_by_shapes
 from strategies import rand_graph, rand_renaming
+from test_cli import golden_input
 
 P1 = BUILTIN_PROFILES["P1"]
 P2 = BUILTIN_PROFILES["P2"]
@@ -328,48 +326,26 @@ def test_cartesian_morphism_ends_and_invalid_end_objects():
     assert validate_elementary_cartesian(point, broken) == expected
 
 
-def test_pullback_object_stabilizes_each_graph_once(monkeypatch):
+def test_pullback_object_stabilizes_each_graph_once(calls):
     # on the golden cartesian input only the target member is stabilized:
     # its 3 lifts are valid by construction and are not checked again
-    doc = json.loads((Path(__file__).parent / "golden" / "in" / "cartesian_case2.json").read_text())
+    doc = golden_input("cartesian_case2")
     phi, b = isogeny_from_json(doc["phi"]), combinatorial_from_json(doc["b"])
-    # the package re-exports the function stabilize, which hides the module
-    stabilize_module = importlib.import_module("stablegraphs.stabilize")
-    runs = []
-    original = stabilize_module.stabilize_with_trace
-    monkeypatch.setattr(
-        stabilize_module, "stabilize_with_trace", lambda g, *args: runs.append(g) or original(g, *args)
-    )
+    runs = calls(stabilize_with_trace)
     target = CartesianObject(base=b.source, family=((b, b.target),))
     source, _ = pullback_object(P2, phi, target)
     assert len(source.family) == 3
     assert len(runs) == 1
 
 
-def _count_package_calls(monkeypatch, functions):
-    """Count the calls to each function through every package module that binds it."""
-    counts = {fn.__name__: 0 for fn in functions}
-    modules = [m for n, m in sys.modules.items() if n == "stablegraphs" or n.startswith("stablegraphs.")]
-    for fn in functions:
-        def counting(*args, _fn=fn, **kwargs):
-            counts[_fn.__name__] += 1
-            return _fn(*args, **kwargs)
-
-        for m in modules:
-            for name, value in list(vars(m).items()):
-                if value is fn:
-                    monkeypatch.setattr(m, name, counting)
-    return counts
-
-
-def test_pullback_object_checks_its_inputs_once(monkeypatch):
+def test_pullback_object_checks_its_inputs_once(calls):
     # on the golden cartesian input: the target object's one member is
     # checked once, phi once, and the 3 lifts and the morphism not at all
-    doc = json.loads((Path(__file__).parent / "golden" / "in" / "cartesian_case2.json").read_text())
+    doc = golden_input("cartesian_case2")
     phi, b = isogeny_from_json(doc["phi"]), combinatorial_from_json(doc["b"])
-    counts = _count_package_calls(
-        monkeypatch,
-        [
+    recorded = {
+        fn.__name__: calls(fn)
+        for fn in [
             validate_combinatorial,
             is_stabilization_identification,
             deg_graph,
@@ -377,11 +353,11 @@ def test_pullback_object_checks_its_inputs_once(monkeypatch):
             validate_cartesian_object,
             cartesian_pullback,
             validate_elementary_cartesian,
-        ],
-    )
+        ]
+    }
     source, _ = pullback_object(P2, phi, CartesianObject(base=b.source, family=((b, b.target),)))
     assert len(source.family) == 3
-    assert counts == {
+    assert {name: len(seen) for name, seen in recorded.items()} == {
         "validate_combinatorial": 1,
         "is_stabilization_identification": 1,
         "deg_graph": 0,

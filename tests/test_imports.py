@@ -1,8 +1,10 @@
-"""Every name a package or test module imports is used in that module.
+"""Every name a package or test module imports is used in that module, and
+every fixture defined under ``tests/`` is requested.
 
 The package's ``__init__.py`` is exempt: its imports are the public
 re-exports.  A name counts as used when it is read anywhere in the module,
-in code or in a quoted annotation.
+in code or in a quoted annotation.  A fixture counts as requested when a
+test or another fixture takes it as a parameter.
 """
 
 import ast
@@ -58,6 +60,27 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _is_fixture(decorator: ast.expr) -> bool:
+    """``@pytest.fixture`` or ``@pytest.fixture(...)``."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Attribute) and target.attr == "fixture"
+
+
+def test_every_fixture_is_requested():
+    defined, requested = {}, set()
+    for path in TEST_MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            fixture = any(map(_is_fixture, node.decorator_list))
+            if fixture:
+                defined[node.name] = path.name
+            if fixture or node.name.startswith("test"):
+                requested.update(arg.arg for arg in node.args.args)
+    unused = [f"{name} ({where})" for name, where in defined.items() if name not in requested]
+    assert not unused, f"fixtures no test or fixture requests: {', '.join(unused)}"
 
 
 def test_modules_found():

@@ -24,8 +24,16 @@ from stablegraphs.monoid import LinearForm
 from stablegraphs.profiles import BUILTIN_PROFILES, VarietyProfile
 
 from oracles import automorphism_count, graph_sums
+from test_cartesian import SURFACE
 
-PROFILES = {**BUILTIN_PROFILES, "Q": VarietyProfile("Q", 1, LinearForm((-2,)), LinearForm((2,)))}
+# the canonical form does not enter the sums; "skew" is a rank-2 profile
+# whose ample form is not (1, 1)
+PROFILES = {
+    **BUILTIN_PROFILES,
+    "Q": VarietyProfile("Q", 1, LinearForm((-2,)), LinearForm((2,))),
+    "quadric": SURFACE,
+    "skew": VarietyProfile("skew", 2, LinearForm((-2, -3)), LinearForm((1, 2))),
+}
 
 # (profile, genus, tails, ample bound, max vertices)
 PERFBENCH_GRID = [
@@ -65,6 +73,17 @@ TIER1_CELLS = sorted(
     | {("point", 0, tails, 0, tails - 2) for tails in range(3, 8)}
 )
 
+# rank 2, where a class splits coordinate-wise between the two sides of an edge
+RANK_TWO_CELLS = [
+    ("quadric", 0, 4, 1, 3),
+    ("quadric", 1, 1, 1, 3),
+    ("quadric", 0, 3, 2, 3),
+    ("quadric", 1, 2, 2, 3),
+    ("quadric", 0, 4, 2, 4),
+    ("quadric", 2, 0, 2, 3),
+    ("skew", 0, 3, 3, 3),
+]
+
 
 def _euler_weight(genus: int, m: int) -> int:
     # chi(M_{0,m}); genus-0 graphs have only genus-0 vertices, so any value
@@ -77,23 +96,21 @@ def _unit_weight(genus: int, m: int) -> int:
 
 
 @cache
-def _right_side(genus: int, tails: int, max_degree: int, max_vertices: int, weight) -> dict:
-    return graph_sums(genus, tails, max_degree, max_vertices, weight)
+def _right_side(genus: int, tails: int, bound: int, max_vertices: int, weight, ample: tuple) -> dict:
+    return graph_sums(genus, tails, bound, max_vertices, weight, ample)
 
 
 def _sums_agree(cell, weight=_unit_weight) -> None:
     profile, genus, tails, bound, max_vertices = cell
     p = PROFILES[profile]
-    max_degree = bound // p.ample.coeffs[0] if p.rank else 0
-    left = {d: Fraction(0) for d in range(max_degree + 1)}
+    right = _right_side(genus, tails, bound, max_vertices, weight, p.ample.coeffs)
+    left = dict.fromkeys(right, Fraction(0))
     for g in enumerate_stable_graphs(p, genus, tails, bound, max_vertices):
         vertex_weight = 1
         for v in g.vertices:
             vertex_weight *= weight(g.genus[v], valence(g, v))
-        degree = total_class(g).coords[0] if p.rank else 0
-        left[degree] += Fraction(vertex_weight, automorphism_count(g))
-    right = _right_side(genus, tails, max_degree, max_vertices, weight)
-    assert left == {d: sum(right[d][: max_vertices + 1]) for d in left}, cell
+        left[total_class(g).coords] += Fraction(vertex_weight, automorphism_count(g))
+    assert left == {c: sum(right[c][: max_vertices + 1]) for c in left}, cell
 
 
 def test_automorphism_count_small_graphs():
@@ -115,10 +132,17 @@ def test_automorphism_count_small_graphs():
 def test_graph_sums_by_hand():
     # one tripod (3! tail orders); the genus-1 vertex and the loop (flipped)
     # with one tail
-    assert graph_sums(0, 3, 0, 1) == {0: [0, Fraction(1, 6)]}
-    assert sum(graph_sums(1, 1, 0, 2)[0]) == 1 + Fraction(1, 2)
+    assert graph_sums(0, 3, 0, 1, ample=()) == {(): [0, Fraction(1, 6)]}
+    assert sum(graph_sums(1, 1, 0, 2, ample=())[()]) == 1 + Fraction(1, 2)
     # genus 0 without tails: only a lone vertex of degree 1 is stable
-    assert graph_sums(0, 0, 1, 2) == {0: [0, 0], 1: [0, 1]}
+    assert graph_sums(0, 0, 1, 2) == {(0,): [0, 0], (1,): [0, 1]}
+    # at rank 2, class (1, 1) is one vertex, or an edge between classes
+    # (1, 0) and (0, 1); class (2, 0) is one vertex, or an edge between two
+    # vertices of class (1, 0), which swap; under the form (1, 2), (0, 1)
+    # has degree 2, so (1, 1) is cut
+    sums = graph_sums(0, 0, 2, 2, ample=(1, 1))
+    assert (sums[1, 1], sums[2, 0], sums[0, 0]) == ([0, 1, 1], [0, 1, Fraction(1, 2)], [0, 0, 0])
+    assert sorted(graph_sums(0, 0, 2, 2, ample=(1, 2))) == [(0, 0), (0, 1), (1, 0), (2, 0)]
 
 
 @pytest.mark.parametrize(
@@ -127,7 +151,7 @@ def test_graph_sums_by_hand():
 def test_genus_zero_mass_formula(weight, expected):
     # the labelled stable trees and chi(Mbar_{0,n}), n = 3..7, from the
     # expansion; then the enumerator's outputs sum to the same
-    assert [factorial(n) * sum(_right_side(0, n, 0, n - 2, weight)[0]) for n in range(3, 8)] == expected
+    assert [factorial(n) * sum(_right_side(0, n, 0, n - 2, weight, ())[()]) for n in range(3, 8)] == expected
     for n in range(3, 8):
         _sums_agree(("point", 0, n, 0, n - 2), weight)
 
@@ -140,3 +164,8 @@ def test_graph_sums_on_the_perfbench_grid(cell):
 def test_graph_sums_on_the_tier1_cells():
     for cell in TIER1_CELLS:
         _sums_agree(cell)
+
+
+@pytest.mark.parametrize("cell", RANK_TWO_CELLS, ids=str)
+def test_graph_sums_at_rank_two(cell):
+    _sums_agree(cell)

@@ -214,8 +214,9 @@ def test_decompose_order_invariance_of_composite():
             assert key == base
 
 
-def test_a_composite_is_checked_once_as_it_is_built(validated):
+def test_a_composite_is_checked_once_as_it_is_built(calls):
     # decomposing the composite in every order does not check it again
+    validated = calls(validate_contraction, validate_combinatorial)
     rng = random.Random(53)
     for _ in range(20):
         c = rand_contraction(rng, num_edges=(2, 3), rank=1, max_flags=10)

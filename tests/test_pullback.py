@@ -1,9 +1,7 @@
-import json
 import random
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
-from pathlib import Path
 
 import pytest
 
@@ -41,6 +39,7 @@ from strategies import (
     rand_marked_morphism,
     rand_renaming,
 )
+from test_cli import golden_input
 
 
 def identity_cover(g, rank=None):
@@ -286,8 +285,6 @@ def test_pullback_along_isomorphisms_validates():
 
 def _find_commuting_iso(pi1, psi1, b1, pi2, psi2, b2):
     """Brute-force isomorphism pi1 -> pi2 commuting with both squares' maps."""
-    from itertools import permutations
-
     if len(pi1.flags) != len(pi2.flags) or len(pi1.vertices) != len(pi2.vertices):
         return None
     pre1 = {mid: rho for rho, mid in psi1.flagmap.items()}
@@ -350,26 +347,6 @@ def test_equal_diagram_keys_certified_by_explicit_iso():
         (pi1, psi1, b1), (pi2, psi2, b2) = outputs[0], outputs[1]
         assert pullback_diagram_key(pi1, psi1, b1) == pullback_diagram_key(pi2, psi2, b2)
         assert _find_commuting_iso(pi1, psi1, b1, pi2, psi2, b2) is not None
-        done += 1
-
-
-def test_pullback_order_independence_sample():
-    rng = random.Random(97)
-    done = 0
-    while done < 25:
-        g = rand_graph(rng, rank=2, max_flags=12, stable=True, min_edges=3)
-        pool = list(edges(g))
-        if len(pool) < 2:
-            continue
-        chosen = rng.sample(pool, rng.randint(2, min(3, len(pool))))
-        phi = contract_edges(g, chosen)
-        xi = rand_hom(rng, 2, rng.randint(1, 2))
-        a = rand_covering(rng, phi.target, xi)
-        keys = set()
-        for order in permutations(phi.contracted_edges()):
-            pi, psi, b = stable_pullback(xi, phi, a, edge_order=order)
-            keys.add(pullback_diagram_key(pi, psi, b))
-        assert len(keys) == 1
         done += 1
 
 
@@ -480,22 +457,6 @@ def test_compose_endpoint_mismatch():
             compose_marked(m2, m1)
 
 
-def test_associativity_sample():
-    rng = random.Random(107)
-    done = 0
-    while done < 15:
-        m1 = rand_marked_morphism(rng, source_rank=2, target_rank=rng.randint(1, 2), max_flags=8)
-        m2 = rand_marked_morphism(rng, source=m1.target_graph, source_rank=m1.target_graph.rank,
-                                  target_rank=rng.randint(1, 2), max_flags=8)
-        m3 = rand_marked_morphism(rng, source=m2.target_graph, source_rank=m2.target_graph.rank,
-                                  target_rank=rng.randint(1, 2), max_flags=8)
-        left = compose_marked(m3, compose_marked(m2, m1))
-        right = compose_marked(compose_marked(m3, m2), m1)
-        assert left.hom == right.hom
-        assert marked_key(left) == marked_key(right)
-        done += 1
-
-
 @pytest.mark.parametrize(
     "edit, condition",
     [
@@ -508,7 +469,7 @@ def test_associativity_sample():
 def test_compose_marked_refuses_the_golden_pair_with_a_broken_relation(edit, condition):
     # the golden compose_marked pair with one input's hom or middle graph
     # replaced: the composite would be invalid, so the call refuses it
-    doc = json.loads((Path(__file__).parent / "golden" / "in" / "compose_marked.json").read_text())
+    doc = golden_input("compose_marked")
     edit(doc)
     outer, inner = marked_from_json(doc["second"]), marked_from_json(doc["first"])
     with pytest.raises(ValidationError) as err:
@@ -621,7 +582,8 @@ def _fresh(m):
     return replace(m, comb=replace(m.comb), contr=replace(m.contr))
 
 
-def test_pullback_in_every_order_checks_phi_and_a_once(validated):
+def test_pullback_in_every_order_checks_phi_and_a_once(calls):
+    validated = calls(validate_contraction, validate_combinatorial)
     rng = random.Random(131)
     for _ in range(20):
         phi = rand_contraction(rng, num_edges=(2, 3), rank=2, max_flags=12, max_vertices=5)
@@ -633,10 +595,11 @@ def test_pullback_in_every_order_checks_phi_and_a_once(validated):
         assert len(validated) == 2 and validated[0] is phi and validated[1] is a
 
 
-def test_both_bracketings_check_each_input_and_composite_once(validated):
+def test_both_bracketings_check_each_input_and_composite_once(calls):
     # of the inputs, compose_marked checks the inner contraction and the
     # outer covering; each composite part passes as it is built, and no
     # instance is checked twice
+    validated = calls(validate_contraction, validate_combinatorial)
     rng = random.Random(137)
 
     def compose(outer, inner):
@@ -695,9 +658,10 @@ def test_public_validators_check_a_passed_morphism_in_full():
     assert [v.condition for v in validate_combinatorial(a)] == ["combinatorial-2-injective"]
 
 
-def test_the_kept_pass_is_not_part_of_the_morphism(validated):
+def test_the_kept_pass_is_not_part_of_the_morphism(calls):
     # ==, repr and replace see only the fields: a replaced morphism starts
     # unchecked, so a broken replacement of a passed one is refused
+    validated = calls(validate_contraction, validate_combinatorial)
     xi, phi = MonoidHom.identity(1), _bridge_contraction()
     a = identity_cover(phi.target)
     twins = (replace(phi), replace(a))

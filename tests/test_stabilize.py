@@ -628,21 +628,13 @@ def test_search_without_candidates_visits_no_node():
         enumerate_combinatorial_morphisms(marked_graph(1, {0: (1, 1)}, tails={0: 0}), tgt, cap=0)
 
 
-def test_default_pool_stabilizes_once(monkeypatch):
-    calls = 0
-    real = stabilize_module.stabilize_with_trace
-
-    def counting(g, *args):
-        nonlocal calls
-        calls += 1
-        return real(g, *args)
-
-    monkeypatch.setattr(stabilize_module, "stabilize_with_trace", counting)
+def test_default_pool_stabilizes_once(calls):
+    runs = calls(stabilize_with_trace)
     g = marked_graph(1, {0: (0, 0), 1: (1, 0)}, tails={0: 0}, edges=[((1, 0), (2, 1))])
     report = check_universal_property(g)
     # the stabilization is one genus-1 vertex: connected, with no edge and no tail
     assert report.ok and report.sources_checked == 1
-    assert calls == 1
+    assert len(runs) == 1
 
 
 def test_default_pool_lists_each_graph_once():
