@@ -1,17 +1,31 @@
 """Canonical labelling and isomorphism testing for small marked graphs.
 
-Graphs in this calculus are tiny (a configurable cap, 16 flags by default),
-so we canonicalise by exhaustive search over vertex orderings.  The search
-space is cut down in three ways:
+Graphs in this calculus are tiny (a configurable cap, 16 flags by default).
+The canonical encoding is the least of the encodings of every vertex
+ordering that respects a refinement of the vertices, and its witness is the
+first ordering that gives it when the orderings are listed class by class
+in product order.  The search finds both without listing the orderings:
 
 * components are canonicalised independently, in place on the graph, and
   then sorted, so symmetric unions of many small pieces never multiply into
   one big search;
 * vertices are first partitioned by an iterated invariant refinement
   (genus, class, valence, tail/loop counts, then neighbour signatures), and
-  only orderings respecting the partition are tried.  Invariants are
-  compared by their ``repr``, and the classes come in order of that string,
-  which fixes which encoding is minimal;
+  only orderings respecting the partition count.  Invariants are compared
+  by their ``repr``, and the classes come in order of that string, which
+  fixes which encoding is minimal.  Every such ordering puts each class at
+  the same positions, so the orderings differ only in the involution part
+  of the encoding, and then in the flag colors;
+* a component whose classes are all singletons has one ordering, encoded
+  directly.  In an uncolored search, two members of a class whose
+  neighbours agree once each reads the other as itself are twins: swapping
+  them is an automorphism, so a vertex waits until its smaller twins are
+  placed, and when every class consists of twins only the ascending
+  ordering is left;
+* otherwise orderings grow one position at a time, and of the partial
+  orderings of each length only those tied at the least known prefix of
+  the involution entries go on (``_known_prefix``).  The survivors are
+  encoded and the first minimum is kept;
 * for a fixed vertex ordering the flag numbering is forced by a
   deterministic grouping rule, so no search happens at flag level.  Each
   vertex's tails, loops and edge halves come from the graph's per-vertex
@@ -36,8 +50,7 @@ constant.
 
 from __future__ import annotations
 
-from itertools import permutations, product
-from math import factorial, prod
+from math import factorial, inf, prod
 from typing import Hashable, Mapping, Sequence
 
 from .errors import SizeCapError
@@ -172,21 +185,133 @@ def _encode_with_vertex_order(
     return enc, (fslot, vpos)
 
 
+def _smaller_twins(classes: list[list[int]], groups: Mapping[int, _FlagGroups]) -> dict[int, list[int]]:
+    """Per vertex of the classes, its twins of smaller id.
+
+    Members a < b of one class are twins when a's edge neighbours without b
+    equal b's without a, as multisets: the edges between a and b count on
+    both sides alike, so swapping a and b is an automorphism of an uncolored
+    graph.
+    """
+    twins = {}
+    for c in classes:
+        nbrs = {v: [w for _, _, w in groups[v][2]] for v in c}
+        for j, b in enumerate(c):
+            twins[b] = [a for a in c[:j] if sorted(w for w in nbrs[a] if w != b) == sorted(w for w in nbrs[b] if w != a)]
+    return twins
+
+
+def _known_prefix(g: MarkedGraph, order: tuple[int, ...], groups: Mapping[int, _FlagGroups]) -> list:
+    """The involution entries that a partial ordering fixes, in slot order.
+
+    The placed vertices' flags are numbered as ``_encode_with_vertex_order``
+    numbers them, except the halves of edges to unplaced vertices, which
+    come last at their vertex.  The partner of such a half gets a slot above
+    every slot numbered here, so the list ends at the first one with +inf.
+    Of two partial orderings of one length, every completion of the one
+    with the lesser list encodes below every completion of the other.
+    """
+    vpos = {v: i for i, v in enumerate(order)}
+    fslot: dict[int, int] = {}
+    known: list[int] = []  # the flags before the first unknown entry, in slot order
+    complete = True
+    slot = 0
+    for i, v in enumerate(order):
+        tails, loops, ends = groups[v]
+        back, forward, unknown = [], [], 0
+        for k, (f, p, w) in enumerate(ends):
+            pos = vpos.get(w)
+            if pos is None:
+                unknown += 1
+            elif pos < i:
+                back.append((fslot[p], f))
+            else:
+                forward.append((pos, k, f))
+        back.sort()
+        forward.sort()
+        row = [f for _, f in back] + list(tails) + [f for pair in loops for f in pair] + [f for _, _, f in forward]
+        for f in row:
+            fslot[f] = slot
+            slot += 1
+        slot += unknown  # the slots of the halves to unplaced vertices
+        if complete:
+            known += row
+            complete = not unknown
+    involution = g.involution
+    prefix: list = [fslot[involution[f]] for f in known]
+    if not complete:
+        prefix.append(inf)
+    return prefix
+
+
+def _candidate_orders(
+    g: MarkedGraph,
+    classes: list[list[int]],
+    groups: Mapping[int, _FlagGroups],
+    twins: Mapping[int, list[int]],
+) -> list[tuple[int, ...]]:
+    """The orderings that may give the first minimal encoding, in product order.
+
+    Positions are filled one at a time, each partial extended by the
+    unplaced members of its position's class in ascending id, so the
+    partials stay in the order ``product(permutations(...))`` lists their
+    completions.  A vertex waits while a smaller twin of it is unplaced:
+    swapping the two gives an equal encoding from an earlier ordering.  Of
+    the partials of each length, only those tied at the least known prefix
+    go on, unless there is just one; the last position is left to the
+    encoding.
+    """
+    positions = [c for c in classes for _ in c]
+    partials: list[tuple[int, ...]] = [()]
+    for k, c in enumerate(positions):
+        extended = [
+            (*p, v)
+            for p in partials
+            for v in c
+            if v not in p and all(a in p for a in twins.get(v, ()))
+        ]
+        if len(extended) > 1 and k < len(positions) - 1:
+            prefixes = [_known_prefix(g, p, groups) for p in extended]
+            least = min(prefixes)
+            extended = [p for p, prefix in zip(extended, prefixes) if prefix == least]
+        partials = extended
+    return partials
+
+
 def _component_best(g: MarkedGraph, comp: list[int], frepr: _Reprs, vrepr: _Reprs) -> tuple[Encoding, Labeling]:
-    """Minimal encoding of one connected component, first witness on ties."""
+    """Minimal encoding of one connected component, first witness on ties.
+
+    Every admissible ordering puts each class at the same positions, so only
+    the involution entries and the flag colors vary: the search keeps the
+    orderings that can reach the least involution, encodes them and takes
+    the first minimum, as a search over every ordering in product order
+    would.  Twins are skipped in uncolored searches only.
+    """
     groups = _flag_groups(g, comp, frepr)
     classes = _vertex_classes(g, comp, groups, frepr, vrepr)
+    if len(classes) == len(comp):
+        return _encode_with_vertex_order(g, [c[0] for c in classes], groups, frepr, vrepr)
     if prod(factorial(len(c)) for c in classes) > _MAX_ORDERINGS:
         raise SizeCapError(f"canonical labelling search space exceeds {_MAX_ORDERINGS} orderings")
-    orders = product(*(permutations(c) for c in classes))
-    encodings = (_encode_with_vertex_order(g, [v for c in o for v in c], groups, frepr, vrepr) for o in orders)
+    twins = {}
+    if frepr is None:
+        twins = _smaller_twins(classes, groups)
+        if all(len(twins[b]) == j for c in classes for j, b in enumerate(c)):
+            # only the ordering with every class ascending keeps each vertex after its smaller twins
+            return _encode_with_vertex_order(g, [v for c in classes for v in c], groups, frepr, vrepr)
+    orders = _candidate_orders(g, classes, groups, twins)
+    encodings = (_encode_with_vertex_order(g, list(o), groups, frepr, vrepr) for o in orders)
     return min(encodings, key=lambda r: r[0])
 
 
 def _search(g: MarkedGraph, frepr: _Reprs, vrepr: _Reprs) -> tuple[Encoding, Labeling]:
     """Minimal encoding of g for the given color strings, plus its witness."""
+    components = connected_components(g)
+    if len(components) == 1:
+        enc, labeling = _component_best(g, sorted(components[0]), frepr, vrepr)
+        return (g.rank, len(g.vertices), len(g.flags), (enc,)), labeling
     pieces = sorted(
-        (_component_best(g, sorted(comp), frepr, vrepr) for comp in connected_components(g)),
+        (_component_best(g, sorted(comp), frepr, vrepr) for comp in components),
         key=lambda p: p[0],
     )
     flag_lab: dict[int, int] = {}

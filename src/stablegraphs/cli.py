@@ -37,7 +37,7 @@ from .morphisms import (
     validate_contraction,
 )
 from .profiles import deg_graph, dim_graph
-from .pullback import compose_marked, stable_pullback, validate_marked
+from .pullback import _check_marked, compose_marked, stable_pullback, validate_marked
 from .serialize import (
     SchemaError,
     _dump_json,
@@ -171,17 +171,20 @@ def _run_forget(doc, args):
 
 def _run_compose(doc, args):
     # second o first, both read as first's kind; neither compose function
-    # checks its inputs as a whole, so both are checked here as validate would
+    # checks its inputs as a whole, so both are checked here as validate
+    # would, and a marked input's parts keep their pass for compose_marked
     first, second = _need(doc, "first", dict), _need(doc, "second", dict)
     kind = first.get("kind")
     if kind not in ("marked", "extended-isogeny"):
         raise SchemaError("compose handles kinds 'marked' and 'extended-isogeny'")
     read, check = _kinds()[kind]
     outer, inner = read(second), read(first)
+    if kind == "marked":
+        for m in (inner, outer):
+            _check_marked(m, "invalid marked morphism")
+        return marked_to_json(compose_marked(outer, inner))
     for m in (inner, outer):
         ensure_valid(check(m), f"invalid {kind} morphism")
-    if kind == "marked":
-        return marked_to_json(compose_marked(outer, inner))
     return isogeny_to_json(compose_extended(outer, inner))
 
 

@@ -75,6 +75,15 @@ def validate_marked(m: MarkedMorphism) -> list[Violation]:
     return out
 
 
+def _check_marked(m: MarkedMorphism, message: str) -> None:
+    """``ensure_valid(validate_marked(m), message)``, keeping the pass on
+    ``m.comb`` and ``m.contr`` as ``_ensure_checked`` does, so the package's
+    own checks of either part (in ``compose_marked``, say) skip it."""
+    ensure_valid(validate_marked(m), message)
+    for part in (m.comb, m.contr):
+        part.__dict__["_checked"] = True
+
+
 def _marked(hom: MonoidHom, comb: CombinatorialMorphism, contr: Contraction) -> MarkedMorphism:
     """The morphism (hom, comb covering hom, comb's source, contr)."""
     return MarkedMorphism(hom, replace(comb, hom=hom), comb.source, contr)

@@ -3,13 +3,16 @@
 These deliberately re-derive answers by different routes: linear algebra
 over GF(2) for cycle ranks, a literal breadth-first chain search for the
 flag-equivalence condition, a raw product enumeration for boundary graph
-listings and for combinatorial morphisms, the two morphism validators written the way that builds
+listings, for combinatorial morphisms and for the canonical labelling's
+vertex orderings, the two morphism validators written the way that builds
 graphs (each contracted piece, and the relabelled target), an
 automorphism count that backtracks over vertex bijections, and sums over
 whole enumerator outputs by a Feynman expansion that builds no graph, and
 the cartesian lifts over a forget or glue as every candidate graph that
 passes the lift's conditions.
-None of them call the code paths they certify.  At the end are two checked
+None of them call the code paths they certify; the labelling oracle shares
+only the labeller's refinement and its encoding of one ordering, which
+define the minimum it checks the search against.  At the end are two checked
 helpers that only the tests call.
 """
 
@@ -20,11 +23,19 @@ from fractions import Fraction
 from math import factorial, prod
 from operator import add, le, mul
 
-from stablegraphs.canonical import canonical_encoding, canonical_form, canonical_key
+from stablegraphs.canonical import (
+    _encode_with_vertex_order,
+    _flag_groups,
+    _vertex_classes,
+    canonical_encoding,
+    canonical_form,
+    canonical_key,
+)
 from stablegraphs.cartesian import FamilyMember, is_stabilization_identification
 from stablegraphs.errors import SizeCapError, Violation, ensure_valid
 from stablegraphs.graphs import (
     MarkedGraph,
+    connected_components,
     edges,
     edit_graph,
     equivalence_classes,
@@ -292,6 +303,38 @@ def isomorphic_brute_force(g1: MarkedGraph, g2: MarkedGraph) -> bool:
         if extend(0, {}):
             return True
     return False
+
+
+def canonical_encoding_by_product(g: MarkedGraph, flag_colors=None, vertex_colors=None) -> tuple:
+    """``canonical_encoding``'s (encoding, witness) from every ordering.
+
+    Each component tries every product of permutations within its refined
+    vertex classes and keeps the first minimal encoding; the pieces are
+    then sorted and their slots offset, as the labeller does.  It shares
+    the labeller's refinement and its encoding of one ordering, which
+    define the minimum, and not its search.  Exponential in the class sizes.
+    """
+    frepr = vrepr = None
+    if flag_colors or vertex_colors:
+        frepr = {f: repr((flag_colors or {}).get(f)) for f in g.flags}
+        vrepr = {v: repr((vertex_colors or {}).get(v)) for v in g.vertices}
+    pieces = []
+    for comp in connected_components(g):
+        comp = sorted(comp)
+        groups = _flag_groups(g, comp, frepr)
+        classes = _vertex_classes(g, comp, groups, frepr, vrepr)
+        orders = product(*(permutations(c) for c in classes))
+        encodings = (_encode_with_vertex_order(g, [v for c in o for v in c], groups, frepr, vrepr) for o in orders)
+        pieces.append(min(encodings, key=lambda r: r[0]))
+    pieces.sort(key=lambda p: p[0])
+    flag_lab, vertex_lab = {}, {}
+    foff = voff = 0
+    for enc, (fslot, vslot) in pieces:
+        flag_lab.update({f: s + foff for f, s in fslot.items()})
+        vertex_lab.update({v: s + voff for v, s in vslot.items()})
+        voff += enc[0]
+        foff += enc[1]
+    return (g.rank, len(g.vertices), len(g.flags), tuple(p[0] for p in pieces)), (flag_lab, vertex_lab)
 
 
 def automorphism_count(g: MarkedGraph) -> int:

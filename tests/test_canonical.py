@@ -5,7 +5,9 @@ import random
 import pytest
 
 from stablegraphs.canonical import (
+    _candidate_orders,
     _component_best,
+    _encode_with_vertex_order,
     canonical_encoding,
     canonical_form,
     canonical_key,
@@ -294,3 +296,68 @@ def test_k33_and_the_prism_key_apart():
     assert (len(K33.flags), K33.genus) == (len(PRISM.flags), PRISM.genus)
     assert not is_isomorphic(K33, PRISM, max_flags=18)
     assert not isomorphic_brute_force(K33, PRISM)
+
+
+CUBE = simple_graph({v: 0 for v in range(8)}, [(a, a | 1 << i) for a in range(8) for i in range(3) if not a & 1 << i])
+K4 = simple_graph({v: 0 for v in range(4)}, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+
+
+@pytest.mark.parametrize(
+    "g, encodings",
+    [(necklace(k), n) for k, n in zip(range(4, 9), (2, 10, 12, 14, 16))]
+    + [(star(k), 1) for k in range(4, 9)]
+    + [(K33, 2), (PRISM, 12), (CUBE, 48), (K4, 1)],
+    ids=[f"necklace-{k}" for k in range(4, 9)] + [f"star-{k}" for k in range(4, 9)] + ["K33", "prism", "cube", "K4"],
+)
+def test_symmetric_families_encode_few_orderings(g, encodings, calls):
+    # a search over every ordering encodes k! of them on a k-necklace or a
+    # k-star, 720 on K_{3,3} or the prism, 40,320 on the cube and 24 on K_4;
+    # the leaves of a star are twins, and so are any two vertices of K_4,
+    # though they are adjacent, so one ordering is left
+    encoded = calls(_encode_with_vertex_order)
+    key = canonical_key(dataclasses.replace(g), max_flags=24)  # a new instance, so nothing is kept on it
+    assert len(encoded) == encodings
+    assert canonical_key(relabelled(random.Random(len(g.flags)), g), max_flags=24) == key
+
+
+def symmetric_graph(rng: random.Random) -> MarkedGraph:
+    """A circulant graph on 3-6 genus-1 vertices (parallel edges and loops
+    alike at every vertex), sometimes with a hub joined to every vertex, a
+    tail at every vertex, and one edge or tail more: large refinement
+    classes, some of them all twins and some with none."""
+    n = rng.randint(3, 6)
+    pairs = []
+    for s in rng.sample(range(1, n // 2 + 1), rng.randint(1, min(2, n // 2))):
+        pairs += [(v, (v + s) % n) for v in range(n if 2 * s < n else n // 2)] * rng.choice((1, 1, 2))
+    if rng.random() < 0.3:
+        pairs += [(v, v) for v in range(n)]
+    genus = {v: 1 for v in range(n)}
+    if rng.random() < 0.4:
+        genus[n] = rng.randint(0, 1)
+        pairs += [(n, v) for v in range(n)]
+    tails = list(range(n)) if rng.random() < 0.3 else []
+    if rng.random() < 0.4:
+        pairs.append((rng.randrange(n), rng.randrange(n)))
+    if rng.random() < 0.3:
+        tails.append(rng.randrange(n))
+    edges = [((2 * i, a), (2 * i + 1, b)) for i, (a, b) in enumerate(pairs)]
+    return modular_graph(genus, tails={2 * len(pairs) + i: v for i, v in enumerate(tails)}, edges=edges)
+
+
+def test_pruned_search_matches_the_product_search(calls):
+    # every (encoding, witness), dict order included, equals the first minimum
+    # over every ordering; a third of the graphs are colored, so searched
+    # without the twin rule
+    from oracles import canonical_encoding_by_product
+
+    searched = calls(_candidate_orders)
+    rng = random.Random(43)
+    for i in range(600):
+        g = symmetric_graph(rng) if i % 2 else rand_graph(rng, rank=rng.randint(0, 2), max_flags=12, max_vertices=6)
+        fc = vc = None
+        if i % 3 == 0:
+            fc = {f: rng.choice([None, "x"]) for f in g.flags}
+            vc = {v: rng.choice([None, "y"]) for v in g.vertices}
+        expected = canonical_encoding_by_product(g, fc, vc)
+        assert repr(canonical_encoding(g, fc, vc, max_flags=len(g.flags))) == repr(expected)
+    assert len(searched) > 50  # the prefix rule ran, not only the one-ordering paths

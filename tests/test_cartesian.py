@@ -129,6 +129,22 @@ def test_case_ii_family_matches_splits():
         assert is_stabilization_identification(m.identification)
 
 
+def test_family_cap_admits_a_family_of_its_size(monkeypatch, calls):
+    # the class 2 splits three ways, one split_vertex per member: a cap of 3
+    # builds the family, and a cap of 2 refuses it before any member is built
+    import stablegraphs.cartesian as cartesian
+
+    split = calls(split_vertex)
+    _, phi, _, b = four_tail_setup(P2, element(2))
+    monkeypatch.setattr(cartesian, "_MAX_FAMILY", 3)
+    assert len(cartesian_pullback(P2, phi, b)) == len(split) == 3
+    monkeypatch.setattr(cartesian, "_MAX_FAMILY", 2)
+    split.clear()
+    with pytest.raises(SizeCapError, match="^cartesian family has 3 members, cap is 2$"):
+        cartesian_pullback(P2, phi, b)
+    assert split == []
+
+
 def test_case_ii_rank_two():
     tau, phi, sigma, b = four_tail_setup(SURFACE, element(1, 2))
     members = cartesian_pullback(SURFACE, phi, b)

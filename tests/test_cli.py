@@ -14,6 +14,7 @@ from stablegraphs.cli import VERBS, _check_size, build_parser, main
 from stablegraphs.errors import SizeCapError
 from stablegraphs.graphs import MarkedGraph
 from stablegraphs.isogeny import ForgetStep, elementary_forget_isogeny, extended_isogeny, identity_extended
+from stablegraphs.morphisms import validate_combinatorial, validate_contraction
 from stablegraphs.serialize import contraction_to_json, isogeny_to_json, marked_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -388,6 +389,15 @@ def test_compose_rejects_an_invalid_marked_input(cli):
     # the morphisms it reads: here the first one's hom is not its part's hom
     code, payload = cli("compose", golden_input("compose_marked", "first", "xi", "rows", [[2]]))
     assert (code, payload["error"]["conditions"]) == (3, ["marked-hom"])
+
+
+def test_compose_checks_each_marked_part_once(cli, calls):
+    # the verb checks both inputs whole, keeping the pass on their parts, so
+    # compose_marked skips the inner contraction and the outer combinatorial
+    # part; the two composite parts are checked as they are built
+    checked = calls(validate_combinatorial, validate_contraction)
+    assert cli("compose", golden_input("compose_marked"))[0] == 0
+    assert len(checked) == len({id(m) for m in checked}) == 6
 
 
 OPTIONAL_ARRAY_CASES = [

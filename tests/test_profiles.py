@@ -24,6 +24,7 @@ from stablegraphs.profiles import (
 from stablegraphs.stabilize import absolute_stabilization
 
 from strategies import rand_graph
+from test_cartesian import SURFACE
 
 
 def single_vertex(rank, g, n, d):
@@ -100,10 +101,9 @@ def test_deg_single_vertex():
 
 def test_dim_and_deg_match_the_expanded_ledger():
     # both share one dimension formula; here each is written out in full
-    quadric = VarietyProfile("quadric", 2, LinearForm((-2, -2)), LinearForm((1, 1)))
     rng = random.Random(127)
     for _ in range(150):
-        p = rng.choice((POINT, projective_space(1), projective_space(2), quadric))
+        p = rng.choice((POINT, projective_space(1), projective_space(2), SURFACE))
         g = rand_graph(rng, rank=p.rank, max_flags=10, stable=rng.random() < 0.5)
         omega = p.canonical(total_class(g))
         chi = euler_characteristic(g)

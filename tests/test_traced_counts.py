@@ -75,10 +75,12 @@ PINS = {
         "graphs.flags_at.calls": 164,
         # only boundary labels graphs: 13 a pass
         "canonical.canonical_encoding.calls": 52,
-        # the inputs of compose on marked morphisms (4 a pass), pullback and cartesian (1 each)
-        "morphisms.validate_combinatorial.calls": 24,
-        # the contractions compose on marked morphisms (4 a pass) and pullback (1) take as input
-        "morphisms.validate_contraction.calls": 20,
+        # 5 a pass: compose on marked morphisms checks its two inputs and its composite, pullback and cartesian 1
+        # each; 24 before, when compose_marked checked the outer input's combinatorial part again
+        "morphisms.validate_combinatorial.calls": 20,
+        # 4 a pass: compose on marked morphisms checks its two inputs and its composite, pullback its input; 20
+        # before, when compose_marked checked the inner input's contraction again
+        "morphisms.validate_contraction.calls": 16,
         # cartesian (4 a pass) and contract (1)
         "morphisms.contract_edges.calls": 20,
         # 19 a pass: 5 each in cartesian and compose of isogenies, 3 in compose on marked morphisms

@@ -163,7 +163,11 @@ CASES = [
     ("cartesian-profile-rank", lambda: cartesian_pullback(POINT, PHI, B)),
     ("cartesian-target-unstable", lambda: cartesian_pullback(P1, PHI, identification(SIGMA, DANGLING_P1))),
     ("cartesian-wrong-splits", lambda: _check(validate_elementary_cartesian(P2, _split_of_two_contracted_edges()))),
+    # one row per clause of the bounds check, each the only bound out of range
     ("enumerate-bounds", lambda: enumerate_stable_graphs(POINT, -1, 0, 0, 1)),
+    ("enumerate-bounds", lambda: enumerate_stable_graphs(POINT, 0, -1, 0, 1)),
+    ("enumerate-bounds", lambda: enumerate_stable_graphs(POINT, 0, 3, -1, 1)),
+    ("enumerate-bounds", lambda: enumerate_stable_graphs(POINT, 0, 3, 0, 0)),
     ("oplus-base", lambda: oplus(CartesianObject(TRIPOD, ()), CartesianObject(CURVE, ()))),
     # contractions and combinatorial morphisms
     ("combinatorial-compose-endpoints", lambda: compose_combinatorial(
