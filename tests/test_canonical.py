@@ -1,13 +1,16 @@
 import dataclasses
 import hashlib
 import random
+from math import inf
 
 import pytest
 
 from stablegraphs.canonical import (
-    _candidate_orders,
     _component_best,
     _encode_with_vertex_order,
+    _flag_groups,
+    _known_prefix,
+    _number_flags,
     canonical_encoding,
     canonical_form,
     canonical_key,
@@ -17,7 +20,7 @@ from stablegraphs.canonical import (
 )
 from stablegraphs.cartesian import enumerate_stable_graphs
 from stablegraphs.errors import SizeCapError
-from stablegraphs.graphs import MarkedGraph, modular_graph, marked_graph
+from stablegraphs.graphs import MarkedGraph, connected_components, modular_graph, marked_graph
 from stablegraphs.profiles import BUILTIN_PROFILES
 
 from strategies import rand_graph, relabelled
@@ -350,7 +353,7 @@ def test_pruned_search_matches_the_product_search(calls):
     # without the twin rule
     from oracles import canonical_encoding_by_product
 
-    searched = calls(_candidate_orders)
+    prefixed = calls(_known_prefix)
     rng = random.Random(43)
     for i in range(600):
         g = symmetric_graph(rng) if i % 2 else rand_graph(rng, rank=rng.randint(0, 2), max_flags=12, max_vertices=6)
@@ -360,4 +363,28 @@ def test_pruned_search_matches_the_product_search(calls):
             vc = {v: rng.choice([None, "y"]) for v in g.vertices}
         expected = canonical_encoding_by_product(g, fc, vc)
         assert repr(canonical_encoding(g, fc, vc, max_flags=len(g.flags))) == repr(expected)
-    assert len(searched) > 50  # the prefix rule ran, not only the one-ordering paths
+    assert len(prefixed) > 10_000  # the prefix rule ran (10,261 prefixes), not only the one-ordering paths
+
+
+def test_known_prefix_leads_the_encoding_of_every_completion():
+    # the prefix rule is sound because a partial ordering's known prefix is
+    # the start of the involution part of every completion's encoding, and
+    # the completion's entry at the first unnumbered slot exceeds every slot
+    # the partial numbers: a lesser prefix then means a lesser encoding
+    rng = random.Random(47)
+    checked = 0
+    for i in range(400):
+        g = symmetric_graph(rng) if i % 2 else rand_graph(rng, rank=rng.randint(0, 2), max_flags=12, max_vertices=6)
+        frepr = {f: repr(rng.choice([None, "x"])) for f in g.flags} if i % 3 == 0 else None
+        for comp in connected_components(g):
+            groups = _flag_groups(g, sorted(comp), frepr)
+            order = rng.sample(sorted(comp), len(comp))
+            involution = _encode_with_vertex_order(g, order, groups, frepr, None)[0][4]
+            for k in range(1, len(order)):
+                *known, last = _known_prefix(g, tuple(order[:k]), groups)
+                assert last == inf  # a connected component always has a half to an unplaced vertex
+                assert list(involution[: len(known)]) == known
+                numbered = _number_flags({v: j for j, v in enumerate(order[:k])}, groups)[0]
+                assert all(involution[len(known)] > slot for slot in numbered.values())
+                checked += 1
+    assert checked > 900

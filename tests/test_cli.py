@@ -598,6 +598,28 @@ def test_pair_that_is_not_two_integers_is_schema_error(verb, bad, cli):
     assert "must be an array of exactly two integers" in payload["error"]["message"]
 
 
+SCHEMA_MESSAGE_CASES = [
+    # a vertex entry that is not an object has none of its keys
+    ("invariants", golden_input("invariants_tripod", "vertices", 0, ["id"]), "missing key 'id'"),
+    # a string of two characters is not a pair
+    ("cut", golden_input("cut_bridge", "edge", "01"), "edge flags must be an array of exactly two integers"),
+    # a kind that is not a string is unknown, whatever it holds
+    (
+        "validate",
+        {"kind": ["marked"]},
+        "unknown kind ['marked']: validate reads a graph (no kind) or a kind of "
+        "'contraction', 'combinatorial', 'marked', 'extended-isogeny'",
+    ),
+]
+
+
+@pytest.mark.parametrize("verb,bad,message", SCHEMA_MESSAGE_CASES, ids=["vertex-entry", "pair-string", "kind-list"])
+def test_schema_error_names_what_is_wrong(verb, bad, message, cli):
+    # each is refused by the type check that names it, before it is indexed
+    # or hashed into a "malformed document" error
+    assert cli(verb, bad) == (2, {"error": {"type": "schema", "message": message}})
+
+
 @pytest.mark.parametrize("forget_side", ["first", "second"])
 def test_compose_rejects_an_invalid_isogeny_input(forget_side, cli):
     # the type-IV forget of a lonely tripod kills its component, so it is

@@ -51,6 +51,7 @@ from stablegraphs.morphisms import (
     identity_combinatorial,
     identity_contraction,
     inclusion,
+    validate_combinatorial,
     validate_contraction,
 )
 from stablegraphs.profiles import BUILTIN_PROFILES, POINT, VarietyProfile
@@ -78,6 +79,9 @@ FOUR_TAILS = modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0, 3: 0})
 # a stable rank-1 graph with an edge; and a rank-1 graph whose vertex 5 is unstable
 BRIDGE_P1 = marked_graph(1, {0: (0, 1), 1: (0, 1)}, tails={0: 0, 1: 1}, edges=[((2, 0), (3, 1))])
 DANGLING_P1 = marked_graph(1, {0: (0, 0), 5: (0, 0)}, tails={0: 0, 1: 0, 2: 0, 3: 0}, edges=[((10, 0), (11, 5))])
+# unstable: a genus-0 vertex with one tail hangs on the edge; contracting
+# the edge gives a tripod
+PENDANT = modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 4: 1}, edges=[((2, 0), (3, 1))])
 
 
 def _check(violations):
@@ -133,8 +137,11 @@ def _lift_non_identity_hom():
 
 CASES = [
     # cartesian objects and morphisms
+    # the base isogeny's wrong source, then its wrong target alone
     ("cartesian-base-endpoints", lambda: _check(
         validate_elementary_cartesian(P2, replace(SPLIT, base_isogeny=identity_extended(SIGMA))))),
+    ("cartesian-base-endpoints", lambda: _check(
+        validate_elementary_cartesian(P2, replace(SPLIT, base_isogeny=identity_extended(BRIDGE))))),
     # phi is checked before b, so b need not fit it
     ("cartesian-base-rank", lambda: cartesian_pullback(P1, elementary_contraction_isogeny(BRIDGE_P1, (2, 3)), B)),
     ("cartesian-base-rank", lambda: _check(validate_cartesian_object(P1, CartesianObject(BRIDGE_P1, ())))),
@@ -146,11 +153,19 @@ CASES = [
     ("cartesian-family-shape", lambda: _check(validate_elementary_cartesian(P2, replace(SPLIT, index_map=(0, 0))))),
     ("cartesian-family-shape", lambda: _check(validate_elementary_cartesian(P2, replace(SPLIT, index_map=(0, 0, 1))))),
     ("cartesian-family-shape", lambda: _check(validate_elementary_cartesian(P1, _forget_fiber_of_two()))),
+    # an index map of the right length with one lift too few
+    ("cartesian-family-shape", lambda: _check(validate_elementary_cartesian(P2, replace(SPLIT, lifts=SPLIT.lifts[:-1])))),
     ("cartesian-member-degree", lambda: _check(validate_elementary_cartesian(P2, _split_of_two_contracted_edges()))),
+    # an identification into another member, then one from another base
     ("cartesian-member-endpoints", lambda: _check(validate_cartesian_object(
         P1, CartesianObject(TRIPOD, ((_member(TRIPOD, 0, 1, range(3))[0], _member(TRIPOD, 0, 2, range(3))[1]),))))),
+    ("cartesian-member-endpoints", lambda: _check(
+        validate_cartesian_object(P1, CartesianObject(TRIPOD, (_member(CURVE, 0, 1, range(1)),))))),
+    # lifts from other members, then lifts from the right members to themselves
     ("cartesian-member-lift", lambda: _check(
         validate_elementary_cartesian(P2, replace(SPLIT, lifts=SPLIT.lifts[::-1])))),
+    ("cartesian-member-lift", lambda: _check(validate_elementary_cartesian(
+        P2, replace(SPLIT, lifts=tuple(identity_extended(lift.source) for lift in SPLIT.lifts))))),
     ("cartesian-member-stabilization", lambda: _check(validate_cartesian_object(
         P1, CartesianObject(CURVE, (_member(CURVE, 0, 1, range(1)),))))),
     ("cartesian-member-unstable", lambda: _check(validate_cartesian_object(
@@ -172,6 +187,12 @@ CASES = [
     # contractions and combinatorial morphisms
     ("combinatorial-compose-endpoints", lambda: compose_combinatorial(
         identity_combinatorial(TRIPOD), identity_combinatorial(CURVE))),
+    # every flag of the source is mapped, one of them outside the target
+    ("combinatorial-maps-total", lambda: _check(
+        validate_combinatorial(replace(identity_combinatorial(TRIPOD), flagmap={0: 0, 1: 1, 2: 9})))),
+    # the hom's target rank is the source's, its source rank is not the target's
+    ("combinatorial-rank", lambda: _check(
+        validate_combinatorial(replace(identity_combinatorial(TRIPOD), hom=MonoidHom.to_trivial(1))))),
     ("contraction-1-injective", lambda: _check(
         validate_contraction(Contraction(TRIPOD, FOUR_TAILS, {0: 0, 1: 1, 2: 2, 3: 2}, {0: 0})))),
     ("contraction-1-surjective", lambda: _check(validate_contraction(
@@ -192,12 +213,25 @@ CASES = [
     ("contraction-compose-endpoints", lambda: compose_contractions(
         identity_contraction(TRIPOD), identity_contraction(CURVE))),
     ("contraction-edge-unknown", lambda: contract_edges(TRIPOD, [(0, 1)])),
+    # one row per clause: flag map keys, flag images, vertex map keys, vertex images
     ("contraction-maps-total", lambda: _check(validate_contraction(Contraction(TRIPOD, TRIPOD, {}, {0: 0})))),
+    ("contraction-maps-total", lambda: _check(
+        validate_contraction(Contraction(TRIPOD, TRIPOD, {0: 0, 1: 1, 2: 9}, {0: 0})))),
+    ("contraction-maps-total", lambda: _check(validate_contraction(Contraction(TRIPOD, TRIPOD, {0: 0, 1: 1, 2: 2}, {})))),
+    ("contraction-maps-total", lambda: _check(
+        validate_contraction(Contraction(TRIPOD, TRIPOD, {0: 0, 1: 1, 2: 2}, {0: 9})))),
     ("contraction-rank", lambda: _check(validate_contraction(Contraction(
         TRIPOD, marked_graph(1, {0: (0, 0)}, tails={0: 0, 1: 0, 2: 0}), {0: 0, 1: 1, 2: 2}, {0: 0})))),
+    # two tails, then a tail given as both halves
     ("cut-not-edge", lambda: cut_edge(TRIPOD, (0, 1))),
+    ("cut-not-edge", lambda: cut_edge(TRIPOD, (0, 0))),
+    # no flag, then an edge half
     ("forget-not-tail", lambda: forget_tail(TRIPOD, 9)),
+    ("forget-not-tail", lambda: forget_tail(BRIDGE, 4)),
+    # one tail twice, then an edge half first or second
     ("glue-not-tails", lambda: glue_tails(TRIPOD, 0, 0)),
+    ("glue-not-tails", lambda: glue_tails(BRIDGE, 4, 0)),
+    ("glue-not-tails", lambda: glue_tails(BRIDGE, 0, 4)),
     # isogenies
     ("forget-unstable", lambda: stably_forget_tail(TWO_TAILS, 0)),
     ("isogeny-compose-endpoints", lambda: compose_extended(identity_extended(TRIPOD), identity_extended(CURVE))),
@@ -205,10 +239,21 @@ CASES = [
     ("isogeny-unstable-source", lambda: extended_isogeny(LONE_TAIL)),
     # marked morphisms, the stable pullback and pushforward
     ("lift-hom", _lift_non_identity_hom),
+    # each end unstable alone, for contractions and combinatorial morphisms;
+    # a stable source and an unstable target make an invalid contraction,
+    # refused for its ends before it is checked
     ("lift-unstable", lambda: lift_contraction(identity_contraction(TWO_TAILS))),
     ("lift-unstable", lambda: lift_combinatorial(inclusion(TWO_TAILS, TRIPOD))),
+    ("lift-unstable", lambda: lift_contraction(contract_edges(PENDANT, [(2, 3)]))),
+    ("lift-unstable", lambda: lift_contraction(Contraction(TRIPOD, TWO_TAILS, {0: 0, 1: 1}, {0: 0}))),
+    ("lift-unstable", lambda: lift_combinatorial(
+        inclusion(TRIPOD, modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 2: 0, 3: 1, 4: 1})))),
     ("marked-compose-endpoints", lambda: compose_marked(identity_marked(TRIPOD), identity_marked(CURVE))),
+    # both parts from another graph, then each alone
     ("marked-middle", lambda: _check(validate_marked(replace(identity_marked(TRIPOD), mid=CURVE)))),
+    ("marked-middle", lambda: _check(
+        validate_marked(replace(identity_marked(TRIPOD), comb=identity_combinatorial(CURVE))))),
+    ("marked-middle", lambda: _check(validate_marked(replace(identity_marked(TRIPOD), contr=identity_contraction(CURVE))))),
     ("marked-middle-unstable", lambda: _check(validate_marked(MarkedMorphism(
         MonoidHom.identity(0), identity_combinatorial(TWO_TAILS), TWO_TAILS, identity_contraction(TWO_TAILS))))),
     ("marked-unstable", lambda: identity_marked(TWO_TAILS)),
