@@ -20,12 +20,15 @@ in product order.  The search finds both without listing the orderings:
   directly.  In an uncolored search, two members of a class whose
   neighbours agree once each reads the other as itself are twins: swapping
   them is an automorphism, so a vertex waits until its smaller twins are
-  placed, and when every class consists of twins only the ascending
-  ordering is left;
-* otherwise orderings grow one position at a time, and of the partial
-  orderings of each length only those tied at the least known prefix of
-  the involution entries go on (``_known_prefix``).  The survivors are
-  encoded and the first minimum is kept;
+  placed.  Twins are found where the search places their class, and only
+  there;
+* otherwise orderings grow class by class.  A forced class (a singleton,
+  or an uncolored class each of whose members is a twin of every smaller
+  member) has one way in, ascending, and is placed whole.  Every other
+  class is placed one position at a time, and of the partial orderings of
+  each length only those tied at the least known prefix of the involution
+  entries go on (``_known_prefix``).  The survivors are encoded and the
+  first minimum is kept;
 * for a fixed vertex ordering the flag numbering is forced by a
   deterministic grouping rule, so no search happens at flag level.  One
   function (``_number_flags``) numbers complete orderings for the encoding
@@ -212,20 +215,19 @@ def _encode_with_vertex_order(
     return enc, (fslot, vpos)
 
 
-def _smaller_twins(classes: list[list[int]], groups: Mapping[int, _FlagGroups]) -> dict[int, list[int]]:
-    """Per vertex of the classes, its twins of smaller id.
+def _smaller_twins(c: list[int], groups: Mapping[int, _FlagGroups]) -> dict[int, list[int]]:
+    """Per member of the class c, its twins of smaller id.
 
     Members a < b of one class are twins when a's edge neighbours without b
     equal b's without a, as multisets: the edges between a and b count on
     both sides alike, so swapping a and b is an automorphism of an uncolored
     graph.
     """
-    twins = {}
-    for c in classes:
-        nbrs = {v: [w for _, _, w in groups[v][2]] for v in c}
-        for j, b in enumerate(c):
-            twins[b] = [a for a in c[:j] if sorted(w for w in nbrs[a] if w != b) == sorted(w for w in nbrs[b] if w != a)]
-    return twins
+    nbrs = {v: [w for _, _, w in groups[v][2]] for v in c}
+    return {
+        b: [a for a in c[:j] if sorted(w for w in nbrs[a] if w != b) == sorted(w for w in nbrs[b] if w != a)]
+        for j, b in enumerate(c)
+    }
 
 
 def _known_prefix(g: MarkedGraph, order: tuple[int, ...], groups: Mapping[int, _FlagGroups]) -> list:
@@ -249,33 +251,37 @@ def _candidate_orders(
     g: MarkedGraph,
     classes: list[list[int]],
     groups: Mapping[int, _FlagGroups],
-    twins: Mapping[int, list[int]],
+    colored: bool,
 ) -> list[tuple[int, ...]]:
     """The orderings that may give the first minimal encoding, in product order.
 
-    Positions are filled one at a time, each partial extended by the
-    unplaced members of its position's class in ascending id, so the
-    partials stay in the order ``product(permutations(...))`` lists their
-    completions.  A vertex waits while a smaller twin of it is unplaced:
-    swapping the two gives an equal encoding from an earlier ordering.  Of
-    the partials of each length, only those tied at the least known prefix
-    go on, unless there is just one; the last position is left to the
-    encoding.
+    Classes are placed in order, so the partials stay in the order
+    ``product(permutations(...))`` lists their completions.  A vertex waits
+    while a smaller twin of it is unplaced: swapping the two gives an equal
+    encoding from an earlier ordering.  Twins are read in uncolored classes
+    of two or more members only.  A forced class, a singleton or a class
+    each of whose members is a twin of every smaller member, has one way in
+    and goes in whole, in ascending id.  No prefix is read at its positions,
+    which keeps more partials, never fewer, so no minimum is lost.  Every
+    other class fills its positions one at a time, each partial extended by
+    the unplaced members of the class in ascending id.  Of the partials of
+    each length, only those tied at the least known prefix go on, unless
+    there is just one; the last position is left to the encoding.
     """
-    positions = [c for c in classes for _ in c]
+    size = sum(map(len, classes))
     partials: list[tuple[int, ...]] = [()]
-    for k, c in enumerate(positions):
-        extended = [
-            (*p, v)
-            for p in partials
-            for v in c
-            if v not in p and all(a in p for a in twins.get(v, ()))
-        ]
-        if len(extended) > 1 and k < len(positions) - 1:
-            prefixes = [_known_prefix(g, p, groups) for p in extended]
-            least = min(prefixes)
-            extended = [p for p, prefix in zip(extended, prefixes) if prefix == least]
-        partials = extended
+    for c in classes:
+        twins = {} if colored or len(c) == 1 else _smaller_twins(c, groups)
+        if len(c) == 1 or twins and all(len(twins[b]) == j for j, b in enumerate(c)):
+            partials = [(*p, *c) for p in partials]
+            continue
+        for _ in c:
+            extended = [(*p, v) for p in partials for v in c if v not in p and all(a in p for a in twins.get(v, ()))]
+            if len(extended) > 1 and len(extended[0]) < size:
+                prefixes = [_known_prefix(g, p, groups) for p in extended]
+                least = min(prefixes)
+                extended = [p for p, prefix in zip(extended, prefixes) if prefix == least]
+            partials = extended
     return partials
 
 
@@ -294,15 +300,9 @@ def _component_best(g: MarkedGraph, comp: list[int], frepr: _Reprs, vrepr: _Repr
         return _encode_with_vertex_order(g, [c[0] for c in classes], groups, frepr, vrepr)
     if prod(factorial(len(c)) for c in classes) > _MAX_ORDERINGS:
         raise SizeCapError(f"canonical labelling search space exceeds {_MAX_ORDERINGS} orderings")
-    twins = {}
-    if frepr is None:
-        twins = _smaller_twins(classes, groups)
-        if all(len(twins[b]) == j for c in classes for j, b in enumerate(c)):
-            # only the ordering with every class ascending keeps each vertex
-            # after its smaller twins; _candidate_orders finds it too, level
-            # by level, but enumerate then reads about 1% slower
-            return _encode_with_vertex_order(g, [v for c in classes for v in c], groups, frepr, vrepr)
-    orders = _candidate_orders(g, classes, groups, twins)
+    orders = _candidate_orders(g, classes, groups, frepr is not None)
+    if len(orders) == 1:
+        return _encode_with_vertex_order(g, list(orders[0]), groups, frepr, vrepr)
     encodings = (_encode_with_vertex_order(g, list(o), groups, frepr, vrepr) for o in orders)
     return min(encodings, key=lambda r: r[0])
 

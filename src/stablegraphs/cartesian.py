@@ -69,6 +69,15 @@ from .stabilize import absolute_stabilization
 _MAX_FAMILY = 1_000
 
 
+def _class_splits(beta: MonoidElement) -> list[tuple[MonoidElement, MonoidElement]]:
+    """The splits of the class beta, one family member each, once their count
+    is charged against ``_MAX_FAMILY``."""
+    size = prod(c + 1 for c in beta.coords)
+    if size > _MAX_FAMILY:
+        raise SizeCapError(f"cartesian family has {size} members, cap is {_MAX_FAMILY}")
+    return enumerate_pair_decompositions(beta)
+
+
 def is_stabilization_identification(b: CombinatorialMorphism) -> bool:
     """Does b exhibit its source as the absolute stabilization of its target?
 
@@ -162,14 +171,12 @@ def _pullback_contraction(phi: ExtendedIsogeny, b: CombinatorialMorphism, step) 
         lifts = [add_loop(sigma_prime, w0) + (w0,)]
     else:
         # one lift per class splitting, the flags from v2's side moving to the new vertex
-        size = prod(c + 1 for c in sigma_prime.classes[w0].coords)
-        if size > _MAX_FAMILY:
-            raise SizeCapError(f"cartesian family has {size} members, cap is {_MAX_FAMILY}")
+        splits = _class_splits(sigma_prime.classes[w0])
         b_inv = {img: x for x, img in b.flagmap.items()}
         side2 = [x for x in sigma_prime.flags_at(w0) if tau.boundary[b_inv[x]] == v2]
         lifts = [
             split_vertex(sigma_prime, w0, side2, (tau.genus[v1], beta1), (tau.genus[v2], beta2))
-            for beta1, beta2 in enumerate_pair_decompositions(sigma_prime.classes[w0])
+            for beta1, beta2 in splits
         ]
     return [
         _member(tau, b, taui, elementary_contraction_isogeny(taui, (e1, e2)), {f: e1, fbar: e2}, {v1: w0, v2: w2})
@@ -326,6 +333,13 @@ class CartesianMorphism:
 
 
 def validate_elementary_cartesian(p: VarietyProfile, m: ElementaryCartesianMorphism) -> list[Violation]:
+    """The conditions m violates, or [] when m is valid.
+
+    Over a non-loop contraction each fiber must hold the class splits of its
+    target member, whose count is charged against the family cap first:
+    more than ``_MAX_FAMILY`` of them raise ``SizeCapError``, as building
+    that family does.
+    """
     out: list[Violation] = []
     out.extend(validate_cartesian_object(p, m.source))
     out.extend(validate_cartesian_object(p, m.target))
@@ -355,7 +369,7 @@ def validate_elementary_cartesian(p: VarietyProfile, m: ElementaryCartesianMorph
             elif deg_graph(p, taui) != deg_graph(p, sigma_j):
                 out.append(Violation("cartesian-member-degree", f"{where}: degree not preserved along the lift"))
         if v1 != v2:
-            expected = enumerate_pair_decompositions(sigma_j.classes[bj.vertexmap[v0]])
+            expected = _class_splits(sigma_j.classes[bj.vertexmap[v0]])
             members = [m.source.family[i] for i in fiber]
             got = [(taui.classes[a.vertexmap[v1]], taui.classes[a.vertexmap[v2]]) for a, taui in members]
             if len(set(got)) != len(got):

@@ -102,6 +102,8 @@ class MarkedGraph:
             out.append(Violation("genus-total", "genus map not defined on exactly the vertex set"))
         elif any(g < 0 for g in self.genus.values()):  # not min(): it raises on mixed types
             out.append(Violation("genus-negative", "vertex genus must be non-negative"))
+        if self.rank < 0:
+            out.append(Violation("rank-negative", "graph rank must be non-negative"))
         if self.classes.keys() != vset:
             out.append(Violation("class-total", "class map not defined on exactly the vertex set"))
         elif any(c.rank != self.rank for c in self.classes.values()):

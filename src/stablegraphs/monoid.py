@@ -88,6 +88,8 @@ class MonoidHom:
     def __post_init__(self) -> None:
         rows = tuple(tuple(int(x) for x in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
+        if self.source_rank < 0:
+            raise ValueError("monoid homomorphism source rank must be non-negative")
         for row in rows:
             if len(row) != self.source_rank:
                 raise ValueError(f"row length {len(row)} != source rank {self.source_rank}")

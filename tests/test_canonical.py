@@ -11,6 +11,7 @@ from stablegraphs.canonical import (
     _flag_groups,
     _known_prefix,
     _number_flags,
+    _smaller_twins,
     canonical_encoding,
     canonical_form,
     canonical_key,
@@ -37,6 +38,24 @@ def test_non_isomorphic_by_genus():
     t = modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0})
     e = modular_graph({0: 1}, tails={0: 0})
     assert not is_isomorphic(t, e)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        marked_graph(1, {0: (0, 0)}, tails={0: 0, 1: 0, 2: 0}),
+        modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0, 3: 0}),
+        modular_graph({0: 0, 1: 1}, tails={0: 0}, edges=[((1, 0), (2, 1))]),
+    ],
+    ids=["rank", "flags", "vertices"],
+)
+def test_graphs_of_different_sizes_are_told_apart_unkeyed(other, calls):
+    # each differs from the tripod in one count only, which answers without
+    # a search, so no flag cap can refuse the answer
+    keyed = calls(canonical_key)
+    tripod = modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0})
+    assert not is_isomorphic(tripod, other, max_flags=2)
+    assert keyed == []
 
 
 def test_non_isomorphic_loop_vs_parallel():
@@ -323,6 +342,58 @@ def test_symmetric_families_encode_few_orderings(g, encodings, calls):
     assert canonical_key(relabelled(random.Random(len(g.flags)), g), max_flags=24) == key
 
 
+def hub_with_twin_leaves(k: int, l: int) -> MarkedGraph:
+    """A k-cycle of genus-0 vertices 0..k-1, vertex 0 joined to a genus-0
+    hub k, which carries l genus-1 leaves: the leaves are twins, and the
+    cycle's mirror pairs are not."""
+    leaves = range(k + 1, k + 1 + l)
+    pairs = [(v, (v + 1) % k) for v in range(k)] + [(0, k)] + [(k, v) for v in leaves]
+    return simple_graph({**{v: 0 for v in range(k + 1)}, **{v: 1 for v in leaves}}, pairs)
+
+
+@pytest.mark.parametrize(
+    "g, prefixes",
+    [(hub_with_twin_leaves(k, l), n) for k, l, n in [(5, 3, 10), (6, 3, 10), (6, 4, 10), (8, 3, 16)]]
+    + [(necklace(4), 10)],
+    ids=["hub-5-3", "hub-6-3", "hub-6-4", "hub-8-3", "necklace-4"],
+)
+def test_known_prefix_calls_are_pinned(g, prefixes, calls):
+    # a hub's leaves are one forced class, placed whole, and so is each
+    # singleton; only the cycle's mirror pairs are filled one position at a
+    # time (filling every position reads 18, 18, 20 and 24 prefixes).  The
+    # necklace's one class has no twins, and its last position is left to
+    # the encoding (reading it too makes 12).  Twins are looked for only in
+    # classes of two or more members.
+    from oracles import canonical_encoding_by_product
+
+    prefixed, twinned = calls(_known_prefix), calls(_smaller_twins)
+    got = canonical_encoding(g, max_flags=len(g.flags))
+    assert len(prefixed) == prefixes
+    assert twinned and all(len(c) > 1 for c in twinned)
+    assert repr(got) == repr(canonical_encoding_by_product(g))
+
+
+def test_searches_without_twins_never_look_for_them(calls):
+    # an all-singleton component is encoded directly, and a colored search
+    # skips the twin rule, though its leaves would be twins uncolored
+    from oracles import canonical_encoding_by_product
+
+    twinned = calls(_smaller_twins)
+    path = modular_graph({0: 0, 1: 1, 2: 2}, tails={4: 0, 5: 0}, edges=[((0, 0), (1, 1)), ((2, 1), (3, 2))])
+    canonical_key(path)
+    g = star(4)
+    colors = {f: "x" for f in g.flags}
+    assert repr(canonical_encoding(g, colors)) == repr(canonical_encoding_by_product(g, colors))
+    assert twinned == []
+
+
+def test_star_of_twin_leaves_encodes_one_ordering(calls):
+    encoded, prefixed = calls(_encode_with_vertex_order), calls(_known_prefix)
+    g = star(8)
+    canonical_key(g, max_flags=len(g.flags))
+    assert (len(encoded), prefixed) == (1, [])
+
+
 def symmetric_graph(rng: random.Random) -> MarkedGraph:
     """A circulant graph on 3-6 genus-1 vertices (parallel edges and loops
     alike at every vertex), sometimes with a hub joined to every vertex, a
@@ -363,7 +434,7 @@ def test_pruned_search_matches_the_product_search(calls):
             vc = {v: rng.choice([None, "y"]) for v in g.vertices}
         expected = canonical_encoding_by_product(g, fc, vc)
         assert repr(canonical_encoding(g, fc, vc, max_flags=len(g.flags))) == repr(expected)
-    assert len(prefixed) > 10_000  # the prefix rule ran (10,261 prefixes), not only the one-ordering paths
+    assert len(prefixed) > 10_000  # the prefix rule ran (10,233 prefixes), not only the one-ordering paths
 
 
 def test_known_prefix_leads_the_encoding_of_every_completion():

@@ -131,18 +131,41 @@ def test_case_ii_family_matches_splits():
 
 def test_family_cap_admits_a_family_of_its_size(monkeypatch, calls):
     # the class 2 splits three ways, one split_vertex per member: a cap of 3
-    # builds the family, and a cap of 2 refuses it before any member is built
+    # builds the family, and a cap of 2 refuses it before any member is
+    # built; the validator checks the family against the same cap
     import stablegraphs.cartesian as cartesian
 
     split = calls(split_vertex)
-    _, phi, _, b = four_tail_setup(P2, element(2))
+    _, phi, sigma, b = four_tail_setup(P2, element(2))
     monkeypatch.setattr(cartesian, "_MAX_FAMILY", 3)
     assert len(cartesian_pullback(P2, phi, b)) == len(split) == 3
+    _, morphism = pullback_object(P2, phi, CartesianObject(base=sigma, family=((b, b.target),)))
+    assert validate_elementary_cartesian(P2, morphism) == []
     monkeypatch.setattr(cartesian, "_MAX_FAMILY", 2)
     split.clear()
     with pytest.raises(SizeCapError, match="^cartesian family has 3 members, cap is 2$"):
         cartesian_pullback(P2, phi, b)
     assert split == []
+    with pytest.raises(SizeCapError, match="^cartesian family has 3 members, cap is 2$"):
+        validate_elementary_cartesian(P2, morphism)
+
+
+def test_validator_refuses_a_family_over_the_cap_before_listing_it(monkeypatch):
+    # a target member of class 10^6 has 10^6 + 1 class splits: the validator
+    # refuses them with the builder's message instead of listing them
+    import stablegraphs.cartesian as cartesian
+
+    _, phi, sigma, b = four_tail_setup(P2, element(2))
+    _, morphism = pullback_object(P2, phi, CartesianObject(base=sigma, family=((b, b.target),)))
+    big = four_tail_setup(P2, element(10**6))[3]
+    morphism = replace(morphism, target=CartesianObject(base=sigma, family=((big, big.target),)))
+
+    def no_listing(beta):
+        raise AssertionError("the class splits were listed")
+
+    monkeypatch.setattr(cartesian, "enumerate_pair_decompositions", no_listing)
+    with pytest.raises(SizeCapError, match="^cartesian family has 1000001 members, cap is 1000$"):
+        validate_elementary_cartesian(P2, morphism)
 
 
 def test_case_ii_rank_two():

@@ -291,6 +291,27 @@ def test_duplicate_vertex_id_is_domain_error(cli):
         assert "vertex-duplicate" in payload["error"]["conditions"]
 
 
+EMPTY_GRAPH = {"flags": [], "vertices": [], "boundary": {}, "involution": {}}
+NEGATIVE_RANK_CASES = [
+    # an empty graph has no class whose rank could disagree with its own
+    ("validate", {"rank": -1, **EMPTY_GRAPH}, 3, {
+        "type": "validation",
+        "conditions": ["rank-negative"],
+        "message": "invalid graph: rank-negative: graph rank must be non-negative",
+    }),
+    # the hom is read first; with no rows, no row length checks its rank
+    ("pushforward", {"xi": {"rows": [], "source_rank": -2}, "graph": {"rank": -2, **EMPTY_GRAPH}}, 2, {
+        "type": "schema",
+        "message": "malformed document: ValueError('monoid homomorphism source rank must be non-negative')",
+    }),
+]
+
+
+@pytest.mark.parametrize("verb,doc,code,error", NEGATIVE_RANK_CASES, ids=["graph", "hom"])
+def test_negative_rank_is_refused(verb, doc, code, error, cli):
+    assert cli(verb, doc) == (code, {"error": error})
+
+
 def test_rank_mismatch_stays_domain_error(cli):
     code, payload = cli("deg", golden_input("invariants_tripod"), "--profile", "P2")
     assert (code, payload["error"]["type"]) == (3, "domain")

@@ -112,6 +112,12 @@ def test_hom_negative_entry_rejected():
         MonoidHom(((1, -1),), 2)
 
 
+def test_hom_negative_source_rank_rejected():
+    # with no rows, no row length is compared with the rank
+    with pytest.raises(ValueError, match="^monoid homomorphism source rank must be non-negative$"):
+        MonoidHom((), -1)
+
+
 def test_pair_decompositions_rank1():
     pairs = enumerate_pair_decompositions(element(2))
     assert pairs == [

@@ -27,7 +27,7 @@ from stablegraphs.cartesian import (
     validate_elementary_cartesian,
 )
 from stablegraphs.errors import ValidationError, ensure_valid
-from stablegraphs.graphs import marked_graph, modular_graph
+from stablegraphs.graphs import MarkedGraph, marked_graph, modular_graph
 from stablegraphs.isogeny import (
     ContractStep,
     compose_extended,
@@ -262,6 +262,8 @@ CASES = [
     ("pullback-unstable-input", lambda: stable_pullback(
         MonoidHom.identity(0), identity_contraction(TRIPOD), inclusion(TWO_TAILS, TRIPOD))),
     ("pushforward-unstable-source", lambda: pushforward(MonoidHom.identity(0), TWO_TAILS)),
+    # graphs: an empty graph of negative rank, the only fault it has
+    ("rank-negative", lambda: MarkedGraph((), (), {}, {}, {}, {}, -1)),
     # profiles
     ("profile-ample", lambda: VarietyProfile("flat", 1, LinearForm((-2,)), LinearForm((0,)))),
     ("profile-dimension", lambda: VarietyProfile("negative", -1, LinearForm(()), LinearForm(()))),
