@@ -118,11 +118,9 @@ class MonoidHom:
             raise RankMismatchError(
                 f"cannot compose: inner target rank {inner.target_rank} != source rank {self.source_rank}"
             )
-        rows = tuple(
-            tuple(sum(row[i] * inner.rows[i][j] for i in range(inner.target_rank)) for j in range(inner.source_rank))
-            for row in self.rows
-        )
-        return MonoidHom(rows, inner.source_rank)
+        # inner's columns; with no rows, each of its source_rank columns is empty
+        cols = list(zip(*inner.rows)) or [()] * inner.source_rank
+        return MonoidHom(tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.rows), inner.source_rank)
 
 
 def _is_identity(h: MonoidHom, rank: int) -> bool:

@@ -14,22 +14,23 @@ a component are the basic examples.
 The validators ``validate_contraction`` and ``validate_combinatorial`` only
 read the graphs and maps they check; they construct no graph.
 
-Inputs, and composites of morphisms a caller passed in, are validated.  A
-morphism that a construction builds from checked inputs (a contraction, cut,
-forget, glue, stabilization, stable forget, stable pullback square with its
-composite contraction, or result of ``enumerate_combinatorial_morphisms``) is
-valid by the argument in its docstring; seeded tests validate every such
-construction's output instead.  Those that keep every flag and vertex id
-build their morphism with ``inclusion``.
+Inputs are validated.  A morphism that a construction builds from checked
+inputs (a contraction, cut, forget, glue, stabilization, stable forget,
+stable pullback square, composite, or result of
+``enumerate_combinatorial_morphisms``) is valid by the argument in its
+docstring; seeded tests validate every such construction's output instead.
+Those that keep every flag and vertex id build their morphism with
+``inclusion``.
 
 A morphism's maps are copied at construction and never mutated after it, so
 checking one instance twice cannot give another answer.  Where a function of
-this package requires a valid input or composite, a passed check is kept on
-the instance (not as a field: ``==``, ``repr`` and ``dataclasses.replace``
-ignore it, and a replaced morphism starts unchecked), and later calls with
-that instance skip it.  A failed check is never kept, so an invalid morphism
-is refused on every call.  The public validators keep nothing and read
-nothing kept: they always check in full.
+this package requires a valid input, a passed check is kept on the instance
+(not as a field: ``==``, ``repr`` and ``dataclasses.replace`` ignore it, and
+a replaced morphism starts unchecked), and later calls with that instance
+skip it.  A composite and a stable pullback square, valid because their
+inputs passed, are kept as passed when they are built.  A failed check is
+never kept, so an invalid morphism is refused on every call.  The public
+validators keep nothing and read nothing kept: they always check in full.
 """
 
 from __future__ import annotations
@@ -206,6 +207,13 @@ def _ensure_checked(m: Contraction | CombinatorialMorphism, validate, message: s
     """
     if "_checked" not in m.__dict__:
         ensure_valid(validate(m), message)
+        _keep_checked(m)
+
+
+def _keep_checked(*ms: Contraction | CombinatorialMorphism) -> None:
+    """Keep a pass on each of ms: one that was checked, or that is valid by
+    construction from checked inputs."""
+    for m in ms:
         m.__dict__["_checked"] = True
 
 
@@ -251,16 +259,26 @@ def decompose_elementary(c: Contraction, order: Iterable[tuple[int, int]] | None
 
 
 def compose_contractions(outer: Contraction, inner: Contraction) -> Contraction:
-    """outer o inner, defined when inner.target equals outer.source literally."""
+    """outer o inner, defined when inner.target equals outer.source literally.
+
+    outer and inner are validated, each once per instance; the composite is
+    valid because they are, and is kept as passed.  The flag map of a valid
+    contraction is injective and its vertex map surjective, and both squares
+    and the tails compose.  A fiber of the composite is a union of inner
+    fibers over one outer fiber, which the contracted edges of both join,
+    and genus and class absorb in two steps what they absorb in one.
+    """
     if inner.target != outer.source:
         raise ValidationError([Violation("contraction-compose-endpoints", "inner target differs from outer source")])
+    _ensure_checked(outer, validate_contraction, "compose_contractions: invalid outer contraction")
+    _ensure_checked(inner, validate_contraction, "compose_contractions: invalid inner contraction")
     composite = Contraction(
         source=inner.source,
         target=outer.target,
         flagmap={f: inner.flagmap[outer.flagmap[f]] for f in outer.target.flags},
         vertexmap={v: outer.vertexmap[inner.vertexmap[v]] for v in inner.source.vertices},
     )
-    _ensure_checked(composite, validate_contraction, "composite contraction invalid")
+    _keep_checked(composite)
     return composite
 
 
@@ -367,6 +385,15 @@ def compose_combinatorial(outer: CombinatorialMorphism, inner: CombinatorialMorp
     source's, so along a composite source -> mid -> target the homs compose
     the other way around.  A missing hom is the identity of its source's
     rank; it is never built, so a rank the graphs only declare costs nothing.
+
+    outer and inner are validated, each once per instance, after the
+    endpoint and rank refusals; the composite is valid because they are, and
+    is kept as passed.  The squares, injectivity at each vertex, genus and
+    class compose.  A middle vertex is genus 0 and class 0 under inner.hom
+    exactly when its image is under the composite hom, which leaves zero
+    every target class that outer.hom does; so each generator of the middle
+    graph's flag equivalence lies in the target's, and every edge that inner
+    sends to equivalent flags the composite does too.
     """
     if inner.target != outer.source:
         raise ValidationError([Violation("combinatorial-compose-endpoints", "inner target differs from outer source")])
@@ -382,6 +409,8 @@ def compose_combinatorial(outer: CombinatorialMorphism, inner: CombinatorialMorp
         if target_rank != source_rank:
             raise RankMismatchError(f"cannot compose: inner target rank {target_rank} != source rank {source_rank}")
         hom = outer.hom if inner.hom is None else inner.hom
+    _ensure_checked(outer, validate_combinatorial, "compose_combinatorial: invalid outer morphism")
+    _ensure_checked(inner, validate_combinatorial, "compose_combinatorial: invalid inner morphism")
     composite = CombinatorialMorphism(
         source=inner.source,
         target=outer.target,
@@ -389,7 +418,7 @@ def compose_combinatorial(outer: CombinatorialMorphism, inner: CombinatorialMorp
         vertexmap={v: outer.vertexmap[inner.vertexmap[v]] for v in inner.source.vertices},
         hom=hom,
     )
-    _ensure_checked(composite, validate_combinatorial, "composite combinatorial morphism invalid")
+    _keep_checked(composite)
     return composite
 
 

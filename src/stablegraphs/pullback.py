@@ -34,6 +34,7 @@ from .morphisms import (
     Contraction,
     _contraction_order,
     _ensure_checked,
+    _keep_checked,
     compose_combinatorial,
     compose_contractions,
     identity_combinatorial,
@@ -80,8 +81,7 @@ def _check_marked(m: MarkedMorphism, message: str) -> None:
     ``m.comb`` and ``m.contr`` as ``_ensure_checked`` does, so the package's
     own checks of either part (in ``compose_marked``, say) skip it."""
     ensure_valid(validate_marked(m), message)
-    for part in (m.comb, m.contr):
-        part.__dict__["_checked"] = True
+    _keep_checked(m.comb, m.contr)
 
 
 def _marked(hom: MonoidHom, comb: CombinatorialMorphism, contr: Contraction) -> MarkedMorphism:
@@ -136,9 +136,10 @@ def stable_pullback(
 
     phi and a are validated, each at its first call only: a passed check is
     kept on the instance, so pulling one (phi, a) back in every edge order
-    checks each once.  psi and b are valid by construction.  psi keeps
-    rho's flags and sends each vertex of pi to the vertex of rho it was
-    split from; b maps every flag and vertex not inserted through a and phi.
+    checks each once.  psi and b are valid by construction, and are kept as
+    passed.  psi keeps rho's flags and sends each vertex of pi to the vertex
+    of rho it was split from; b maps every flag and vertex not inserted
+    through a and phi.
     """
     order = _contraction_order(phi, edge_order)  # validates phi first
     _ensure_checked(a, validate_combinatorial, "stable_pullback: invalid covering morphism")
@@ -217,7 +218,9 @@ def stable_pullback(
     psi = Contraction(
         source=pi, target=rho, flagmap={x: x for x in rho.flags}, vertexmap={v: origin.get(v, v) for v in pi.vertices}
     )
-    return pi, psi, CombinatorialMorphism(source=pi, target=phi.source, flagmap=bf, vertexmap=bv, hom=xi)
+    b = CombinatorialMorphism(source=pi, target=phi.source, flagmap=bf, vertexmap=bv, hom=xi)
+    _keep_checked(psi, b)
+    return pi, psi, b
 
 
 def compose_marked(outer: MarkedMorphism, inner: MarkedMorphism) -> MarkedMorphism:
@@ -225,15 +228,16 @@ def compose_marked(outer: MarkedMorphism, inner: MarkedMorphism) -> MarkedMorphi
 
     The middle graph of the composite is the stable pullback of the outer
     middle across the inner contraction, which ``stable_pullback`` checks is
-    stable; ``compose_combinatorial`` and ``compose_contractions`` validate
-    the two parts, so for valid inputs the composite is valid.  Each of
-    ``inner.contr``, ``outer.comb`` and the two composite parts is validated
-    once per instance, and a composite's parts pass when it is built, so
-    composing a composite again does not check them again.  Of each
-    input, only that comb covers hom and that comb and contr start at mid
-    are checked here, raising what ``validate_marked`` gives; the rest of
-    ``validate_marked`` is the caller's: all of ``inner.comb`` and
-    ``outer.contr``, and whether ``inner.mid`` is stable.
+    stable.  ``stable_pullback`` validates ``inner.contr`` and
+    ``outer.comb``, and ``compose_combinatorial`` and
+    ``compose_contractions`` validate ``inner.comb`` and ``outer.contr``,
+    each once per instance; the pullback square and the two composite parts
+    are valid by construction from them, so for valid inputs the composite
+    is valid, and composing a composite again checks none of its parts.  Of
+    each input, that comb covers hom and that comb and contr start at mid
+    are checked first, raising what ``validate_marked`` gives; whether
+    ``inner.mid`` is stable is the caller's to check.  The composite's hom
+    is its combinatorial part's, ``outer.hom.compose(inner.hom)``.
     """
     for m in (inner, outer):
         if m.comb.hom != m.hom or m.comb.source != m.mid or m.contr.source != m.mid:
@@ -241,12 +245,8 @@ def compose_marked(outer: MarkedMorphism, inner: MarkedMorphism) -> MarkedMorphi
     if inner.target_graph != outer.source_graph:
         raise ValidationError([Violation("marked-compose-endpoints", "inner target differs from outer source")])
     pi, chi, c = stable_pullback(outer.hom, inner.contr, outer.comb)
-    return MarkedMorphism(
-        hom=outer.hom.compose(inner.hom),
-        comb=compose_combinatorial(inner.comb, c),
-        mid=pi,
-        contr=compose_contractions(outer.contr, chi),
-    )
+    comb = compose_combinatorial(inner.comb, c)
+    return MarkedMorphism(hom=comb.hom, comb=comb, mid=pi, contr=compose_contractions(outer.contr, chi))
 
 
 def pullback_diagram_key(

@@ -6,7 +6,8 @@ flag-equivalence condition, a raw product enumeration for boundary graph
 listings, for combinatorial morphisms and for the canonical labelling's
 vertex orderings, the two morphism validators written the way that builds
 graphs (each contracted piece, and the relabelled target), an
-automorphism count that backtracks over vertex bijections, and sums over
+automorphism count that backtracks over vertex bijections, the product of
+two monoid homomorphisms summed entry by entry over an index, and sums over
 whole enumerator outputs by a Feynman expansion that builds no graph, and
 the cartesian lifts over a forget or glue as every candidate graph that
 passes the lift's conditions.
@@ -120,6 +121,16 @@ def chain_condition_holds(a: CombinatorialMorphism, f: int, fbar: int) -> bool:
                     new_frontier.append(partner)
         frontier = new_frontier
     return goal in seen
+
+
+def compose_homs_by_index(outer: MonoidHom, inner: MonoidHom) -> MonoidHom:
+    """outer o inner, each entry a sum over inner's target index, for homs
+    whose ranks fit."""
+    rows = tuple(
+        tuple(sum(row[i] * inner.rows[i][j] for i in range(inner.target_rank)) for j in range(inner.source_rank))
+        for row in outer.rows
+    )
+    return MonoidHom(rows, inner.source_rank)
 
 
 def validate_contraction_by_pieces(c: Contraction) -> list[Violation]:

@@ -414,11 +414,11 @@ def test_compose_rejects_an_invalid_marked_input(cli):
 
 def test_compose_checks_each_marked_part_once(cli, calls):
     # the verb checks both inputs whole, keeping the pass on their parts, so
-    # compose_marked skips the inner contraction and the outer combinatorial
-    # part; the two composite parts are checked as they are built
+    # compose_marked checks none of them again; the two composite parts are
+    # valid by construction and are not checked
     checked = calls(validate_combinatorial, validate_contraction)
     assert cli("compose", golden_input("compose_marked"))[0] == 0
-    assert len(checked) == len({id(m) for m in checked}) == 6
+    assert len(checked) == len({id(m) for m in checked}) == 4
 
 
 OPTIONAL_ARRAY_CASES = [

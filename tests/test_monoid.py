@@ -16,7 +16,8 @@ from stablegraphs.monoid import (
     eval_form,
 )
 
-from strategies import rand_element
+from oracles import compose_homs_by_index
+from strategies import rand_element, rand_hom
 
 
 def _corners(rank):
@@ -99,6 +100,22 @@ def test_hom_compose():
     h1 = MonoidHom(((1, 1),), 2)  # N^2 -> N^1, sum
     h2 = MonoidHom(((2,), (3,)), 1)  # N^1 -> N^2
     assert h2.compose(h1)(element(1, 2)) == element(6, 9)
+
+
+def test_hom_compose_matches_the_index_sum():
+    # the row-by-column product against the sum over each index, with every
+    # rank from 0 to 3: the empty matrices, and an inner hom into N^0, whose
+    # product with anything out of N^0 is the zero matrix, included
+    rng = random.Random(71)
+    zero_ranks = set()
+    for _ in range(400):
+        k, m, n = (rng.randint(0, 3) for _ in range(3))
+        inner, outer = rand_hom(rng, k, m, max_entry=3), rand_hom(rng, m, n, max_entry=3)
+        composite = outer.compose(inner)
+        assert composite == compose_homs_by_index(outer, inner)
+        assert (composite.source_rank, composite.target_rank) == (k, n)
+        zero_ranks |= {name for name, rank in (("source", k), ("middle", m), ("target", n)) if rank == 0}
+    assert zero_ranks == {"source", "middle", "target"}
 
 
 def test_hom_compose_rank_mismatch():

@@ -32,6 +32,7 @@ from stablegraphs.morphisms import (
     decompose_elementary,
     forget_tail,
     glue_tails,
+    identity_combinatorial,
     identity_contraction,
     validate_combinatorial,
     validate_contraction,
@@ -43,7 +44,7 @@ from oracles import (
     validate_combinatorial_by_relabelling,
     validate_contraction_by_pieces,
 )
-from strategies import rand_contraction, rand_covering, rand_graph, rand_renaming
+from strategies import rand_contraction, rand_covering, rand_graph, rand_hom, rand_renaming
 
 
 def two_vertex_graph(g0=1, g1=2):
@@ -214,8 +215,10 @@ def test_decompose_order_invariance_of_composite():
             assert key == base
 
 
-def test_a_composite_is_checked_once_as_it_is_built(calls):
-    # decomposing the composite in every order does not check it again
+def test_composition_checks_each_input_once_and_no_composite(calls):
+    # composing checks outer, then inner, each once per instance; the
+    # composite is kept as passed: decomposing it in every order checks
+    # nothing more, and composing it again checks only the new identity
     validated = calls(validate_contraction, validate_combinatorial)
     rng = random.Random(53)
     for _ in range(20):
@@ -223,9 +226,50 @@ def test_a_composite_is_checked_once_as_it_is_built(calls):
         renaming = rand_renaming(rng, c.target)
         validated.clear()
         composite = compose_contractions(renaming, c)
+        compose_contractions(renaming, c)
         for order in permutations(composite.contracted_edges()):
             decompose_elementary(composite, order)
-        assert len(validated) == 1 and validated[0] is composite
+        compose_contractions(identity_contraction(composite.target), composite)
+        assert [id(m) for m in validated[:2]] == [id(renaming), id(c)] and len(validated) == 3
+        e1, e2 = list(edges(c.source))[:2]
+        cut1, outer = cut_edge(c.source, e1)
+        _, inner = cut_edge(cut1, e2)
+        validated.clear()
+        composite = compose_combinatorial(outer, inner)
+        compose_combinatorial(outer, inner)
+        compose_combinatorial(identity_combinatorial(outer.target), composite)
+        assert [id(m) for m in validated[:2]] == [id(outer), id(inner)] and len(validated) == 3
+
+
+def _bridge():
+    # two class-1 vertices joined by the edge (2, 3), each with one tail
+    return marked_graph(1, {0: (0, 1), 1: (0, 1)}, tails={0: 0, 1: 1}, edges=[((2, 0), (3, 1))])
+
+
+def test_an_invalid_input_is_refused_where_its_composite_would_pass():
+    # composition checks its inputs, not its composite: an inner morphism
+    # that fails only on flags the outer one never reads is refused, though
+    # the composite, built here as composition builds it, validates
+    g = _bridge()
+    outer = contract_edges(g, [(2, 3)])
+    inner = Contraction(g, g, {0: 0, 1: 1, 2: 3, 3: 2}, {0: 0, 1: 1})  # the edge's halves swapped
+    composite = Contraction(g, outer.target, {f: inner.flagmap[f] for f in outer.flagmap}, outer.vertexmap)
+    assert validate_contraction(composite) == []
+    with pytest.raises(ValidationError) as err:
+        compose_contractions(outer, inner)
+    assert err.value.conditions == ("contraction-2-boundary",)
+    assert str(err.value).startswith("compose_contractions: invalid inner contraction: ")
+    # the inner morphism sends the edge to two tails in other blocks, and the
+    # outer one glues those tails back into the edge
+    cut, _ = cut_edge(g, (2, 3))
+    inner = CombinatorialMorphism(g, cut, {f: f for f in g.flags}, {v: v for v in g.vertices})
+    glued, outer = glue_tails(cut, 2, 3)
+    composite = CombinatorialMorphism(g, glued, inner.flagmap, inner.vertexmap)
+    assert validate_combinatorial(composite) == []
+    with pytest.raises(ValidationError) as err:
+        compose_combinatorial(outer, inner)
+    assert err.value.conditions == ("combinatorial-3-equivalence",)
+    assert str(err.value).startswith("compose_combinatorial: invalid inner morphism: ")
 
 
 def test_compose_with_identity():
@@ -233,6 +277,24 @@ def test_compose_with_identity():
     c = contract_edges(g, [(0, 1)])
     assert compose_contractions(c, identity_contraction(g)).vertexmap == c.vertexmap
     assert compose_contractions(identity_contraction(c.target), c).vertexmap == c.vertexmap
+
+
+def test_every_composite_contraction_validates():
+    # compose_contractions keeps its composite as passed: the composites of
+    # 300 seeded pairs of valid contractions, some of them followed by a
+    # renaming, pass the public validator and the one that builds each piece
+    rng = random.Random(59)
+    both = renamed = 0
+    for _ in range(300):
+        inner = rand_contraction(rng, num_edges=(0, 3), rank=rng.randint(0, 2), max_flags=12, max_vertices=5)
+        outer = rand_contraction(rng, inner.target, num_edges=(0, 2))
+        if rng.random() < 0.3:
+            outer = compose_contractions(rand_renaming(rng, outer.target), outer)
+            renamed += 1
+        for composite in (outer, compose_contractions(outer, inner)):
+            assert validate_contraction(composite) == validate_contraction_by_pieces(composite) == []
+        both += bool(inner.contracted_edges()) and bool(outer.contracted_edges())
+    assert both > 100 and renamed > 50
 
 
 # -- combinatorial morphisms ------------------------------------------------
@@ -609,6 +671,32 @@ def test_contraction_class_check_agrees_with_the_fold():
     assert fiber_kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def _rand_cover(rng, tau, rank):
+    """A covering of tau over a random hom into N^rank, or, for rank None,
+    over tau's own monoid with no hom."""
+    if rank is None:
+        return replace(rand_covering(rng, tau, MonoidHom.identity(tau.rank)), hom=None)
+    return rand_covering(rng, tau, rand_hom(rng, tau.rank, rank))
+
+
+def test_every_composite_combinatorial_morphism_validates():
+    # compose_combinatorial keeps its composite as passed: the composites of
+    # 300 seeded pairs of valid coverings, with either hom or both missing
+    # and ranks down to 0, pass the public validator and the one that builds
+    # the relabelled target
+    rng = random.Random(61)
+    missing, into_zero = Counter(), 0
+    for _ in range(300):
+        tau = rand_graph(rng, rank=rng.randint(0, 2), max_flags=10, stable=True)
+        outer = _rand_cover(rng, tau, None if rng.random() < 0.5 else rng.randint(0, 2))
+        inner = _rand_cover(rng, outer.source, None if rng.random() < 0.5 else rng.randint(0, 2))
+        composite = compose_combinatorial(outer, inner)
+        assert validate_combinatorial(composite) == validate_combinatorial_by_relabelling(composite) == []
+        missing[inner.hom is None, outer.hom is None] += 1
+        into_zero += composite.hom is not None and composite.hom.target_rank == 0
+    assert len(missing) == 4 and min(missing.values()) > 50 and into_zero > 50, (missing, into_zero)
+
+
 def _empty_morphism(source_rank, target_rank, hom=None):
     return CombinatorialMorphism(empty_graph(source_rank), empty_graph(target_rank), {}, {}, hom)
 
@@ -643,8 +731,8 @@ def test_compose_combinatorial_with_a_missing_hom_matches_the_identity():
 
 
 def test_compose_combinatorial_rank_mismatch_keeps_its_message():
-    # neither input is checked, so a hom of the wrong rank reaches the
-    # composition; the message is the one MonoidHom.compose gives
+    # the rank refusal comes before the input checks, so a hom of the wrong
+    # rank is refused with the message MonoidHom.compose gives
     mid = empty_graph(2)
     inner = CombinatorialMorphism(empty_graph(2), mid, {}, {})
     outer = CombinatorialMorphism(mid, empty_graph(1), {}, {}, MonoidHom(((1,), (0,), (1,)), 1))

@@ -16,10 +16,12 @@ from stablegraphs.morphisms import (
     contract_edges,
     cut_edge,
     decompose_elementary,
+    identity_contraction,
     validate_combinatorial,
     validate_contraction,
 )
 from stablegraphs.pullback import (
+    MarkedMorphism,
     compose_marked,
     identity_marked,
     lift_combinatorial,
@@ -155,6 +157,26 @@ def test_pullback_psi_over_long_chains_validates():
             assert a.vertexmap[psi.vertexmap[v]] == phi.vertexmap[b.vertexmap[v]]
         split_twice += max(Counter(psi.vertexmap.values()).values()) >= 3
     assert split_twice >= 10
+
+
+def test_every_pullback_square_validates():
+    # stable_pullback keeps psi and b as passed: over 300 seeded squares,
+    # across 0 to 4 contracted edges and homs into N^0 to N^2, psi and b pass
+    # the public validators, and (xi, b, pi, psi) is a marked morphism
+    rng = random.Random(167)
+    seen = Counter()
+    for _ in range(300):
+        phi = rand_contraction(rng, num_edges=(0, 4), rank=2, max_flags=12, max_vertices=5)
+        xi = rand_hom(rng, 2, rng.randint(0, 2))
+        a = rand_covering(rng, phi.target, xi)
+        pi, psi, b = stable_pullback(xi, phi, a)
+        assert validate_contraction(psi) == [] and validate_combinatorial(b) == []
+        assert validate_marked(MarkedMorphism(xi, b, pi, psi)) == []
+        seen["split"] += len(pi.vertices) > len(a.source.vertices)
+        seen["loop"] += len(pi.flags) - len(a.source.flags) > 2 * (len(pi.vertices) - len(a.source.vertices))
+        seen["into N^0"] += xi.target_rank == 0
+        seen["no edge"] += not phi.contracted_edges()
+    assert min(seen.values()) > 30, seen
 
 
 def test_pullback_builds_one_graph(constructed):
@@ -593,18 +615,14 @@ def test_pullback_in_every_order_checks_phi_and_a_once(calls):
         assert len(validated) == 2 and validated[0] is phi and validated[1] is a
 
 
-def test_both_bracketings_check_each_input_and_composite_once(calls):
-    # of the inputs, compose_marked checks the inner contraction and the
-    # outer covering; each composite part passes as it is built, and no
-    # instance is checked twice
+def test_both_bracketings_check_each_input_once_and_no_composite(calls):
+    # compose_marked checks the inner contraction and the outer covering in
+    # the pullback, and the inner covering and the outer contraction as it
+    # composes them; the pullback square and the composite parts are valid
+    # by construction and kept as passed, so each input part is checked
+    # once and no composite part at all
     validated = calls(validate_contraction, validate_combinatorial)
     rng = random.Random(137)
-
-    def compose(outer, inner):
-        m = compose_marked(outer, inner)
-        assert validated[-2] is m.comb and validated[-1] is m.contr
-        return m
-
     for _ in range(10):
         m1 = _fresh(rand_marked_morphism(rng, source_rank=2, target_rank=rng.randint(1, 2), max_flags=8))
         m2 = _fresh(rand_marked_morphism(rng, source=m1.target_graph, source_rank=m1.target_graph.rank,
@@ -612,11 +630,11 @@ def test_both_bracketings_check_each_input_and_composite_once(calls):
         m3 = _fresh(rand_marked_morphism(rng, source=m2.target_graph, source_rank=m2.target_graph.rank,
                                          target_rank=rng.randint(1, 2), max_flags=8))
         validated.clear()
-        inner_left, inner_right = compose(m2, m1), compose(m3, m2)
-        built = [inner_left, compose(m3, inner_left), inner_right, compose(inner_right, m1)]
-        expected = [m1.contr, m2.contr, m2.comb, m3.comb] + [part for m in built for part in (m.comb, m.contr)]
+        inner_left, inner_right = compose_marked(m2, m1), compose_marked(m3, m2)
+        left, right = compose_marked(m3, inner_left), compose_marked(inner_right, m1)
+        expected = [part for m in (m1, m2, m3) for part in (m.comb, m.contr)]
         assert sorted(map(id, validated)) == sorted(map(id, expected))
-        assert marked_key(built[1]) == marked_key(built[3])
+        assert marked_key(left) == marked_key(right)
 
 
 @pytest.mark.parametrize(
@@ -627,8 +645,26 @@ def test_both_bracketings_check_each_input_and_composite_once(calls):
         (lambda phi, a: lift_contraction(phi), "contraction-genus"),
         (lambda phi, a: stable_pullback(MonoidHom.identity(1), _bridge_contraction(), a), "combinatorial-2-injective"),
         (lambda phi, a: lift_combinatorial(a), "combinatorial-2-injective"),
+        # each input of a composition invalid alone
+        (lambda phi, a: compose_contractions(phi, identity_contraction(phi.source)), "contraction-genus"),
+        (lambda phi, a: compose_contractions(identity_contraction(phi.target), phi), "contraction-genus"),
+        (lambda phi, a: compose_combinatorial(a, identity_cover(a.source)), "combinatorial-2-injective"),
+        (lambda phi, a: compose_combinatorial(identity_cover(a.target), a), "combinatorial-2-injective"),
+        # compose_marked with the outer contraction or the inner covering invalid alone
+        (lambda phi, a: compose_marked(
+            MarkedMorphism(MonoidHom.identity(1), identity_cover(phi.source), phi.source, phi),
+            identity_marked(phi.source)), "contraction-genus"),
+        (lambda phi, a: compose_marked(
+            identity_marked(a.target),
+            MarkedMorphism(MonoidHom.identity(1), a, a.source, identity_contraction(a.source))),
+         "combinatorial-2-injective"),
     ],
-    ids=["decompose", "pullback-phi", "lift-contraction", "pullback-a", "lift-combinatorial"],
+    ids=[
+        "decompose", "pullback-phi", "lift-contraction", "pullback-a", "lift-combinatorial",
+        "compose-contractions-outer", "compose-contractions-inner",
+        "compose-combinatorial-outer", "compose-combinatorial-inner",
+        "compose-marked-outer-contr", "compose-marked-inner-comb",
+    ],
 )
 def test_invalid_morphisms_are_refused_on_every_call(call, condition):
     # a failed check is not kept: the same instance is refused again

@@ -37,12 +37,14 @@ PINS = {
         "graphs.flags_at.calls": 773,
     },
     "calculus": {
-        # each input and each composite instance once, as a passed check is kept on it (272 before): 30 pullback
-        # inputs (one phi per task, however many edge orders), and per compose task its two inputs and four composites
-        "morphisms.validate_contraction.calls": 150,
-        # likewise 150 (282 before): 30 pullback coverings, two inputs and four composites per compose task; plus
-        # the 10 coverings cartesian takes as input
-        "morphisms.validate_combinatorial.calls": 160,
+        # each input instance once, as a passed check is kept on it, and no composite or pullback square, which
+        # are valid by construction from checked inputs: 30 pullback inputs (one phi per task, however many edge
+        # orders), and the contractions of each compose task's three inputs; 150 before, when the four composites
+        # per compose task were checked and the last input's was not, and 272 before checks were kept
+        "morphisms.validate_contraction.calls": 90,
+        # likewise 90 (160 before, 282 before that): 30 pullback coverings and the combinatorial parts of each
+        # compose task's three inputs; plus the 10 coverings cartesian takes as input
+        "morphisms.validate_combinatorial.calls": 100,
         # every input is valid
         "morphisms.validate_combinatorial.rejected": 0,
         # stabilization and the stable pullback each build one graph however many surgeries they make
@@ -55,8 +57,9 @@ PINS = {
         "graphs.is_stable.calls": 433,
         # mostly is_stable's valence reads, once per graph, and the stable pullback's flag lists per vertex of rho;
         # 810 before: a combinatorial check under a marking hom builds its flag partition anew, reading flags_at at
-        # each genus-0 target vertex whose pushed class is 0, and the checks no longer repeated read 5
-        "graphs.flags_at.calls": 805,
+        # each genus-0 target vertex whose pushed class is 0; the checks no longer repeated read 5, and trading
+        # the 80 composite checks for 20 input checks reads 21 fewer (805 before)
+        "graphs.flags_at.calls": 784,
     },
     "enumerate": {
         # one per key (12 starts, 404 built children, 47 contractions), per labelling (47) and per output (345)
@@ -75,12 +78,14 @@ PINS = {
         "graphs.flags_at.calls": 164,
         # only boundary labels graphs: 13 a pass
         "canonical.canonical_encoding.calls": 52,
-        # 5 a pass: compose on marked morphisms checks its two inputs and its composite, pullback and cartesian 1
-        # each; 24 before, when compose_marked checked the outer input's combinatorial part again
-        "morphisms.validate_combinatorial.calls": 20,
-        # 4 a pass: compose on marked morphisms checks its two inputs and its composite, pullback its input; 20
-        # before, when compose_marked checked the inner input's contraction again
-        "morphisms.validate_contraction.calls": 16,
+        # 4 a pass: compose on marked morphisms checks its two inputs, and not its composite, which is valid by
+        # construction; pullback and cartesian 1 each; 20 before, when the composite was checked, and 24 before
+        # that, when compose_marked checked the outer input's combinatorial part again
+        "morphisms.validate_combinatorial.calls": 16,
+        # 3 a pass: compose on marked morphisms checks its two inputs and not its composite, pullback its input;
+        # 16 before, when the composite was checked, and 20 before that, when compose_marked checked the inner
+        # input's contraction again
+        "morphisms.validate_contraction.calls": 12,
         # cartesian (4 a pass) and contract (1)
         "morphisms.contract_edges.calls": 20,
         # 19 a pass: 5 each in cartesian and compose of isogenies, 3 in compose on marked morphisms

@@ -187,6 +187,9 @@ CASES = [
     # contractions and combinatorial morphisms
     ("combinatorial-compose-endpoints", lambda: compose_combinatorial(
         identity_combinatorial(TRIPOD), identity_combinatorial(CURVE))),
+    # ends that do not meet are refused before the inputs are checked, here an invalid inner one
+    ("combinatorial-compose-endpoints", lambda: compose_combinatorial(
+        identity_combinatorial(TRIPOD), replace(identity_combinatorial(CURVE), flagmap={0: 9}))),
     # every flag of the source is mapped, one of them outside the target
     ("combinatorial-maps-total", lambda: _check(
         validate_combinatorial(replace(identity_combinatorial(TRIPOD), flagmap={0: 0, 1: 1, 2: 9})))),
@@ -212,6 +215,9 @@ CASES = [
         {f: f for f in range(4)}, {0: 0, 1: 0})))),
     ("contraction-compose-endpoints", lambda: compose_contractions(
         identity_contraction(TRIPOD), identity_contraction(CURVE))),
+    # ends that do not meet are refused before the inputs are checked, here an invalid inner one
+    ("contraction-compose-endpoints", lambda: compose_contractions(
+        identity_contraction(CURVE), Contraction(FOUR_TAILS, TRIPOD, {0: 0, 1: 1, 2: 2}, {0: 0}))),
     ("contraction-edge-unknown", lambda: contract_edges(TRIPOD, [(0, 1)])),
     # one row per clause: flag map keys, flag images, vertex map keys, vertex images
     ("contraction-maps-total", lambda: _check(validate_contraction(Contraction(TRIPOD, TRIPOD, {}, {0: 0})))),
