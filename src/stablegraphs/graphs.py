@@ -100,8 +100,14 @@ class MarkedGraph:
                 out.append(Violation("j-involution", "involution composed with itself is not the identity"))
         if self.genus.keys() != vset:
             out.append(Violation("genus-total", "genus map not defined on exactly the vertex set"))
-        elif any(g < 0 for g in self.genus.values()):  # not min(): it raises on mixed types
-            out.append(Violation("genus-negative", "vertex genus must be non-negative"))
+        else:
+            for gv in self.genus.values():
+                if type(gv) is not int:
+                    out.append(Violation("genus-integer", f"vertex genus must be an integer, not {gv!r}"))
+                    break
+                if gv < 0:
+                    out.append(Violation("genus-negative", "vertex genus must be non-negative"))
+                    break
         if self.rank < 0:
             out.append(Violation("rank-negative", "graph rank must be non-negative"))
         if self.classes.keys() != vset:

@@ -117,8 +117,10 @@ class ExtendedIsogeny:
         if not is_stable(self.source):
             raise ValidationError([Violation("isogeny-unstable-source", "extended isogenies start at stable graphs")])
         current = self.source
-        glued = tuple((int(x), int(y)) for x, y in self.glued)
+        glued = tuple((x, y) for x, y in self.glued)
         for x, y in glued:
+            if type(x) is not int or type(y) is not int:  # 1.0 would pass glue_tails as flag 1
+                raise ValueError(f"glued flag ids must be integers, not {x!r} and {y!r}")
             current, _ = glue_tails(current, x, y)
         glued_graph = current
         results: list[tuple[str, object]] = []

@@ -21,15 +21,24 @@ from .errors import RankMismatchError
 
 @dataclass(frozen=True, order=True)
 class MonoidElement:
-    """Element of N^k as a tuple of non-negative integer coordinates."""
+    """Element of N^k as a tuple of non-negative integer coordinates.
+
+    A coordinate that is not an ``int`` is refused, a bool included, so
+    nothing is truncated on the way in.
+    """
 
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(map(int, self.coords))
-        object.__setattr__(self, "coords", coords)
-        if coords and min(coords) < 0:
-            raise ValueError(f"negative coordinate in monoid element {coords}")
+        coords = self.coords
+        if type(coords) is not tuple:
+            coords = tuple(coords)
+            object.__setattr__(self, "coords", coords)
+        for c in coords:
+            if type(c) is not int:
+                raise ValueError(f"monoid element coordinate {c!r} is not an integer")
+            if c < 0:
+                raise ValueError(f"negative coordinate in monoid element {coords}")
 
     @staticmethod
     def zero(rank: int) -> "MonoidElement":
@@ -86,15 +95,18 @@ class MonoidHom:
     source_rank: int
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         if self.source_rank < 0:
             raise ValueError("monoid homomorphism source rank must be non-negative")
         for row in rows:
             if len(row) != self.source_rank:
                 raise ValueError(f"row length {len(row)} != source rank {self.source_rank}")
-            if any(x < 0 for x in row):
-                raise ValueError("monoid homomorphism matrix must be non-negative")
+            for x in row:
+                if type(x) is not int:
+                    raise ValueError(f"monoid homomorphism entry {x!r} is not an integer")
+                if x < 0:
+                    raise ValueError("monoid homomorphism matrix must be non-negative")
 
     @staticmethod
     def identity(rank: int) -> "MonoidHom":
@@ -156,12 +168,19 @@ def enumerate_pair_decompositions(b: MonoidElement) -> list[tuple[MonoidElement,
 
 @dataclass(frozen=True)
 class LinearForm:
-    """Integer linear form on N^k; coefficients may be negative."""
+    """Integer linear form on N^k; coefficients may be negative, but a
+    coefficient that is not an ``int`` is refused, a bool included."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        coeffs = self.coeffs
+        if type(coeffs) is not tuple:
+            coeffs = tuple(coeffs)
+            object.__setattr__(self, "coeffs", coeffs)
+        for c in coeffs:
+            if type(c) is not int:
+                raise ValueError(f"linear form coefficient {c!r} is not an integer")
 
     @staticmethod
     def zero(rank: int) -> "LinearForm":

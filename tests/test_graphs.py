@@ -357,6 +357,30 @@ def test_add_loop_inverts_contraction():
     assert checked > 40
 
 
+def test_split_and_loop_keep_the_components_exactly_when_known():
+    # add_loop and split_vertex hand the parent's connected components on to
+    # the result when the parent has them, and only then; what they hand on
+    # equals the components computed afresh on a copy
+    rng = random.Random(23)
+    handed = {"split": 0, "loop": 0}
+    for i in range(80):
+        g = dataclasses.replace(rand_graph(rng, rank=1, max_flags=10))
+        known = i % 2 == 0
+        if known:
+            connected_components(g)
+        v = rng.choice(g.vertices)
+        moved = [f for f in g.flags_at(v) if rng.random() < 0.5]
+        results = [("split", split_vertex(g, v, moved, (g.genus[v], g.classes[v]), (0, element(0)))[0])]
+        if g.genus[v] >= 1:
+            results.append(("loop", add_loop(g, v)[0]))
+        for kind, h in results:
+            assert ("_connected_components" in h.__dict__) == known
+            if known:
+                assert h._connected_components == dataclasses.replace(h)._connected_components
+                handed[kind] += 1
+    assert min(handed.values()) >= 15
+
+
 def _components_by_search(g):
     """Vertex sets reached by walking edges, by smallest member."""
     seen, out = set(), []

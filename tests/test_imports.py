@@ -1,10 +1,13 @@
-"""Every name a package or test module imports is used in that module, and
+"""Every name a package or test module imports is used in that module,
+every private top-level name of the package is read by the package, and
 every fixture defined under ``tests/`` is requested.
 
-The package's ``__init__.py`` is exempt: its imports are the public
-re-exports.  A name counts as used when it is read anywhere in the module,
-in code or in a quoted annotation.  A fixture counts as requested when a
-test or another fixture takes it as a parameter.
+The package's ``__init__.py`` is exempt from the first check: its imports
+are the public re-exports.  A name counts as used when it is read anywhere
+in the module, in code or in a quoted annotation.  A private name counts as
+read only outside its own definition, so a helper that only tests call
+fails.  A fixture counts as requested when a test or another fixture takes
+it as a parameter.
 """
 
 import ast
@@ -60,6 +63,39 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _private_definitions(tree: ast.Module):
+    """Each top-level statement that defines a private function, class or
+    constant, with the private names it binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+        if private:
+            yield node, private
+
+
+def test_every_private_helper_is_read_by_the_package():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    used = {path: _used(tree) for path, tree in trees.items()}
+    checked, unread = 0, []
+    for path, tree in trees.items():
+        elsewhere = set().union(*(read for other, read in used.items() if other != path))
+        by_statement = [(node, _used(node)) for node in tree.body]
+        for node, names in _private_definitions(tree):
+            rest = set().union(*(read for other, read in by_statement if other is not node))
+            for name in names:
+                checked += 1
+                if name not in rest and name not in elsewhere:
+                    unread.append(f"{path.name}: {name} (line {node.lineno})")
+    assert checked > 60
+    assert not unread, f"private names nothing in the package reads: {', '.join(unread)}"
 
 
 def _is_fixture(decorator: ast.expr) -> bool:

@@ -165,6 +165,17 @@ def test_construction_refuses_a_step_of_neither_kind():
         extended_isogeny(tripod, (), ((0, 1),))
 
 
+@pytest.mark.parametrize("glued", [(1.0, 2), (1, 2.0), (1.5, 2.9)], ids=["first", "second", "both"])
+def test_construction_refuses_glued_ids_that_are_not_ints(glued):
+    # 1.0 equals flag 1 as a dict key, so glue_tails alone would glue it and
+    # leave a float in the involution; nothing is truncated to an int either
+    g = modular_graph({0: 0, 1: 0}, tails={0: 0, 1: 0, 4: 0, 2: 1, 3: 1, 5: 1})
+    x, y = glued
+    with pytest.raises(ValueError, match=f"^glued flag ids must be integers, not {x!r} and {y!r}$"):
+        extended_isogeny(g, [glued])
+    assert extended_isogeny(g, [(1, 2)]).target.involution[2] == 1
+
+
 def test_constructor_records_what_extended_isogeny_records():
     # lists for glued and steps are normalised to tuples, and each step's
     # result starts where the one before it ended

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -184,15 +185,32 @@ def test_form_linear():
 
 
 def test_coordinates_are_coerced_with_int():
-    a = MonoidElement((True, False, 2.0, "3"))
-    assert a.coords == (1, 0, 2, 3)
-    assert all(type(c) is int for c in a.coords)
+    # nothing is coerced: a coordinate that is not an int is refused by
+    # name, a bool and an integral float included, and none is truncated
+    for bad in (True, 2.0, "3", 2.5):
+        with pytest.raises(ValueError, match=rf"^monoid element coordinate {re.escape(repr(bad))} is not an integer$"):
+            MonoidElement((1, bad))
     assert MonoidElement([1, 2]).coords == (1, 2)
 
 
 def test_negative_coordinates_rejected_with_their_message():
     with pytest.raises(ValueError, match=r"^negative coordinate in monoid element \(2, -1\)$"):
-        MonoidElement((2.5, "-1"))
+        MonoidElement((2, -1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MonoidHom(((1, 1.9),), 2), "monoid homomorphism entry 1.9 is not an integer"),
+        (lambda: MonoidHom(((0,), (True,)), 1), "monoid homomorphism entry True is not an integer"),
+        (lambda: LinearForm((-1, 2.7)), "linear form coefficient 2.7 is not an integer"),
+        (lambda: LinearForm((False,)), "linear form coefficient False is not an integer"),
+    ],
+    ids=["hom-float", "hom-bool", "form-float", "form-bool"],
+)
+def test_non_integer_hom_entries_and_form_coefficients_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_add_is_the_coordinate_sum():

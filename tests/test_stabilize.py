@@ -25,7 +25,6 @@ from stablegraphs.monoid import MonoidHom
 from stablegraphs.morphisms import CombinatorialMorphism, compose_combinatorial, cut_edge, validate_combinatorial
 from stablegraphs.pullback import validate_marked
 from stablegraphs.stabilize import (
-    _composite_images,
     _default_source_pool,
     _keeps_ids,
     _morphism_images,
@@ -280,22 +279,24 @@ def _images(m):
 
 
 def test_composite_keys_match_compose_combinatorial():
-    # the oracle maps the images of each c through a; they must be the
-    # images of the composite that compose_combinatorial builds and
-    # validates.  The search validates nothing, so every morphism of both
-    # hom-sets is validated here.
+    # the stabilization keeps ids, so the oracle reads the images of each
+    # composite a o c as those of c; they must be the images of the
+    # composite that compose_combinatorial builds and validates.  The search
+    # validates nothing, so every morphism of both hom-sets is validated
+    # here.
     rng = random.Random(89)
     composites = directs = 0
     for _ in range(40):
         g = rand_unstable_graph(rng, rank=1, max_flags=8)
         stable, a = stabilize(g)
+        assert _keeps_ids(a, stable)
         for sigma in _default_source_pool(stable):
             into_stable = enumerate_combinatorial_morphisms(sigma, stable)
             into_g = enumerate_combinatorial_morphisms(sigma, g)
             assert all(validate_combinatorial(m) == [] for m in into_stable + into_g)
             images = _morphism_images(sigma, stable)
             assert images == [_images(c) for c in into_stable]
-            assert _composite_images(a, images) == [_images(compose_combinatorial(a, c)) for c in into_stable]
+            assert images == [_images(compose_combinatorial(a, c)) for c in into_stable]
             assert _morphism_images(sigma, g) == [_images(b) for b in into_g]
             composites += len(into_stable)
             directs += len(into_g)
@@ -315,9 +316,10 @@ def test_certificate_builds_only_the_stabilization_morphism(constructed):
 
 
 def test_broken_stabilization_shows_as_differing_hom_sets(monkeypatch):
-    # a stabilization morphism that sends one vertex elsewhere: its composites
-    # are not morphisms, so none matches a validated direct morphism, and the
-    # oracle reports the hom-sets as different instead of raising
+    # a stabilization morphism that sends one vertex elsewhere: it fails
+    # validation, and it no longer keeps ids, so its composites cannot be
+    # read off the search; the oracle reports both instead of raising, and
+    # compares no source
     g = marked_graph(1, {0: (1, 0), 1: (1, 0), 2: (0, 0)}, edges=[((0, 0), (1, 1)), ((2, 1), (3, 2))])
     real = stabilize_module.stabilize
 
@@ -327,8 +329,11 @@ def test_broken_stabilization_shows_as_differing_hom_sets(monkeypatch):
 
     monkeypatch.setattr(stabilize_module, "stabilize", broken)
     report = check_universal_property(g)
-    assert report.sources_checked > 0
-    assert any(c.startswith("hom-sets differ through stabilization") for c in report.counterexamples)
+    assert report.counterexamples == [
+        "stabilization morphism invalid: combinatorial-1-boundary",
+        "stabilization morphism does not keep ids",
+    ]
+    assert (report.sources_checked, report.morphisms_checked) == (0, 0)
     monkeypatch.setattr(stabilize_module, "stabilize", real)
     assert check_universal_property(g).ok
 
@@ -359,9 +364,9 @@ def test_invalid_stabilization_morphism_is_one_counterexample(monkeypatch):
 
 
 def test_stabilization_that_merges_flags_shows_as_a_non_unique_factorization(monkeypatch):
-    # a stabilization morphism of the tripod that sends two tails to one: the
-    # six automorphisms of the tripod compose to three maps, each factored
-    # twice, and the oracle reports it instead of raising
+    # a stabilization morphism of the tripod that sends two tails to one:
+    # it is not injective at the vertex and does not keep ids, and the
+    # oracle reports both instead of raising
     tripod = modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0})
     real = stabilize_module.stabilize
 
@@ -371,12 +376,33 @@ def test_stabilization_that_merges_flags_shows_as_a_non_unique_factorization(mon
 
     monkeypatch.setattr(stabilize_module, "stabilize", broken)
     report = check_universal_property(tripod)
-    assert "factorization not unique for source with 3 flags" in report.counterexamples
-    assert "hom-sets differ through stabilization for source with 3 flags: 3 composed vs 6 direct" in (
-        report.counterexamples
-    )
+    assert report.counterexamples == [
+        "stabilization morphism invalid: combinatorial-2-injective",
+        "stabilization morphism does not keep ids",
+    ]
+    assert report.sources_checked == 0
     monkeypatch.setattr(stabilize_module, "stabilize", real)
     assert check_universal_property(tripod).ok
+
+
+@pytest.mark.parametrize("edit", [{"flagmap": {0: 0, 1: 1}}, {"vertexmap": {}}], ids=["flag-missing", "vertex-missing"])
+def test_maps_that_miss_an_id_are_reported(monkeypatch, edit):
+    # one row per clause of _keeps_ids that the other tests leave idle: a
+    # flag or a vertex the maps miss, each otherwise the identity
+    tripod = modular_graph({0: 0}, tails={0: 0, 1: 0, 2: 0})
+    real = stabilize_module.stabilize
+
+    def broken(graph):
+        stable, a = real(graph)
+        return stable, replace(a, **edit)
+
+    monkeypatch.setattr(stabilize_module, "stabilize", broken)
+    report = check_universal_property(tripod)
+    assert report.counterexamples == [
+        "stabilization morphism invalid: combinatorial-maps-total",
+        "stabilization morphism does not keep ids",
+    ]
+    assert report.sources_checked == 0
 
 
 def test_pool_limit_bounds_the_sources_drawn():
@@ -405,9 +431,10 @@ def test_pool_limit_bounds_the_sources_drawn():
 
 
 def test_renamed_stabilization_gives_the_same_certificate(monkeypatch):
-    # stabilize keeps ids, so the certifier uses the images into the
-    # stabilization as the composites' images; a valid stabilization with
-    # renamed ids goes through its maps instead, and must certify alike
+    # stabilize keeps ids, and the certifier requires it: a valid
+    # stabilization with renamed ids passes validation but is reported as
+    # not keeping ids, and no source is compared; the same morphism with
+    # its ids kept certifies alike
     rng = random.Random(167)
     real = stabilize_module.stabilize
     renamed = 0
@@ -430,14 +457,15 @@ def test_renamed_stabilization_gives_the_same_certificate(monkeypatch):
         g = rand_unstable_graph(rng, rank=1, max_flags=8)
         monkeypatch.setattr(stabilize_module, "stabilize", real)
         kept = check_universal_property(g)
+        assert kept.ok and kept.sources_checked > 0
+        before = renamed
         monkeypatch.setattr(stabilize_module, "stabilize", renaming)
         moved = check_universal_property(g)
-        assert (moved.sources_checked, moved.morphisms_checked, moved.ok) == (
-            kept.sources_checked,
-            kept.morphisms_checked,
-            kept.ok,
-        )
-        assert kept.ok
+        if renamed > before:
+            assert moved.counterexamples == ["stabilization morphism does not keep ids"]
+            assert (moved.sources_checked, moved.morphisms_checked) == (0, 0)
+        else:
+            assert moved == kept
     assert renamed >= 30
 
 

@@ -268,7 +268,10 @@ CASES = [
     ("pullback-unstable-input", lambda: stable_pullback(
         MonoidHom.identity(0), identity_contraction(TRIPOD), inclusion(TWO_TAILS, TRIPOD))),
     ("pushforward-unstable-source", lambda: pushforward(MonoidHom.identity(0), TWO_TAILS)),
-    # graphs: an empty graph of negative rank, the only fault it has
+    # graphs: a genus that is not an int, though not negative, then a bool
+    ("genus-integer", lambda: modular_graph({0: 1.5}, tails={0: 0})),
+    ("genus-integer", lambda: modular_graph({0: 0, 1: True}, tails={0: 0, 1: 1})),
+    # an empty graph of negative rank, the only fault it has
     ("rank-negative", lambda: MarkedGraph((), (), {}, {}, {}, {}, -1)),
     # profiles
     ("profile-ample", lambda: VarietyProfile("flat", 1, LinearForm((-2,)), LinearForm((0,)))),
