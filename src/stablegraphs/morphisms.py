@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import RankMismatchError, ValidationError, Violation, ensure_valid
 from .graphs import (
@@ -52,12 +52,13 @@ from .graphs import (
 from .monoid import MonoidHom, _sum_classes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Contraction:
     """Edge contraction source -> target.
 
     ``flagmap`` sends target flags into source flags (contravariant),
-    ``vertexmap`` sends source vertices onto target vertices.
+    ``vertexmap`` sends source vertices onto target vertices.  ``__init__``
+    writes each field once, the two maps as copies.
     """
 
     source: MarkedGraph
@@ -65,9 +66,10 @@ class Contraction:
     flagmap: dict[int, int]
     vertexmap: dict[int, int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flagmap", dict(self.flagmap))
-        object.__setattr__(self, "vertexmap", dict(self.vertexmap))
+    def __init__(self, source: MarkedGraph, target: MarkedGraph, flagmap: Mapping[int, int], vertexmap: Mapping[int, int]) -> None:
+        d = self.__dict__
+        d["source"], d["target"] = source, target
+        d["flagmap"], d["vertexmap"] = dict(flagmap), dict(vertexmap)
 
     def contracted_flags(self) -> tuple[int, ...]:
         image = set(self.flagmap.values())
@@ -182,16 +184,10 @@ def contract_edges(g: MarkedGraph, edge_set: Iterable[tuple[int, int]]) -> Contr
         tgt_genus[r] = sum(g.genus[v] for v in fiber) + edges_in[r] - len(fiber) + 1
         tgt_classes[r] = _sum_classes([g.classes[v] for v in fiber], g.rank)
 
-    target = MarkedGraph(
-        flags=tuple(kept),
-        vertices=tuple(tgt_genus),
-        boundary={f: rep[g.boundary[f]] for f in kept},
-        involution={f: g.involution[f] for f in kept},
-        genus=tgt_genus,
-        classes=tgt_classes,
-        rank=g.rank,
-    )
-    return Contraction(source=g, target=target, flagmap={f: f for f in kept}, vertexmap=dict(rep))
+    boundary = {f: rep[g.boundary[f]] for f in kept}
+    involution = {f: g.involution[f] for f in kept}
+    target = MarkedGraph(kept, tuple(tgt_genus), boundary, involution, tgt_genus, tgt_classes, g.rank)
+    return Contraction(source=g, target=target, flagmap={f: f for f in kept}, vertexmap=rep)
 
 
 def identity_contraction(g: MarkedGraph) -> Contraction:
@@ -282,13 +278,14 @@ def compose_contractions(outer: Contraction, inner: Contraction) -> Contraction:
     return composite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CombinatorialMorphism:
     """Flag/vertex maps source -> target preserving the graph structure.
 
     ``hom`` is the optional marking homomorphism: when present, the source
     lives over the hom's target monoid, the target graph over its source
     monoid, and classes match after pushing the target's classes through.
+    ``__init__`` writes each field once, the two maps as copies.
     """
 
     source: MarkedGraph
@@ -297,9 +294,13 @@ class CombinatorialMorphism:
     vertexmap: dict[int, int]
     hom: MonoidHom | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flagmap", dict(self.flagmap))
-        object.__setattr__(self, "vertexmap", dict(self.vertexmap))
+    def __init__(
+        self, source: MarkedGraph, target: MarkedGraph, flagmap: Mapping[int, int], vertexmap: Mapping[int, int],
+        hom: MonoidHom | None = None,
+    ) -> None:
+        d = self.__dict__
+        d["source"], d["target"] = source, target
+        d["flagmap"], d["vertexmap"], d["hom"] = dict(flagmap), dict(vertexmap), hom
 
     def is_complete(self) -> bool:
         """Bijective on the flags at every source vertex."""

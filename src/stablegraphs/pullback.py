@@ -23,7 +23,7 @@ onto:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .canonical import diagram_key
 from .errors import ValidationError, Violation, ensure_valid
@@ -86,7 +86,8 @@ def _check_marked(m: MarkedMorphism, message: str) -> None:
 
 def _marked(hom: MonoidHom, comb: CombinatorialMorphism, contr: Contraction) -> MarkedMorphism:
     """The morphism (hom, comb covering hom, comb's source, contr)."""
-    return MarkedMorphism(hom, replace(comb, hom=hom), comb.source, contr)
+    src = comb.source
+    return MarkedMorphism(hom, CombinatorialMorphism(src, comb.target, comb.flagmap, comb.vertexmap, hom), src, contr)
 
 
 def identity_marked(g: MarkedGraph) -> MarkedMorphism:

@@ -26,7 +26,7 @@ the same graph, since surviving ids never change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice, permutations, product
 from typing import Iterable
 
@@ -52,7 +52,7 @@ from .morphisms import (
     inclusion,
     validate_combinatorial,
 )
-from .pullback import MarkedMorphism, _marked
+from .pullback import MarkedMorphism
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,9 @@ def pushforward(hom: MonoidHom, g: MarkedGraph) -> tuple[MarkedGraph, MarkedMorp
     """
     if not is_stable(g):
         raise ValidationError([Violation("pushforward-unstable-source", "pushforward requires a stable graph")])
-    relabeled = relabel_classes(g, hom)
-    stable, a = stabilize(relabeled)
-    return stable, _marked(hom, replace(a, target=g), identity_contraction(stable))
+    stable, a = stabilize(relabel_classes(g, hom))
+    comb = CombinatorialMorphism(stable, g, a.flagmap, a.vertexmap, hom)
+    return stable, MarkedMorphism(hom, comb, stable, identity_contraction(stable))
 
 
 def absolute_stabilization(g: MarkedGraph) -> tuple[MarkedGraph, CombinatorialMorphism]:

@@ -35,8 +35,8 @@ def constructed(monkeypatch):
 
     def record(cls):
         built = []
-        real = cls.__post_init__
-        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self) or real(self))
+        real = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, **kwargs: built.append(self) or real(self, *args, **kwargs))
         return built
 
     return record

@@ -156,6 +156,19 @@ def test_structural_violations_are_pinned(changes, expected):
     assert _structural_violations(**changes) == expected
 
 
+@pytest.mark.parametrize(
+    "changes, expected",
+    [
+        # flag 0 is a tail, as in the base graph; only flag 1 is not sent back to itself
+        ({"involution": {0: 0, 1: 2, 2: 0}}, [J_NOT_INVOLUTION]),
+        # a class of smaller rank than the graph's
+        ({"classes": {0: element(0), 1: element()}}, [("class-rank", "vertex class has wrong monoid rank")]),
+    ],
+)
+def test_structural_checks_read_every_flag_and_both_ways_of_a_wrong_rank(changes, expected):
+    assert _structural_violations(**changes) == expected
+
+
 def test_connected_components():
     two = modular_graph({0: 0, 1: 0}, edges=[((0, 0), (1, 1))])
     assert len(connected_components(two)) == 1
@@ -516,3 +529,39 @@ def test_memoised_indices_are_kept_on_the_instance_but_not_compared():
     copy = dataclasses.replace(g)
     assert copy == g and not any(name in vars(copy) for name in names)
     assert copy._edges == g._edges and copy._edges is not g._edges
+
+
+def test_constructor_sorts_the_ids_copies_each_dict_and_checks_once(monkeypatch):
+    # each field is normalised and written once: the ids come out as sorted
+    # tuples and each dict is the graph's own copy, so a caller who edits
+    # its dicts afterwards leaves the graph as it was; the structural check
+    # runs once per construction, replace included
+    checked = []
+    real = MarkedGraph.__post_init__
+    monkeypatch.setattr(MarkedGraph, "__post_init__", lambda self: checked.append(self) or real(self))
+    fields = dict(
+        flags=[2, 0, 1],
+        vertices=[1, 0],
+        boundary={0: 0, 1: 0, 2: 1},
+        involution={0: 0, 1: 2, 2: 1},
+        genus={0: 0, 1: 1},
+        classes={0: element(0), 1: element(1)},
+        rank=1,
+    )
+    g = MarkedGraph(**fields)
+    assert g.flags == (0, 1, 2) and g.vertices == (0, 1)
+    assert g._flag_set == frozenset(g.flags) and g._vertex_set == frozenset(g.vertices)
+    positional = MarkedGraph(*fields.values())
+    copy = dataclasses.replace(g)
+    assert [id(x) for x in checked] == [id(g), id(positional), id(copy)]
+    assert positional == g and copy == g and repr(copy) == repr(g)
+    names = ("boundary", "involution", "genus", "classes")
+    for name in names:
+        assert getattr(g, name) is not fields[name] and getattr(positional, name) is not fields[name]
+        assert getattr(copy, name) is not getattr(g, name)
+    before = repr(g)
+    fields["flags"].append(3)
+    fields["vertices"].append(2)
+    for name in names:
+        fields[name].clear()
+    assert repr(g) == before and repr(positional) == before

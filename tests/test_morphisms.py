@@ -742,3 +742,25 @@ def test_compose_combinatorial_rank_mismatch_keeps_its_message():
     outer = CombinatorialMorphism(mid, empty_graph(2), {}, {})
     with pytest.raises(RankMismatchError, match=r"^cannot compose: inner target rank 2 != source rank 3$"):
         compose_combinatorial(outer, inner)
+
+
+@pytest.mark.parametrize("cls", [Contraction, CombinatorialMorphism])
+def test_morphism_constructor_copies_each_map(cls):
+    # each field is written once, the two maps as the morphism's own copies:
+    # a caller who edits its dicts afterwards leaves the morphism as it was,
+    # and keyword, positional and replace construction agree
+    g = two_vertex_graph()
+    fields = dict(source=g, target=g, flagmap={f: f for f in g.flags}, vertexmap={v: v for v in g.vertices})
+    m = cls(**fields)
+    positional = cls(*fields.values())
+    copy = replace(m)
+    assert m.source is g and m.target is g
+    assert positional == m and copy == m and repr(copy) == repr(m)
+    for name in ("flagmap", "vertexmap"):
+        assert getattr(m, name) is not fields[name] and getattr(positional, name) is not fields[name]
+        assert getattr(copy, name) is not getattr(m, name)
+    before = repr(m)
+    fields["flagmap"].clear()
+    fields["vertexmap"].clear()
+    assert repr(m) == before and repr(positional) == before
+
